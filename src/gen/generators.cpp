@@ -1,7 +1,6 @@
 #include "gen/generators.h"
 
 #include <algorithm>
-#include <map>
 #include <unordered_set>
 #include <utility>
 
@@ -12,25 +11,20 @@ namespace nocdr::gen {
 
 namespace {
 
-/// Directed link registry: (src, dst) -> links in creation order, so
-/// parallel fat-tree links are addressable by index.
-using LinkIndex =
-    std::map<std::pair<std::size_t, std::size_t>, std::vector<LinkId>>;
-
-LinkId AddIndexedLink(TopologyGraph& topology, LinkIndex& index,
-                      std::size_t src, std::size_t dst) {
-  const LinkId l = topology.AddLink(SwitchId(src), SwitchId(dst));
-  index[{src, dst}].push_back(l);
-  return l;
+/// Adds the links \p a -> \p b and \p b -> \p a, in that order.
+void AddLinkPair(TopologyGraph& topology, std::size_t a, std::size_t b) {
+  topology.AddLink(SwitchId(a), SwitchId(b));
+  topology.AddLink(SwitchId(b), SwitchId(a));
 }
 
-const LinkId& LinkBetween(const LinkIndex& index, std::size_t src,
-                          std::size_t dst, std::size_t parallel = 0) {
-  const auto it = index.find({src, dst});
-  Require(it != index.end() && parallel < it->second.size(),
-          "generator: missing link " + std::to_string(src) + "->" +
-              std::to_string(dst));
-  return it->second[parallel];
+/// The link \p src -> \p dst of a grid or ring, which has no parallel
+/// links.
+LinkId LinkBetween(const TopologyGraph& topology, std::size_t src,
+                   std::size_t dst) {
+  const auto l = topology.FindLink(SwitchId(src), SwitchId(dst));
+  Require(l.has_value(), "generator: missing link " + std::to_string(src) +
+                             "->" + std::to_string(dst));
+  return *l;
 }
 
 // ------------------------------------------------------------- mesh/torus
@@ -50,7 +44,6 @@ GeneratedTopology BuildGrid(const GeneratorSpec& spec, bool wrap) {
     Require(w >= 2 && h >= 2, "generator: mesh needs width and height >= 2");
   }
   GeneratedTopology out;
-  LinkIndex links;
   const std::string stem = wrap ? "t" : "m";
   for (std::size_t y = 0; y < h; ++y) {
     for (std::size_t x = 0; x < w; ++x) {
@@ -63,14 +56,10 @@ GeneratedTopology BuildGrid(const GeneratorSpec& spec, bool wrap) {
     for (std::size_t x = 0; x < w; ++x) {
       const std::size_t s = GridIndex(x, y, w);
       if (x + 1 < w || wrap) {
-        const std::size_t right = GridIndex((x + 1) % w, y, w);
-        AddIndexedLink(out.topology, links, s, right);
-        AddIndexedLink(out.topology, links, right, s);
+        AddLinkPair(out.topology, s, GridIndex((x + 1) % w, y, w));
       }
       if (y + 1 < h || wrap) {
-        const std::size_t down = GridIndex(x, (y + 1) % h, w);
-        AddIndexedLink(out.topology, links, s, down);
-        AddIndexedLink(out.topology, links, down, s);
+        AddLinkPair(out.topology, s, GridIndex(x, (y + 1) % h, w));
       }
     }
   }
@@ -110,7 +99,7 @@ GeneratedTopology BuildGrid(const GeneratorSpec& spec, bool wrap) {
         const std::size_t ny = positive ? (sy + 1) % h : (sy + h - 1) % h;
         next = GridIndex(sx, ny, w);
       }
-      out.table[s][d] = LinkBetween(links, s, next);
+      out.table[s][d] = LinkBetween(out.topology, s, next);
     }
   }
   out.core_switches.reserve(n);
@@ -126,14 +115,11 @@ GeneratedTopology BuildRing(const GeneratorSpec& spec) {
   const std::size_t n = spec.ring_nodes;
   Require(n >= 3, "generator: ring needs >= 3 nodes");
   GeneratedTopology out;
-  LinkIndex links;
   for (std::size_t i = 0; i < n; ++i) {
     out.topology.AddSwitch("r" + std::to_string(i));
   }
   for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t next = (i + 1) % n;
-    AddIndexedLink(out.topology, links, i, next);
-    AddIndexedLink(out.topology, links, next, i);
+    AddLinkPair(out.topology, i, (i + 1) % n);
   }
   // Shortest way around; ties (opposite node on an even ring) break
   // clockwise. Flows that chain clockwise segments all the way around
@@ -147,7 +133,7 @@ GeneratedTopology BuildRing(const GeneratorSpec& spec) {
       const std::size_t clockwise = (d + n - s) % n;
       const std::size_t next =
           clockwise <= n - clockwise ? (s + 1) % n : (s + n - 1) % n;
-      out.table[s][d] = LinkBetween(links, s, next);
+      out.table[s][d] = LinkBetween(out.topology, s, next);
     }
   }
   out.core_switches.reserve(n);
@@ -177,9 +163,11 @@ GeneratedTopology BuildFatTree(const GeneratorSpec& spec) {
   const std::size_t n = level_start[levels];
 
   GeneratedTopology out;
-  LinkIndex links;
   std::vector<std::size_t> level_of(n);
   std::vector<std::size_t> parent(n, 0);
+  // Per child: its parallel links to (up) and from (down) its parent.
+  std::vector<std::vector<LinkId>> up(n);
+  std::vector<std::vector<LinkId>> down(n);
   for (std::size_t l = 0; l < levels; ++l) {
     for (std::size_t j = level_start[l]; j < level_start[l + 1]; ++j) {
       level_of[j] = l;
@@ -190,9 +178,11 @@ GeneratedTopology BuildFatTree(const GeneratorSpec& spec) {
   for (std::size_t j = level_start[1]; j < n; ++j) {
     const std::size_t l = level_of[j];
     parent[j] = level_start[l - 1] + (j - level_start[l]) / k;
+    const SwitchId child(j);
+    const SwitchId above(parent[j]);
     for (std::size_t p = 0; p < uplinks; ++p) {
-      AddIndexedLink(out.topology, links, j, parent[j]);
-      AddIndexedLink(out.topology, links, parent[j], j);
+      up[j].push_back(out.topology.AddLink(child, above));
+      down[j].push_back(out.topology.AddLink(above, child));
     }
   }
 
@@ -215,10 +205,9 @@ GeneratedTopology BuildFatTree(const GeneratorSpec& spec) {
       }
       const std::size_t par = d % uplinks;
       if (level_of[d] > level_of[s] && ancestor(d, level_of[s]) == s) {
-        const std::size_t child = ancestor(d, level_of[s] + 1);
-        out.table[s][d] = LinkBetween(links, s, child, par);
+        out.table[s][d] = down[ancestor(d, level_of[s] + 1)][par];
       } else {
-        out.table[s][d] = LinkBetween(links, s, parent[s], par);
+        out.table[s][d] = up[s][par];
       }
     }
   }

@@ -49,16 +49,18 @@ using NextHopTable = std::vector<std::vector<LinkId>>;
 /// entry is either invalid or a link actually leaving its row's switch,
 /// and that following the table from any switch reaches any destination
 /// with a filled row without revisiting a switch (i.e. the table is
-/// complete and loop-free for every reachable pair). Throws
-/// InvalidModelError on the first violation.
+/// complete and loop-free for every reachable pair). The walks are
+/// checked in one memoized pass per destination, the walk classifier
+/// PatchNextHopTable also uses, so every switch is followed once per
+/// destination. Throws InvalidModelError on a violation.
 void ValidateNextHopTable(const TopologyGraph& topology,
                           const NextHopTable& table);
 
-/// Expands \p table into one static route per flow of \p traffic: walks
-/// table[s][dst] hop by hop from each flow's source switch, always on
-/// VC 0 (the implicit channel; extra VCs are the deadlock methods' job).
-/// Throws InvalidModelError when the table has no entry for a hop some
-/// flow needs or a walk exceeds the switch count (a routing loop).
+/// Expands \p table into one static route per flow of \p traffic with
+/// WalkTableRoute from each flow's source switch, always on VC 0 (the
+/// implicit channel; extra VCs are the deadlock methods' job). Throws
+/// InvalidModelError when the table has no entry for a hop some flow
+/// needs or a walk exceeds the switch count (a routing loop).
 RouteSet BuildTableRoutes(const TopologyGraph& topology,
                           const CommunicationGraph& traffic,
                           const std::vector<SwitchId>& attachment,
@@ -90,21 +92,24 @@ std::optional<Route> WalkTableRoute(const TopologyGraph& topology,
 /// stay loop-free: a patched prefix strictly descends the surviving-
 /// distance to the destination and hands over to an intact suffix.
 /// Returns the number of previously-routable (src, dst) pairs the
-/// failures disconnected (their entries become invalid).
+/// failures disconnected (their entries become invalid). Throws
+/// InvalidModelError, before touching any entry, when \p table is not
+/// switch_count x switch_count or a mask has the wrong size.
 std::size_t PatchNextHopTable(const TopologyGraph& topology,
                               NextHopTable& table,
                               const std::vector<char>& failed_links,
                               const std::vector<char>& failed_switches);
 
 /// Rip-up-and-reroute fallback: recomputes the routes of \p flows over
-/// the surviving topology with the same congestion-aware Dijkstra as
-/// BuildRoutes. The listed flows' bandwidth is ripped out of the
-/// congestion picture first, then they are re-routed heaviest-first
-/// (stable by flow id) against the bandwidth committed by every other
-/// flow, accumulating their own as they land. New routes use VC 0 of
-/// each surviving link; extra VCs remain the deadlock methods' job.
-/// Throws InvalidModelError when some flow's endpoints are disconnected
-/// by the failures — callers decide feasibility first (src/fault).
+/// the surviving topology with BuildRoutes' search, the same
+/// congestion-aware Dijkstra restricted to surviving links. The listed
+/// flows' bandwidth is ripped out of the congestion picture first, then
+/// they are re-routed heaviest-first (stable in the order given) against
+/// the bandwidth committed by every other flow, accumulating their own
+/// as they land. New routes use VC 0 of each surviving link; extra VCs
+/// remain the deadlock methods' job. Throws InvalidModelError when some
+/// flow's endpoints are disconnected by the failures — callers decide
+/// feasibility first (src/fault).
 void RerouteFlows(NocDesign& design, const std::vector<FlowId>& flows,
                   const std::vector<char>& failed_links,
                   const std::vector<char>& failed_switches,

@@ -3,25 +3,11 @@
 #include <sstream>
 
 #include "noc/io.h"
+#include "sim/simulator.h"
 #include "util/canonical.h"
 #include "util/error.h"
 
 namespace nocdr::valid {
-
-namespace {
-
-SimEngine ParseEngine(const std::string& name) {
-  if (name == "worklist") {
-    return SimEngine::kWorklist;
-  }
-  if (name == "fullscan") {
-    return SimEngine::kFullScan;
-  }
-  throw InvalidModelError("ReproFromJson: unknown sim engine \"" + name +
-                          "\"");
-}
-
-}  // namespace
 
 std::string ReproToJson(const Repro& repro) {
   JsonObject json;
@@ -38,9 +24,7 @@ std::string ReproToJson(const Repro& repro) {
       .Set("max_cycles", repro.workload.max_cycles)
       .Set("stall_threshold", repro.workload.stall_threshold)
       .Set("max_escalations", repro.workload.max_escalations)
-      .Set("engine", repro.workload.engine == SimEngine::kWorklist
-                         ? "worklist"
-                         : "fullscan")
+      .Set("engine", EngineName(repro.workload.engine))
       .Set("design", DesignText(repro.design));
   return json.Dump();
 }
@@ -68,7 +52,11 @@ Repro ReproFromJson(const std::string& json) {
   repro.workload.max_cycles = value.At("max_cycles").AsUint();
   repro.workload.stall_threshold = value.At("stall_threshold").AsUint();
   repro.workload.max_escalations = value.At("max_escalations").AsUint();
-  repro.workload.engine = ParseEngine(value.At("engine").AsString());
+  const std::string engine_name = value.At("engine").AsString();
+  const auto engine = ParseEngine(engine_name);
+  Require(engine.has_value(),
+          "ReproFromJson: unknown sim engine \"" + engine_name + "\"");
+  repro.workload.engine = *engine;
   std::istringstream design_text(value.At("design").AsString());
   repro.design = ReadDesign(design_text);
   return repro;

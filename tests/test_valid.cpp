@@ -356,6 +356,25 @@ TEST(ReproTest, DumpReplayRoundTrip) {
   EXPECT_EQ(valid::ReproToJson(reparsed), valid::ReproToJson(repro));
 }
 
+TEST(ReproTest, EveryEngineRoundTrips) {
+  // A mismatch found on any engine must replay on that same engine.
+  valid::Repro repro;
+  repro.design = MakeApproachRingDesign(4, 0);
+  for (const SimEngine engine : AllEngines()) {
+    repro.workload.engine = engine;
+    const std::string json = valid::ReproToJson(repro);
+    EXPECT_EQ(valid::ReproFromJson(json).workload.engine, engine)
+        << EngineName(engine);
+
+    const std::string field = "\"engine\":\"" + EngineName(engine) + "\"";
+    std::string unknown = json;
+    const std::size_t at = unknown.find(field);
+    ASSERT_NE(at, std::string::npos) << json;
+    unknown.replace(at, field.size(), "\"engine\":\"warp\"");
+    EXPECT_THROW(valid::ReproFromJson(unknown), InvalidModelError);
+  }
+}
+
 TEST(ReproTest, MalformedJsonThrows) {
   EXPECT_THROW(valid::ReproFromJson("{"), InvalidModelError);
   EXPECT_THROW(valid::ReproFromJson("{\"version\":2}"), InvalidModelError);
