@@ -46,6 +46,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "noc/io.h"
 #include "obs/trace.h"
 #include "runner/sweep.h"
 #include "serve/protocol.h"

@@ -56,6 +56,7 @@
 
 #include "bench_common.h"
 #include "fault/plan.h"
+#include "noc/io.h"
 #include "runner/sweep.h"
 #include "serve/load_gen.h"
 #include "serve/service.h"

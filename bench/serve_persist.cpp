@@ -57,6 +57,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "noc/io.h"
 #include "runner/sweep.h"
 #include "serve/disk_cache.h"
 #include "serve/protocol.h"

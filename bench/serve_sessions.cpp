@@ -35,7 +35,6 @@
 // speedup is >= 1.5x.
 #include <chrono>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -191,8 +190,7 @@ RungOutcome RunRung(const gen::GeneratorSpec& spec, const Options& opts,
       return outcome;
     }
 
-    std::istringstream stream(open.design_text);
-    NocDesign replica = ReadDesign(stream);
+    NocDesign replica = ReadDesign(open.design_text);
     flows = replica.traffic.FlowCount();
     fault::FaultState state = fault::FaultState::None(replica);
     NextHopTable table = base_table;

@@ -22,8 +22,7 @@ void AddLinkPair(TopologyGraph& topology, std::size_t a, std::size_t b) {
 LinkId LinkBetween(const TopologyGraph& topology, std::size_t src,
                    std::size_t dst) {
   const auto l = topology.FindLink(SwitchId(src), SwitchId(dst));
-  Require(l.has_value(), "generator: missing link " + std::to_string(src) +
-                             "->" + std::to_string(dst));
+  Require(l.has_value(), "generator: missing link ", src, "->", dst);
   return *l;
 }
 

@@ -15,8 +15,7 @@ void NocDesign::Validate() const {
           "Validate: attachment size does not match core count");
   for (std::size_t i = 0; i < attachment.size(); ++i) {
     Require(topology.IsValidSwitch(attachment[i]),
-            "Validate: core " + std::to_string(i) +
-                " attached to unknown switch");
+            "Validate: core ", i, " attached to unknown switch");
   }
   Require(routes.FlowCount() == traffic.FlowCount(),
           "Validate: route set size does not match flow count");

@@ -1,94 +1,238 @@
 #include "noc/io.h"
 
+#include <algorithm>
+#include <charconv>
+#include <cmath>
+#include <cstdint>
 #include <istream>
-#include <map>
+#include <iterator>
+#include <optional>
 #include <ostream>
-#include <sstream>
+#include <unordered_map>
 
 #include "cdg/cdg.h"
 #include "util/error.h"
 
 namespace nocdr {
 
-void WriteDesign(std::ostream& os, const NocDesign& design) {
-  os << "noc " << (design.name.empty() ? "unnamed" : design.name) << "\n";
-  const TopologyGraph& topo = design.topology;
-  for (std::size_t s = 0; s < topo.SwitchCount(); ++s) {
-    os << "switch " << topo.SwitchName(SwitchId(s)) << "\n";
-  }
-  for (std::size_t l = 0; l < topo.LinkCount(); ++l) {
-    const Link& link = topo.LinkAt(LinkId(l));
-    os << "link " << topo.SwitchName(link.src) << " "
-       << topo.SwitchName(link.dst);
-    const std::size_t vcs = topo.VcCount(LinkId(l));
-    if (vcs != 1) {
-      os << " " << vcs;
-    }
-    os << "\n";
-  }
-  const CommunicationGraph& traffic = design.traffic;
-  for (std::size_t c = 0; c < traffic.CoreCount(); ++c) {
-    os << "core " << traffic.CoreName(CoreId(c)) << " "
-       << topo.SwitchName(design.SwitchOf(CoreId(c))) << "\n";
-  }
-  for (std::size_t f = 0; f < traffic.FlowCount(); ++f) {
-    const Flow& flow = traffic.FlowAt(FlowId(f));
-    os << "flow " << traffic.CoreName(flow.src) << " "
-       << traffic.CoreName(flow.dst) << " " << flow.bandwidth_mbps << "\n";
-  }
-  for (std::size_t f = 0; f < traffic.FlowCount(); ++f) {
-    os << "route " << f;
-    for (ChannelId c : design.routes.RouteOf(FlowId(f))) {
-      const Channel& ch = topo.ChannelAt(c);
-      os << " " << ch.link.value() << ":" << ch.vc;
-    }
-    os << "\n";
-  }
-}
-
 namespace {
 
-[[noreturn]] void Fail(std::size_t line, const std::string& message) {
-  throw DesignParseError("line " + std::to_string(line) + ": " + message);
+void AppendUint(std::string& out, std::uint64_t value) {
+  char digits[20];
+  out.append(digits, std::to_chars(digits, digits + sizeof digits, value).ptr);
+}
+
+template <typename... Parts>
+[[noreturn]] void Fail(std::size_t line, const Parts&... parts) {
+  std::string message = "line " + std::to_string(line) + ": ";
+  (message.append(parts), ...);
+  throw DesignParseError(message);
+}
+
+bool IsSpace(char c) {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' ||
+         c == '\r';
+}
+
+/// The whitespace-separated tokens of one line, in order.
+class TokenReader {
+ public:
+  explicit TokenReader(std::string_view line) : rest_(line) {}
+
+  /// The next token; empty once the line is used up.
+  std::string_view Next() {
+    std::size_t begin = 0;
+    while (begin < rest_.size() && IsSpace(rest_[begin])) {
+      ++begin;
+    }
+    std::size_t end = begin;
+    while (end < rest_.size() && !IsSpace(rest_[end])) {
+      ++end;
+    }
+    const std::string_view token = rest_.substr(begin, end - begin);
+    rest_.remove_prefix(end);
+    return token;
+  }
+
+ private:
+  std::string_view rest_;
+};
+
+/// A whole token of decimal digits whose value fits 32 bits.
+std::optional<std::uint32_t> ParseIndex(std::string_view token) {
+  std::uint32_t value = 0;
+  const char* const end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+  if (ec != std::errc() || ptr != end) {
+    return std::nullopt;
+  }
+  return value;
+}
+
+/// True when \p number, a decimal that from_chars read whole but found
+/// out of range, is below 1 in magnitude: it underflowed rather than
+/// overflowed.
+bool BelowOne(std::string_view number) {
+  const std::size_t exponent_at =
+      std::min(number.find_first_of("eE"), number.size());
+  const std::string_view mantissa = number.substr(0, exponent_at);
+  const std::size_t point = std::min(mantissa.find('.'), mantissa.size());
+  const std::size_t lead = mantissa.find_first_of("123456789");
+  if (lead == std::string_view::npos) {
+    return true;
+  }
+  // Decimal place of the leading digit: 0 for units, -1 for tenths.
+  std::int64_t place = lead < point
+                           ? static_cast<std::int64_t>(point - lead) - 1
+                           : -static_cast<std::int64_t>(lead - point);
+  if (exponent_at < number.size()) {
+    std::string_view exponent = number.substr(exponent_at + 1);
+    const bool negative = exponent.starts_with('-');
+    if (negative || exponent.starts_with('+')) {
+      exponent.remove_prefix(1);
+    }
+    std::int64_t magnitude = 0;
+    for (const char digit : exponent) {
+      magnitude = std::min<std::int64_t>(magnitude * 10 + (digit - '0'),
+                                         std::int64_t{1} << 40);
+    }
+    place += negative ? -magnitude : magnitude;
+  }
+  return place < 0;
+}
+
+/// A whole token that reads as a finite decimal number (see io.h).
+std::optional<double> ParseBandwidth(std::string_view token) {
+  // from_chars takes no leading '+'; the grammar does.
+  if (token.starts_with('+') && !token.substr(1).starts_with('-')) {
+    token.remove_prefix(1);
+  }
+  double value = 0.0;
+  const char* const end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, value,
+                                         std::chars_format::general);
+  if (ptr != end) {
+    return std::nullopt;
+  }
+  // from_chars reports a value that rounds to zero as out of range;
+  // strtod, and so the grammar, reads it as zero.
+  if (ec == std::errc::result_out_of_range && BelowOne(token)) {
+    return token.starts_with('-') ? -0.0 : 0.0;
+  }
+  if (ec != std::errc() || !std::isfinite(value)) {
+    return std::nullopt;
+  }
+  return value;
 }
 
 }  // namespace
 
-NocDesign ReadDesign(std::istream& is) {
+std::string DesignText(const NocDesign& design) {
+  const TopologyGraph& topo = design.topology;
+  const CommunicationGraph& traffic = design.traffic;
+  std::string out;
+  out += "noc ";
+  out += design.name.empty() ? std::string_view("unnamed")
+                             : std::string_view(design.name);
+  out += '\n';
+  for (std::size_t s = 0; s < topo.SwitchCount(); ++s) {
+    out += "switch ";
+    out += topo.SwitchName(SwitchId(s));
+    out += '\n';
+  }
+  for (std::size_t l = 0; l < topo.LinkCount(); ++l) {
+    const Link& link = topo.LinkAt(LinkId(l));
+    out += "link ";
+    out += topo.SwitchName(link.src);
+    out += ' ';
+    out += topo.SwitchName(link.dst);
+    const std::size_t vcs = topo.VcCount(LinkId(l));
+    if (vcs != 1) {
+      out += ' ';
+      AppendUint(out, vcs);
+    }
+    out += '\n';
+  }
+  for (std::size_t c = 0; c < traffic.CoreCount(); ++c) {
+    out += "core ";
+    out += traffic.CoreName(CoreId(c));
+    out += ' ';
+    out += topo.SwitchName(design.SwitchOf(CoreId(c)));
+    out += '\n';
+  }
+  for (std::size_t f = 0; f < traffic.FlowCount(); ++f) {
+    const Flow& flow = traffic.FlowAt(FlowId(f));
+    out += "flow ";
+    out += traffic.CoreName(flow.src);
+    out += ' ';
+    out += traffic.CoreName(flow.dst);
+    out += ' ';
+    // The bytes of a default-formatted std::ostream: "%g", precision 6.
+    char bandwidth[32];
+    const std::to_chars_result written =
+        std::to_chars(bandwidth, bandwidth + sizeof bandwidth,
+                      flow.bandwidth_mbps, std::chars_format::general, 6);
+    out.append(bandwidth, written.ptr);
+    out += '\n';
+  }
+  for (std::size_t f = 0; f < traffic.FlowCount(); ++f) {
+    out += "route ";
+    AppendUint(out, f);
+    for (ChannelId c : design.routes.RouteOf(FlowId(f))) {
+      const Channel& ch = topo.ChannelAt(c);
+      out += ' ';
+      AppendUint(out, ch.link.value());
+      out += ':';
+      AppendUint(out, ch.vc);
+    }
+    out += '\n';
+  }
+  return out;
+}
+
+void WriteDesign(std::ostream& os, const NocDesign& design) {
+  os << DesignText(design);
+}
+
+NocDesign ReadDesign(std::string_view text) {
   NocDesign design;
-  std::map<std::string, SwitchId> switch_by_name;
-  std::map<std::string, CoreId> core_by_name;
+  // Keys view \p text, which outlives the parse.
+  std::unordered_map<std::string_view, SwitchId> switch_by_name;
+  std::unordered_map<std::string_view, CoreId> core_by_name;
   std::size_t routes_seen = 0;
 
-  std::string raw;
   std::size_t line_no = 0;
-  while (std::getline(is, raw)) {
+  for (std::size_t begin = 0; begin < text.size();) {
+    const std::size_t newline = std::min(text.find('\n', begin), text.size());
+    std::string_view line = text.substr(begin, newline - begin);
+    begin = newline + 1;
     ++line_no;
-    const auto hash = raw.find('#');
-    if (hash != std::string::npos) {
-      raw.erase(hash);
-    }
-    std::istringstream line(raw);
-    std::string keyword;
-    if (!(line >> keyword)) {
+    line = line.substr(0, line.find('#'));
+    TokenReader tokens(line);
+    const std::string_view keyword = tokens.Next();
+    if (keyword.empty()) {
       continue;  // blank or comment-only
     }
     if (keyword == "noc") {
-      if (!(line >> design.name)) {
+      const std::string_view name = tokens.Next();
+      if (name.empty()) {
         Fail(line_no, "noc: missing name");
       }
+      design.name = name;
     } else if (keyword == "switch") {
-      std::string name;
-      if (!(line >> name)) {
+      const std::string_view name = tokens.Next();
+      if (name.empty()) {
         Fail(line_no, "switch: missing name");
       }
       if (switch_by_name.contains(name)) {
-        Fail(line_no, "switch: duplicate name '" + name + "'");
+        Fail(line_no, "switch: duplicate name '", name, "'");
       }
-      switch_by_name.emplace(name, design.topology.AddSwitch(name));
+      switch_by_name.emplace(name,
+                             design.topology.AddSwitch(std::string(name)));
     } else if (keyword == "link") {
-      std::string src, dst;
-      if (!(line >> src >> dst)) {
+      const std::string_view src = tokens.Next();
+      const std::string_view dst = tokens.Next();
+      if (dst.empty()) {
         Fail(line_no, "link: expected two switch names");
       }
       const auto si = switch_by_name.find(src);
@@ -97,77 +241,84 @@ NocDesign ReadDesign(std::istream& is) {
         Fail(line_no, "link: unknown switch");
       }
       const LinkId l = design.topology.AddLink(si->second, di->second);
-      std::size_t vcs = 1;
-      if (line >> vcs) {
-        if (vcs < 1) {
+      const std::string_view vc_token = tokens.Next();
+      if (!vc_token.empty()) {
+        const auto vcs = ParseIndex(vc_token);
+        if (!vcs) {
+          Fail(line_no, "link: malformed vc count '", vc_token, "'");
+        }
+        if (*vcs < 1) {
           Fail(line_no, "link: vc count must be >= 1");
         }
-        for (std::size_t v = 1; v < vcs; ++v) {
+        for (std::uint32_t v = 1; v < *vcs; ++v) {
           design.topology.AddVirtualChannel(l);
         }
       }
     } else if (keyword == "core") {
-      std::string name, sw;
-      if (!(line >> name >> sw)) {
+      const std::string_view name = tokens.Next();
+      const std::string_view sw = tokens.Next();
+      if (sw.empty()) {
         Fail(line_no, "core: expected name and switch");
       }
       const auto si = switch_by_name.find(sw);
       if (si == switch_by_name.end()) {
-        Fail(line_no, "core: unknown switch '" + sw + "'");
+        Fail(line_no, "core: unknown switch '", sw, "'");
       }
       if (core_by_name.contains(name)) {
-        Fail(line_no, "core: duplicate name '" + name + "'");
+        Fail(line_no, "core: duplicate name '", name, "'");
       }
-      core_by_name.emplace(name, design.traffic.AddCore(name));
+      core_by_name.emplace(name, design.traffic.AddCore(std::string(name)));
       design.attachment.push_back(si->second);
     } else if (keyword == "flow") {
-      std::string src, dst;
-      double bandwidth = 0.0;
-      if (!(line >> src >> dst >> bandwidth)) {
+      const std::string_view src = tokens.Next();
+      const std::string_view dst = tokens.Next();
+      const std::string_view bandwidth_token = tokens.Next();
+      if (bandwidth_token.empty()) {
         Fail(line_no, "flow: expected two cores and a bandwidth");
+      }
+      const auto bandwidth = ParseBandwidth(bandwidth_token);
+      if (!bandwidth) {
+        Fail(line_no, "flow: malformed bandwidth '", bandwidth_token, "'");
       }
       const auto si = core_by_name.find(src);
       const auto di = core_by_name.find(dst);
       if (si == core_by_name.end() || di == core_by_name.end()) {
         Fail(line_no, "flow: unknown core");
       }
-      design.traffic.AddFlow(si->second, di->second, bandwidth);
+      design.traffic.AddFlow(si->second, di->second, *bandwidth);
       design.routes.Resize(design.traffic.FlowCount());
     } else if (keyword == "route") {
-      std::size_t flow_index = 0;
-      if (!(line >> flow_index) ||
-          flow_index >= design.traffic.FlowCount()) {
+      const auto flow_index = ParseIndex(tokens.Next());
+      if (!flow_index || *flow_index >= design.traffic.FlowCount()) {
         Fail(line_no, "route: bad flow index");
       }
       Route route;
-      std::string hop;
-      while (line >> hop) {
-        const auto colon = hop.find(':');
-        if (colon == std::string::npos) {
+      for (std::string_view hop = tokens.Next(); !hop.empty();
+           hop = tokens.Next()) {
+        const std::size_t colon = hop.find(':');
+        if (colon == std::string_view::npos) {
           Fail(line_no, "route: hop must be <link>:<vc>");
         }
-        std::size_t link_index = 0, vc = 0;
-        try {
-          link_index = std::stoul(hop.substr(0, colon));
-          vc = std::stoul(hop.substr(colon + 1));
-        } catch (const std::exception&) {
-          Fail(line_no, "route: malformed hop '" + hop + "'");
+        const auto link_index = ParseIndex(hop.substr(0, colon));
+        const auto vc = ParseIndex(hop.substr(colon + 1));
+        if (!link_index || !vc) {
+          Fail(line_no, "route: malformed hop '", hop, "'");
         }
-        if (link_index >= design.topology.LinkCount()) {
-          Fail(line_no, "route: unknown link " + std::to_string(link_index));
+        if (*link_index >= design.topology.LinkCount()) {
+          Fail(line_no, "route: unknown link ", std::to_string(*link_index));
         }
-        const auto channel = design.topology.FindChannel(
-            LinkId(link_index), static_cast<std::uint32_t>(vc));
+        const auto channel =
+            design.topology.FindChannel(LinkId(*link_index), *vc);
         if (!channel) {
-          Fail(line_no, "route: link " + std::to_string(link_index) +
-                            " has no vc " + std::to_string(vc));
+          Fail(line_no, "route: link ", std::to_string(*link_index),
+               " has no vc ", std::to_string(*vc));
         }
         route.push_back(*channel);
       }
-      design.routes.SetRoute(FlowId(flow_index), std::move(route));
+      design.routes.SetRoute(FlowId(*flow_index), std::move(route));
       ++routes_seen;
     } else {
-      Fail(line_no, "unknown keyword '" + keyword + "'");
+      Fail(line_no, "unknown keyword '", keyword, "'");
     }
   }
   if (routes_seen != design.traffic.FlowCount()) {
@@ -177,6 +328,10 @@ NocDesign ReadDesign(std::istream& is) {
   }
   design.Validate();
   return design;
+}
+
+NocDesign ReadDesign(std::istream& is) {
+  return ReadDesign(std::string(std::istreambuf_iterator<char>(is), {}));
 }
 
 void WriteTopologyDot(std::ostream& os, const NocDesign& design) {

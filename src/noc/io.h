@@ -12,12 +12,26 @@
 //   flow <src_core> <dst_core> <bandwidth_mbps>
 //   route <flow_index> <link_index>:<vc> ...
 //
-// '#' starts a comment; blank lines are ignored. Every flow must receive
-// exactly one route line (possibly with zero hops).
+// '#' starts a comment; blank lines are ignored. Tokens are separated by
+// whitespace (space, tab, CR, LF, VT, FF), so CRLF line ends read like LF
+// ones; tokens past the last one a keyword takes are ignored. Every flow
+// must receive exactly one route line (possibly with zero hops).
+//
+// Numbers. <vc_count>, <flow_index>, <link_index> and <vc> are each a
+// whole token of decimal digits (in a hop, the whole text on its side of
+// the first ':') whose value fits 32 bits, at most 4294967295: no sign,
+// no base prefix, nothing after the digits. <bandwidth_mbps> is a whole
+// token that reads as a finite decimal number, with an optional sign,
+// fraction and exponent (12, +0.5, -0, .25, 1e3, 2.5E-2); a value too
+// small to represent reads as zero. inf, nan, hexadecimal and anything
+// after the number are rejected. The writer prints bandwidths as a
+// default-formatted std::ostream does (printf "%g": 6 significant digits).
 #pragma once
 
 #include <iosfwd>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "noc/design.h"
 
@@ -29,12 +43,18 @@ class DesignParseError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Writes \p design in the text format above (stable, diff-friendly).
+/// \p design in the text format above (stable, diff-friendly).
+std::string DesignText(const NocDesign& design);
+
+/// Writes DesignText(\p design) to \p os.
 void WriteDesign(std::ostream& os, const NocDesign& design);
 
-/// Parses a design written by WriteDesign (or by hand). The result is
+/// Parses a design written by DesignText (or by hand). The result is
 /// fully validated. Throws DesignParseError with line information on
 /// malformed input, InvalidModelError on structurally bad designs.
+NocDesign ReadDesign(std::string_view text);
+
+/// ReadDesign over the rest of \p is.
 NocDesign ReadDesign(std::istream& is);
 
 /// Graphviz (dot) rendering of the switch topology: switches as nodes,

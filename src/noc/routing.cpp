@@ -29,27 +29,26 @@ void ValidateRoute(const TopologyGraph& topology, const Route& route,
                    const std::string& what) {
   if (route.empty()) {
     Require(src_switch == dst_switch,
-            what + ": empty route between distinct switches");
+            what, ": empty route between distinct switches");
     return;
   }
   std::unordered_set<ChannelId> seen;
   for (std::size_t i = 0; i < route.size(); ++i) {
     Require(topology.IsValidChannel(route[i]),
-            what + ": route references unknown channel");
+            what, ": route references unknown channel");
     Require(seen.insert(route[i]).second,
-            what + ": route repeats a channel (routing loop)");
+            what, ": route repeats a channel (routing loop)");
   }
   const Link& first = topology.LinkAt(topology.ChannelAt(route.front()).link);
   Require(first.src == src_switch,
-          what + ": route does not start at the source switch");
+          what, ": route does not start at the source switch");
   const Link& last = topology.LinkAt(topology.ChannelAt(route.back()).link);
   Require(last.dst == dst_switch,
-          what + ": route does not end at the destination switch");
+          what, ": route does not end at the destination switch");
   for (std::size_t i = 0; i + 1 < route.size(); ++i) {
     const Link& a = topology.LinkAt(topology.ChannelAt(route[i]).link);
     const Link& b = topology.LinkAt(topology.ChannelAt(route[i + 1]).link);
-    Require(a.dst == b.src, what + ": discontiguous route at hop " +
-                                std::to_string(i));
+    Require(a.dst == b.src, what, ": discontiguous route at hop ", i);
   }
 }
 

@@ -114,8 +114,8 @@ gen::GeneratorSpec ParseGenerator(const JsonValue& json) {
   const std::string family_name = json.At("family").AsString();
   const auto family = gen::ParseFamily(family_name);
   Require(family.has_value(),
-          "ParseRequestLine: unknown generator family \"" + family_name +
-              "\"");
+          "ParseRequestLine: unknown generator family \"", family_name,
+          "\"");
   spec.family = *family;
   const auto size_field = [&](const char* key, std::size_t* target) {
     if (const JsonValue* value = json.Find(key)) {
@@ -134,8 +134,8 @@ gen::GeneratorSpec ParseGenerator(const JsonValue& json) {
     const std::string pattern_name = value->AsString();
     const auto pattern = gen::ParsePattern(pattern_name);
     Require(pattern.has_value(),
-            "ParseRequestLine: unknown traffic pattern \"" + pattern_name +
-                "\"");
+            "ParseRequestLine: unknown traffic pattern \"", pattern_name,
+            "\"");
     spec.pattern = *pattern;
   }
   if (const JsonValue* value = json.Find("hotspot_fraction")) {
@@ -215,8 +215,8 @@ void ParseDesignSpec(const JsonValue& json, DesignSpec& spec) {
     spec.kind = RequestKind::kSourceSeed;
     const std::string source_name = value->AsString();
     const auto source = valid::ParseSource(source_name);
-    Require(source.has_value(), "ParseRequestLine: unknown design source \"" +
-                                    source_name + "\"");
+    Require(source.has_value(), "ParseRequestLine: unknown design source \"",
+            source_name, "\"");
     spec.source = *source;
     spec.seed = json.At("seed").AsUint();
     ++source_fields;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <functional>
-#include <limits>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -207,9 +206,11 @@ bool ReadyQueue::Push(const Job& job) {
       entry.key1 = Mix(seed_ ^ job.seq);
       break;
     case Discipline::kPriority:
-      entry.key0 = static_cast<std::uint64_t>(
-          static_cast<std::int64_t>(job.rank) -
-          std::numeric_limits<std::int64_t>::min());
+      // rank + 2^63 maps int64 order onto uint64 order; the sum is
+      // unsigned, so it wraps instead of overflowing.
+      entry.key0 =
+          static_cast<std::uint64_t>(static_cast<std::int64_t>(job.rank)) +
+          (std::uint64_t{1} << 63);
       entry.key1 = job.seq;
       break;
   }

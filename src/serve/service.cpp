@@ -3,7 +3,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <sstream>
 #include <utility>
 
 #include "deadlock/verify.h"
@@ -242,8 +241,7 @@ NocDesign MaterializeDesign(const DesignSpec& spec,
       if (table_out != nullptr) {
         table_out->clear();
       }
-      std::istringstream in(spec.design_text);
-      return ReadDesign(in);
+      return ReadDesign(spec.design_text);
     }
     case RequestKind::kGeneratorSpec:
       return gen::GenerateStandardDesign(spec.generator, table_out);

@@ -1,7 +1,6 @@
 #include "serve/session.h"
 
 #include <chrono>
-#include <sstream>
 #include <utility>
 
 #include "cdg/cdg.h"
@@ -252,11 +251,11 @@ SessionResponse SessionService::Open(const SessionRequest& request) {
   // would get. Treatment is a no-op (the design is already deadlock
   // free), so this costs one canonicalization — and it seeds the
   // epoch-0 cache entry the session's snapshot text resolves to.
-  std::istringstream in(treated.treated_design_text);
   CertResponse fixpoint;
   {
     obs::ScopedSpan span("open.fixpoint");
-    fixpoint = service_.ServeDesign(ReadDesign(in), cert);
+    fixpoint = service_.ServeDesign(ReadDesign(treated.treated_design_text),
+                                    cert);
   }
   if (fixpoint.status != ServeStatus::kOk) {
     release_slot();
@@ -271,8 +270,7 @@ SessionResponse SessionService::Open(const SessionRequest& request) {
     return response;
   }
 
-  std::istringstream live_in(fixpoint.treated_design_text);
-  NocDesign live = ReadDesign(live_in);
+  NocDesign live = ReadDesign(fixpoint.treated_design_text);
 
   std::shared_ptr<Session> session;
   {

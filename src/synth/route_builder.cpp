@@ -73,8 +73,7 @@ void RouteHeaviestFirst(const TopologyGraph& topology,
     const SwitchId dst = attachment[flow.dst.value()];
     Require(!SwitchDown(src, failed_switches) &&
                 !SwitchDown(dst, failed_switches),
-            who + ": endpoint switch of flow " + std::to_string(f.value()) +
-                " has failed");
+            who, ": endpoint switch of flow ", f.value(), " has failed");
     if (src == dst) {
       routes.SetRoute(f, {});  // local to one switch; no channels used
       continue;
@@ -112,15 +111,14 @@ void RouteHeaviestFirst(const TopologyGraph& topology,
       }
     }
     Require(dist[dst.value()] != kInf,
-            who + ": no path between switches of flow " +
-                std::to_string(f.value()));
+            who, ": no path between switches of flow ", f.value());
 
     // Walk back along `via`, emitting the VC-0 channel of each link.
     Route route;
     for (SwitchId cur = dst; cur != src;) {
       const LinkId l = via[cur.value()];
       auto channel = topology.FindChannel(l, 0);
-      Require(channel.has_value(), who + ": link missing VC 0");
+      Require(channel.has_value(), who, ": link missing VC 0");
       route.push_back(*channel);
       committed[l.value()] += flow.bandwidth_mbps;
       cur = topology.LinkAt(l).src;
@@ -133,10 +131,10 @@ void RouteHeaviestFirst(const TopologyGraph& topology,
 /// Throws unless \p table is \p n x \p n; \p who prefixes the message.
 void RequireSquare(const NextHopTable& table, std::size_t n,
                    const std::string& who) {
-  Require(table.size() == n, who + ": row count != switch count");
+  Require(table.size() == n, who, ": row count != switch count");
   for (std::size_t s = 0; s < n; ++s) {
-    Require(table[s].size() == n, who + ": row " + std::to_string(s) +
-                                      " column count != switch count");
+    Require(table[s].size() == n, who, ": row ", s,
+            " column count != switch count");
   }
 }
 
@@ -222,15 +220,12 @@ void ValidateNextHopTable(const TopologyGraph& topology,
       if (!l.valid()) {
         continue;
       }
-      Require(s != d, "NextHopTable: self entry on switch " +
-                          std::to_string(s));
-      Require(topology.IsValidLink(l),
-              "NextHopTable: invalid link on (" + std::to_string(s) + "," +
-                  std::to_string(d) + ")");
+      Require(s != d, "NextHopTable: self entry on switch ", s);
+      Require(topology.IsValidLink(l), "NextHopTable: invalid link on (", s,
+              ",", d, ")");
       Require(topology.LinkAt(l).src == SwitchId(s),
-              "NextHopTable: link on (" + std::to_string(s) + "," +
-                  std::to_string(d) + ") does not leave switch " +
-                  std::to_string(s));
+              "NextHopTable: link on (", s, ",", d,
+              ") does not leave switch ", s);
     }
   }
   // Every filled pair must reach its destination without revisiting a
@@ -240,9 +235,8 @@ void ValidateNextHopTable(const TopologyGraph& topology,
   for (std::size_t d = 0; d < n; ++d) {
     const std::size_t s = ClassifyWalks(topology, table, d, {}, {}, status,
                                         chain);
-    Require(s == n, "NextHopTable: the walk from " + std::to_string(s) +
-                        " to " + std::to_string(d) +
-                        " hits a hole or a routing loop");
+    Require(s == n, "NextHopTable: the walk from ", s, " to ", d,
+            " hits a hole or a routing loop");
   }
 }
 
@@ -263,8 +257,8 @@ std::optional<Route> WalkTableRoute(const TopologyGraph& topology,
     }
     const LinkId l = row[dst.value()];
     Require(topology.IsValidLink(l) && topology.LinkAt(l).src == cur,
-            "WalkTableRoute: table entry does not leave switch " +
-                std::to_string(cur.value()));
+            "WalkTableRoute: table entry does not leave switch ",
+            cur.value());
     const auto channel = topology.FindChannel(l, 0);
     Require(channel.has_value(), "WalkTableRoute: link missing VC 0");
     route.push_back(*channel);
@@ -400,10 +394,8 @@ RouteSet BuildTableRoutes(const TopologyGraph& topology,
     const SwitchId dst = attachment[flow.dst.value()];
     auto route = WalkTableRoute(topology, table, src, dst);
     Require(route.has_value(),
-            "BuildTableRoutes: hole or routing loop on the walk from switch " +
-                std::to_string(src.value()) + " to switch " +
-                std::to_string(dst.value()) + " for flow " +
-                std::to_string(fi));
+            "BuildTableRoutes: hole or routing loop on the walk from switch ",
+            src.value(), " to switch ", dst.value(), " for flow ", fi);
     routes.SetRoute(f, std::move(*route));
   }
   return routes;

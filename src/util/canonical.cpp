@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <sstream>
 #include <vector>
 
 #include "noc/io.h"
@@ -70,15 +69,8 @@ NocDesign SortFlows(const NocDesign& design) {
 
 }  // namespace
 
-std::string DesignText(const NocDesign& design) {
-  std::ostringstream out;
-  WriteDesign(out, design);
-  return out.str();
-}
-
 NocDesign IoCanonicalize(const NocDesign& design) {
-  std::istringstream in(DesignText(design));
-  return ReadDesign(in);
+  return ReadDesign(DesignText(design));
 }
 
 bool IsIoStable(const NocDesign& design) {
@@ -94,8 +86,7 @@ CanonicalDesign CanonicalizeDesign(const NocDesign& design) {
   // format stores link:vc pairs, not channel ids — the loop guards
   // against io drift rather than doing expected work.
   for (int round = 0; round < 4; ++round) {
-    std::istringstream in(out.text);
-    out.design = ReadDesign(in);
+    out.design = ReadDesign(out.text);
     const std::string reparsed = DesignText(out.design);
     if (reparsed == out.text) {
       return out;

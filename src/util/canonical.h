@@ -33,9 +33,6 @@
 
 namespace nocdr {
 
-/// Stable, diff-friendly rendering of a whole design (noc/io format).
-std::string DesignText(const NocDesign& design);
-
 /// Text round trip through noc/io: the parsed-back design is what a
 /// dump consumer will actually reconstruct. Channel ids may be
 /// renumbered by the round trip; flow order is preserved.

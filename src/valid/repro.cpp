@@ -1,6 +1,5 @@
 #include "valid/repro.h"
 
-#include <sstream>
 
 #include "noc/io.h"
 #include "sim/simulator.h"
@@ -37,7 +36,7 @@ Repro ReproFromJson(const std::string& json) {
   repro.trial_index = value.At("trial").AsUint();
   const std::string arm_name = value.At("arm").AsString();
   const auto arm = ParseArm(arm_name);
-  Require(arm.has_value(), "ReproFromJson: unknown arm \"" + arm_name + "\"");
+  Require(arm.has_value(), "ReproFromJson: unknown arm \"", arm_name, "\"");
   repro.arm = *arm;
   repro.seed = value.At("seed").AsUint();
   repro.mismatch = value.At("mismatch").AsString();
@@ -55,10 +54,9 @@ Repro ReproFromJson(const std::string& json) {
   const std::string engine_name = value.At("engine").AsString();
   const auto engine = ParseEngine(engine_name);
   Require(engine.has_value(),
-          "ReproFromJson: unknown sim engine \"" + engine_name + "\"");
+          "ReproFromJson: unknown sim engine \"", engine_name, "\"");
   repro.workload.engine = *engine;
-  std::istringstream design_text(value.At("design").AsString());
-  repro.design = ReadDesign(design_text);
+  repro.design = ReadDesign(value.At("design").AsString());
   return repro;
 }
 

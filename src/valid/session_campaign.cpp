@@ -3,7 +3,6 @@
 #include <chrono>
 #include <exception>
 #include <optional>
-#include <sstream>
 #include <string>
 
 #include "deadlock/verify.h"
@@ -183,8 +182,7 @@ SessionTrialRow RunSessionTrial(DesignSource source, std::uint64_t seed,
     // the server-side copy).
     NextHopTable table;
     GenerateTrialDesign(source, seed, config.envelope, &table);
-    std::istringstream stream(open.design_text);
-    NocDesign replica = ReadDesign(stream);
+    NocDesign replica = ReadDesign(open.design_text);
     fault::FaultState state = fault::FaultState::None(replica);
     fault::ReconfigureOptions reconfigure;
     reconfigure.table = table.empty() ? nullptr : &table;

@@ -6,7 +6,7 @@
 #include "util/error.h"
 #include "util/rng.h"
 
-// DesignText / IoCanonicalize / IsIoStable live in util/canonical: the
+// IoCanonicalize / IsIoStable live in util/canonical: the
 // certification service (src/serve) keys its cache by the same
 // canonical text the shrinker validates repros against, and two private
 // copies of that primitive would be free to drift apart.

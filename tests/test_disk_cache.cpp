@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "noc/io.h"
 #include "serve/disk_cache.h"
 #include "serve/service.h"
 #include "test_helpers.h"

@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <sstream>
 
 #include "deadlock/removal.h"
 #include "gen/generators.h"
@@ -18,13 +17,6 @@ namespace {
 using gen::GeneratorSpec;
 using gen::TopologyFamily;
 using gen::TrafficPattern;
-
-/// Canonical byte representation for determinism checks.
-std::string DesignText(const NocDesign& design) {
-  std::ostringstream os;
-  WriteDesign(os, design);
-  return os.str();
-}
 
 std::size_t ManhattanMesh(std::size_t a, std::size_t b, std::size_t w) {
   const auto dist = [](std::size_t p, std::size_t q) {

@@ -135,6 +135,44 @@ TEST(IoTest, ParseErrorsCarryLineNumbers) {
   expect_error("noc t\nswitch A\nswitch B\nlink A B\ncore x A\ncore y B\n"
                "flow x y 1\nroute 5 0:0\n",
                "bad flow index");
+
+  // The numeric grammar (noc/io.h): a sign, a base prefix, characters
+  // after the number or a value past 32 bits fails its line instead of
+  // being misread ("-1" VCs once read as 2^64-1, "0:4294967296" as 0:0).
+  const std::string two_switches = "noc t\nswitch A\nswitch B\n";
+  for (const char* vcs : {"-1", "+2", "2x", "0x2", "x", "4294967296"}) {
+    expect_error(two_switches + "link A B " + vcs + "\n", "line 4: link:");
+  }
+  const std::string one_flow =
+      two_switches + "link A B\ncore x A\ncore y B\n";
+  for (const char* bandwidth : {"5abc", "0x10", "inf", "nan", "1e400"}) {
+    expect_error(one_flow + "flow x y " + bandwidth + "\nroute 0 0:0\n",
+                 "line 7: flow:");
+  }
+  for (const char* hop : {"0:4294967296", "0:0junk", "+0:0", "0x0:0",
+                          "0:-1", "0:0:0"}) {
+    expect_error(one_flow + "flow x y 1\nroute 0 " + hop + "\n",
+                 "line 8: route: malformed hop");
+  }
+  expect_error(one_flow + "flow x y 1\nroute +0 0:0\n",
+               "line 8: route: bad flow index");
+}
+
+TEST(IoTest, NumberFormsTheGrammarAccepts) {
+  // CRLF line ends, leading zeros, ignored trailing tokens, a signed
+  // bandwidth, a fraction with no integer digits, and a bandwidth that
+  // underflows to zero.
+  const std::string text =
+      "noc t\r\nswitch A\r\nswitch B\r\nlink A B 02 ignored\r\n"
+      "core x A\r\ncore y B\r\ncore z A\r\n"
+      "flow x y +5\r\nflow x z 1e-400\r\nflow z y .25E1\r\n"
+      "flow z x -0\r\n"
+      "route 0 0:01\r\nroute 1\r\nroute 00002 000:0\r\nroute 3\r\n";
+  EXPECT_EQ(DesignText(ReadDesign(text)),
+            "noc t\nswitch A\nswitch B\nlink A B 2\n"
+            "core x A\ncore y B\ncore z A\n"
+            "flow x y 5\nflow x z 0\nflow z y 2.5\nflow z x -0\n"
+            "route 0 0:1\nroute 1\nroute 2 0:0\nroute 3\n");
 }
 
 TEST(IoTest, MissingRouteIsAnError) {

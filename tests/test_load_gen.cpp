@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "noc/io.h"
 #include "serve/load_gen.h"
 #include "serve/service.h"
 #include "serve/session.h"

@@ -4,12 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <optional>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "gen/generators.h"
+#include "noc/io.h"
 #include "serve/protocol.h"
 #include "serve/service.h"
 #include "test_helpers.h"
@@ -107,7 +109,9 @@ TEST(SchedTest, PriorityPopsByRankThenFifo) {
   ASSERT_TRUE(queue.Push(MakeJob(1, 1, -2)));
   ASSERT_TRUE(queue.Push(MakeJob(2, 1, 5)));
   ASSERT_TRUE(queue.Push(MakeJob(3, 1, 0)));
-  EXPECT_EQ(PopAll(queue), (std::vector<std::uint64_t>{1, 3, 0, 2}));
+  ASSERT_TRUE(queue.Push(MakeJob(4, 1, std::numeric_limits<int>::max())));
+  ASSERT_TRUE(queue.Push(MakeJob(5, 1, std::numeric_limits<int>::min())));
+  EXPECT_EQ(PopAll(queue), (std::vector<std::uint64_t>{5, 1, 3, 0, 2, 4}));
 }
 
 TEST(SchedTest, QueueBoundsAndEmptyPop) {

@@ -503,6 +503,23 @@ TEST(ServiceTest, MalformedRequestsAreErrorsAndNeverCached) {
   EXPECT_EQ(stats.cache.entries, 0u);
 }
 
+TEST(ServiceTest, NegativeVcCountIsAPromptInvalidRequest) {
+  // Read as 2^64-1 VCs before the numeric grammar, this link allocated
+  // channels until memory ran out.
+  CertificationService service;
+  CertRequest request;
+  request.id = "vcs";
+  request.kind = RequestKind::kDesignText;
+  request.design_text = "noc t\nswitch A\nswitch B\nlink A B -1\n";
+  const auto start = std::chrono::steady_clock::now();
+  const CertResponse response = service.Serve(request);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5));
+  EXPECT_EQ(response.status, ServeStatus::kError);
+  EXPECT_EQ(response.error.code, serve::ErrorCode::kInvalidRequest);
+  EXPECT_NE(response.error.message.find("line 4"), std::string::npos)
+      << response.error.message;
+}
+
 TEST(ServiceTest, CachedAndRecomputedResponsesAreBitIdentical) {
   const CertRequest request = TextRequest("x", MakeRandomDesign(9));
 
