@@ -52,9 +52,16 @@ std::vector<ChannelId> ChannelDependencyGraph::Successors(ChannelId c) const {
   return result;
 }
 
+std::uint64_t ChannelDependencyGraph::OutChangedAt(ChannelId c) const {
+  Require(c.valid() && c.value() < out_changed_at_.size(),
+          "OutChangedAt: channel is not a CDG vertex");
+  return out_changed_at_[c.value()];
+}
+
 void ChannelDependencyGraph::EnsureVertices(std::size_t count) {
   if (count > spans_.size()) {
     spans_.resize(count);
+    out_changed_at_.resize(count, 0);
   }
 }
 
@@ -180,6 +187,7 @@ void ChannelDependencyGraph::InsertSlot(ChannelId from, OutEdgeRef ref) {
   data[at] = ref;
   ++span.size;
   ++live_slots_;
+  out_changed_at_[from.value()] = ++generation_;
 }
 
 void ChannelDependencyGraph::EraseSlot(ChannelId from, ChannelId to) {
@@ -193,6 +201,7 @@ void ChannelDependencyGraph::EraseSlot(ChannelId from, ChannelId to) {
   std::move(pos + 1, end, pos);
   --span.size;
   --live_slots_;
+  out_changed_at_[from.value()] = ++generation_;
 }
 
 void ChannelDependencyGraph::RetargetSlot(ChannelId from, ChannelId to,

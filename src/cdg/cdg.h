@@ -116,6 +116,22 @@ class ChannelDependencyGraph {
   [[nodiscard]] bool SameDependencies(
       const ChannelDependencyGraph& other) const;
 
+  // ----------------------------------------------------------------------
+  // Change stamps. Every insertion into or deletion from a vertex's
+  // out-adjacency advances a mutation counter and stamps the vertex with
+  // the new value, so a reader that remembers Generation() can later ask
+  // which vertices' out-edge sets changed since (cdg/incremental.h).
+  // Re-annotating an existing edge with more or fewer flows, and the
+  // pool's internal moves, leave the edge set and the stamps alone.
+
+  /// The mutation counter: the number of out-adjacency insertions and
+  /// deletions so far.
+  [[nodiscard]] std::uint64_t Generation() const { return generation_; }
+
+  /// Generation() right after the last insertion into or deletion from
+  /// \p c's out-adjacency; 0 if it never changed.
+  [[nodiscard]] std::uint64_t OutChangedAt(ChannelId c) const;
+
  private:
   /// Adjacency span of one vertex inside the flat pool.
   struct VertexSpan {
@@ -144,6 +160,8 @@ class ChannelDependencyGraph {
   std::vector<VertexSpan> spans_;  // per vertex
   std::unordered_map<std::uint64_t, std::uint32_t> edge_index_;
   std::size_t live_slots_ = 0;  // pool_ slots currently inside a span
+  std::uint64_t generation_ = 0;
+  std::vector<std::uint64_t> out_changed_at_;  // per vertex
 };
 
 }  // namespace nocdr

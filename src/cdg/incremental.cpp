@@ -1,9 +1,18 @@
 #include "cdg/incremental.h"
 
 #include <algorithm>
-#include <deque>
+#include <numeric>
 
 namespace nocdr {
+
+namespace {
+
+/// scc_ value of a region vertex whose component is not yet closed.
+constexpr std::uint32_t kPending = 0xffffffffu;
+/// index_ value of a region vertex Tarjan has not visited.
+constexpr std::uint32_t kUnvisited = 0xffffffffu;
+
+}  // namespace
 
 std::optional<CdgCycle> DirtyCycleFinder::Pick(CyclePolicy policy) {
   ++stats_.picks;
@@ -37,126 +46,146 @@ std::optional<CdgCycle> DirtyCycleFinder::Pick(CyclePolicy policy) {
 }
 
 void DirtyCycleFinder::NoteExternalEdges(std::span<const ChannelId> vertices) {
-  tainted_.insert(tainted_.end(), vertices.begin(), vertices.end());
+  for (const ChannelId v : vertices) {
+    if (v.valid()) {
+      tainted_.push_back(v);
+    }
+  }
 }
 
 void DirtyCycleFinder::Refresh() {
   const std::size_t n = graph_.VertexCount();
   cycle_.resize(n);
-  valid_.resize(n, 0);
+  scc_.resize(n);
+  index_.resize(n);
+  lowlink_.resize(n);
+  parent_.resize(n);
+  stamp_.resize(n, 0);
 
-  const std::uint32_t scc_count = ComputeSccs();
-  // Component size and whether a fresh (post-previous-pick) or
-  // externally-tainted vertex joined.
-  std::vector<std::uint32_t> scc_size(scc_count, 0);
-  std::vector<char> scc_fresh(scc_count, 0);
-  for (std::size_t v = 0; v < n; ++v) {
-    ++scc_size[scc_[v]];
-    if (v >= known_vertices_) {
-      scc_fresh[scc_[v]] = 1;
-    }
+  // Taints on vertices that exist force the whole-graph pass and are
+  // consumed by it; taints on not-yet-created vertices stay pending so
+  // the pass they force is not lost. Without a live taint the region is
+  // what CollectRegion finds: at the first pick every vertex is fresh,
+  // so that is the whole graph too.
+  const auto pending = [n](ChannelId t) { return t.value() >= n; };
+  const auto live = std::partition(tainted_.begin(), tainted_.end(), pending);
+  if (live != tainted_.end()) {
+    region_.resize(n);
+    std::iota(region_.begin(), region_.end(), 0u);
+    scc_count_ = 0;
+  } else {
+    CollectRegion();
   }
-  // Consume the taints that exist; not-yet-created vertices stay pending
-  // so the scan they force is not lost.
-  std::erase_if(tainted_, [&](ChannelId t) {
-    if (t.valid() && t.value() < n) {
-      scc_fresh[scc_[t.value()]] = 1;
-      return true;
-    }
-    return !t.valid();
-  });
 
-  for (std::size_t v = 0; v < n; ++v) {
+  const std::uint32_t first_id = scc_count_;
+  for (const std::uint32_t v : region_) {
+    scc_[v] = kPending;
+    index_[v] = kUnvisited;
+  }
+  ComputeRegionSccs();
+  for (auto it = live; it != tainted_.end(); ++it) {
+    scc_fresh_[scc_[it->value()] - first_id] = 1;
+  }
+  tainted_.erase(live, tainted_.end());
+
+  for (const std::uint32_t v : region_) {
     const ChannelId c{v};
-    const std::uint32_t comp = scc_[v];
-    const bool can_cycle =
-        scc_size[comp] > 1 || graph_.FindEdge(c, c).has_value();
-    if (!can_cycle) {
+    const std::uint32_t comp = scc_[v] - first_id;
+    if (scc_size_[comp] == 1 && !graph_.FindEdge(c, c)) {
       cycle_[v] = std::nullopt;
-      valid_[v] = 1;
-      ++stats_.trivial_skips;
       continue;
     }
-    const bool reusable = valid_[v] && !scc_fresh[comp] && cycle_[v] &&
-                          CycleStillPresent(*cycle_[v]);
-    if (reusable) {
-      ++stats_.cache_hits;
+    if (!scc_fresh_[comp] && cycle_[v] && CycleStillPresent(*cycle_[v])) {
       continue;
     }
-    cycle_[v] = BfsWithinScc(c, comp);
-    valid_[v] = 1;
+    cycle_[v] = BfsWithinScc(c, scc_[v]);
     ++stats_.bfs_runs;
   }
+  stats_.scc_vertices += region_.size();
   known_vertices_ = n;
+  seen_generation_ = graph_.Generation();
 }
 
-std::uint32_t DirtyCycleFinder::ComputeSccs() {
+void DirtyCycleFinder::CollectRegion() {
   const std::size_t n = graph_.VertexCount();
-  constexpr std::uint32_t kUnset = 0xffffffffu;
-  scc_.assign(n, kUnset);
-  std::vector<std::uint32_t> index(n, kUnset);
-  std::vector<std::uint32_t> lowlink(n, 0);
-  std::vector<char> on_stack(n, 0);
-  std::vector<std::uint32_t> stack;
+  scc_marked_.assign(scc_count_, 0);
+  for (std::size_t v = 0; v < known_vertices_; ++v) {
+    if (graph_.OutChangedAt(ChannelId(v)) > seen_generation_) {
+      scc_marked_[scc_[v]] = 1;
+    }
+  }
+  region_.clear();
+  for (std::size_t v = 0; v < known_vertices_; ++v) {
+    if (scc_marked_[scc_[v]]) {
+      region_.push_back(static_cast<std::uint32_t>(v));
+    }
+  }
+  for (std::size_t v = known_vertices_; v < n; ++v) {
+    region_.push_back(static_cast<std::uint32_t>(v));
+  }
+}
+
+void DirtyCycleFinder::ComputeRegionSccs() {
+  // Only kPending vertices belong to the region and are still open: an
+  // edge to any other vertex leaves the region or reaches a closed
+  // component, and is ignored. An open vertex that has been visited is
+  // on the Tarjan stack, so no separate on-stack flag is needed.
+  scc_size_.clear();
+  scc_fresh_.clear();
   std::uint32_t next_index = 0;
-  std::uint32_t scc_count = 0;
-
-  // Explicit DFS frame: vertex plus position in its out-edge span.
-  struct Frame {
-    std::uint32_t vertex;
-    std::uint32_t edge_pos;
-  };
-  std::vector<Frame> frames;
-
-  for (std::size_t root = 0; root < n; ++root) {
-    if (index[root] != kUnset) {
+  for (const std::uint32_t root : region_) {
+    if (index_[root] != kUnvisited) {
       continue;
     }
-    frames.push_back({static_cast<std::uint32_t>(root), 0});
-    while (!frames.empty()) {
-      Frame& frame = frames.back();
+    frames_.push_back({root, 0});
+    while (!frames_.empty()) {
+      Frame& frame = frames_.back();
       const std::uint32_t v = frame.vertex;
       if (frame.edge_pos == 0) {
-        index[v] = lowlink[v] = next_index++;
-        stack.push_back(v);
-        on_stack[v] = 1;
+        index_[v] = lowlink_[v] = next_index++;
+        stack_.push_back(v);
       }
       const auto out = graph_.OutEdges(ChannelId(v));
       bool descended = false;
       while (frame.edge_pos < out.size()) {
         const std::uint32_t w = out[frame.edge_pos].to.value();
         ++frame.edge_pos;
-        if (index[w] == kUnset) {
-          frames.push_back({w, 0});
+        if (scc_[w] != kPending) {
+          continue;
+        }
+        if (index_[w] == kUnvisited) {
+          frames_.push_back({w, 0});
           descended = true;
           break;
         }
-        if (on_stack[w]) {
-          lowlink[v] = std::min(lowlink[v], index[w]);
-        }
+        lowlink_[v] = std::min(lowlink_[v], index_[w]);
       }
       if (descended) {
         continue;
       }
       // v is finished: close its component if it is a root.
-      if (lowlink[v] == index[v]) {
+      if (lowlink_[v] == index_[v]) {
+        std::uint32_t size = 0;
+        char fresh = 0;
         std::uint32_t w;
         do {
-          w = stack.back();
-          stack.pop_back();
-          on_stack[w] = 0;
-          scc_[w] = scc_count;
+          w = stack_.back();
+          stack_.pop_back();
+          scc_[w] = scc_count_;
+          ++size;
+          fresh |= static_cast<char>(w >= known_vertices_);
         } while (w != v);
-        ++scc_count;
+        ++scc_count_;
+        scc_size_.push_back(size);
+        scc_fresh_.push_back(fresh);
       }
-      frames.pop_back();
-      if (!frames.empty()) {
-        const std::uint32_t parent = frames.back().vertex;
-        lowlink[parent] = std::min(lowlink[parent], lowlink[v]);
+      frames_.pop_back();
+      if (!frames_.empty()) {
+        const std::uint32_t parent = frames_.back().vertex;
+        lowlink_[parent] = std::min(lowlink_[parent], lowlink_[v]);
       }
     }
   }
-  return scc_count;
 }
 
 std::optional<CdgCycle> DirtyCycleFinder::BfsWithinScc(ChannelId start,
@@ -166,12 +195,8 @@ std::optional<CdgCycle> DirtyCycleFinder::BfsWithinScc(ChannelId start,
   // component, and in-component vertices are only ever discovered from
   // in-component parents, so the BFS tree restricted to the component is
   // unchanged and the returned cycle is identical.
-  const std::size_t n = graph_.VertexCount();
-  parent_.resize(n);
-  stamp_.resize(n, 0);
   ++epoch_;
-
-  std::deque<ChannelId> queue;
+  queue_.clear();
   for (const auto& ref : graph_.OutEdges(start)) {
     const ChannelId w = ref.to;
     if (w == start) {
@@ -180,12 +205,11 @@ std::optional<CdgCycle> DirtyCycleFinder::BfsWithinScc(ChannelId start,
     if (scc_[w.value()] == scc && stamp_[w.value()] != epoch_) {
       stamp_[w.value()] = epoch_;
       parent_[w.value()] = start.value();
-      queue.push_back(w);
+      queue_.push_back(w);
     }
   }
-  while (!queue.empty()) {
-    const ChannelId v = queue.front();
-    queue.pop_front();
+  for (std::size_t head = 0; head < queue_.size(); ++head) {
+    const ChannelId v = queue_[head];
     for (const auto& ref : graph_.OutEdges(v)) {
       const ChannelId w = ref.to;
       if (w == start) {
@@ -201,7 +225,7 @@ std::optional<CdgCycle> DirtyCycleFinder::BfsWithinScc(ChannelId start,
       if (scc_[w.value()] == scc && stamp_[w.value()] != epoch_) {
         stamp_[w.value()] = epoch_;
         parent_[w.value()] = v.value();
-        queue.push_back(w);
+        queue_.push_back(w);
       }
     }
   }

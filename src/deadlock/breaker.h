@@ -12,7 +12,8 @@
 //     fresh vertex.
 // Duplicates are shared between the re-routed flows (one new VC per
 // duplicated cycle channel), which is what makes the per-edge cost the
-// max — not the sum — over flows.
+// size of the union of the flows' duplicated sets, not the sum of the
+// sizes (deadlock/cost.h).
 #pragma once
 
 #include <vector>

@@ -1,6 +1,8 @@
 #include "deadlock/cost.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <unordered_map>
 
 #include "util/error.h"
@@ -28,6 +30,14 @@ CycleCostTable ComputeCycleCostTable(
   Require(!cycle.empty(), "ComputeCycleCostTable: empty cycle");
   const std::size_t m = cycle.size();
   const auto pos = CyclePositions(cycle);
+  const bool forward = direction == BreakDirection::kForward;
+
+  // Bitsets over cycle positions, `words` 64-bit words each: `walked`
+  // holds the cycle channels one flow has walked so far, and
+  // duplicated[p] the union of what the rows' breaks at edge p duplicate.
+  const std::size_t words = (m + 63) / 64;
+  std::vector<std::uint64_t> walked(words);
+  std::vector<std::uint64_t> duplicated(m * words, 0);
 
   const std::size_t scan_count = candidate_flows
                                      ? candidate_flows->size()
@@ -36,60 +46,55 @@ CycleCostTable ComputeCycleCostTable(
   for (std::size_t fi = 0; fi < scan_count; ++fi) {
     const FlowId f = candidate_flows ? (*candidate_flows)[fi] : FlowId(fi);
     const Route& route = design.routes.RouteOf(f);
+    const std::size_t n = route.size();
 
-    // Count of cycle vertices along the walk (the paper's `val`), walked
-    // source->destination for forward breaks and destination->source for
-    // backward breaks.
-    std::vector<std::size_t> val_at(route.size(), 0);
+    // Walk the route source->destination for forward breaks and
+    // destination->source for backward ones, counting the cycle channels
+    // walked (the paper's `val`). A forward break at edge (c_p, c_{p+1})
+    // duplicates what the walk holds on reaching c_p, a backward one what
+    // it holds on reaching c_{p+1}. Flows that walk at most one cycle
+    // channel create no cycle edge (Algorithm 2, steps 3-7) and get no
+    // row.
+    std::fill(walked.begin(), walked.end(), 0);
+    std::vector<std::size_t> row;
     std::size_t val = 0;
-    if (direction == BreakDirection::kForward) {
-      for (std::size_t i = 0; i < route.size(); ++i) {
-        if (pos.contains(route[i])) {
-          val_at[i] = ++val;
-        }
-      }
-    } else {
-      for (std::size_t i = route.size(); i-- > 0;) {
-        if (pos.contains(route[i])) {
-          val_at[i] = ++val;
-        }
-      }
-    }
-    if (val < 2) {
-      // |path ∩ C| <= 1: the flow cannot create any dependency edge of
-      // the cycle (Algorithm 2, steps 3-7).
-      continue;
-    }
-
-    // Record the cost wherever the flow creates a dependency edge of the
-    // cycle, i.e. uses c_p immediately followed by c_{p+1 mod m}.
-    std::vector<std::size_t> row(m, 0);
-    bool creates_any = false;
-    for (std::size_t i = 0; i + 1 < route.size(); ++i) {
+    for (std::size_t s = 0; s < n; ++s) {
+      const std::size_t i = forward ? s : n - 1 - s;
       auto it = pos.find(route[i]);
       if (it == pos.end()) {
         continue;
       }
-      const std::size_t p = it->second;
-      if (route[i + 1] != cycle[(p + 1) % m]) {
+      const std::size_t q = it->second;
+      ++val;
+      walked[q / 64] |= std::uint64_t{1} << (q % 64);
+      // Edge p is the one whose duplicated side ends at c_q: (c_q,
+      // c_{q+1}) forward, (c_{q-1}, c_q) backward. The flow creates it if
+      // its route holds the edge's other end next to c_q.
+      const std::size_t p = forward ? q : (q + m - 1) % m;
+      const ChannelId other = cycle[forward ? (p + 1) % m : p];
+      const bool creates = forward ? i + 1 < n && route[i + 1] == other
+                                   : i > 0 && route[i - 1] == other;
+      if (!creates) {
         continue;
       }
-      // Forward: duplicate every cycle channel used up to and including
-      // c_p. Backward: duplicate every cycle channel used from c_{p+1} on.
-      row[p] = direction == BreakDirection::kForward ? val_at[i]
-                                                     : val_at[i + 1];
-      creates_any = true;
+      if (row.empty()) {
+        row.assign(m, 0);
+      }
+      row[p] = val;
+      for (std::size_t w = 0; w < words; ++w) {
+        duplicated[p * words + w] |= walked[w];
+      }
     }
-    if (creates_any) {
+    if (!row.empty()) {
       table.flows.push_back(f);
       table.cost.push_back(std::move(row));
     }
   }
 
   table.combined.assign(m, 0);
-  for (const auto& row : table.cost) {
-    for (std::size_t p = 0; p < m; ++p) {
-      table.combined[p] = std::max(table.combined[p], row[p]);
+  for (std::size_t p = 0; p < m; ++p) {
+    for (std::size_t w = 0; w < words; ++w) {
+      table.combined[p] += std::popcount(duplicated[p * words + w]);
     }
   }
   return table;

@@ -4,11 +4,22 @@
 // edge must be re-routed onto freshly added channels (VCs), and — to avoid
 // merely shifting the cycle (Figure 7 of the paper) — the flow must be
 // moved onto duplicates of *all* cycle channels it used before the edge
-// (forward direction) or after it (backward direction). The cost of
-// breaking at a given edge is therefore the maximum, over the flows
-// creating it, of the number of cycle vertices that must be duplicated;
-// duplicates are shared between flows, which is why the combination rule
-// is max and not sum (Step 20 of Algorithm 2).
+// (forward direction) or after it (backward direction). Duplicates are
+// shared between flows (one new VC per duplicated cycle channel), so the
+// cost of breaking at a given edge is the number of distinct cycle
+// channels that the flows creating it duplicate: the size of the *union*
+// of their duplicated sets, not the sum of the sizes.
+//
+// The paper combines the flows' costs with max (Step 20 of Algorithm 2).
+// Max is the size of the union exactly when the duplicated sets are
+// nested, as in the worked example (Table 1). Flows that enter the
+// cycle at different channels can duplicate sets that are not nested;
+// there max under-counts, and the break adds more VCs than it predicts.
+// The union is never below max, and equals it wherever the sets nest.
+// So on every design where max predicted the realized count at the
+// chosen edge, that edge keeps its cost, every other edge keeps or
+// raises its own, and the first minimum and the forward-vs-backward
+// choice are unchanged.
 //
 // The cost-table semantics follow the paper's worked example (Table 1):
 // a flow contributes a cost at cycle edge (c_p, c_{p+1}) only if its route
@@ -43,8 +54,10 @@ struct CycleCostTable {
   /// edge p = (c_p, c_{p+1 mod m}); 0 means the flow does not create the
   /// dependency at p.
   std::vector<std::vector<std::size_t>> cost;
-  /// Combined per-edge cost: max over rows (0 only if no flow creates
-  /// the edge, which cannot happen for a genuine CDG cycle).
+  /// Combined per-edge cost: the number of distinct cycle channels the
+  /// rows' breaks at p duplicate — the VCs BreakCycle adds there (0 only
+  /// if no flow creates the edge, which cannot happen for a genuine CDG
+  /// cycle).
   std::vector<std::size_t> combined;
 };
 

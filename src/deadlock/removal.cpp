@@ -148,12 +148,22 @@ RemovalReport RemoveDeadlocksOnCdg(NocDesign& design,
                                    const RemovalOptions& options) {
   RemovalReport report;
   StageTimer stages("removal", kRemovalStages);
-  const std::size_t bfs_before = finder.stats().bfs_runs;
-  std::optional<CdgCycle> cycle;
-  {
-    StageTimer::Section section(stages, kStageCycleSearch);
-    cycle = finder.Pick(options.cycle_policy);
-  }
+  const DirtyCycleFinder::Stats before = finder.stats();
+  // The finder's pick, held to a full scan in paranoid mode.
+  const auto pick = [&] {
+    std::optional<CdgCycle> picked;
+    {
+      StageTimer::Section section(stages, kStageCycleSearch);
+      picked = finder.Pick(options.cycle_policy);
+    }
+    if (options.paranoid_validation) {
+      Require(picked == PickCycle(cdg, options.cycle_policy),
+              "RemoveDeadlocks: incremental cycle pick diverged from a "
+              "full scan");
+    }
+    return picked;
+  };
+  std::optional<CdgCycle> cycle = pick();
   report.initially_deadlock_free = !cycle.has_value();
 
   while (cycle) {
@@ -167,12 +177,12 @@ RemovalReport RemoveDeadlocksOnCdg(NocDesign& design,
       Require(cdg.SameDependencies(ChannelDependencyGraph::Build(design)),
               "RemoveDeadlocks: incremental CDG diverged from rebuild");
     }
-    StageTimer::Section section(stages, kStageCycleSearch);
-    cycle = finder.Pick(options.cycle_policy);
+    cycle = pick();
   }
-  report.cycle_bfs_runs = finder.stats().bfs_runs - bfs_before;
-  stages.Count(kStageCycleSearch, "bfs_runs",
-               finder.stats().bfs_runs - bfs_before);
+  report.cycle_bfs_runs = finder.stats().bfs_runs - before.bfs_runs;
+  stages.Count(kStageCycleSearch, "bfs_runs", report.cycle_bfs_runs);
+  stages.Count(kStageCycleSearch, "scc_vertices",
+               finder.stats().scc_vertices - before.scc_vertices);
   return report;
 }
 

@@ -11,7 +11,10 @@
 #include "deadlock/breaker.h"
 #include "deadlock/cost.h"
 #include "deadlock/removal.h"
+#include "deadlock/verify.h"
+#include "gen/generators.h"
 #include "soc/benchmarks.h"
+#include "soc/synthetic.h"
 #include "synth/synthesizer.h"
 #include "test_helpers.h"
 #include "util/error.h"
@@ -213,6 +216,72 @@ TEST(CdgIncrementalTest, MirrorsRebuildOnRandomDesigns) {
   }
 }
 
+// Tori and rings from the generators break into many small SCCs, so
+// most picks recompute only a region of the graph; the SoC corpus above
+// has a few large SCCs and mostly exercises whole-component refreshes.
+// (Dimension-ordered transpose and neighbor traffic is acyclic on a
+// torus; those designs check the first pick only. The full scan this
+// property compares against dominates the run time, so the largest
+// side gets one seed.)
+TEST(CdgIncrementalTest, MirrorsRebuildOnGeneratedTori) {
+  for (const std::size_t side : {4u, 6u, 8u, 12u}) {
+    const std::uint64_t seeds = side < 12 ? 3 : 1;
+    for (const gen::TrafficPattern pattern : gen::AllPatterns()) {
+      for (const std::size_t cores : {1u, 4u}) {
+        for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
+          gen::GeneratorSpec spec;
+          spec.family = gen::TopologyFamily::kTorus2D;
+          spec.width = side;
+          spec.height = side;
+          spec.pattern = pattern;
+          spec.cores_per_switch = cores;
+          spec.uniform_fanout = 6;
+          spec.seed = seed;
+          const NocDesign design = gen::GenerateStandardDesign(spec);
+          SCOPED_TRACE(design.name + " seed " + std::to_string(seed));
+          RunMirrorProperty(design, CyclePolicy::kSmallestFirst);
+        }
+      }
+    }
+  }
+}
+
+TEST(CdgIncrementalTest, MirrorsRebuildOnGeneratedRings) {
+  for (const std::size_t nodes : {6u, 16u}) {
+    for (const gen::TrafficPattern pattern : gen::AllPatterns()) {
+      gen::GeneratorSpec spec;
+      spec.family = gen::TopologyFamily::kRing;
+      spec.ring_nodes = nodes;
+      spec.pattern = pattern;
+      spec.cores_per_switch = 2;
+      spec.uniform_fanout = 6;
+      const NocDesign design = gen::GenerateStandardDesign(spec);
+      SCOPED_TRACE(design.name);
+      RunMirrorProperty(design, CyclePolicy::kSmallestFirst);
+    }
+  }
+}
+
+// Work lock-in: after the first pick, a pick recomputes the SCCs of the
+// components a break changed, not of the whole graph. Exactness tests
+// cannot see a regression to a whole-graph pass per pick; this can.
+TEST(CdgIncrementalTest, PicksAfterTheFirstRevisitOnlyChangedComponents) {
+  gen::GeneratorSpec spec;
+  spec.family = gen::TopologyFamily::kTorus2D;
+  spec.width = 16;
+  spec.height = 16;
+  NocDesign design = gen::GenerateStandardDesign(spec);
+  auto cdg = ChannelDependencyGraph::Build(design);
+  DirtyCycleFinder finder(cdg);
+  const RemovalReport report = RemoveDeadlocksOnCdg(design, cdg, finder);
+  const DirtyCycleFinder::Stats& stats = finder.stats();
+  ASSERT_GT(report.iterations, 10u);
+  EXPECT_EQ(stats.picks, report.iterations + 1);
+  EXPECT_LT(stats.scc_vertices * 10, stats.picks * cdg.VertexCount())
+      << stats.scc_vertices << " SCC vertices over " << stats.picks
+      << " picks of up to " << cdg.VertexCount() << " vertices";
+}
+
 TEST(CdgIncrementalTest, MirrorsRebuildUnderAblationPolicies) {
   for (auto policy : {CyclePolicy::kFirstFound, CyclePolicy::kLargestFirst}) {
     RunMirrorProperty(testing::MakeRingDesign(8, 3), policy);
@@ -275,6 +344,27 @@ TEST(RemovalEngineEquivalenceTest, RingsAndRandomDesigns) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     ExpectSameOutcome(testing::MakeRandomDesign(seed, 9, 12, 24));
   }
+}
+
+TEST(RemovalEngineEquivalenceTest, SocWithNonNestedBreakCostsCertifies) {
+  // A 192-core synthetic SoC whose breaks duplicate non-nested channel
+  // sets: with the flows' costs combined by max, removal predicted fewer
+  // VCs than a break added and threw (deadlock/cost.h).
+  SyntheticSocSpec spec;
+  spec.cores = 192;
+  spec.seed = 15;
+  const SocBenchmark soc = MakeSyntheticSoc(spec);
+  const NocDesign input = SynthesizeDesign(soc.traffic, soc.name, 64);
+  ExpectSameOutcome(input);
+
+  NocDesign treated = input;
+  RemovalOptions options;
+  options.paranoid_validation = true;
+  const RemovalReport report = RemoveDeadlocks(treated, options);
+  EXPECT_GT(report.iterations, 0u);
+  const DeadlockCertificate certificate = CertifyDeadlockFreedom(treated);
+  EXPECT_TRUE(certificate.deadlock_free);
+  EXPECT_TRUE(CheckCertificate(treated, certificate));
 }
 
 TEST(RemovalEngineEquivalenceTest, ParanoidValidationPasses) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "cdg/cdg.h"
+#include "deadlock/breaker.h"
 #include "test_helpers.h"
 #include "util/error.h"
 
@@ -164,6 +165,73 @@ TEST(CostTest, CombinedIsMaxNotSum) {
                                            BreakDirection::kForward);
   // D1 is created by F1 (cost 1) and F4 (cost 1): combined must be 1.
   EXPECT_EQ(table.combined[0], 1u);
+}
+
+TEST(CostTest, CombinedCountsTheUnionOfNonNestedDuplicates) {
+  // Ring sw0->sw1->sw2->sw3->sw0 (channels c0..c3) plus a detour
+  // sw1->sw4->sw2. Two flows create D2 = (c2, c3) having entered the
+  // cycle at different channels: a forward break at D2 moves one onto
+  // duplicates of {c1, c2} and the other onto duplicates of {c0, c2}.
+  // The duplicates are shared, so the break adds |{c0, c1, c2}| = 3 VCs,
+  // more than either flow's own cost of 2.
+  NocDesign d;
+  std::vector<SwitchId> sw;
+  for (int i = 0; i < 5; ++i) {
+    sw.push_back(d.topology.AddSwitch());
+  }
+  const ChannelId c0 =
+      d.topology.ChannelsOf(d.topology.AddLink(sw[0], sw[1])).front();
+  const ChannelId c1 =
+      d.topology.ChannelsOf(d.topology.AddLink(sw[1], sw[2])).front();
+  const ChannelId c2 =
+      d.topology.ChannelsOf(d.topology.AddLink(sw[2], sw[3])).front();
+  const ChannelId c3 =
+      d.topology.ChannelsOf(d.topology.AddLink(sw[3], sw[0])).front();
+  const ChannelId det1 =
+      d.topology.ChannelsOf(d.topology.AddLink(sw[1], sw[4])).front();
+  const ChannelId det2 =
+      d.topology.ChannelsOf(d.topology.AddLink(sw[4], sw[2])).front();
+
+  std::vector<Route> routes;
+  auto add_flow = [&](SwitchId s, SwitchId t, Route r) {
+    const CoreId cs = d.traffic.AddCore();
+    const CoreId ct = d.traffic.AddCore();
+    d.attachment.push_back(s);
+    d.attachment.push_back(t);
+    d.traffic.AddFlow(cs, ct, 1.0);
+    routes.push_back(std::move(r));
+  };
+  add_flow(sw[0], sw[2], {c0, c1});                  // F0: D0
+  add_flow(sw[1], sw[3], {c1, c2});                  // F1: D1
+  add_flow(sw[2], sw[0], {c2, c3});                  // F2: D2
+  add_flow(sw[3], sw[1], {c3, c0});                  // F3: D3
+  add_flow(sw[1], sw[0], {c1, c2, c3});              // F4: D1, D2
+  add_flow(sw[0], sw[0], {c0, det1, det2, c2, c3});  // F5: D2
+  d.routes.Resize(d.traffic.FlowCount());
+  for (std::size_t i = 0; i < routes.size(); ++i) {
+    d.routes.SetRoute(FlowId(i), routes[i]);
+  }
+  d.Validate();
+
+  const CdgCycle cycle = {c0, c1, c2, c3};
+  const auto fwd = ComputeCycleCostTable(d, cycle, BreakDirection::kForward);
+  ASSERT_EQ(fwd.cost.size(), 6u);
+  EXPECT_EQ(fwd.cost[4], (std::vector<std::size_t>{0, 1, 2, 0}));
+  EXPECT_EQ(fwd.cost[5], (std::vector<std::size_t>{0, 0, 2, 0}));
+  // Max over the rows would say 2 at D2.
+  EXPECT_EQ(fwd.combined, (std::vector<std::size_t>{1, 1, 3, 1}));
+
+  // Backward, D1 is created by F1 ({c2}) and F4 ({c3, c2}): nested sets,
+  // where the union is the max.
+  const auto bwd = ComputeCycleCostTable(d, cycle, BreakDirection::kBackward);
+  EXPECT_EQ(bwd.combined, (std::vector<std::size_t>{1, 2, 1, 1}));
+
+  // The prediction is what the break realizes.
+  const BreakResult applied = BreakCycle(d, cycle, 2, BreakDirection::kForward);
+  EXPECT_EQ(applied.added_channels.size(), fwd.combined[2]);
+  EXPECT_EQ(applied.rerouted_flows,
+            (std::vector<FlowId>{FlowId(2u), FlowId(4u), FlowId(5u)}));
+  d.Validate();
 }
 
 }  // namespace

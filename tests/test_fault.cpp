@@ -168,6 +168,8 @@ TEST(FaultReconfigureTest, ReroutesAroundTheFaultAndStaysCertified) {
     const FaultPlan plan = fault::DrawFaultPlan(design, seed, options);
     fault::ReconfigureOptions opts;
     opts.paranoid_validation = true;  // Validate() + CDG cross-check
+    // Every pick of the post-burst removal, held to a full scan.
+    opts.removal.paranoid_validation = true;
     for (const FaultBurst& burst : plan.bursts) {
       const auto report =
           fault::ApplyFaultBurst(design, cdg, finder, state, burst, opts);
