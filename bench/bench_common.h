@@ -33,6 +33,25 @@ inline double MillisSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
+/// --check-determinism for the campaign benches: reruns the whole
+/// campaign at 1 and 3 worker threads via \p digest_at (threads ->
+/// campaign digest), prints one line per rerun with the digest in hex,
+/// and returns true iff every rerun reproduced \p digest, the main
+/// run's.
+template <typename DigestAt>
+bool DigestStableAcrossThreads(std::uint64_t digest, DigestAt digest_at) {
+  bool stable = true;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+    const std::uint64_t rerun = digest_at(threads);
+    const bool match = rerun == digest;
+    stable = stable && match;
+    std::cout << "determinism check (" << threads << " threads): digest "
+              << std::hex << rerun << std::dec
+              << (match ? " OK" : " MISMATCH (bug!)") << "\n";
+  }
+  return stable;
+}
+
 /// Registration-based command-line parsing for the bench harnesses.
 ///
 /// Every binary in this directory used to hand-roll the same argv loop

@@ -380,19 +380,14 @@ int main(int argc, char** argv) {
   }
 
   // Thread-count determinism: the digest must not depend on scheduling.
-  bool deterministic = true;
-  if (opts.check_determinism) {
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
-      valid::FaultCampaignConfig alt = opts.campaign;
-      alt.threads = threads;
-      const valid::FaultCampaignResult rerun = valid::RunFaultCampaign(alt);
-      const bool match = rerun.digest == result.digest;
-      deterministic = deterministic && match;
-      std::cout << "determinism check (" << threads << " threads): digest "
-                << std::hex << rerun.digest << std::dec
-                << (match ? " OK" : " MISMATCH (bug!)") << "\n";
-    }
-  }
+  const bool deterministic =
+      !opts.check_determinism ||
+      bench::DigestStableAcrossThreads(
+          result.digest, [&](std::size_t threads) {
+            valid::FaultCampaignConfig alt = opts.campaign;
+            alt.threads = threads;
+            return valid::RunFaultCampaign(alt).digest;
+          });
 
   bool perf_mismatch = false;
   double largest_speedup = 0.0;

@@ -8,8 +8,9 @@
 //     replay (cold re-serve per epoch, cache-coherence probe,
 //     independent checker, codec round trips, lifecycle fences).
 //     Any mismatch fails the binary.
-//   * session_determinism — the campaign digest at 1 and 3 worker
-//     threads must be identical (--check-determinism).
+//   * session_determinism — the whole campaign rerun at 1 and 3 worker
+//     threads must reproduce the main run's digest
+//     (--check-determinism).
 //   * session_delta — the ladder: per design rung, K fault bursts
 //     streamed through a live session (incremental re-route +
 //     re-certify on the maintained CDG) vs. the stateless alternative
@@ -26,8 +27,8 @@
 //   --bursts K           fault bursts per perf round (default 10)
 //   --rounds R           perf rounds per rung (default 3)
 //   --no-perf            skip the session-delta ladder
-//   --check-determinism  rerun a campaign slice at 1 and 3 threads,
-//                        require identical digests
+//   --check-determinism  rerun the campaign at 1 and 3 threads,
+//                        require the main run's digest
 //
 // Exit code: 0 iff the campaign had zero mismatches, every perf burst
 // was feasible with byte-identical certificates on both sides, all
@@ -327,8 +328,8 @@ int main(int argc, char** argv) {
   std::cout << campaign.streamed << " streamed / " << campaign.disconnected
             << " disconnected / " << campaign.mismatches << " mismatches; "
             << epochs << " epochs advanced, " << events_unnamed
-            << " events unnamed; digest " << campaign.digest << " ("
-            << FormatDouble(campaign_ms, 0) << " ms)\n";
+            << " events unnamed; digest " << std::hex << campaign.digest
+            << std::dec << " (" << FormatDouble(campaign_ms, 0) << " ms)\n";
   json.AddRow(JsonObject()
                   .Set("section", "session_campaign")
                   .Set("trials", campaign.rows.size())
@@ -343,27 +344,16 @@ int main(int argc, char** argv) {
 
   // ---- thread-count determinism of the campaign digest ----
   if (opts.check_determinism) {
-    valid::SessionCampaignConfig slice = config;
-    slice.trials = std::max<std::size_t>(10, opts.trials / 5);
-    std::uint64_t reference = 0;
-    bool deterministic = true;
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
-      slice.threads = threads;
-      const std::uint64_t digest =
-          valid::RunSessionCampaign(slice).digest;
-      if (threads == 1) {
-        reference = digest;
-      }
-      const bool match = digest == reference;
-      deterministic = deterministic && match;
-      std::cout << "determinism check (" << threads
-                << " threads): digest " << digest
-                << (match ? " OK" : " MISMATCH (bug!)") << "\n";
-    }
+    const bool deterministic = bench::DigestStableAcrossThreads(
+        campaign.digest, [&](std::size_t threads) {
+          valid::SessionCampaignConfig rerun = config;
+          rerun.threads = threads;
+          return valid::RunSessionCampaign(rerun).digest;
+        });
     json.AddRow(JsonObject()
                     .Set("section", "session_determinism")
-                    .Set("trials", slice.trials)
-                    .Set("digest", reference)
+                    .Set("trials", config.trials)
+                    .Set("digest", campaign.digest)
                     .Set("digests_match", deterministic));
     failed = failed || !deterministic;
   }

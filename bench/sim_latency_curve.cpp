@@ -1,5 +1,5 @@
 // Extension experiment E9 — latency vs. offered load in simulation,
-// plus the event-engine speedup gate.
+// plus the gate on the event engine's idle-cycle jump.
 //
 // Part 1 is classic NoC evaluation the paper's venue expects around its
 // method: after deadlock handling, how does the network behave under
@@ -10,17 +10,23 @@
 // the same physical routes — serves comparable latency until
 // saturation.
 //
-// Part 2 gates the discrete-event engine's reason to exist: on the
-// largest generated mesh designs under light steady-state Bernoulli
-// traffic over a long horizon, SimEngine::kEvent must beat the worklist
-// engine by >= 10x wall clock while producing bit-identical results.
-// Both engines consume the same pre-built TrafficSchedule so the shared
-// O(flows x horizon) schedule synthesis stays out of the measurement.
-// Rows land in BENCH_sim_latency_curve.json (section
+// Part 2 gates the event engine's reason to exist: on the largest
+// generated mesh designs under light steady-state Bernoulli traffic over
+// a 1M-cycle horizon, SimEngine::kEvent must beat the full-scan
+// reference by >= 3,000x wall clock while producing the same results.
+// The floor sits far above what O(active) stepping alone buys: an
+// engine that still visits every idle cycle is only some hundreds of
+// times faster than the full scan here, so the gate fails as soon as
+// the jump over idle cycles stops skipping. Both engines consume the
+// same pre-built TrafficSchedule so the shared O(flows x horizon)
+// schedule synthesis stays out of the measurement. The full scan takes
+// seconds per design and runs once; the event engine is timed
+// best-of-N. Rows land in BENCH_sim_latency_curve.json (section
 // "event_engine_speedup") for the tools/bench_compare.py perf gate.
 //
 // Flags:
-//   --repeats N    best-of-N wall clock per engine point (default 3)
+//   --repeats N    best-of-N wall clock of the event engine (default 3;
+//                  the full scan runs once)
 //   --no-speedup   latency curve only: skip part 2 and write no BENCH
 //                  rows (quick local iteration; not for gated runs)
 #include <algorithm>
@@ -40,6 +46,10 @@ using namespace nocdr;
 namespace {
 
 using bench::MillisSince;
+
+/// Part 2's in-binary floor on the event engine's speedup over the full
+/// scan; see the header for why it is not lower.
+constexpr double kMinSpeedupVsFullScan = 3000.0;
 
 SimResult RunAt(const NocDesign& design, double rate) {
   SimConfig cfg;
@@ -73,11 +83,12 @@ double TimeEngine(const NocDesign& design, SimConfig config,
 }
 
 /// Light steady-state traffic on the largest generated meshes: the idle
-/// cycles between packets are exactly what the event engine skips.
-/// Returns the smallest per-design event-vs-worklist speedup.
+/// cycles between packets are exactly what the event engine skips and
+/// what the full scan sweeps every channel and flow for. Returns the
+/// smallest per-design event-vs-fullscan speedup.
 double MeasureEventEngineSpeedup(BenchJsonWriter& json,
                                  std::size_t repeats) {
-  std::cout << "\n=== event engine vs worklist, light steady-state "
+  std::cout << "\n=== event engine vs fullscan, light steady-state "
                "Bernoulli, 1M-cycle horizon ===\n\n";
   SimConfig cfg;
   cfg.traffic.mode = InjectionMode::kBernoulli;
@@ -91,7 +102,7 @@ double MeasureEventEngineSpeedup(BenchJsonWriter& json,
   double min_speedup = 0.0;
   TextTable table;
   table.SetHeader({"design", "channels", "flows", "packets",
-                   "worklist (ms)", "event (ms)", "speedup"});
+                   "fullscan (ms)", "event (ms)", "speedup"});
   for (const std::size_t extent : {std::size_t{16}, std::size_t{20}}) {
     gen::GeneratorSpec spec;
     spec.family = gen::TopologyFamily::kMesh2D;
@@ -105,34 +116,34 @@ double MeasureEventEngineSpeedup(BenchJsonWriter& json,
     RemoveDeadlocks(design);
 
     const TrafficSchedule schedule(design, cfg.traffic, cfg.max_cycles);
-    SimResult worklist_result, event_result;
-    const double worklist_ms = TimeEngine(design, cfg, schedule,
-                                          SimEngine::kWorklist, repeats,
-                                          &worklist_result);
+    SimResult fullscan_result, event_result;
+    const double fullscan_ms = TimeEngine(design, cfg, schedule,
+                                          SimEngine::kFullScan, 1,
+                                          &fullscan_result);
     const double event_ms = TimeEngine(design, cfg, schedule,
                                        SimEngine::kEvent, repeats,
                                        &event_result);
-    if (worklist_result.deadlocked || event_result.deadlocked ||
-        worklist_result.cycles != event_result.cycles ||
-        worklist_result.packets_delivered !=
+    if (fullscan_result.deadlocked || event_result.deadlocked ||
+        fullscan_result.cycles != event_result.cycles ||
+        fullscan_result.packets_delivered !=
             event_result.packets_delivered ||
-        worklist_result.flits_delivered != event_result.flits_delivered) {
+        fullscan_result.flits_delivered != event_result.flits_delivered) {
       std::cout << "ENGINE DISAGREEMENT on " << design.name
-                << " (worklist " << worklist_result.packets_delivered
-                << " pkts / " << worklist_result.cycles << " cyc, event "
+                << " (fullscan " << fullscan_result.packets_delivered
+                << " pkts / " << fullscan_result.cycles << " cyc, event "
                 << event_result.packets_delivered << " pkts / "
                 << event_result.cycles << " cyc)\n";
       return 0.0;
     }
-    const double speedup = event_ms > 0.0 ? worklist_ms / event_ms : 0.0;
+    const double speedup = event_ms > 0.0 ? fullscan_ms / event_ms : 0.0;
     min_speedup =
         min_speedup == 0.0 ? speedup : std::min(min_speedup, speedup);
     table.AddRow({design.name,
                   std::to_string(design.topology.ChannelCount()),
                   std::to_string(design.traffic.FlowCount()),
                   std::to_string(event_result.packets_delivered),
-                  FormatDouble(worklist_ms, 2), FormatDouble(event_ms, 2),
-                  FormatDouble(speedup, 1) + "x"});
+                  FormatDouble(fullscan_ms, 2), FormatDouble(event_ms, 2),
+                  FormatDouble(speedup, 0) + "x"});
     json.AddRow(JsonObject()
                     .Set("section", "event_engine_speedup")
                     .Set("design", design.name)
@@ -141,13 +152,14 @@ double MeasureEventEngineSpeedup(BenchJsonWriter& json,
                     .Set("packets_delivered",
                          event_result.packets_delivered)
                     .Set("cycles", event_result.cycles)
-                    .Set("worklist_ms", worklist_ms)
+                    .Set("fullscan_ms", fullscan_ms)
                     .Set("event_ms", event_ms)
-                    .Set("event_engine_speedup", speedup));
+                    .Set("speedup_vs_fullscan", speedup));
   }
   table.Print(std::cout);
   std::cout << "minimum event engine speedup "
-            << FormatDouble(min_speedup, 1) << "x (target >= 10x)\n";
+            << FormatDouble(min_speedup, 0) << "x (target >= "
+            << FormatDouble(kMinSpeedupVsFullScan, 0) << "x)\n";
   return min_speedup;
 }
 
@@ -219,9 +231,10 @@ int main(int argc, char** argv) {
   if (!path.empty()) {
     std::cout << "rows written to " << path << "\n";
   }
-  if (min_speedup < 10.0) {
-    std::cout << "FAIL: event engine speedup " << FormatDouble(min_speedup, 1)
-              << "x below the 10x target\n";
+  if (min_speedup < kMinSpeedupVsFullScan) {
+    std::cout << "FAIL: event engine speedup " << FormatDouble(min_speedup, 0)
+              << "x below the " << FormatDouble(kMinSpeedupVsFullScan, 0)
+              << "x target\n";
     return 1;
   }
   return 0;

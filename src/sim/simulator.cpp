@@ -5,7 +5,6 @@
 #include <optional>
 #include <queue>
 
-#include "sim/event_queue.h"
 #include "sim/transition.h"
 #include "util/error.h"
 
@@ -41,13 +40,26 @@ struct SourceState {
   std::uint8_t packet_epoch = 0;
 };
 
+/// The SimConfig checks every entry point shares. Runs before the
+/// Engine builds anything from the config: a zero interval would divide
+/// by zero in Run and NextWakeCycle.
+const SimConfig& CheckedConfig(const SimConfig& config) {
+  Require(config.traffic.packet_length >= 1,
+          "SimConfig: packets need at least one flit");
+  Require(config.buffer_depth >= 1,
+          "SimConfig: buffers need at least one slot");
+  Require(config.deadlock_check_interval >= 1,
+          "SimConfig: deadlock_check_interval must be at least 1");
+  return config;
+}
+
 class Engine {
  public:
   Engine(const NocDesign& design, const SimConfig& config,
          const TransitionSpec* transition = nullptr,
          const TrafficSchedule* schedule = nullptr)
       : design_(design),
-        config_(config),
+        config_(CheckedConfig(config)),
         transition_(transition),
         schedule_(schedule != nullptr
                       ? *schedule
@@ -74,8 +86,8 @@ class Engine {
         armed_.push_back(static_cast<std::uint32_t>(f));
         flow_armed_[f] = 1;
       } else {
-        ParkFlow(static_cast<std::uint32_t>(f),
-                 schedule_.ReadyAt(FlowId(f), 0));
+        ready_heap_.push(
+            {schedule_.ReadyAt(FlowId(f), 0), static_cast<std::uint32_t>(f)});
       }
     }
   }
@@ -114,23 +126,11 @@ class Engine {
         DetectCircularWait();  // best effort: attach a certificate
         break;
       }
-      if (EventDriven() && moved) {
-        // The cycle changed state, so the very next cycle may act on the
-        // freed credits / released ownerships / fresh flits; announce it
-        // with the most specific event kind the cycle produced.
-        EventKind kind = EventKind::kArbitrationWake;
-        if (tail_ejected_) {
-          kind = EventKind::kWormCompletion;
-        } else if (!ejects_.empty() || !moves_.empty()) {
-          kind = EventKind::kCreditReturn;
-        }
-        events_.Push({cycle_ + 1, kind, 0});
-      }
-      if (EventDriven() && !moved) {
-        // Nothing moved, so the network state is a fixed point until an
-        // external event: jump heap-to-heap instead of grinding through
-        // idle cycles. NextWakeCycle never skips a cycle the
-        // cycle-accurate engines could have acted on.
+      if (Incremental() && !moved) {
+        // Nothing moved, so the network state is a fixed point until a
+        // parked packet becomes ready or a deadline falls due: jump there
+        // instead of grinding through idle cycles. NextWakeCycle never
+        // skips a cycle the reference could have acted on.
         cycle_ = NextWakeCycle(last_progress);
       } else {
         ++cycle_;
@@ -156,41 +156,26 @@ class Engine {
   }
 
  private:
-  /// True for the engines that maintain the active/armed worklists (the
-  /// event engine is the worklist step machinery under an event-driven
-  /// clock); false only for the full-scan reference.
-  [[nodiscard]] bool Worklist() const {
-    return config_.engine != SimEngine::kFullScan;
-  }
-
-  [[nodiscard]] bool EventDriven() const {
+  /// True for the event engine, which keeps the worklists and the ready
+  /// heap and jumps over idle cycles; false for the full-scan reference.
+  /// (The constructor parks flows in the ready heap for both engines;
+  /// the reference never reads it.)
+  [[nodiscard]] bool Incremental() const {
     return config_.engine == SimEngine::kEvent;
-  }
-
-  /// Parks flow \p f until \p ready: an injection event for the event
-  /// engine, a ready-heap entry for the worklist engine. (The full-scan
-  /// engine re-polls every flow each cycle and ignores both, but parking
-  /// is harmless and keeps the constructor engine-agnostic.)
-  void ParkFlow(std::uint32_t f, std::uint64_t ready) {
-    if (EventDriven()) {
-      events_.Push({ready, EventKind::kFlitInjection, f});
-    } else {
-      ready_heap_.push({ready, f});
-    }
   }
 
   /// Earliest future cycle at which anything observable can happen,
   /// given that the just-simulated cycle moved nothing (so the network
-  /// state is frozen until then). Candidates: the next queued event
-  /// (flit injection or wake), the transition window (which must tick
+  /// state is frozen until then). Candidates: the earliest parked
+  /// flow's ready cycle, the transition window (which must tick
   /// cycle-by-cycle to count drain cycles exactly), the next periodic
-  /// deadlock-check boundary, and the stall watchdog's expiry. Clamped
-  /// to max_cycles, which ends the run just like the cycle-accurate
-  /// engines spinning out their budget.
-  [[nodiscard]] std::uint64_t NextWakeCycle(std::uint64_t last_progress) {
-    while (!events_.Empty() && events_.Top().cycle <= cycle_) {
-      events_.PopTop();  // already handled by this cycle's step
-    }
+  /// deadlock-check boundary, and the stall watchdog's expiry. Every
+  /// park is for a cycle after the one it happens in, and this cycle's
+  /// PlanInjections armed every flow that was due, so the heap holds no
+  /// stale entry. Clamped to max_cycles, which ends the run just like
+  /// the reference spinning out its budget.
+  [[nodiscard]] std::uint64_t NextWakeCycle(
+      std::uint64_t last_progress) const {
     std::uint64_t next = config_.max_cycles;
     if (transition_ != nullptr && !epoch_switched_) {
       if (cycle_ + 1 >= transition_->cycle) {
@@ -198,8 +183,8 @@ class Engine {
       }
       next = std::min(next, transition_->cycle);
     }
-    if (!events_.Empty()) {
-      next = std::min(next, events_.Top().cycle);
+    if (!ready_heap_.empty()) {
+      next = std::min(next, ready_heap_.top().first);
     }
     if (FlitsInFlight()) {
       const std::uint64_t interval = config_.deadlock_check_interval;
@@ -210,7 +195,7 @@ class Engine {
   }
 
   [[nodiscard]] bool FlitsInFlight() const {
-    if (Worklist()) {
+    if (Incremental()) {
       return flits_in_network_ > 0;
     }
     for (const VcState& vc : vcs_) {
@@ -222,7 +207,7 @@ class Engine {
   }
 
   [[nodiscard]] bool AllSourcesDrained() const {
-    if (Worklist()) {
+    if (Incremental()) {
       return drained_sources_ == sources_.size();
     }
     for (std::size_t i = 0; i < sources_.size(); ++i) {
@@ -343,7 +328,7 @@ class Engine {
       }
     }
     packets_dropped_ += doomed.size();
-    if (Worklist()) {
+    if (Incremental()) {
       // One-off full rebuild of the active-channel list; cheaper than
       // threading the purge through the touched_ bookkeeping.
       active_.clear();
@@ -358,21 +343,20 @@ class Engine {
 
   /// One simulated cycle; returns true when at least one flit moved.
   ///
-  /// Every engine visits channels in ascending id order starting at
+  /// Both engines visit channels in ascending id order starting at
   /// (cycle mod channel count) with wraparound, then flows likewise —
   /// the rotating round-robin. Channels with empty buffers and drained
-  /// flows are no-ops under that scan, so the worklist engine skipping
-  /// them is semantics-preserving, and the event engine additionally
+  /// or parked flows are no-ops under that scan, so the event engine
+  /// visiting only its worklists is semantics-preserving, and its
   /// skipping whole cycles in which nothing could move (see
   /// NextWakeCycle) preserves the cycle numbering those pivots depend
-  /// on. All three engines therefore stay bit-identical.
+  /// on. The two engines therefore stay bit-identical.
   bool Step() {
     stamp_ = cycle_ + 1;  // distinct from the 0 the scratch stamps start at
     moves_.clear();
     ejects_.clear();
     injections_.clear();
     touched_.clear();
-    tail_ejected_ = false;
 
     bool moved = false;
     if (config_.inject_first) {
@@ -383,7 +367,7 @@ class Engine {
       moved |= PlanInjections();
     }
     Commit();
-    if (Worklist()) {
+    if (Incremental()) {
       UpdateWorklists();
     }
     return moved;
@@ -393,7 +377,7 @@ class Engine {
   /// round-robin order over channel ids.
   bool PlanForwards() {
     bool moved = false;
-    if (Worklist()) {
+    if (Incremental()) {
       if (!active_.empty()) {
         const std::uint32_t pivot =
             static_cast<std::uint32_t>(cycle_ % vcs_.size());
@@ -422,30 +406,15 @@ class Engine {
   /// order over flow ids.
   bool PlanInjections() {
     bool moved = false;
-    if (Worklist()) {
-      // Arm the flows whose next packet became ready by now. Equal ready
-      // times pop in unspecified order (heap) or tie-break order (event
-      // queue), but the batch is sorted before merging, so the armed
-      // list is schedule-deterministic either way.
+    if (Incremental()) {
+      // Arm the flows whose next packet became ready by now. The batch
+      // is sorted before merging, so the armed list does not depend on
+      // the heap's pop order.
       newly_armed_.clear();
-      if (EventDriven()) {
-        // Drain every event due this cycle: injection events arm their
-        // flow; credit-return / worm-completion / arbitration wakes
-        // exist to pull the clock here and are consumed by the step
-        // itself.
-        while (!events_.Empty() && events_.Top().cycle <= cycle_) {
-          const SimEvent event = events_.PopTop();
-          if (event.kind == EventKind::kFlitInjection) {
-            newly_armed_.push_back(event.id);
-            flow_armed_[event.id] = 1;
-          }
-        }
-      } else {
-        while (!ready_heap_.empty() && ready_heap_.top().first <= cycle_) {
-          newly_armed_.push_back(ready_heap_.top().second);
-          flow_armed_[ready_heap_.top().second] = 1;
-          ready_heap_.pop();
-        }
+      while (!ready_heap_.empty() && ready_heap_.top().first <= cycle_) {
+        newly_armed_.push_back(ready_heap_.top().second);
+        flow_armed_[ready_heap_.top().second] = 1;
+        ready_heap_.pop();
       }
       if (!newly_armed_.empty()) {
         std::sort(newly_armed_.begin(), newly_armed_.end());
@@ -578,12 +547,12 @@ class Engine {
       disarm_dirty_ = true;
       return;
     }
-    if (Worklist()) {
+    if (Incremental()) {
       const std::uint64_t ready = schedule_.ReadyAt(f, src.next_packet);
       if (ready > cycle_) {
         flow_armed_[f.value()] = 0;
         disarm_dirty_ = true;
-        ParkFlow(f.value(), ready);
+        ready_heap_.push({ready, f.value()});
       }
     }
   }
@@ -632,7 +601,7 @@ class Engine {
 
   /// Applies the planned ejections, forwards and injections.
   void Commit() {
-    const bool track = Worklist();
+    const bool track = Incremental();
     for (ChannelId c : ejects_) {
       VcState& vc = vcs_[c.value()];
       Flit flit = vc.fifo.front();
@@ -645,7 +614,6 @@ class Engine {
       ++result_.channel_flits[c.value()];
       if (flit.is_tail) {
         vc.owner.reset();
-        tail_ejected_ = true;
         ++result_.packets_delivered;
         const std::uint64_t latency = cycle_ - flit.injected_at + 1;
         latency_sum_ += latency;
@@ -762,7 +730,7 @@ class Engine {
         waits_on[c] = static_cast<std::int32_t>(t.value());
       }
     };
-    if (Worklist()) {
+    if (Incremental()) {
       for (const std::uint32_t c : active_) {
         consider(c);
       }
@@ -820,12 +788,13 @@ class Engine {
   std::vector<ChannelId> ejects_;
   std::vector<Flit> injections_;
 
-  // Worklist-engine state. `active_` is the sorted list of channels with
-  // a non-empty buffer (mirrored by channel_active_); `armed_` the
-  // sorted list of flows with a ready packet pending injection
-  // (mirrored by flow_armed_). Flows whose next packet lies in the
-  // future park in ready_heap_, a min-heap on the ready cycle, so
-  // lightly loaded flows cost nothing per cycle.
+  // Event-engine state. `active_` is the sorted list of channels with a
+  // non-empty buffer (mirrored by channel_active_); `armed_` the sorted
+  // list of flows with a ready packet pending injection (mirrored by
+  // flow_armed_). Flows whose next packet lies in the future park in
+  // ready_heap_, a min-heap on (ready cycle, flow), so lightly loaded
+  // flows cost nothing per cycle; its top is the next injection the
+  // idle-cycle jump must land on.
   std::vector<std::uint32_t> active_;
   std::vector<char> channel_active_;
   std::vector<std::uint32_t> armed_;
@@ -840,13 +809,6 @@ class Engine {
   std::uint64_t flits_in_network_ = 0;
   std::size_t drained_sources_ = 0;
   bool disarm_dirty_ = false;
-
-  // Event-engine state: the discrete-event queue (flit-injection events
-  // replace the ready heap; wake events record why time stopped at a
-  // cycle) and the per-cycle worm-completion marker that picks the wake
-  // kind.
-  EventQueue events_;
-  bool tail_ejected_ = false;
 
   // Transition-run state; inert for plain SimulateWorkload runs.
   bool epoch_switched_ = false;
@@ -864,13 +826,11 @@ class Engine {
 }  // namespace
 
 std::vector<SimEngine> AllEngines() {
-  return {SimEngine::kFullScan, SimEngine::kWorklist, SimEngine::kEvent};
+  return {SimEngine::kFullScan, SimEngine::kEvent};
 }
 
 std::string EngineName(SimEngine engine) {
   switch (engine) {
-    case SimEngine::kWorklist:
-      return "worklist";
     case SimEngine::kFullScan:
       return "fullscan";
     case SimEngine::kEvent:
@@ -889,20 +849,12 @@ std::optional<SimEngine> ParseEngine(const std::string& name) {
 }
 
 SimResult SimulateWorkload(const NocDesign& design, const SimConfig& config) {
-  Require(config.traffic.packet_length >= 1,
-          "SimulateWorkload: packets need at least one flit");
-  Require(config.buffer_depth >= 1,
-          "SimulateWorkload: buffers need at least one slot");
   Engine engine(design, config);
   return engine.Run();
 }
 
 SimResult SimulateWorkload(const NocDesign& design, const SimConfig& config,
                            const TrafficSchedule& schedule) {
-  Require(config.traffic.packet_length >= 1,
-          "SimulateWorkload: packets need at least one flit");
-  Require(config.buffer_depth >= 1,
-          "SimulateWorkload: buffers need at least one slot");
   Require(schedule.FlowCount() == design.traffic.FlowCount(),
           "SimulateWorkload: schedule not sized for the design's flows");
   Engine engine(design, config, nullptr, &schedule);
@@ -913,10 +865,6 @@ TransitionResult SimulateTransition(const NocDesign& post_design,
                                     const RouteSet& pre_routes,
                                     const std::vector<char>& dead_channels,
                                     const TransitionConfig& config) {
-  Require(config.sim.traffic.packet_length >= 1,
-          "SimulateTransition: packets need at least one flit");
-  Require(config.sim.buffer_depth >= 1,
-          "SimulateTransition: buffers need at least one slot");
   Require(pre_routes.FlowCount() == post_design.traffic.FlowCount(),
           "SimulateTransition: pre-fault routes not sized for the design");
   Require(dead_channels.empty() ||

@@ -33,43 +33,41 @@
 
 namespace nocdr {
 
-/// How the engine finds work each cycle. All three engines simulate the
-/// same cycle-level semantics and produce bit-identical SimResults
-/// (property-tested three ways across the corpus); they differ only in
-/// what a cycle — or the absence of one — costs.
+/// How the engine finds work each cycle. Both engines simulate the same
+/// cycle-level semantics and produce bit-identical SimResults
+/// (property-tested against each other across the corpus); they differ
+/// only in what a cycle — or the absence of one — costs.
 enum class SimEngine {
-  /// Worklists of non-empty channels and undrained sources; per-cycle
-  /// cost is O(active), which is what makes million-packet validation
-  /// campaigns tractable on large designs.
-  kWorklist,
   /// The reference formulation: scan every channel and every flow each
-  /// cycle. Kept as the baseline the other engines are differential-
+  /// cycle. Kept as the baseline the event engine is differential-
   /// tested and benchmarked against.
   kFullScan,
-  /// Discrete-event core: the worklist step machinery driven by a
-  /// binary-heap EventQueue (sim/event_queue.h) of flit-injection,
-  /// credit-return, worm-completion and arbitration-wake events keyed
-  /// by (cycle, deterministic tie-break). Time advances heap-to-heap:
-  /// cycles in which provably nothing can move — no flit in flight that
-  /// moved last cycle, no armed flow, no pending event, no transition
-  /// window, no deadlock-check deadline — are skipped outright, so idle
-  /// time on large sparse designs costs nothing. Wakes land on exactly
-  /// the cycles the cycle-accurate engines would have acted on, which
-  /// is what keeps the results bit-identical.
+  /// The incremental engine. Worklists of non-empty channels and armed
+  /// flows make a cycle cost O(active); a flow whose next packet lies in
+  /// the future parks in a heap keyed by its ready cycle. After a cycle
+  /// in which nothing moved, time jumps straight to the next cycle at
+  /// which anything observable can happen — a parked flow's ready
+  /// cycle, the transition window, a deadlock-check or watchdog
+  /// deadline — so idle time on large sparse designs costs nothing. The
+  /// jump lands on exactly the cycles the reference would have acted
+  /// on, which is what keeps the results bit-identical.
   kEvent,
 };
 
 /// All engines, in the fixed differential-test order (reference first).
 std::vector<SimEngine> AllEngines();
 
-/// Stable lowercase identifier ("worklist", "fullscan", "event").
+/// Stable lowercase identifier ("fullscan", "event").
 std::string EngineName(SimEngine engine);
 
 /// Inverse of EngineName; nullopt for unknown names.
 std::optional<SimEngine> ParseEngine(const std::string& name);
 
+/// Every entry point (SimulateWorkload, SimulateTransition) throws
+/// InvalidModelError when traffic.packet_length, buffer_depth or
+/// deadlock_check_interval is 0.
 struct SimConfig {
-  SimEngine engine = SimEngine::kWorklist;
+  SimEngine engine = SimEngine::kEvent;
   /// Arbitrate injections before in-network traversals instead of after.
   /// Both orders are legal router arbitrations; the default favors
   /// in-network traffic (the common switch allocator policy), which can

@@ -133,7 +133,7 @@ struct WorkloadConfig {
   /// those flows, which close wait cycles the synchronized schedule
   /// phase-locks out of.
   std::size_t max_escalations = 6;
-  SimEngine engine = SimEngine::kWorklist;
+  SimEngine engine = SimEngine::kEvent;
 };
 
 enum class TrialVerdict {

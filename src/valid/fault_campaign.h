@@ -89,7 +89,7 @@ struct FaultWorkload {
   std::uint64_t stall_threshold = 2000;
   /// Cycle the fault strikes / the drain begins.
   std::uint64_t transition_cycle = 64;
-  SimEngine engine = SimEngine::kWorklist;
+  SimEngine engine = SimEngine::kEvent;
 };
 
 /// Outcome of one fault trial. Every field except run_ms is a

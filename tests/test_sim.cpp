@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "deadlock/removal.h"
+#include "sim/transition.h"
 #include "test_helpers.h"
 #include "util/error.h"
 
@@ -147,14 +148,32 @@ TEST(SimTest, DeterministicAcrossRuns) {
   EXPECT_DOUBLE_EQ(r1.avg_packet_latency, r2.avg_packet_latency);
 }
 
+/// All three entry points reject a zero packet length, buffer depth or
+/// deadlock-check interval on both engines; the engine divides by the
+/// interval, so a zero must never reach it.
 TEST(SimTest, InvalidConfigThrows) {
   const auto d = LineDesign();
-  SimConfig cfg = QuickConfig();
-  cfg.traffic.packet_length = 0;
-  EXPECT_THROW(SimulateWorkload(d, cfg), InvalidModelError);
-  cfg = QuickConfig();
-  cfg.buffer_depth = 0;
-  EXPECT_THROW(SimulateWorkload(d, cfg), InvalidModelError);
+  const TrafficSchedule schedule(d, QuickConfig().traffic, 1000);
+  const std::pair<const char*, void (*)(SimConfig&)> zeroed[] = {
+      {"packet_length", [](SimConfig& c) { c.traffic.packet_length = 0; }},
+      {"buffer_depth", [](SimConfig& c) { c.buffer_depth = 0; }},
+      {"deadlock_check_interval",
+       [](SimConfig& c) { c.deadlock_check_interval = 0; }},
+  };
+  for (const SimEngine engine : AllEngines()) {
+    for (const auto& [field, zero] : zeroed) {
+      SCOPED_TRACE(EngineName(engine) + " " + field);
+      SimConfig cfg = QuickConfig();
+      cfg.engine = engine;
+      zero(cfg);
+      EXPECT_THROW(SimulateWorkload(d, cfg), InvalidModelError);
+      EXPECT_THROW(SimulateWorkload(d, cfg, schedule), InvalidModelError);
+      TransitionConfig transition;
+      transition.sim = cfg;
+      EXPECT_THROW(SimulateTransition(d, d.routes, {}, transition),
+                   InvalidModelError);
+    }
+  }
 }
 
 void ExpectSameResult(const SimResult& a, const SimResult& b) {
@@ -177,10 +196,10 @@ void ExpectSameResult(const SimResult& a, const SimResult& b) {
   }
 }
 
-/// The worklist engine must be bit-identical to the full-scan reference
-/// on every workload shape: clean runs, deadlocks, Bernoulli traffic,
-/// both arbitration orders.
-TEST(SimEngineTest, WorklistMatchesFullScanEverywhere) {
+/// The event engine must be bit-identical to the full-scan reference on
+/// every workload shape: clean runs, deadlocks, Bernoulli traffic, both
+/// arbitration orders.
+TEST(SimEngineTest, EventMatchesFullScanEverywhere) {
   std::vector<std::pair<std::string, NocDesign>> designs;
   designs.emplace_back("line", LineDesign());
   designs.emplace_back("ring4", testing::MakeRingDesign(4, 2));
@@ -215,7 +234,7 @@ TEST(SimEngineTest, WorklistMatchesFullScanEverywhere) {
       SimConfig cfg = configs[c];
       cfg.engine = SimEngine::kFullScan;
       const SimResult reference = SimulateWorkload(design, cfg);
-      cfg.engine = SimEngine::kWorklist;
+      cfg.engine = SimEngine::kEvent;
       const SimResult optimized = SimulateWorkload(design, cfg);
       SCOPED_TRACE(name + " config " + std::to_string(c));
       ExpectSameResult(reference, optimized);
@@ -263,8 +282,7 @@ TEST(SimEdgeCaseTest, ZeroFlowsTerminatesImmediately) {
   d.topology.AddLink(a, b);
   d.routes.Resize(0);
   d.Validate();
-  for (const SimEngine engine :
-       {SimEngine::kWorklist, SimEngine::kFullScan}) {
+  for (const SimEngine engine : AllEngines()) {
     SimConfig cfg = QuickConfig(5);
     cfg.engine = engine;
     const auto r = SimulateWorkload(d, cfg);

@@ -1,13 +1,12 @@
-// Three-way engine-equivalence suite: the discrete-event engine
-// (SimEngine::kEvent) must be bit-identical — full SimResult, per-flow
-// delivery counts, deadlock verdicts and the detected wait cycle, not
-// just aggregates — to both the worklist engine and the full-scan
-// reference, on every corpus design, traffic pattern and seed. Also
-// holds the EventQueue's deterministic tie-break to its contract with a
-// seeded insertion-order fuzz test, and drives the event engine through
-// the adversarial corners (zero flows, single-flit worms, saturated
-// injection, simultaneous same-cycle events, a cycle-0 deadlock).
-#include <algorithm>
+// Engine-equivalence suite: the event engine (SimEngine::kEvent) must be
+// bit-identical — full SimResult, per-flow delivery counts, deadlock
+// verdicts and the detected wait cycle, not just aggregates — to the
+// full-scan reference, on every corpus design, traffic pattern and
+// seed, including deadlock-check intervals and watchdogs off the
+// defaults, whose deadlines the idle-cycle jump must land on. Also
+// drives the event engine through the adversarial corners (zero flows,
+// single-flit worms, saturated injection, flows arming on the same
+// cycle, a cycle-0 deadlock).
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -16,11 +15,9 @@
 #include <gtest/gtest.h>
 
 #include "deadlock/removal.h"
-#include "sim/event_queue.h"
 #include "sim/simulator.h"
 #include "sim/transition.h"
 #include "test_helpers.h"
-#include "util/rng.h"
 #include "valid/campaign.h"
 
 namespace nocdr {
@@ -52,26 +49,24 @@ void ExpectIdentical(const SimResult& a, const SimResult& b) {
   }
 }
 
-/// Runs \p config on \p design under all three engines and asserts the
-/// results are pairwise identical (full-scan is the reference).
+/// Runs \p config on \p design under both engines and asserts the
+/// results are identical (full-scan is the reference).
 void ExpectEnginesAgree(const NocDesign& design, SimConfig config,
                         const std::string& context) {
   config.engine = SimEngine::kFullScan;
   const SimResult reference = SimulateWorkload(design, config);
-  for (const SimEngine engine :
-       {SimEngine::kWorklist, SimEngine::kEvent}) {
-    config.engine = engine;
-    const SimResult candidate = SimulateWorkload(design, config);
-    SCOPED_TRACE(context + " engine=" + EngineName(engine));
-    ExpectIdentical(reference, candidate);
-  }
+  config.engine = SimEngine::kEvent;
+  const SimResult candidate = SimulateWorkload(design, config);
+  SCOPED_TRACE(context);
+  ExpectIdentical(reference, candidate);
 }
 
 // ---------------------------------------------------------------------
 // Workload shapes. Deliberately spans the regimes where the engines'
 // bookkeeping diverges most: dense deadlock pressure, sparse Bernoulli
 // traffic with long idle gaps (the event engine's fast path),
-// injection-first arbitration, and single-slot buffers.
+// injection-first arbitration, single-slot buffers, and the jump's
+// deadlines at non-default deadlock-check intervals and watchdogs.
 // ---------------------------------------------------------------------
 
 std::vector<std::pair<std::string, SimConfig>> EngineConfigs() {
@@ -102,6 +97,32 @@ std::vector<std::pair<std::string, SimConfig>> EngineConfigs() {
   inject_first.max_cycles = 50000;
   inject_first.stall_threshold = 500;
   configs.emplace_back("inject_first", inject_first);
+
+  // After a cycle that moved nothing with flits in flight, the
+  // idle-cycle jump must stop at the next deadlock-check boundary and at
+  // the watchdog's expiry, whichever comes first. Single-slot buffers
+  // under 6-flit worms let a few of the untreated designs freeze between
+  // two boundaries. Interval 1 makes every such cycle a boundary;
+  // interval 7 puts the boundaries off the default's grid and ahead of
+  // the watchdog; interval 1000 leaves the watchdog to fire first.
+  SimConfig check_every_cycle;
+  check_every_cycle.traffic.mode = InjectionMode::kBernoulli;
+  check_every_cycle.traffic.reference_injection_rate = 0.02;
+  check_every_cycle.traffic.packet_length = 6;
+  check_every_cycle.buffer_depth = 1;
+  check_every_cycle.max_cycles = 1000;
+  check_every_cycle.stall_threshold = 40;
+  check_every_cycle.deadlock_check_interval = 1;
+  configs.emplace_back("check_every_cycle", check_every_cycle);
+
+  SimConfig check_every_7 = check_every_cycle;
+  check_every_7.deadlock_check_interval = 7;
+  check_every_7.inject_first = true;
+  configs.emplace_back("check_every_7_inject_first", check_every_7);
+
+  SimConfig watchdog_first = check_every_7;
+  watchdog_first.deadlock_check_interval = 1000;
+  configs.emplace_back("watchdog_first_inject_first", watchdog_first);
   return configs;
 }
 
@@ -112,7 +133,7 @@ std::vector<std::pair<std::string, SimConfig>> EngineConfigs() {
 // the adversarial half — torus/ring DOR designs really deadlock.
 // ---------------------------------------------------------------------
 
-TEST(SimEnginesTest, CorpusThreeWayEquivalence) {
+TEST(SimEnginesTest, CorpusEquivalence) {
   valid::DesignEnvelope envelope;
   envelope.min_cores = 12;
   envelope.max_cores = 30;
@@ -133,7 +154,7 @@ TEST(SimEnginesTest, CorpusThreeWayEquivalence) {
   }
 }
 
-TEST(SimEnginesTest, HandcraftedDesignsThreeWayEquivalence) {
+TEST(SimEnginesTest, HandcraftedDesignsEquivalence) {
   std::vector<std::pair<std::string, NocDesign>> designs;
   designs.emplace_back("paper", testing::MakePaperExample().design);
   designs.emplace_back("ring4", testing::MakeRingDesign(4, 2));
@@ -165,7 +186,7 @@ TEST(SimEnginesTest, EventEngineIsDeterministicAcrossRuns) {
 // ---------------------------------------------------------------------
 // Transitions: the event engine must track drain windows and mid-flight
 // kills cycle-for-cycle. Same detour scenario as tests/test_transition,
-// compared across all three engines on the full TransitionResult.
+// compared with the full-scan reference on the full TransitionResult.
 // ---------------------------------------------------------------------
 
 struct DetourFixture {
@@ -209,7 +230,7 @@ DetourFixture MakeDetourFixture() {
   return fx;
 }
 
-TEST(SimEnginesTest, TransitionThreeWayEquivalence) {
+TEST(SimEnginesTest, TransitionEquivalence) {
   const DetourFixture fx = MakeDetourFixture();
   for (const TransitionPolicy policy :
        {TransitionPolicy::kDrainAndRestart, TransitionPolicy::kMidFlight}) {
@@ -227,18 +248,14 @@ TEST(SimEnginesTest, TransitionThreeWayEquivalence) {
       config.sim.engine = SimEngine::kFullScan;
       const TransitionResult reference =
           SimulateTransition(fx.design, fx.pre_routes, fx.dead, config);
-      for (const SimEngine engine :
-           {SimEngine::kWorklist, SimEngine::kEvent}) {
-        config.sim.engine = engine;
-        const TransitionResult candidate =
-            SimulateTransition(fx.design, fx.pre_routes, fx.dead, config);
-        SCOPED_TRACE("policy=" + std::to_string(static_cast<int>(policy)) +
-                     " cycle=" + std::to_string(transition_cycle) +
-                     " engine=" + EngineName(engine));
-        ExpectIdentical(reference.sim, candidate.sim);
-        EXPECT_EQ(reference.packets_dropped, candidate.packets_dropped);
-        EXPECT_EQ(reference.drain_cycles, candidate.drain_cycles);
-      }
+      config.sim.engine = SimEngine::kEvent;
+      const TransitionResult candidate =
+          SimulateTransition(fx.design, fx.pre_routes, fx.dead, config);
+      SCOPED_TRACE("policy=" + std::to_string(static_cast<int>(policy)) +
+                   " cycle=" + std::to_string(transition_cycle));
+      ExpectIdentical(reference.sim, candidate.sim);
+      EXPECT_EQ(reference.packets_dropped, candidate.packets_dropped);
+      EXPECT_EQ(reference.drain_cycles, candidate.drain_cycles);
     }
   }
 }
@@ -265,8 +282,8 @@ TEST(SimEnginesEdgeTest, ZeroFlowDesignTerminatesImmediately) {
 
 TEST(SimEnginesEdgeTest, SingleFlitWorms) {
   // packet_length == 1: every head is its own tail, so channel ownership
-  // is claimed and released within one hop. Exercises the worm-completion
-  // wake on every single delivery.
+  // is claimed and released within one hop and every delivery completes
+  // a worm.
   const auto designs = {testing::MakeRingDesign(4, 2),
                         testing::MakeRandomDesign(11, 6, 10, 16)};
   std::size_t i = 0;
@@ -283,9 +300,9 @@ TEST(SimEnginesEdgeTest, SingleFlitWorms) {
 
 TEST(SimEnginesEdgeTest, FullySaturatedInjection) {
   // Bernoulli at probability 1.0: every flow offers a packet every
-  // cycle, so the event engine's idle-skip fast path never fires and it
-  // degenerates to the worklist engine plus heap overhead — results must
-  // still be identical, including any deadlock.
+  // cycle, so the event engine's idle-cycle jump never fires and every
+  // cycle runs the worklist step — results must still be identical,
+  // including any deadlock.
   for (const bool treated : {false, true}) {
     NocDesign d = testing::MakeRingDesign(6, 2);
     if (treated) {
@@ -304,12 +321,11 @@ TEST(SimEnginesEdgeTest, FullySaturatedInjection) {
   }
 }
 
-TEST(SimEnginesEdgeTest, SimultaneousSameCycleEventsTieBreak) {
+TEST(SimEnginesEdgeTest, FlowsArmingOnTheSameCycle) {
   // Eight flows, one shared link, every packet ready on cycle 0: eight
-  // kFlitInjection events with equal cycles land in the heap at once and
-  // only the (kind, id) tie-break orders them. The arbitration outcome —
-  // and therefore delivery order and per-flow latency — must match the
-  // cycle-accurate engines exactly, twice in a row.
+  // flows arm at once and only the rotating round-robin orders them.
+  // The arbitration outcome — and therefore delivery order and per-flow
+  // latency — must match the reference exactly, twice in a row.
   NocDesign d;
   const SwitchId a = d.topology.AddSwitch(), b = d.topology.AddSwitch();
   const LinkId ab = d.topology.AddLink(a, b);
@@ -377,111 +393,6 @@ TEST(SimEnginesEdgeTest, DeadlockOnCycleZero) {
   }
 }
 
-// ---------------------------------------------------------------------
-// EventQueue unit + fuzz coverage: the (cycle, kind, id) total order
-// makes the pop sequence a pure function of the event multiset. Shuffle
-// insertion orders under heavy key collisions and assert invariance.
-// ---------------------------------------------------------------------
-
-std::vector<SimEvent> DrainAll(EventQueue& queue) {
-  std::vector<SimEvent> popped;
-  while (!queue.Empty()) {
-    popped.push_back(queue.PopTop());
-  }
-  return popped;
-}
-
-TEST(EventQueueTest, PopsInTotalOrder) {
-  EventQueue queue;
-  queue.Push({5, EventKind::kCreditReturn, 0});
-  queue.Push({5, EventKind::kFlitInjection, 9});
-  queue.Push({5, EventKind::kFlitInjection, 2});
-  queue.Push({1, EventKind::kArbitrationWake, 0});
-  queue.Push({5, EventKind::kWormCompletion, 0});
-  const std::vector<SimEvent> expected = {
-      {1, EventKind::kArbitrationWake, 0},
-      {5, EventKind::kFlitInjection, 2},
-      {5, EventKind::kFlitInjection, 9},
-      {5, EventKind::kCreditReturn, 0},
-      {5, EventKind::kWormCompletion, 0},
-  };
-  EXPECT_EQ(DrainAll(queue), expected);
-}
-
-TEST(EventQueueTest, TopAndPopOnEmptyThrow) {
-  EventQueue queue;
-  EXPECT_THROW(static_cast<void>(queue.Top()), InvalidModelError);
-  EXPECT_THROW(queue.PopTop(), InvalidModelError);
-  queue.Push({1, EventKind::kFlitInjection, 0});
-  queue.Clear();
-  EXPECT_TRUE(queue.Empty());
-  EXPECT_THROW(queue.PopTop(), InvalidModelError);
-}
-
-TEST(EventQueueFuzzTest, PopSequenceIsInsertionOrderInvariant) {
-  // Small key ranges force many exact collisions (equal cycle AND kind,
-  // equal full keys): the regime where a broken tie-break would show.
-  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
-    Rng rng(seed);
-    std::vector<SimEvent> events;
-    const std::size_t count = 20 + rng.NextBelow(200);
-    for (std::size_t i = 0; i < count; ++i) {
-      events.push_back(
-          {rng.NextBelow(8),
-           static_cast<EventKind>(rng.NextBelow(4)),
-           static_cast<std::uint32_t>(rng.NextBelow(5))});
-    }
-    std::vector<SimEvent> expected = events;
-    std::sort(expected.begin(), expected.end(), EventBefore);
-
-    for (int shuffle = 0; shuffle < 4; ++shuffle) {
-      rng.Shuffle(events);
-      EventQueue queue;
-      for (const SimEvent& event : events) {
-        queue.Push(event);
-      }
-      SCOPED_TRACE("seed=" + std::to_string(seed) +
-                   " shuffle=" + std::to_string(shuffle));
-      EXPECT_EQ(DrainAll(queue), expected);
-    }
-  }
-}
-
-TEST(EventQueueFuzzTest, InterleavedPushPopMatchesReferenceExtraction) {
-  // Mixed push/pop traffic (the engine's actual usage pattern) against a
-  // naive min-extraction reference.
-  for (std::uint64_t seed = 100; seed < 120; ++seed) {
-    Rng rng(seed);
-    EventQueue queue;
-    std::vector<SimEvent> reference;
-    for (std::size_t op = 0; op < 400; ++op) {
-      if (reference.empty() || rng.NextBool(0.6)) {
-        const SimEvent event = {
-            rng.NextBelow(16),
-            static_cast<EventKind>(rng.NextBelow(4)),
-            static_cast<std::uint32_t>(rng.NextBelow(6))};
-        queue.Push(event);
-        reference.push_back(event);
-      } else {
-        const auto min_it =
-            std::min_element(reference.begin(), reference.end(),
-                             [](const SimEvent& a, const SimEvent& b) {
-                               return EventBefore(a, b);
-                             });
-        SCOPED_TRACE("seed=" + std::to_string(seed) +
-                     " op=" + std::to_string(op));
-        ASSERT_EQ(queue.Top(), *min_it);
-        ASSERT_EQ(queue.PopTop(), *min_it);
-        reference.erase(min_it);
-      }
-      ASSERT_EQ(queue.Size(), reference.size());
-    }
-    std::vector<SimEvent> expected = reference;
-    std::sort(expected.begin(), expected.end(), EventBefore);
-    EXPECT_EQ(DrainAll(queue), expected);
-  }
-}
-
 TEST(SimEnginesTest, EngineNamesRoundTrip) {
   for (const SimEngine engine : AllEngines()) {
     const auto parsed = ParseEngine(EngineName(engine));
@@ -489,7 +400,8 @@ TEST(SimEnginesTest, EngineNamesRoundTrip) {
     EXPECT_EQ(*parsed, engine);
   }
   EXPECT_FALSE(ParseEngine("quantum").has_value());
-  EXPECT_EQ(AllEngines().size(), 3u);
+  EXPECT_FALSE(ParseEngine("worklist").has_value());  // retired
+  EXPECT_EQ(AllEngines().size(), 2u);
   EXPECT_EQ(AllEngines().front(), SimEngine::kFullScan);
 }
 

@@ -116,13 +116,12 @@ TEST(CampaignTest, DigestIdenticalAcrossThreadCounts) {
 }
 
 TEST(CampaignTest, EngineDifferentialCampaignRunsClean) {
-  // The three-way engine matrix cross-checks every trial field-for-field
-  // across worklist / fullscan / event; with bit-identical engines the
-  // rows must match the plain primary-engine campaign exactly (same
-  // digest), with zero divergences, at any thread count.
+  // The engine matrix cross-checks every trial field-for-field, event
+  // against the fullscan reference; with bit-identical engines the rows
+  // must match the plain default-engine campaign exactly (same digest),
+  // with zero divergences, at any thread count.
   valid::CampaignConfig cfg = SmallCampaign();
-  cfg.engines = {SimEngine::kWorklist, SimEngine::kFullScan,
-                 SimEngine::kEvent};
+  cfg.engines = {SimEngine::kEvent, SimEngine::kFullScan};
   const auto differential = valid::RunCampaign(cfg);
   EXPECT_EQ(differential.mismatches, 0u);
   for (const auto& row : differential.rows) {
@@ -130,8 +129,7 @@ TEST(CampaignTest, EngineDifferentialCampaignRunsClean) {
         << row.mismatch;
   }
 
-  valid::CampaignConfig plain = SmallCampaign();
-  plain.workload.engine = SimEngine::kWorklist;
+  const valid::CampaignConfig plain = SmallCampaign();
   const auto single = valid::RunCampaign(plain);
   EXPECT_EQ(differential.digest, single.digest);
 
@@ -146,7 +144,7 @@ TEST(CampaignTest, RunTrialEnginesMatchesSingleEngineTrial) {
   workload.engine = SimEngine::kEvent;  // overridden by engines[0]
   const valid::TrialOutcome differential = valid::RunTrialEngines(
       ring, valid::TrialArm::kUntreated, workload,
-      {SimEngine::kFullScan, SimEngine::kWorklist, SimEngine::kEvent}, 9,
+      {SimEngine::kFullScan, SimEngine::kEvent}, 9,
       /*shrink=*/false);
   valid::WorkloadConfig primary = workload;
   primary.engine = SimEngine::kFullScan;
@@ -357,7 +355,9 @@ TEST(ReproTest, DumpReplayRoundTrip) {
 }
 
 TEST(ReproTest, EveryEngineRoundTrips) {
-  // A mismatch found on any engine must replay on that same engine.
+  // A mismatch found on any engine must replay on that same engine. A
+  // dump naming an unknown engine, including the retired "worklist",
+  // is rejected rather than replayed on some other engine.
   valid::Repro repro;
   repro.design = MakeApproachRingDesign(4, 0);
   for (const SimEngine engine : AllEngines()) {
@@ -367,11 +367,14 @@ TEST(ReproTest, EveryEngineRoundTrips) {
         << EngineName(engine);
 
     const std::string field = "\"engine\":\"" + EngineName(engine) + "\"";
-    std::string unknown = json;
-    const std::size_t at = unknown.find(field);
+    const std::size_t at = json.find(field);
     ASSERT_NE(at, std::string::npos) << json;
-    unknown.replace(at, field.size(), "\"engine\":\"warp\"");
-    EXPECT_THROW(valid::ReproFromJson(unknown), InvalidModelError);
+    for (const char* name : {"warp", "worklist"}) {
+      std::string unknown = json;
+      unknown.replace(at, field.size(),
+                      std::string("\"engine\":\"") + name + "\"");
+      EXPECT_THROW(valid::ReproFromJson(unknown), InvalidModelError) << name;
+    }
   }
 }
 
