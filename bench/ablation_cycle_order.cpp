@@ -43,7 +43,7 @@ int main() {
       cells.push_back(std::to_string(row.vcs_added));
       cells.push_back(std::to_string(row.iterations));
       total[a] += row.vcs_added;
-      json.AddRow(runner::RowToJson(row));
+      json.AddRow(RowToJson(row));
     }
     table.AddRow(cells);
   }

@@ -6,11 +6,12 @@
 // the quantities the paper plots: extra VCs, switch area, total power.
 #pragma once
 
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <functional>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -23,14 +24,22 @@
 #include "soc/benchmarks.h"
 #include "synth/synthesizer.h"
 #include "test_support_designs.h"
+#include "util/clock.h"
+#include "valid/campaign.h"
 
 namespace nocdr::bench {
 
-/// Milliseconds elapsed since \p start.
-inline double MillisSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - start)
-      .count();
+/// Splits "a,b,c" into {"a","b","c"}. Interior empty segments are kept
+/// ("a,,b" -> {"a","","b"}) so a mangled list fails the caller's name
+/// validation loudly instead of being silently narrowed.
+inline std::vector<std::string> SplitCsv(const std::string& csv) {
+  std::vector<std::string> out;
+  std::stringstream stream(csv);
+  std::string item;
+  while (std::getline(stream, item, ',')) {
+    out.push_back(item);
+  }
+  return out;
 }
 
 /// --check-determinism for the campaign benches: reruns the whole
@@ -63,41 +72,68 @@ bool DigestStableAcrossThreads(std::uint64_t digest, DigestAt digest_at) {
 class FlagParser {
  public:
   explicit FlagParser(std::string binary) : binary_(std::move(binary)) {}
+  // The registered setters call back into the parser that owns them.
+  FlagParser(const FlagParser&) = delete;
+  FlagParser& operator=(const FlagParser&) = delete;
 
   /// --flag N (non-negative integer). \p seen, when given, records
   /// whether the flag appeared at all (for flags whose presence matters
   /// beyond their value, e.g. --replay-seed).
   void AddUint64(const std::string& flag, std::uint64_t* target,
                  bool* seen = nullptr) {
-    specs_.push_back({flag, Kind::kUint64, target, seen});
+    Add(flag, "N", seen,
+        [=, this](const std::string& value) { *target = Number(flag, value); });
   }
   void AddSize(const std::string& flag, std::size_t* target,
                bool* seen = nullptr) {
-    specs_.push_back({flag, Kind::kSize, target, seen});
+    Add(flag, "N", seen, [=, this](const std::string& value) {
+      *target = static_cast<std::size_t>(Number(flag, value));
+    });
   }
 
   /// Valueless --flag; presence sets \p target to true.
   void AddSwitch(const std::string& flag, bool* target) {
-    specs_.push_back({flag, Kind::kSwitch, target, nullptr});
+    Add(flag, "", nullptr, [=](const std::string&) { *target = true; });
   }
 
   /// --flag VALUE (verbatim string).
   void AddString(const std::string& flag, std::string* target,
                  bool* seen = nullptr) {
-    specs_.push_back({flag, Kind::kString, target, seen});
+    Add(flag, "VALUE", seen,
+        [=](const std::string& value) { *target = value; });
+  }
+
+  /// --flag a,b,c: replaces *target with the items, each read by
+  /// \p parse; an item \p parse rejects, or an empty list, fails with a
+  /// message naming \p what ("design source", "arm", ...).
+  template <typename T>
+  void AddList(const std::string& flag, std::vector<T>* target,
+               std::optional<T> (*parse)(const std::string&),
+               const std::string& what) {
+    Add(flag, "VALUE", nullptr, [=, this](const std::string& csv) {
+      target->clear();
+      for (const std::string& name : SplitCsv(csv)) {
+        const std::optional<T> item = parse(name);
+        if (!item.has_value()) {
+          Fail("unknown " + what + " \"" + name + "\"");
+        }
+        target->push_back(*item);
+      }
+      if (target->empty()) {
+        Fail(flag + " needs at least one " + what);
+      }
+    });
   }
 
   /// Prints the derived usage line plus \p error and exits 2. Public so
-  /// call sites can reuse it for their own post-parse validation (list
-  /// flags, flag interdependencies).
+  /// call sites can reuse it for their own post-parse validation (flag
+  /// interdependencies).
   [[noreturn]] void Fail(const std::string& error) const {
     std::cerr << binary_ << ": " << error << "\nflags:";
     for (const Spec& spec : specs_) {
       std::cerr << " " << spec.flag;
-      if (spec.kind == Kind::kString) {
-        std::cerr << " VALUE";
-      } else if (spec.kind != Kind::kSwitch) {
-        std::cerr << " N";
+      if (!spec.metavar.empty()) {
+        std::cerr << " " << spec.metavar;
       }
     }
     std::cerr << "\n";
@@ -120,64 +156,56 @@ class FlagParser {
       if (match->seen != nullptr) {
         *match->seen = true;
       }
-      if (match->kind == Kind::kSwitch) {
-        *static_cast<bool*>(match->target) = true;
+      if (match->metavar.empty()) {
+        match->set("");
         continue;
       }
       if (i + 1 >= argc) {
         Fail(arg + " needs a value");
       }
-      const std::string value = argv[++i];
-      if (match->kind == Kind::kString) {
-        *static_cast<std::string*>(match->target) = value;
-        continue;
-      }
-      // Flag values are untrusted; std::stoull would call
-      // std::terminate on junk, so reject anything that is not a plain
-      // decimal number.
-      if (value.empty() ||
-          value.find_first_not_of("0123456789") != std::string::npos) {
-        Fail(arg + " needs a non-negative integer, got \"" + value + "\"");
-      }
-      std::uint64_t number = 0;
-      try {
-        number = std::stoull(value);
-      } catch (const std::out_of_range&) {
-        Fail(arg + " value \"" + value + "\" is out of range");
-      }
-      if (match->kind == Kind::kUint64) {
-        *static_cast<std::uint64_t*>(match->target) = number;
-      } else {
-        *static_cast<std::size_t*>(match->target) =
-            static_cast<std::size_t>(number);
-      }
+      match->set(argv[++i]);
     }
   }
 
  private:
-  enum class Kind { kUint64, kSize, kSwitch, kString };
   struct Spec {
     std::string flag;
-    Kind kind;
-    void* target;
+    /// Shown after the flag in the usage line; empty for a switch.
+    std::string metavar;
     bool* seen;
+    std::function<void(const std::string&)> set;
   };
+
+  void Add(const std::string& flag, const std::string& metavar, bool* seen,
+           std::function<void(const std::string&)> set) {
+    specs_.push_back({flag, metavar, seen, std::move(set)});
+  }
+
+  /// Flag values are untrusted; std::stoull would call std::terminate
+  /// on junk, so anything that is not a plain decimal number fails.
+  std::uint64_t Number(const std::string& flag,
+                       const std::string& value) const {
+    if (value.empty() ||
+        value.find_first_not_of("0123456789") != std::string::npos) {
+      Fail(flag + " needs a non-negative integer, got \"" + value + "\"");
+    }
+    try {
+      return std::stoull(value);
+    } catch (const std::out_of_range&) {
+      Fail(flag + " value \"" + value + "\" is out of range");
+    }
+  }
 
   std::string binary_;
   std::vector<Spec> specs_;
 };
 
-/// Splits "a,b,c" into {"a","b","c"}. Interior empty segments are kept
-/// ("a,,b" -> {"a","","b"}) so a mangled list fails the caller's name
-/// validation loudly instead of being silently narrowed.
-inline std::vector<std::string> SplitCsv(const std::string& csv) {
-  std::vector<std::string> out;
-  std::stringstream stream(csv);
-  std::string item;
-  while (std::getline(stream, item, ',')) {
-    out.push_back(item);
-  }
-  return out;
+/// The flags every campaign bench shares, on its campaign scope:
+/// --trials, --seed and --threads.
+inline void AddScopeFlags(FlagParser& flags, valid::CampaignScope& scope) {
+  flags.AddSize("--trials", &scope.trials);
+  flags.AddUint64("--seed", &scope.base_seed);
+  flags.AddSize("--threads", &scope.threads);
 }
 
 /// One arm of a removal-options ablation.

@@ -51,8 +51,6 @@ using namespace nocdr;
 
 namespace {
 
-using bench::MillisSince;
-
 struct Options {
   valid::FaultCampaignConfig campaign;
   bool perf = true;
@@ -67,14 +65,11 @@ struct Options {
 Options ParseOptions(int argc, char** argv) {
   Options opts;
   bench::FlagParser flags("bench_fault_reconfig");
-  std::string sources_csv;
-  bool sources_given = false;
   bool no_perf = false;
   bool replay_source_given = false;
-  flags.AddSize("--trials", &opts.campaign.trials);
-  flags.AddUint64("--seed", &opts.campaign.base_seed);
-  flags.AddSize("--threads", &opts.campaign.threads);
-  flags.AddString("--sources", &sources_csv, &sources_given);
+  bench::AddScopeFlags(flags, opts.campaign);
+  flags.AddList("--sources", &opts.campaign.sources, valid::ParseSource,
+                "design source");
   flags.AddSwitch("--emit-trials", &opts.emit_trials);
   flags.AddSwitch("--no-perf", &no_perf);
   flags.AddSwitch("--check-determinism", &opts.check_determinism);
@@ -90,19 +85,6 @@ Options ParseOptions(int argc, char** argv) {
   }
   if (replay_source_given && !opts.replay_seed_given) {
     flags.Fail("--replay-source needs --replay-seed");
-  }
-  if (sources_given) {
-    opts.campaign.sources.clear();
-    for (const std::string& name : bench::SplitCsv(sources_csv)) {
-      const auto source = valid::ParseSource(name);
-      if (!source.has_value()) {
-        flags.Fail("unknown design source \"" + name + "\"");
-      }
-      opts.campaign.sources.push_back(*source);
-    }
-    if (opts.campaign.sources.empty()) {
-      flags.Fail("--sources needs at least one source");
-    }
   }
   return opts;
 }
@@ -302,14 +284,17 @@ int main(int argc, char** argv) {
             << " trials, seed " << opts.campaign.base_seed << ", "
             << opts.campaign.sources.size() << " design sources ===\n\n";
   const auto t0 = std::chrono::steady_clock::now();
-  const valid::FaultCampaignResult result =
-      valid::RunFaultCampaign(opts.campaign);
+  const auto result = valid::RunFaultCampaign(opts.campaign);
   const double campaign_ms = MillisSince(t0);
+  const std::size_t reconfigured =
+      result.Count(valid::FaultVerdict::kReconfigured);
+  const std::size_t disconnected =
+      result.Count(valid::FaultVerdict::kDisconnected);
 
   BenchJsonWriter json("fault_reconfig");
   if (opts.emit_trials) {
     for (const valid::FaultTrialRow& row : result.rows) {
-      json.AddRow(valid::FaultRowToJson(row).Set("section", "trial"));
+      json.AddRow(RowToJson(row).Set("section", "trial"));
     }
   }
 
@@ -357,9 +342,9 @@ int main(int argc, char** argv) {
   table.Print(std::cout);
   std::cout << "\n"
             << result.rows.size() << " trials in "
-            << FormatDouble(campaign_ms, 1) << " ms: " << result.reconfigured
-            << " reconfigured, " << result.disconnected << " disconnected, "
-            << result.mismatches << " mismatches; digest " << std::hex
+            << FormatDouble(campaign_ms, 1) << " ms: " << reconfigured
+            << " reconfigured, " << disconnected << " disconnected, "
+            << result.Mismatches() << " mismatches; digest " << std::hex
             << result.digest << std::dec << "\n";
 
   // Replayable context for every mismatch.
@@ -375,7 +360,7 @@ int main(int argc, char** argv) {
     const std::string path =
         "fault_repro_trial" + std::to_string(row.trial_index) + ".json";
     std::ofstream out(path);
-    out << valid::FaultRowToJson(row).Dump() << "\n";
+    out << RowToJson(row).Dump() << "\n";
     std::cout << "  row dumped to " << path << "\n";
   }
 
@@ -400,9 +385,9 @@ int main(int argc, char** argv) {
                   .Set("trials", result.rows.size())
                   .Set("base_seed", opts.campaign.base_seed)
                   .Set("sources", opts.campaign.sources.size())
-                  .Set("reconfigured", result.reconfigured)
-                  .Set("disconnected", result.disconnected)
-                  .Set("mismatches", result.mismatches)
+                  .Set("reconfigured", reconfigured)
+                  .Set("disconnected", disconnected)
+                  .Set("mismatches", result.Mismatches())
                   .Set("digest", result.digest)
                   .Set("deterministic", deterministic)
                   .Set("campaign_ms", campaign_ms)
@@ -413,5 +398,5 @@ int main(int argc, char** argv) {
   }
   const bool perf_failed =
       opts.perf && (perf_mismatch || largest_speedup <= 1.0);
-  return (result.mismatches != 0 || !deterministic || perf_failed) ? 1 : 0;
+  return (result.Mismatches() != 0 || !deterministic || perf_failed) ? 1 : 0;
 }

@@ -26,8 +26,6 @@ using namespace nocdr;
 
 namespace {
 
-using bench::MillisSince;
-
 struct TimedRun {
   double best_ms = 0.0;
   RemovalReport report;
@@ -157,8 +155,8 @@ int main() {
   const auto parallel = runner::SweepRunner({.threads = 0}).Run(jobs);
   const double parallel_ms = MillisSince(t0);
 
-  const std::uint64_t serial_digest = runner::Digest(serial);
-  const std::uint64_t parallel_digest = runner::Digest(parallel);
+  const std::uint64_t serial_digest = Digest(serial);
+  const std::uint64_t parallel_digest = Digest(parallel);
   const bool deterministic = serial_digest == parallel_digest;
   std::cout << jobs.size() << " jobs: 1 thread " << FormatDouble(serial_ms, 1)
             << " ms, all threads " << FormatDouble(parallel_ms, 1)

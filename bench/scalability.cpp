@@ -73,7 +73,7 @@ int main() {
                   << " left a cycle\n";
         return 1;
       }
-      json.AddRow(runner::RowToJson(*row));
+      json.AddRow(RowToJson(*row));
     }
     if (inc.vcs_added != reb.vcs_added ||
         inc.iterations != reb.iterations) {
@@ -156,7 +156,7 @@ int main() {
                   << " left a cycle\n";
         return 1;
       }
-      json.AddRow(runner::RowToJson(*row));
+      json.AddRow(RowToJson(*row));
     }
     if (inc.vcs_added != reb.vcs_added || inc.iterations != reb.iterations) {
       std::cout << "BUG: engines disagree on " << inc.design << "\n";

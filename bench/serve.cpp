@@ -61,8 +61,6 @@ using namespace nocdr;
 
 namespace {
 
-using bench::MillisSince;
-
 struct Options {
   std::size_t requests = 600;
   std::size_t designs = 20;

@@ -70,7 +70,6 @@ using namespace nocdr;
 
 namespace {
 
-using bench::MillisSince;
 using serve::load::ArrivalConfig;
 using serve::load::ArrivalKind;
 using serve::load::OpenLoopOutcome;

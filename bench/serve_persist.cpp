@@ -73,8 +73,6 @@ using namespace nocdr;
 
 namespace {
 
-using bench::MillisSince;
-
 struct Options {
   std::size_t requests = 400;
   std::size_t designs = 16;

@@ -22,7 +22,8 @@
 //
 // Flags:
 //   --trials N           campaign trials (default 500)
-//   --seed S             base seed (default 1)
+//   --seed S             base seed of the campaign and the ladder's
+//                        fault plans (default 1)
 //   --threads T          campaign worker threads, 0 = hardware
 //   --bursts K           fault bursts per perf round (default 10)
 //   --rounds R           perf rounds per rung (default 3)
@@ -57,12 +58,8 @@ using namespace nocdr;
 
 namespace {
 
-using bench::MillisSince;
-
 struct Options {
-  std::size_t trials = 500;
-  std::uint64_t seed = 1;
-  std::size_t threads = 0;
+  valid::SessionCampaignConfig campaign;
   std::size_t bursts = 10;
   std::size_t rounds = 3;
   bool perf = true;
@@ -73,16 +70,14 @@ Options ParseOptions(int argc, char** argv) {
   Options opts;
   bench::FlagParser flags("bench_serve_sessions");
   bool no_perf = false;
-  flags.AddSize("--trials", &opts.trials);
-  flags.AddUint64("--seed", &opts.seed);
-  flags.AddSize("--threads", &opts.threads);
+  bench::AddScopeFlags(flags, opts.campaign);
   flags.AddSize("--bursts", &opts.bursts);
   flags.AddSize("--rounds", &opts.rounds);
   flags.AddSwitch("--no-perf", &no_perf);
   flags.AddSwitch("--check-determinism", &opts.check_determinism);
   flags.Parse(argc, argv);
   opts.perf = !no_perf;
-  if (opts.trials == 0 || opts.bursts == 0 || opts.rounds == 0) {
+  if (opts.campaign.trials == 0 || opts.bursts == 0 || opts.rounds == 0) {
     flags.Fail("--trials, --bursts and --rounds must be positive");
   }
   return opts;
@@ -98,50 +93,6 @@ fault::FaultPlanOptions PerfPlan(std::size_t bursts) {
   plan.switch_fault_probability = 0.15;
   plan.disconnect_tolerance = 0.0;
   return plan;
-}
-
-/// The plan's events, named by switch names — the only form a protocol
-/// client can stream them in. Unnamed events are dropped from both
-/// passes.
-std::vector<std::vector<serve::SessionEventSpec>> NamePlan(
-    const NocDesign& design, const fault::FaultPlan& plan,
-    std::vector<fault::FaultBurst>& kept) {
-  std::vector<std::vector<serve::SessionEventSpec>> specs;
-  for (const fault::FaultBurst& burst : plan.bursts) {
-    std::vector<serve::SessionEventSpec> burst_specs;
-    fault::FaultBurst burst_kept;
-    for (const fault::FaultEvent& event : burst) {
-      if (event.kind == fault::FaultKind::kSwitch) {
-        const std::string& name =
-            design.topology.SwitchName(event.switch_id);
-        if (name.empty()) {
-          continue;
-        }
-        serve::SessionEventSpec spec;
-        spec.kind = fault::FaultKind::kSwitch;
-        spec.switch_name = name;
-        burst_specs.push_back(spec);
-      } else {
-        const Link& link = design.topology.LinkAt(event.link);
-        const std::string& src = design.topology.SwitchName(link.src);
-        const std::string& dst = design.topology.SwitchName(link.dst);
-        if (src.empty() || dst.empty()) {
-          continue;
-        }
-        serve::SessionEventSpec spec;
-        spec.kind = fault::FaultKind::kLink;
-        spec.src = src;
-        spec.dst = dst;
-        burst_specs.push_back(spec);
-      }
-      burst_kept.push_back(event);
-    }
-    if (!burst_specs.empty()) {
-      specs.push_back(std::move(burst_specs));
-      kept.push_back(std::move(burst_kept));
-    }
-  }
-  return specs;
 }
 
 struct RungOutcome {
@@ -201,11 +152,21 @@ RungOutcome RunRung(const gen::GeneratorSpec& spec, const Options& opts,
     // A fresh plan per round, so the stateless pass never gets a
     // cache hit on a design it already re-submitted last round.
     const fault::FaultPlan plan = fault::DrawFaultPlan(
-        replica, runner::JobSeed(opts.seed, 0xbe57 + round),
+        replica, runner::JobSeed(opts.campaign.base_seed, 0xbe57 + round),
         PerfPlan(opts.bursts));
+    // Named the only way a protocol client can stream them; a burst
+    // with no nameable event is left out of both passes.
     std::vector<fault::FaultBurst> bursts;
-    const std::vector<std::vector<serve::SessionEventSpec>> specs =
-        NamePlan(replica, plan, bursts);
+    std::vector<std::vector<serve::SessionEventSpec>> specs;
+    std::size_t unnamed = 0;
+    for (const fault::FaultBurst& drawn : plan.bursts) {
+      std::vector<serve::SessionEventSpec> named;
+      fault::FaultBurst kept = valid::NameBurst(replica, drawn, named, unnamed);
+      if (!named.empty()) {
+        bursts.push_back(std::move(kept));
+        specs.push_back(std::move(named));
+      }
+    }
 
     // ---- streamed pass: one fault_burst message per burst ----
     std::string session_certificate;
@@ -302,17 +263,16 @@ int main(int argc, char** argv) {
   BenchJsonWriter json("serve_sessions");
 
   // ---- differential session campaign ----
-  valid::SessionCampaignConfig config;
-  config.trials = opts.trials;
-  config.base_seed = opts.seed;
-  config.threads = opts.threads;
+  const valid::SessionCampaignConfig& config = opts.campaign;
   std::cout << "=== streaming-session campaign: " << config.trials
-            << " trials (5 sources), seed " << config.base_seed
-            << " ===\n\n";
+            << " trials (" << config.sources.size() << " sources), seed "
+            << config.base_seed << " ===\n\n";
   const auto t_campaign = std::chrono::steady_clock::now();
-  const valid::SessionCampaignResult campaign =
-      valid::RunSessionCampaign(config);
+  const auto campaign = valid::RunSessionCampaign(config);
   const double campaign_ms = MillisSince(t_campaign);
+  const std::size_t streamed = campaign.Count(valid::SessionVerdict::kStreamed);
+  const std::size_t disconnected =
+      campaign.Count(valid::SessionVerdict::kDisconnected);
 
   std::size_t events_unnamed = 0;
   std::size_t epochs = 0;
@@ -325,22 +285,22 @@ int main(int argc, char** argv) {
                 << "): " << row.mismatch << "\n";
     }
   }
-  std::cout << campaign.streamed << " streamed / " << campaign.disconnected
-            << " disconnected / " << campaign.mismatches << " mismatches; "
-            << epochs << " epochs advanced, " << events_unnamed
+  std::cout << streamed << " streamed / " << disconnected << " disconnected / "
+            << campaign.Mismatches() << " mismatches; " << epochs
+            << " epochs advanced, " << events_unnamed
             << " events unnamed; digest " << std::hex << campaign.digest
             << std::dec << " (" << FormatDouble(campaign_ms, 0) << " ms)\n";
   json.AddRow(JsonObject()
                   .Set("section", "session_campaign")
                   .Set("trials", campaign.rows.size())
-                  .Set("streamed", campaign.streamed)
-                  .Set("disconnected", campaign.disconnected)
-                  .Set("mismatches", campaign.mismatches)
+                  .Set("streamed", streamed)
+                  .Set("disconnected", disconnected)
+                  .Set("mismatches", campaign.Mismatches())
                   .Set("epochs", epochs)
                   .Set("events_unnamed", events_unnamed)
                   .Set("digest", campaign.digest)
                   .Set("campaign_ms", campaign_ms));
-  failed = failed || campaign.mismatches != 0;
+  failed = failed || campaign.Mismatches() != 0;
 
   // ---- thread-count determinism of the campaign digest ----
   if (opts.check_determinism) {

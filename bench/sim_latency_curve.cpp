@@ -45,8 +45,6 @@ using namespace nocdr;
 
 namespace {
 
-using bench::MillisSince;
-
 /// Part 2's in-binary floor on the event engine's speedup over the full
 /// scan; see the header for why it is not lower.
 constexpr double kMinSpeedupVsFullScan = 3000.0;

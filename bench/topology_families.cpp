@@ -40,8 +40,6 @@ using namespace nocdr;
 
 namespace {
 
-using bench::MillisSince;
-
 struct FamilyPoint {
   gen::GeneratorSpec spec;
   std::string size_label;

@@ -54,8 +54,6 @@ using namespace nocdr;
 
 namespace {
 
-using bench::MillisSince;
-
 struct Options {
   valid::CampaignConfig campaign;
   bool perf = true;
@@ -66,20 +64,13 @@ struct Options {
 Options ParseOptions(int argc, char** argv) {
   Options opts;
   bench::FlagParser flags("bench_validation_campaign");
-  std::string arms_csv;
-  std::string sources_csv;
-  std::string engines_csv;
-  bool arms_given = false;
-  bool sources_given = false;
-  bool engines_given = false;
   bool no_shrink = false;
   bool no_perf = false;
-  flags.AddSize("--trials", &opts.campaign.trials);
-  flags.AddUint64("--seed", &opts.campaign.base_seed);
-  flags.AddSize("--threads", &opts.campaign.threads);
-  flags.AddString("--arms", &arms_csv, &arms_given);
-  flags.AddString("--sources", &sources_csv, &sources_given);
-  flags.AddString("--engines", &engines_csv, &engines_given);
+  bench::AddScopeFlags(flags, opts.campaign);
+  flags.AddList("--arms", &opts.campaign.arms, valid::ParseArm, "arm");
+  flags.AddList("--sources", &opts.campaign.sources, valid::ParseSource,
+                "design source");
+  flags.AddList("--engines", &opts.campaign.engines, ParseEngine, "engine");
   flags.AddSwitch("--no-shrink", &no_shrink);
   flags.AddSwitch("--no-perf", &no_perf);
   flags.AddSwitch("--check-determinism", &opts.check_determinism);
@@ -87,44 +78,6 @@ Options ParseOptions(int argc, char** argv) {
   flags.Parse(argc, argv);
   opts.campaign.shrink = !no_shrink;
   opts.perf = !no_perf;
-  if (arms_given) {
-    opts.campaign.arms.clear();
-    for (const std::string& name : bench::SplitCsv(arms_csv)) {
-      const auto arm = valid::ParseArm(name);
-      if (!arm.has_value()) {
-        flags.Fail("unknown arm \"" + name + "\"");
-      }
-      opts.campaign.arms.push_back(*arm);
-    }
-    if (opts.campaign.arms.empty()) {
-      flags.Fail("--arms needs at least one arm");
-    }
-  }
-  if (sources_given) {
-    opts.campaign.sources.clear();
-    for (const std::string& name : bench::SplitCsv(sources_csv)) {
-      const auto source = valid::ParseSource(name);
-      if (!source.has_value()) {
-        flags.Fail("unknown design source \"" + name + "\"");
-      }
-      opts.campaign.sources.push_back(*source);
-    }
-    if (opts.campaign.sources.empty()) {
-      flags.Fail("--sources needs at least one source");
-    }
-  }
-  if (engines_given) {
-    for (const std::string& name : bench::SplitCsv(engines_csv)) {
-      const auto engine = ParseEngine(name);
-      if (!engine.has_value()) {
-        flags.Fail("unknown engine \"" + name + "\"");
-      }
-      opts.campaign.engines.push_back(*engine);
-    }
-    if (opts.campaign.engines.empty()) {
-      flags.Fail("--engines needs at least one engine");
-    }
-  }
   return opts;
 }
 
@@ -270,12 +223,18 @@ int main(int argc, char** argv) {
   }
   std::cout << " ===\n\n";
   const auto t0 = std::chrono::steady_clock::now();
-  const valid::CampaignResult result = valid::RunCampaign(opts.campaign);
+  const auto result = valid::RunCampaign(opts.campaign);
   const double campaign_ms = MillisSince(t0);
+  const std::size_t positives =
+      result.Count(valid::TrialVerdict::kPositiveDelivered);
+  const std::size_t detonations =
+      result.Count(valid::TrialVerdict::kNegativeDetonated);
+  const std::size_t infeasibles =
+      result.Count(valid::TrialVerdict::kArmInfeasible);
 
   BenchJsonWriter json("validation_campaign");
   for (const valid::TrialRow& row : result.rows) {
-    json.AddRow(valid::RowToJson(row).Set("section", "trial"));
+    json.AddRow(RowToJson(row).Set("section", "trial"));
   }
 
   // Per-arm and per-source aggregates.
@@ -346,17 +305,20 @@ int main(int argc, char** argv) {
     return valid::SourceName(row.source);
   });
   std::cout << result.rows.size() << " trials in "
-            << FormatDouble(campaign_ms, 1) << " ms: " << result.positives
-            << " positive, " << result.detonations << " detonated, "
-            << result.infeasibles << " infeasible, " << result.mismatches
-            << " mismatches; digest " << std::hex << result.digest
-            << std::dec << "\n";
+            << FormatDouble(campaign_ms, 1) << " ms: " << positives
+            << " positive, " << detonations << " detonated, " << infeasibles
+            << " infeasible, " << result.Mismatches() << " mismatches; digest "
+            << std::hex << result.digest << std::dec << "\n";
 
   // Replayable repro dumps for every mismatch.
-  for (const auto& [trial, repro_json] : result.repros) {
-    const std::string path = "repro_trial" + std::to_string(trial) + ".json";
+  for (const valid::TrialRow& row : result.rows) {
+    if (row.repro_json.empty()) {
+      continue;
+    }
+    const std::string path =
+        "repro_trial" + std::to_string(row.trial_index) + ".json";
     std::ofstream out(path);
-    out << repro_json << "\n";
+    out << row.repro_json << "\n";
     std::cout << "mismatch repro written to " << path << "\n";
   }
   for (const valid::TrialRow& row : result.rows) {
@@ -388,10 +350,10 @@ int main(int argc, char** argv) {
                   .Set("base_seed", opts.campaign.base_seed)
                   .Set("arms", opts.campaign.arms.size())
                   .Set("sources", opts.campaign.sources.size())
-                  .Set("positives", result.positives)
-                  .Set("detonations", result.detonations)
-                  .Set("infeasibles", result.infeasibles)
-                  .Set("mismatches", result.mismatches)
+                  .Set("positives", positives)
+                  .Set("detonations", detonations)
+                  .Set("infeasibles", infeasibles)
+                  .Set("mismatches", result.Mismatches())
                   .Set("digest", result.digest)
                   .Set("deterministic", deterministic)
                   .Set("campaign_ms", campaign_ms)
@@ -400,5 +362,5 @@ int main(int argc, char** argv) {
   if (!path.empty()) {
     std::cout << "rows written to " << path << "\n";
   }
-  return (result.mismatches != 0 || !deterministic) ? 1 : 0;
+  return (result.Mismatches() != 0 || !deterministic) ? 1 : 0;
 }

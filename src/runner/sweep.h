@@ -21,8 +21,8 @@
 
 #include "deadlock/removal.h"
 #include "noc/design.h"
-#include "util/json.h"
 #include "util/rng.h"
+#include "util/row_fields.h"
 
 namespace nocdr::runner {
 
@@ -72,6 +72,30 @@ struct SweepRow {
   // Wall-clock (excluded from Digest and from determinism guarantees).
   double factory_ms = 0.0;
   double run_ms = 0.0;
+
+  /// The fields in digest order (util/row_fields.h).
+  static constexpr auto Fields() {
+    using R = SweepRow;
+    return std::tuple{
+        RowField{"job", &R::job_index},
+        RowField{"design", &R::design},
+        RowField{"variant", &R::variant},
+        RowField{"seed", &R::seed},
+        RowField{"switches", &R::switches},
+        RowField{"links", &R::links},
+        RowField{"flows", &R::flows},
+        RowField{"channels", &R::channels},
+        RowField{"initially_deadlock_free", &R::initially_deadlock_free},
+        RowField{"iterations", &R::iterations},
+        RowField{"vcs_added", &R::vcs_added},
+        RowField{"flows_rerouted", &R::flows_rerouted},
+        RowField{"cycle_bfs_runs", &R::cycle_bfs_runs},
+        RowField{"deadlock_free", &R::deadlock_free},
+        OnFailure(RowField{"error", &R::error}),
+        RowField{"factory_ms", &R::factory_ms},
+        RowField{"run_ms", &R::run_ms},
+    };
+  }
 };
 
 struct SweepConfig {
@@ -84,12 +108,6 @@ struct SweepConfig {
 /// Seed of job \p job_index under \p base_seed (SplitMix64-style mix;
 /// public so tests and harnesses can reproduce single jobs).
 std::uint64_t JobSeed(std::uint64_t base_seed, std::size_t job_index);
-
-/// FNV-1a digest over the deterministic fields of \p rows, in row order.
-std::uint64_t Digest(const std::vector<SweepRow>& rows);
-
-/// Renders \p row as a flat JSON object for BENCH_*.json emission.
-JsonObject RowToJson(const SweepRow& row);
 
 /// Executes job batches on an internal thread pool.
 class SweepRunner {

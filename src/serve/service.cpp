@@ -11,6 +11,7 @@
 #include "runner/parallel_map.h"
 #include "serve/protocol.h"
 #include "util/canonical.h"
+#include "util/clock.h"
 #include "util/digest.h"
 #include "util/error.h"
 
@@ -18,20 +19,12 @@ namespace nocdr::serve {
 
 namespace {
 
-double MillisSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - start)
-      .count();
-}
-
-// Serve sections are timed into histograms only — no spans: they sit
-// on schedule-dependent paths (a repeat may hit the memo or coalesce
-// depending on interleaving), and request traces must stay
-// byte-deterministic.
-using TimedSection = obs::ScopedHistogramTimer;
-
 /// The serve-layer instruments, registered once (references stay valid
-/// for the process lifetime; see obs/metrics.h).
+/// for the process lifetime; see obs/metrics.h). Serve sections are
+/// timed into these histograms only — no spans: they sit on
+/// schedule-dependent paths (a repeat may hit the memo or coalesce
+/// depending on interleaving), and request traces must stay
+/// byte-deterministic.
 struct ServeInstruments {
   obs::Histogram& request_us = obs::Metrics().GetHistogram("serve.request_us");
   obs::Histogram& hit_us = obs::Metrics().GetHistogram("serve.hit_us");
@@ -416,7 +409,7 @@ CertResponse CertificationService::ServeInner(const CertRequest& request) {
 
   NocDesign design;
   try {
-    TimedSection timer(Instruments().materialize_us);
+    obs::ScopedHistogramTimer timer(Instruments().materialize_us);
     design = MaterializeDesign(request, config_.envelope);
   } catch (const std::exception& e) {
     std::lock_guard<std::mutex> lock(stats_mutex_);
@@ -438,7 +431,7 @@ CertResponse CertificationService::ServeMaterialized(
 
   CanonicalDesign canonical;
   try {
-    TimedSection timer(Instruments().canonicalize_us);
+    obs::ScopedHistogramTimer timer(Instruments().canonicalize_us);
     canonical = CanonicalizeDesign(design);
   } catch (const std::exception& e) {
     std::lock_guard<std::mutex> lock(stats_mutex_);
@@ -481,7 +474,7 @@ CertResponse CertificationService::ServeMaterialized(
   // Fast path: a sharded, counted lookup with no global serialization.
   decltype(cache_.Lookup(response.key, key_text)) lookup_hit;
   {
-    TimedSection timer(Instruments().cache_lookup_us);
+    obs::ScopedHistogramTimer timer(Instruments().cache_lookup_us);
     lookup_hit = cache_.Lookup(response.key, key_text);
   }
   if (lookup_hit) {
@@ -563,7 +556,7 @@ CertResponse CertificationService::ServeMaterialized(
       const bool leader =
           outcome.kind == RequestCoalescer::Outcome::Kind::kLeader;
       try {
-        TimedSection timer(Instruments().coalesce_wait_us);
+        obs::ScopedHistogramTimer timer(Instruments().coalesce_wait_us);
         const CachedCertification value = outcome.future.get();
         FillPayload(response, value, request);
         response.cache_outcome =

@@ -1,10 +1,12 @@
-// FNV-1a field digesting shared by the deterministic batch engines.
+// FNV-1a field digesting shared by every deterministic digest.
 //
-// SweepRunner and the validation campaign both summarize their rows as
-// one 64-bit digest so "byte-identical across thread counts" is a
-// single comparison. Both must keep using the same primitive — a drift
-// between two private copies would silently change one digest format —
-// so the helpers live here.
+// SweepRunner and the three validation campaigns summarize their rows
+// as one 64-bit digest so "byte-identical across thread counts" is a
+// single comparison; they hash each row through its field list
+// (util/row_fields.h), which calls DigestField once per field. The serve
+// layer's response and cache-key digests and the perfbench workloads use
+// the same primitive. A drift between private copies would silently
+// change a digest format, so the helpers live here.
 #pragma once
 
 #include <cstdint>

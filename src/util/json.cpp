@@ -45,8 +45,29 @@ std::string JsonEscape(const std::string& raw) {
   return out;
 }
 
+std::string JsonText(bool value) { return value ? "true" : "false"; }
+
+std::string JsonText(double value) {
+  if (!std::isfinite(value)) {
+    // JSON has no Inf/NaN; null is the conventional stand-in.
+    return "null";
+  }
+  // Shortest round-trip representation; deterministic for a given value.
+  char buf[32];
+  const auto result = std::to_chars(buf, buf + sizeof(buf), value);
+  return std::string(buf, result.ptr);
+}
+
+std::string JsonText(std::uint64_t value) { return std::to_string(value); }
+
+std::string JsonText(std::int64_t value) { return std::to_string(value); }
+
+std::string JsonText(const std::string& value) {
+  return "\"" + JsonEscape(value) + "\"";
+}
+
 JsonObject& JsonObject::Set(const std::string& key, const std::string& value) {
-  fields_.emplace_back(key, "\"" + JsonEscape(value) + "\"");
+  fields_.emplace_back(key, JsonText(value));
   return *this;
 }
 
@@ -61,30 +82,22 @@ JsonObject& JsonObject::SetRaw(const std::string& key,
 }
 
 JsonObject& JsonObject::Set(const std::string& key, bool value) {
-  fields_.emplace_back(key, value ? "true" : "false");
+  fields_.emplace_back(key, JsonText(value));
   return *this;
 }
 
 JsonObject& JsonObject::Set(const std::string& key, double value) {
-  if (!std::isfinite(value)) {
-    // JSON has no Inf/NaN; null is the conventional stand-in.
-    fields_.emplace_back(key, "null");
-    return *this;
-  }
-  // Shortest round-trip representation; deterministic for a given value.
-  char buf[32];
-  const auto result = std::to_chars(buf, buf + sizeof(buf), value);
-  fields_.emplace_back(key, std::string(buf, result.ptr));
+  fields_.emplace_back(key, JsonText(value));
   return *this;
 }
 
 JsonObject& JsonObject::Set(const std::string& key, std::uint64_t value) {
-  fields_.emplace_back(key, std::to_string(value));
+  fields_.emplace_back(key, JsonText(value));
   return *this;
 }
 
 JsonObject& JsonObject::Set(const std::string& key, std::int64_t value) {
-  fields_.emplace_back(key, std::to_string(value));
+  fields_.emplace_back(key, JsonText(value));
   return *this;
 }
 

@@ -24,6 +24,14 @@ namespace nocdr {
 /// Escapes \p raw for use inside a JSON string literal (quotes excluded).
 std::string JsonEscape(const std::string& raw);
 
+/// JSON text of one scalar, exactly as JsonObject::Set writes it: true,
+/// 42, 1.5 (a non-finite double as null), "quoted and escaped".
+std::string JsonText(bool value);
+std::string JsonText(double value);
+std::string JsonText(std::uint64_t value);
+std::string JsonText(std::int64_t value);
+std::string JsonText(const std::string& value);
+
 /// One flat JSON object; keys keep insertion order.
 class JsonObject {
  public:

@@ -20,10 +20,15 @@
 //     verdict.
 //
 // Any disagreement is shrunk by a deterministic minimizer (valid/shrink)
-// and dumped as a replayable JSON repro (valid/repro). Trials are pure
-// functions of (base_seed, trial index), so campaign results are
-// byte-identical for any thread count — Digest() makes that checkable in
-// one comparison, exactly like runner::SweepRunner.
+// and dumped as a replayable JSON repro (valid/repro).
+//
+// This header also holds what the three campaigns (this one,
+// valid/fault_campaign and valid/session_campaign) share: the design
+// sources, the size envelope, and RunTrials, the one harness that maps
+// trial i to its (source, seed, arm), fans the trials over the thread
+// pool and digests the rows. Trials are pure functions of (base_seed,
+// trial index), so campaign results are byte-identical for any thread
+// count — the digest makes that checkable in one comparison.
 #pragma once
 
 #include <cstdint>
@@ -32,9 +37,12 @@
 #include <vector>
 
 #include "noc/design.h"
+#include "runner/parallel_map.h"
+#include "runner/sweep.h"
 #include "sim/simulator.h"
 #include "synth/route_builder.h"
-#include "util/json.h"
+#include "util/error.h"
+#include "util/row_fields.h"
 
 namespace nocdr::valid {
 
@@ -115,6 +123,77 @@ NocDesign GenerateTrialDesign(DesignSource source, std::uint64_t seed,
                               const DesignEnvelope& envelope,
                               NextHopTable* table_out);
 
+/// What every campaign config shares: how many trials, from which seed,
+/// on how many threads, over which design sources and sizes.
+struct CampaignScope {
+  /// 500 for the fault and session campaigns; CampaignConfig makes it
+  /// 400.
+  std::size_t trials = 500;
+  std::uint64_t base_seed = 1;
+  /// Worker threads; 0 means hardware concurrency. The digest is the
+  /// same for any value.
+  std::size_t threads = 0;
+  std::vector<DesignSource> sources = AllSources();
+  DesignEnvelope envelope;
+};
+
+/// Where trial \p index runs: design d = index / arms draws source
+/// sources[d % sources.size()] with seed runner::JobSeed(base_seed, d),
+/// and the trial applies arm index % arms. Consecutive trials therefore
+/// share a design, one per arm.
+struct TrialSpec {
+  std::size_t index = 0;
+  DesignSource source = DesignSource::kSynthesized;
+  std::uint64_t seed = 0;
+  std::size_t arm = 0;
+};
+
+/// A campaign's rows in trial order, and their digest.
+template <typename Row>
+struct CampaignResult {
+  std::vector<Row> rows;
+  /// Digest(rows) (util/row_fields.h); byte-identical for any thread
+  /// count.
+  std::uint64_t digest = 0;
+
+  /// Rows whose verdict is \p verdict.
+  [[nodiscard]] std::size_t Count(decltype(Row::verdict) verdict) const {
+    std::size_t count = 0;
+    for (const Row& row : rows) {
+      count += row.verdict == verdict;
+    }
+    return count;
+  }
+  [[nodiscard]] std::size_t Mismatches() const {
+    return Count(decltype(Row::verdict)::kMismatch);
+  }
+};
+
+/// The one campaign harness: runs \p trial on the TrialSpec of every
+/// trial index below scope.trials, over a private thread pool, stamps
+/// each row's trial_index and digests the rows. \p trial must not throw;
+/// it turns a failure into a mismatch row.
+template <typename Row, typename Trial>
+CampaignResult<Row> RunTrials(const CampaignScope& scope, std::size_t arms,
+                              Trial&& trial) {
+  Require(arms > 0 && !scope.sources.empty(),
+          "RunTrials: at least one arm and one design source required");
+  CampaignResult<Row> result;
+  result.rows = runner::ParallelMapIndexed<Row>(
+      scope.trials, scope.threads, [&](std::size_t i) {
+        TrialSpec spec;
+        spec.index = i;
+        spec.source = scope.sources[(i / arms) % scope.sources.size()];
+        spec.seed = runner::JobSeed(scope.base_seed, i / arms);
+        spec.arm = i % arms;
+        Row row = trial(spec);
+        row.trial_index = i;
+        return row;
+      });
+  result.digest = Digest(result.rows);
+  return result;
+}
+
 /// Workload pressure applied by the simulator cross-check. The defaults
 /// are aggressive (shallow buffers, worms longer than routes, all flows
 /// injecting at once) so that statically unsafe designs actually
@@ -149,6 +228,10 @@ enum class TrialVerdict {
   /// The contract broke somewhere; TrialRow::mismatch says where.
   kMismatch,
 };
+
+/// Stable lowercase identifier ("positive_delivered",
+/// "negative_detonated", "arm_infeasible", "mismatch").
+std::string VerdictName(TrialVerdict verdict);
 
 /// Which leg of the contract broke. The shrinker minimizes against the
 /// *kind*, not the message, so a shrink step cannot silently morph one
@@ -211,6 +294,43 @@ struct TrialRow {
 
   // Wall clock; excluded from Digest and determinism guarantees.
   double run_ms = 0.0;
+
+  /// Replayable repro dump (valid/repro.h); non-empty only for a
+  /// mismatching trial with shrinking enabled. Not a field: neither
+  /// digested nor written to the JSON row.
+  std::string repro_json;
+
+  /// The fields in digest order (util/row_fields.h). The verdict is
+  /// digested as its integer and written by name.
+  static constexpr auto Fields() {
+    using R = TrialRow;
+    return std::tuple{
+        RowField{"trial", &R::trial_index},
+        RowField{"design_seed", &R::design_seed},
+        RowField{"design", &R::design},
+        RowField{"source", &R::source, SourceName, EnumHash::kName},
+        RowField{"arm", &R::arm, ArmName, EnumHash::kName},
+        RowField{"switches", &R::switches},
+        RowField{"links", &R::links},
+        RowField{"flows", &R::flows},
+        RowField{"channels_before", &R::channels_before},
+        RowField{"channels_after", &R::channels_after},
+        RowField{"certified_free", &R::certified_free},
+        RowField{"certificate_checked", &R::certificate_checked},
+        RowField{"sim_deadlocked", &R::sim_deadlocked},
+        RowField{"all_delivered", &R::all_delivered},
+        RowField{"cycles", &R::cycles},
+        RowField{"packets_offered", &R::packets_offered},
+        RowField{"packets_delivered", &R::packets_delivered},
+        RowField{"escalations", &R::escalations},
+        RowField{"verdict", &R::verdict, VerdictName},
+        OnFailure(RowField{"mismatch_kind", &R::mismatch_kind}),
+        OnFailure(RowField{"mismatch", &R::mismatch}),
+        OnFailure(RowField{"shrink_flows_kept", &R::shrink_flows_kept}),
+        OnFailure(RowField{"shrink_steps", &R::shrink_steps}),
+        RowField{"run_ms", &R::run_ms},
+    };
+  }
 };
 
 /// Classifies one (design, arm) pair against the contract: treat,
@@ -220,19 +340,12 @@ struct TrialRow {
 TrialRow ClassifyTrial(const NocDesign& design, TrialArm arm,
                        const WorkloadConfig& workload, std::uint64_t seed);
 
-struct TrialOutcome {
-  TrialRow row;
-  /// Replayable repro dump (valid/repro.h); non-empty only for
-  /// mismatching trials when shrinking is enabled.
-  std::string repro_json;
-};
-
 /// ClassifyTrial plus, on mismatch, deterministic shrinking and repro
 /// dumping. \p trial_index is recorded in the row and in any repro dump
 /// so a dump stays correlated with its campaign row and filename.
-TrialOutcome RunTrial(const NocDesign& design, TrialArm arm,
-                      const WorkloadConfig& workload, std::uint64_t seed,
-                      bool shrink, std::size_t trial_index = 0);
+TrialRow RunTrial(const NocDesign& design, TrialArm arm,
+                  const WorkloadConfig& workload, std::uint64_t seed,
+                  bool shrink, std::size_t trial_index = 0);
 
 /// Engine-differential trial: runs the full trial under engines[0] (the
 /// primary, overriding workload.engine), then re-classifies under every
@@ -242,26 +355,19 @@ TrialOutcome RunTrial(const NocDesign& design, TrialArm arm,
 /// classifies as a mismatch is shrunk and reported as usual — the
 /// engine sweep is skipped, one contract breach per row. Requires at
 /// least one engine.
-TrialOutcome RunTrialEngines(const NocDesign& design, TrialArm arm,
-                             const WorkloadConfig& workload,
-                             const std::vector<SimEngine>& engines,
-                             std::uint64_t seed, bool shrink,
-                             std::size_t trial_index = 0);
+TrialRow RunTrialEngines(const NocDesign& design, TrialArm arm,
+                         const WorkloadConfig& workload,
+                         const std::vector<SimEngine>& engines,
+                         std::uint64_t seed, bool shrink,
+                         std::size_t trial_index = 0);
 
-struct CampaignConfig {
-  /// Total trial rows. Trial i generates design d = i / arms.size() from
-  /// source sources[d % sources.size()] — the design seed is shared by
-  /// consecutive trials so every arm sees the same design — and applies
-  /// arm arms[i % arms.size()].
-  std::size_t trials = 400;
-  std::uint64_t base_seed = 1;
-  /// Worker threads; 0 means hardware concurrency.
-  std::size_t threads = 0;
+/// Trial i applies arm arms[i % arms.size()] to design i / arms.size()
+/// (TrialSpec), so every arm sees the same design.
+struct CampaignConfig : CampaignScope {
+  CampaignConfig() { trials = 400; }
+
   std::vector<TrialArm> arms = AllArms();
-  /// Design sources interleaved across the campaign.
-  std::vector<DesignSource> sources = AllSources();
   bool shrink = true;
-  DesignEnvelope envelope;
   WorkloadConfig workload;
   /// Engine-differential mode: with two or more entries every trial runs
   /// RunTrialEngines over this matrix (engines[0] primary, the rest
@@ -271,26 +377,7 @@ struct CampaignConfig {
   std::vector<SimEngine> engines;
 };
 
-struct CampaignResult {
-  std::vector<TrialRow> rows;
-  /// (trial index, repro JSON) for every mismatching trial that shrunk.
-  std::vector<std::pair<std::size_t, std::string>> repros;
-  std::size_t mismatches = 0;
-  std::size_t positives = 0;
-  std::size_t detonations = 0;
-  std::size_t infeasibles = 0;
-  /// FNV-1a over the deterministic row fields; byte-identical for any
-  /// thread count.
-  std::uint64_t digest = 0;
-};
-
 /// Runs the whole campaign over an internal thread pool.
-CampaignResult RunCampaign(const CampaignConfig& config);
-
-/// FNV-1a digest over the deterministic fields of \p rows, in row order.
-std::uint64_t Digest(const std::vector<TrialRow>& rows);
-
-/// Renders \p row as a flat JSON object for BENCH_*.json emission.
-JsonObject RowToJson(const TrialRow& row);
+CampaignResult<TrialRow> RunCampaign(const CampaignConfig& config);
 
 }  // namespace nocdr::valid

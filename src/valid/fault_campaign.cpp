@@ -1,6 +1,5 @@
 #include "valid/fault_campaign.h"
 
-#include <algorithm>
 #include <chrono>
 #include <exception>
 
@@ -9,21 +8,13 @@
 #include "deadlock/removal.h"
 #include "deadlock/verify.h"
 #include "fault/reconfigure.h"
-#include "runner/parallel_map.h"
 #include "runner/sweep.h"
 #include "sim/transition.h"
-#include "util/digest.h"
-#include "util/error.h"
+#include "util/clock.h"
 
 namespace nocdr::valid {
 
 namespace {
-
-double MillisSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - start)
-      .count();
-}
 
 /// Independent disconnect re-check: plain forward BFS over surviving
 /// links, sharing no code with the reconfiguration pipeline's
@@ -80,11 +71,6 @@ SimConfig MakeSimConfig(const FaultWorkload& workload, std::uint64_t seed) {
   cfg.traffic.seed = seed;
   return cfg;
 }
-
-struct Fail {
-  FaultMismatchKind kind;
-  std::string message;
-};
 
 }  // namespace
 
@@ -335,107 +321,11 @@ FaultTrialRow RunFaultTrial(DesignSource source, std::uint64_t seed,
   return row;
 }
 
-FaultCampaignResult RunFaultCampaign(const FaultCampaignConfig& config) {
-  Require(!config.sources.empty(),
-          "RunFaultCampaign: at least one design source required");
-  FaultCampaignResult result;
-  result.rows = runner::ParallelMapIndexed<FaultTrialRow>(
-      config.trials, config.threads, [&](std::size_t i) {
-        const DesignSource source =
-            config.sources[i % config.sources.size()];
-        const std::uint64_t seed = runner::JobSeed(config.base_seed, i);
-        FaultTrialRow row = RunFaultTrial(source, seed, config);
-        row.trial_index = i;
-        return row;
-      });
-  for (const FaultTrialRow& row : result.rows) {
-    switch (row.verdict) {
-      case FaultVerdict::kReconfigured:
-        ++result.reconfigured;
-        break;
-      case FaultVerdict::kDisconnected:
-        ++result.disconnected;
-        break;
-      case FaultVerdict::kMismatch:
-        ++result.mismatches;
-        break;
-    }
-  }
-  result.digest = FaultDigest(result.rows);
-  return result;
-}
-
-std::uint64_t FaultDigest(const std::vector<FaultTrialRow>& rows) {
-  std::uint64_t h = kFnvOffsetBasis;
-  for (const FaultTrialRow& row : rows) {
-    DigestField(h, row.trial_index);
-    DigestField(h, row.design_seed);
-    DigestField(h, row.design);
-    DigestField(h, SourceName(row.source));
-    DigestField(h, row.switches);
-    DigestField(h, row.links);
-    DigestField(h, row.flows);
-    DigestField(h, row.channels_initial);
-    DigestField(h, row.channels_final);
-    DigestField(h, static_cast<std::uint64_t>(row.table_routed));
-    DigestField(h, row.bursts_planned);
-    DigestField(h, row.bursts_applied);
-    DigestField(h, row.failed_links);
-    DigestField(h, row.failed_switches);
-    DigestField(h, row.affected_flows);
-    DigestField(h, row.disconnected_flows);
-    DigestField(h, row.table_detours);
-    DigestField(h, row.ripup_reroutes);
-    DigestField(h, row.removal_iterations);
-    DigestField(h, row.removal_vcs_added);
-    DigestField(h, row.drain_cycles);
-    DigestField(h, row.drain_delivered);
-    DigestField(h, row.post_delivered);
-    DigestField(h, row.midflight_dropped);
-    DigestField(h, row.midflight_delivered);
-    DigestField(h, row.midflight_deadlocks);
-    DigestField(h, FaultVerdictName(row.verdict));
-    DigestField(h, static_cast<std::uint64_t>(row.mismatch_kind));
-    DigestField(h, row.mismatch);
-  }
-  return h;
-}
-
-JsonObject FaultRowToJson(const FaultTrialRow& row) {
-  JsonObject json;
-  json.Set("trial", row.trial_index)
-      .Set("design_seed", row.design_seed)
-      .Set("design", row.design)
-      .Set("source", SourceName(row.source))
-      .Set("switches", row.switches)
-      .Set("links", row.links)
-      .Set("flows", row.flows)
-      .Set("channels_initial", row.channels_initial)
-      .Set("channels_final", row.channels_final)
-      .Set("table_routed", row.table_routed)
-      .Set("bursts_planned", row.bursts_planned)
-      .Set("bursts_applied", row.bursts_applied)
-      .Set("failed_links", row.failed_links)
-      .Set("failed_switches", row.failed_switches)
-      .Set("affected_flows", row.affected_flows)
-      .Set("disconnected_flows", row.disconnected_flows)
-      .Set("table_detours", row.table_detours)
-      .Set("ripup_reroutes", row.ripup_reroutes)
-      .Set("removal_iterations", row.removal_iterations)
-      .Set("removal_vcs_added", row.removal_vcs_added)
-      .Set("drain_cycles", row.drain_cycles)
-      .Set("drain_delivered", row.drain_delivered)
-      .Set("post_delivered", row.post_delivered)
-      .Set("midflight_dropped", row.midflight_dropped)
-      .Set("midflight_delivered", row.midflight_delivered)
-      .Set("midflight_deadlocks", row.midflight_deadlocks)
-      .Set("verdict", FaultVerdictName(row.verdict))
-      .Set("run_ms", row.run_ms);
-  if (!row.mismatch.empty()) {
-    json.Set("mismatch", row.mismatch)
-        .Set("mismatch_kind", static_cast<std::uint64_t>(row.mismatch_kind));
-  }
-  return json;
+CampaignResult<FaultTrialRow> RunFaultCampaign(
+    const FaultCampaignConfig& config) {
+  return RunTrials<FaultTrialRow>(config, 1, [&](const TrialSpec& trial) {
+    return RunFaultTrial(trial.source, trial.seed, config);
+  });
 }
 
 }  // namespace nocdr::valid

@@ -28,19 +28,17 @@
 //     flows (re-checked by an independent BFS here); the trial then
 //     ends with the distinct kDisconnected verdict, not a mismatch.
 //
-// Trials are pure functions of (base_seed, trial index); Digest() makes
+// Trials are pure functions of (base_seed, trial index) and run through
+// the shared harness (RunTrials in valid/campaign.h), whose digest makes
 // thread-count determinism checkable in one comparison, exactly like
 // the base campaign.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
-#include <vector>
 
 #include "fault/plan.h"
 #include "sim/simulator.h"
-#include "util/json.h"
 #include "valid/campaign.h"
 
 namespace nocdr::valid {
@@ -92,6 +90,10 @@ struct FaultWorkload {
   SimEngine engine = SimEngine::kEvent;
 };
 
+/// Stable lowercase identifier ("reconfigured", "disconnected",
+/// "mismatch").
+std::string FaultVerdictName(FaultVerdict verdict);
+
 /// Outcome of one fault trial. Every field except run_ms is a
 /// deterministic function of (source, seed, config).
 struct FaultTrialRow {
@@ -137,21 +139,47 @@ struct FaultTrialRow {
 
   // Wall clock; excluded from Digest and determinism guarantees.
   double run_ms = 0.0;
+
+  /// The fields in digest order (util/row_fields.h).
+  static constexpr auto Fields() {
+    using R = FaultTrialRow;
+    return std::tuple{
+        RowField{"trial", &R::trial_index},
+        RowField{"design_seed", &R::design_seed},
+        RowField{"design", &R::design},
+        RowField{"source", &R::source, SourceName, EnumHash::kName},
+        RowField{"switches", &R::switches},
+        RowField{"links", &R::links},
+        RowField{"flows", &R::flows},
+        RowField{"channels_initial", &R::channels_initial},
+        RowField{"channels_final", &R::channels_final},
+        RowField{"table_routed", &R::table_routed},
+        RowField{"bursts_planned", &R::bursts_planned},
+        RowField{"bursts_applied", &R::bursts_applied},
+        RowField{"failed_links", &R::failed_links},
+        RowField{"failed_switches", &R::failed_switches},
+        RowField{"affected_flows", &R::affected_flows},
+        RowField{"disconnected_flows", &R::disconnected_flows},
+        RowField{"table_detours", &R::table_detours},
+        RowField{"ripup_reroutes", &R::ripup_reroutes},
+        RowField{"removal_iterations", &R::removal_iterations},
+        RowField{"removal_vcs_added", &R::removal_vcs_added},
+        RowField{"drain_cycles", &R::drain_cycles},
+        RowField{"drain_delivered", &R::drain_delivered},
+        RowField{"post_delivered", &R::post_delivered},
+        RowField{"midflight_dropped", &R::midflight_dropped},
+        RowField{"midflight_delivered", &R::midflight_delivered},
+        RowField{"midflight_deadlocks", &R::midflight_deadlocks},
+        RowField{"verdict", &R::verdict, FaultVerdictName, EnumHash::kName},
+        OnFailure(RowField{"mismatch_kind", &R::mismatch_kind}),
+        OnFailure(RowField{"mismatch", &R::mismatch}),
+        RowField{"run_ms", &R::run_ms},
+    };
+  }
 };
 
-/// Stable lowercase identifier ("reconfigured", "disconnected",
-/// "mismatch").
-std::string FaultVerdictName(FaultVerdict verdict);
-
-struct FaultCampaignConfig {
-  /// Trial i draws source sources[i % sources.size()] with seed
-  /// runner::JobSeed(base_seed, i).
-  std::size_t trials = 500;
-  std::uint64_t base_seed = 1;
-  /// Worker threads; 0 means hardware concurrency.
-  std::size_t threads = 0;
-  std::vector<DesignSource> sources = AllSources();
-  DesignEnvelope envelope;
+/// One arm: trial i runs on design i (TrialSpec).
+struct FaultCampaignConfig : CampaignScope {
   FaultWorkload workload;
   fault::FaultPlanOptions plan;
 };
@@ -161,23 +189,8 @@ struct FaultCampaignConfig {
 FaultTrialRow RunFaultTrial(DesignSource source, std::uint64_t seed,
                             const FaultCampaignConfig& config);
 
-struct FaultCampaignResult {
-  std::vector<FaultTrialRow> rows;
-  std::size_t reconfigured = 0;
-  std::size_t disconnected = 0;
-  std::size_t mismatches = 0;
-  /// FNV-1a over the deterministic row fields; byte-identical for any
-  /// thread count.
-  std::uint64_t digest = 0;
-};
-
 /// Runs the whole campaign over an internal thread pool.
-FaultCampaignResult RunFaultCampaign(const FaultCampaignConfig& config);
-
-/// FNV-1a digest over the deterministic fields of \p rows, in order.
-std::uint64_t FaultDigest(const std::vector<FaultTrialRow>& rows);
-
-/// Renders \p row as a flat JSON object for BENCH_*.json emission.
-JsonObject FaultRowToJson(const FaultTrialRow& row);
+CampaignResult<FaultTrialRow> RunFaultCampaign(
+    const FaultCampaignConfig& config);
 
 }  // namespace nocdr::valid

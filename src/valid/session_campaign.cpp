@@ -8,24 +8,16 @@
 #include "deadlock/verify.h"
 #include "fault/reconfigure.h"
 #include "noc/io.h"
-#include "runner/parallel_map.h"
 #include "runner/sweep.h"
 #include "serve/protocol.h"
 #include "serve/service.h"
 #include "serve/session.h"
 #include "util/canonical.h"
-#include "util/digest.h"
-#include "util/error.h"
+#include "util/clock.h"
 
 namespace nocdr::valid {
 
 namespace {
-
-double MillisSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - start)
-      .count();
-}
 
 struct Fail {
   SessionMismatchKind kind;
@@ -65,10 +57,8 @@ serve::CertRequest StatelessReplay(const std::string& design_text,
   return request;
 }
 
-/// Streams the plan's events by switch names, exactly as a protocol
-/// client must. Events the topology gives no unambiguous name for are
-/// dropped from *both* sides (the session could not be told about
-/// them); \p dropped counts them.
+}  // namespace
+
 fault::FaultBurst NameBurst(const NocDesign& design,
                             const fault::FaultBurst& burst,
                             std::vector<serve::SessionEventSpec>& specs,
@@ -108,8 +98,6 @@ fault::FaultBurst NameBurst(const NocDesign& design,
   }
   return kept;
 }
-
-}  // namespace
 
 std::string SessionVerdictName(SessionVerdict verdict) {
   switch (verdict) {
@@ -451,103 +439,11 @@ SessionTrialRow RunSessionTrial(DesignSource source, std::uint64_t seed,
   return row;
 }
 
-SessionCampaignResult RunSessionCampaign(const SessionCampaignConfig& config) {
-  Require(!config.sources.empty(),
-          "RunSessionCampaign: at least one design source required");
-  SessionCampaignResult result;
-  result.rows = runner::ParallelMapIndexed<SessionTrialRow>(
-      config.trials, config.threads, [&](std::size_t i) {
-        const DesignSource source =
-            config.sources[i % config.sources.size()];
-        const std::uint64_t seed = runner::JobSeed(config.base_seed, i);
-        SessionTrialRow row = RunSessionTrial(source, seed, config);
-        row.trial_index = i;
-        return row;
-      });
-  for (const SessionTrialRow& row : result.rows) {
-    switch (row.verdict) {
-      case SessionVerdict::kStreamed:
-        ++result.streamed;
-        break;
-      case SessionVerdict::kDisconnected:
-        ++result.disconnected;
-        break;
-      case SessionVerdict::kMismatch:
-        ++result.mismatches;
-        break;
-    }
-  }
-  result.digest = SessionCampaignDigest(result.rows);
-  return result;
-}
-
-std::uint64_t SessionCampaignDigest(const std::vector<SessionTrialRow>& rows) {
-  std::uint64_t h = kFnvOffsetBasis;
-  for (const SessionTrialRow& row : rows) {
-    DigestField(h, row.trial_index);
-    DigestField(h, row.design_seed);
-    DigestField(h, row.design);
-    DigestField(h, SourceName(row.source));
-    DigestField(h, row.switches);
-    DigestField(h, row.links);
-    DigestField(h, row.flows);
-    DigestField(h, row.channels_initial);
-    DigestField(h, row.channels_final);
-    DigestField(h, static_cast<std::uint64_t>(row.table_routed));
-    DigestField(h, row.bursts_planned);
-    DigestField(h, row.bursts_streamed);
-    DigestField(h, row.events_unnamed);
-    DigestField(h, row.final_epoch);
-    DigestField(h, row.affected_flows);
-    DigestField(h, row.disconnected_flows);
-    DigestField(h, row.table_detours);
-    DigestField(h, row.ripup_reroutes);
-    DigestField(h, row.removal_iterations);
-    DigestField(h, row.removal_vcs_added);
-    DigestField(h, row.failed_links);
-    DigestField(h, row.failed_switches);
-    DigestField(h, row.final_key);
-    DigestField(h, row.session_digest);
-    DigestField(h, SessionVerdictName(row.verdict));
-    DigestField(h, static_cast<std::uint64_t>(row.mismatch_kind));
-    DigestField(h, row.mismatch);
-  }
-  return h;
-}
-
-JsonObject SessionRowToJson(const SessionTrialRow& row) {
-  JsonObject json;
-  json.Set("trial", row.trial_index)
-      .Set("design_seed", row.design_seed)
-      .Set("design", row.design)
-      .Set("source", SourceName(row.source))
-      .Set("switches", row.switches)
-      .Set("links", row.links)
-      .Set("flows", row.flows)
-      .Set("channels_initial", row.channels_initial)
-      .Set("channels_final", row.channels_final)
-      .Set("table_routed", row.table_routed)
-      .Set("bursts_planned", row.bursts_planned)
-      .Set("bursts_streamed", row.bursts_streamed)
-      .Set("events_unnamed", row.events_unnamed)
-      .Set("final_epoch", row.final_epoch)
-      .Set("affected_flows", row.affected_flows)
-      .Set("disconnected_flows", row.disconnected_flows)
-      .Set("table_detours", row.table_detours)
-      .Set("ripup_reroutes", row.ripup_reroutes)
-      .Set("removal_iterations", row.removal_iterations)
-      .Set("removal_vcs_added", row.removal_vcs_added)
-      .Set("failed_links", row.failed_links)
-      .Set("failed_switches", row.failed_switches)
-      .Set("final_key", row.final_key)
-      .Set("session_digest", row.session_digest)
-      .Set("verdict", SessionVerdictName(row.verdict))
-      .Set("run_ms", row.run_ms);
-  if (!row.mismatch.empty()) {
-    json.Set("mismatch", row.mismatch)
-        .Set("mismatch_kind", static_cast<std::uint64_t>(row.mismatch_kind));
-  }
-  return json;
+CampaignResult<SessionTrialRow> RunSessionCampaign(
+    const SessionCampaignConfig& config) {
+  return RunTrials<SessionTrialRow>(config, 1, [&](const TrialSpec& trial) {
+    return RunSessionTrial(trial.source, trial.seed, config);
+  });
 }
 
 }  // namespace nocdr::valid

@@ -30,7 +30,8 @@
 //   * every request streamed must survive a protocol codec round trip
 //     (render -> parse -> render, byte-identical).
 //
-// Trials are pure functions of (base_seed, trial index); Digest() makes
+// Trials are pure functions of (base_seed, trial index) and run through
+// the shared harness (RunTrials in valid/campaign.h), whose digest makes
 // thread-count determinism checkable in one comparison, exactly like
 // the base and fault campaigns.
 #pragma once
@@ -41,7 +42,7 @@
 
 #include "deadlock/removal.h"
 #include "fault/plan.h"
-#include "util/json.h"
+#include "serve/session.h"
 #include "valid/campaign.h"
 
 namespace nocdr::valid {
@@ -82,6 +83,10 @@ enum class SessionMismatchKind {
   /// close) was not answered with the prescribed structured error.
   kLifecycleViolation,
 };
+
+/// Stable lowercase identifier ("streamed", "disconnected",
+/// "mismatch").
+std::string SessionVerdictName(SessionVerdict verdict);
 
 /// Outcome of one session trial. Every field except run_ms is a
 /// deterministic function of (source, seed, config).
@@ -128,23 +133,47 @@ struct SessionTrialRow {
 
   // Wall clock; excluded from Digest and determinism guarantees.
   double run_ms = 0.0;
+
+  /// The fields in digest order (util/row_fields.h).
+  static constexpr auto Fields() {
+    using R = SessionTrialRow;
+    return std::tuple{
+        RowField{"trial", &R::trial_index},
+        RowField{"design_seed", &R::design_seed},
+        RowField{"design", &R::design},
+        RowField{"source", &R::source, SourceName, EnumHash::kName},
+        RowField{"switches", &R::switches},
+        RowField{"links", &R::links},
+        RowField{"flows", &R::flows},
+        RowField{"channels_initial", &R::channels_initial},
+        RowField{"channels_final", &R::channels_final},
+        RowField{"table_routed", &R::table_routed},
+        RowField{"bursts_planned", &R::bursts_planned},
+        RowField{"bursts_streamed", &R::bursts_streamed},
+        RowField{"events_unnamed", &R::events_unnamed},
+        RowField{"final_epoch", &R::final_epoch},
+        RowField{"affected_flows", &R::affected_flows},
+        RowField{"disconnected_flows", &R::disconnected_flows},
+        RowField{"table_detours", &R::table_detours},
+        RowField{"ripup_reroutes", &R::ripup_reroutes},
+        RowField{"removal_iterations", &R::removal_iterations},
+        RowField{"removal_vcs_added", &R::removal_vcs_added},
+        RowField{"failed_links", &R::failed_links},
+        RowField{"failed_switches", &R::failed_switches},
+        RowField{"final_key", &R::final_key},
+        RowField{"session_digest", &R::session_digest},
+        RowField{"verdict", &R::verdict, SessionVerdictName, EnumHash::kName},
+        OnFailure(RowField{"mismatch_kind", &R::mismatch_kind}),
+        OnFailure(RowField{"mismatch", &R::mismatch}),
+        RowField{"run_ms", &R::run_ms},
+    };
+  }
 };
 
-/// Stable lowercase identifier ("streamed", "disconnected",
-/// "mismatch").
-std::string SessionVerdictName(SessionVerdict verdict);
-
-struct SessionCampaignConfig {
-  /// Trial i draws source sources[i % sources.size()] with seed
-  /// runner::JobSeed(base_seed, i).
-  std::size_t trials = 500;
-  std::uint64_t base_seed = 1;
-  /// Worker threads; 0 means hardware concurrency. Each trial runs its
-  /// own single-threaded services, so the digest is identical for any
-  /// value here.
-  std::size_t threads = 0;
-  std::vector<DesignSource> sources = AllSources();
-  DesignEnvelope envelope;
+/// One arm: trial i runs on design i (TrialSpec). Each trial runs its
+/// own single-threaded services, so the digest is identical for any
+/// thread count.
+struct SessionCampaignConfig : CampaignScope {
   fault::FaultPlanOptions plan;
   /// Removal options the session opens with (and the replica re-treats
   /// with).
@@ -156,23 +185,19 @@ struct SessionCampaignConfig {
 SessionTrialRow RunSessionTrial(DesignSource source, std::uint64_t seed,
                                 const SessionCampaignConfig& config);
 
-struct SessionCampaignResult {
-  std::vector<SessionTrialRow> rows;
-  std::size_t streamed = 0;
-  std::size_t disconnected = 0;
-  std::size_t mismatches = 0;
-  /// FNV-1a over the deterministic row fields; byte-identical for any
-  /// thread count.
-  std::uint64_t digest = 0;
-};
-
 /// Runs the whole campaign over an internal thread pool.
-SessionCampaignResult RunSessionCampaign(const SessionCampaignConfig& config);
+CampaignResult<SessionTrialRow> RunSessionCampaign(
+    const SessionCampaignConfig& config);
 
-/// FNV-1a digest over the deterministic fields of \p rows, in order.
-std::uint64_t SessionCampaignDigest(const std::vector<SessionTrialRow>& rows);
-
-/// Renders \p row as a flat JSON object for BENCH_*.json emission.
-JsonObject SessionRowToJson(const SessionTrialRow& row);
+/// Names the events of \p burst for streaming, by switch names, exactly
+/// as a protocol client must: appends one spec per event to \p specs and
+/// returns the events it named. An event the topology gives no
+/// unambiguous name for (an unnamed switch, a duplicate name, a parallel
+/// link) is left out of both and counted in \p dropped, so a client's
+/// replica and the session it streams to apply the same faults.
+fault::FaultBurst NameBurst(const NocDesign& design,
+                            const fault::FaultBurst& burst,
+                            std::vector<serve::SessionEventSpec>& specs,
+                            std::size_t& dropped);
 
 }  // namespace nocdr::valid

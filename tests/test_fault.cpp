@@ -314,7 +314,7 @@ TEST(FaultCampaignTest, SmallCampaignIsCleanAndThreadStable) {
   config.base_seed = 5;
   config.threads = 2;
   const auto result = valid::RunFaultCampaign(config);
-  EXPECT_EQ(result.mismatches, 0u);
+  EXPECT_EQ(result.Mismatches(), 0u);
   EXPECT_EQ(result.rows.size(), 20u);
   for (const auto& row : result.rows) {
     EXPECT_TRUE(row.mismatch.empty()) << row.mismatch;
@@ -329,7 +329,82 @@ TEST(FaultCampaignTest, TrialRowsAreDeterministic) {
   valid::FaultCampaignConfig config;
   const auto a = valid::RunFaultTrial(valid::DesignSource::kTorus, 99, config);
   const auto b = valid::RunFaultTrial(valid::DesignSource::kTorus, 99, config);
-  EXPECT_EQ(valid::FaultDigest({a}), valid::FaultDigest({b}));
+  EXPECT_EQ(Digest(std::vector{a}), Digest(std::vector{b}));
+}
+
+TEST(FaultCampaignTest, DigestIsPinned) {
+  valid::FaultCampaignConfig config;
+  config.trials = 20;
+  config.base_seed = 5;
+  EXPECT_EQ(valid::RunFaultCampaign(config).digest, 0xe07197f8eda883d5ull);
+}
+
+TEST(FaultCampaignTest, FullRowIsPinned) {
+  valid::FaultTrialRow row;
+  row.trial_index = 3;
+  row.design_seed = 0x123456789abcdef0ull;
+  row.design = "torus4x4";
+  row.source = valid::DesignSource::kTorus;
+  row.switches = 16;
+  row.links = 64;
+  row.flows = 20;
+  row.channels_initial = 70;
+  row.channels_final = 72;
+  row.table_routed = true;
+  row.bursts_planned = 3;
+  row.bursts_applied = 2;
+  row.failed_links = 4;
+  row.failed_switches = 1;
+  row.affected_flows = 5;
+  row.disconnected_flows = 6;
+  row.table_detours = 7;
+  row.ripup_reroutes = 8;
+  row.removal_iterations = 9;
+  row.removal_vcs_added = 10;
+  row.post_delivered = 11;
+  row.drain_cycles = 12;
+  row.drain_delivered = 13;
+  row.midflight_dropped = 14;
+  row.midflight_delivered = 15;
+  row.midflight_deadlocks = 16;
+  row.verdict = valid::FaultVerdict::kDisconnected;
+  row.mismatch_kind = valid::FaultMismatchKind::kCdgDesync;
+  row.mismatch = "cdg desync";
+  row.run_ms = 12.5;
+  EXPECT_EQ(Digest(std::vector{row}), 0x8f8f6fdb916fec89ull);
+  const std::map<std::string, std::string> expected = {
+      {"trial", "3"},
+      {"design_seed", "1311768467463790320"},
+      {"design", "\"torus4x4\""},
+      {"source", "\"torus\""},
+      {"switches", "16"},
+      {"links", "64"},
+      {"flows", "20"},
+      {"channels_initial", "70"},
+      {"channels_final", "72"},
+      {"table_routed", "true"},
+      {"bursts_planned", "3"},
+      {"bursts_applied", "2"},
+      {"failed_links", "4"},
+      {"failed_switches", "1"},
+      {"affected_flows", "5"},
+      {"disconnected_flows", "6"},
+      {"table_detours", "7"},
+      {"ripup_reroutes", "8"},
+      {"removal_iterations", "9"},
+      {"removal_vcs_added", "10"},
+      {"drain_cycles", "12"},
+      {"drain_delivered", "13"},
+      {"post_delivered", "11"},
+      {"midflight_dropped", "14"},
+      {"midflight_delivered", "15"},
+      {"midflight_deadlocks", "16"},
+      {"verdict", "\"disconnected\""},
+      {"mismatch", "\"cdg desync\""},
+      {"mismatch_kind", "4"},
+      {"run_ms", "12.500000"},
+  };
+  EXPECT_EQ(testing::JsonMembers(RowToJson(row).Dump()), expected);
 }
 
 }  // namespace

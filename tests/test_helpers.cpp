@@ -4,6 +4,7 @@
 #include <deque>
 
 #include "util/error.h"
+#include "util/json.h"
 
 namespace nocdr::testing {
 
@@ -88,6 +89,32 @@ NocDesign MakeRandomDesign(std::uint64_t seed, std::size_t switches,
   }
   d.Validate();
   return d;
+}
+
+std::map<std::string, std::string> JsonMembers(const std::string& json) {
+  const JsonValue object = JsonValue::Parse(json);
+  std::map<std::string, std::string> members;
+  for (const auto& [key, value] : object.Members()) {
+    std::string& text = members[key];
+    switch (value.kind()) {
+      case JsonValue::Kind::kString:
+        text = "\"" + value.AsString() + "\"";
+        break;
+      case JsonValue::Kind::kBool:
+        text = value.AsBool() ? "true" : "false";
+        break;
+      case JsonValue::Kind::kNumber:
+        try {
+          text = std::to_string(value.AsUint());
+        } catch (const InvalidModelError&) {
+          text = std::to_string(value.AsDouble());
+        }
+        break;
+      default:
+        text = "?";
+    }
+  }
+  return members;
 }
 
 }  // namespace nocdr::testing

@@ -2,6 +2,7 @@
 // parameterizable synthetic designs used across the test suite.
 #pragma once
 
+#include <map>
 #include <string>
 #include <vector>
 
@@ -115,5 +116,10 @@ inline NocDesign MakeRingDesign(std::size_t n, std::size_t hop_span = 2) {
 /// path. Deterministic in \p seed. Used by the property suites.
 NocDesign MakeRandomDesign(std::uint64_t seed, std::size_t switches = 8,
                            std::size_t cores = 12, std::size_t flows = 20);
+
+/// The members of one flat JSON object, keyed by name, each value as
+/// text: strings quoted, integers exact, other numbers via
+/// std::to_string. Lets a test pin a row's JSON whatever its key order.
+std::map<std::string, std::string> JsonMembers(const std::string& json);
 
 }  // namespace nocdr::testing

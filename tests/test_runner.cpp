@@ -91,9 +91,9 @@ TEST(SweepRunnerTest, ThreadCountDoesNotChangeResults) {
   const auto eight = runner::SweepRunner({.threads = 8}).Run(jobs);
 
   ASSERT_EQ(serial.size(), jobs.size());
-  const std::uint64_t digest = runner::Digest(serial);
-  EXPECT_EQ(digest, runner::Digest(three));
-  EXPECT_EQ(digest, runner::Digest(eight));
+  const std::uint64_t digest = Digest(serial);
+  EXPECT_EQ(digest, Digest(three));
+  EXPECT_EQ(digest, Digest(eight));
 
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_EQ(serial[i].job_index, i);
@@ -122,18 +122,18 @@ TEST(SweepRunnerTest, EnginesAgreeWithinTheSweep) {
 TEST(SweepRunnerTest, DigestReactsToOutcomeChanges) {
   const auto jobs = MakeJobs();
   auto rows = runner::SweepRunner({.threads = 1}).Run(jobs);
-  const std::uint64_t digest = runner::Digest(rows);
+  const std::uint64_t digest = Digest(rows);
   rows[0].vcs_added += 1;
-  EXPECT_NE(digest, runner::Digest(rows));
+  EXPECT_NE(digest, Digest(rows));
 }
 
 TEST(SweepRunnerTest, DigestIgnoresTimings) {
   const auto jobs = MakeJobs();
   auto rows = runner::SweepRunner({.threads = 1}).Run(jobs);
-  const std::uint64_t digest = runner::Digest(rows);
+  const std::uint64_t digest = Digest(rows);
   rows[0].run_ms += 1234.5;
   rows[1].factory_ms += 9.0;
-  EXPECT_EQ(digest, runner::Digest(rows));
+  EXPECT_EQ(digest, Digest(rows));
 }
 
 TEST(SweepRunnerTest, FactoryExceptionIsCapturedPerJob) {
@@ -182,9 +182,9 @@ TEST(SweepRunnerTest, ThrowingJobDoesNotPoisonSiblingsAcrossThreadCounts) {
       EXPECT_TRUE(one[i].deadlock_free) << "row " << i;
     }
   }
-  const std::uint64_t digest = runner::Digest(one);
-  EXPECT_EQ(digest, runner::Digest(two));
-  EXPECT_EQ(digest, runner::Digest(eight));
+  const std::uint64_t digest = Digest(one);
+  EXPECT_EQ(digest, Digest(two));
+  EXPECT_EQ(digest, Digest(eight));
 }
 
 TEST(SweepRunnerTest, RowToJsonRoundsTrip) {
@@ -193,10 +193,57 @@ TEST(SweepRunnerTest, RowToJsonRoundsTrip) {
   row.variant = "v";
   row.seed = 7;
   row.vcs_added = 3;
-  const std::string dump = runner::RowToJson(row).Dump();
+  const std::string dump = RowToJson(row).Dump();
   EXPECT_NE(dump.find("\"design\":\"d\""), std::string::npos);
   EXPECT_NE(dump.find("\"vcs_added\":3"), std::string::npos);
   EXPECT_EQ(dump.find("\"error\""), std::string::npos);
+}
+
+TEST(SweepRunnerTest, DigestIsPinned) {
+  const auto rows = runner::SweepRunner({.threads = 2}).Run(MakeJobs());
+  EXPECT_EQ(Digest(rows), 0xb3b9a47ae849de4full);
+}
+
+TEST(SweepRunnerTest, FullRowIsPinned) {
+  runner::SweepRow row;
+  row.job_index = 3;
+  row.design = "ring6x3";
+  row.variant = "rebuild";
+  row.seed = 0x123456789abcdef0ull;
+  row.switches = 6;
+  row.links = 7;
+  row.flows = 8;
+  row.channels = 9;
+  row.initially_deadlock_free = true;
+  row.iterations = 10;
+  row.vcs_added = 11;
+  row.flows_rerouted = 12;
+  row.cycle_bfs_runs = 13;
+  row.deadlock_free = true;
+  row.error = "factory threw";
+  row.factory_ms = 1.5;
+  row.run_ms = 12.5;
+  EXPECT_EQ(Digest(std::vector{row}), 0xb796b3d83c514d5dull);
+  const std::map<std::string, std::string> expected = {
+      {"job", "3"},
+      {"design", "\"ring6x3\""},
+      {"variant", "\"rebuild\""},
+      {"seed", "1311768467463790320"},
+      {"switches", "6"},
+      {"links", "7"},
+      {"flows", "8"},
+      {"channels", "9"},
+      {"initially_deadlock_free", "true"},
+      {"iterations", "10"},
+      {"vcs_added", "11"},
+      {"flows_rerouted", "12"},
+      {"cycle_bfs_runs", "13"},
+      {"deadlock_free", "true"},
+      {"error", "\"factory threw\""},
+      {"factory_ms", "1.500000"},
+      {"run_ms", "12.500000"},
+  };
+  EXPECT_EQ(testing::JsonMembers(RowToJson(row).Dump()), expected);
 }
 
 }  // namespace

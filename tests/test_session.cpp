@@ -520,10 +520,8 @@ TEST(SessionCampaignTest, SmallCampaignHasNoMismatchesAndStableDigest) {
   config.trials = 10;
   config.base_seed = 11;
   config.threads = 2;
-  const valid::SessionCampaignResult result =
-      valid::RunSessionCampaign(config);
-  EXPECT_EQ(result.mismatches, 0u)
-      << result.rows.front().mismatch;
+  const auto result = valid::RunSessionCampaign(config);
+  EXPECT_EQ(result.Mismatches(), 0u) << result.rows.front().mismatch;
   for (const valid::SessionTrialRow& row : result.rows) {
     EXPECT_NE(row.verdict, valid::SessionVerdict::kMismatch)
         << "trial " << row.trial_index << ": " << row.mismatch;
@@ -532,6 +530,77 @@ TEST(SessionCampaignTest, SmallCampaignHasNoMismatchesAndStableDigest) {
   valid::SessionCampaignConfig serial = config;
   serial.threads = 1;
   EXPECT_EQ(valid::RunSessionCampaign(serial).digest, result.digest);
+}
+
+TEST(SessionCampaignTest, DigestIsPinned) {
+  valid::SessionCampaignConfig config;
+  config.trials = 10;
+  config.base_seed = 11;
+  EXPECT_EQ(valid::RunSessionCampaign(config).digest, 0x1a4eed87188b0d62ull);
+}
+
+TEST(SessionCampaignTest, FullRowIsPinned) {
+  valid::SessionTrialRow row;
+  row.trial_index = 3;
+  row.design_seed = 0x123456789abcdef0ull;
+  row.design = "mesh4x4";
+  row.source = valid::DesignSource::kMesh;
+  row.switches = 16;
+  row.links = 48;
+  row.flows = 20;
+  row.channels_initial = 50;
+  row.channels_final = 52;
+  row.table_routed = true;
+  row.bursts_planned = 3;
+  row.bursts_streamed = 2;
+  row.events_unnamed = 1;
+  row.final_epoch = 2;
+  row.affected_flows = 5;
+  row.disconnected_flows = 6;
+  row.table_detours = 7;
+  row.ripup_reroutes = 8;
+  row.removal_iterations = 9;
+  row.removal_vcs_added = 10;
+  row.failed_links = 4;
+  row.failed_switches = 1;
+  row.final_key = 0xfedcba9876543210ull;
+  row.session_digest = 0x0123456789abcdefull;
+  row.verdict = valid::SessionVerdict::kDisconnected;
+  row.mismatch_kind = valid::SessionMismatchKind::kEpochViolation;
+  row.mismatch = "epoch violation";
+  row.run_ms = 12.5;
+  EXPECT_EQ(Digest(std::vector{row}), 0x0a87a3f9e8654f77ull);
+  const std::map<std::string, std::string> expected = {
+      {"trial", "3"},
+      {"design_seed", "1311768467463790320"},
+      {"design", "\"mesh4x4\""},
+      {"source", "\"mesh\""},
+      {"switches", "16"},
+      {"links", "48"},
+      {"flows", "20"},
+      {"channels_initial", "50"},
+      {"channels_final", "52"},
+      {"table_routed", "true"},
+      {"bursts_planned", "3"},
+      {"bursts_streamed", "2"},
+      {"events_unnamed", "1"},
+      {"final_epoch", "2"},
+      {"affected_flows", "5"},
+      {"disconnected_flows", "6"},
+      {"table_detours", "7"},
+      {"ripup_reroutes", "8"},
+      {"removal_iterations", "9"},
+      {"removal_vcs_added", "10"},
+      {"failed_links", "4"},
+      {"failed_switches", "1"},
+      {"final_key", "18364758544493064720"},
+      {"session_digest", "81985529216486895"},
+      {"verdict", "\"disconnected\""},
+      {"mismatch", "\"epoch violation\""},
+      {"mismatch_kind", "5"},
+      {"run_ms", "12.500000"},
+  };
+  EXPECT_EQ(testing::JsonMembers(RowToJson(row).Dump()), expected);
 }
 
 }  // namespace

@@ -71,12 +71,15 @@ TEST(GenerateTrialDesignTest, EverySourceIsDeterministicAndValid) {
 TEST(CampaignTest, SmallCampaignHasNoMismatches) {
   const auto result = valid::RunCampaign(SmallCampaign());
   ASSERT_EQ(result.rows.size(), 24u);
-  EXPECT_EQ(result.mismatches, 0u);
-  EXPECT_EQ(result.positives + result.detonations + result.infeasibles,
-            24u);
-  EXPECT_TRUE(result.repros.empty());
+  EXPECT_EQ(result.Mismatches(), 0u);
+  const std::size_t decided =
+      result.Count(valid::TrialVerdict::kPositiveDelivered) +
+      result.Count(valid::TrialVerdict::kNegativeDetonated) +
+      result.Count(valid::TrialVerdict::kArmInfeasible);
+  EXPECT_EQ(decided, 24u);
   for (const auto& row : result.rows) {
     EXPECT_TRUE(row.mismatch.empty()) << row.mismatch;
+    EXPECT_TRUE(row.repro_json.empty());
     // Only up*/down* may sit a design out, and only for lack of
     // bidirectional connectivity.
     if (row.verdict == valid::TrialVerdict::kArmInfeasible) {
@@ -93,7 +96,7 @@ TEST(CampaignTest, EveryGeneratedSourceRunsCleanly) {
     cfg.trials = 10;
     cfg.sources = {source};
     const auto result = valid::RunCampaign(cfg);
-    EXPECT_EQ(result.mismatches, 0u) << valid::SourceName(source);
+    EXPECT_EQ(result.Mismatches(), 0u) << valid::SourceName(source);
     for (const auto& row : result.rows) {
       EXPECT_EQ(row.source, source);
       EXPECT_TRUE(row.mismatch.empty())
@@ -112,7 +115,7 @@ TEST(CampaignTest, DigestIdenticalAcrossThreadCounts) {
   const auto eight = valid::RunCampaign(cfg);
   EXPECT_EQ(serial.digest, two.digest);
   EXPECT_EQ(serial.digest, eight.digest);
-  EXPECT_EQ(serial.digest, valid::Digest(serial.rows));
+  EXPECT_EQ(serial.digest, Digest(serial.rows));
 }
 
 TEST(CampaignTest, EngineDifferentialCampaignRunsClean) {
@@ -123,7 +126,7 @@ TEST(CampaignTest, EngineDifferentialCampaignRunsClean) {
   valid::CampaignConfig cfg = SmallCampaign();
   cfg.engines = {SimEngine::kEvent, SimEngine::kFullScan};
   const auto differential = valid::RunCampaign(cfg);
-  EXPECT_EQ(differential.mismatches, 0u);
+  EXPECT_EQ(differential.Mismatches(), 0u);
   for (const auto& row : differential.rows) {
     EXPECT_NE(row.mismatch_kind, valid::MismatchKind::kEngineDivergence)
         << row.mismatch;
@@ -142,7 +145,7 @@ TEST(CampaignTest, RunTrialEnginesMatchesSingleEngineTrial) {
   const NocDesign ring = testing::MakeRingDesign(6, 2);
   valid::WorkloadConfig workload;
   workload.engine = SimEngine::kEvent;  // overridden by engines[0]
-  const valid::TrialOutcome differential = valid::RunTrialEngines(
+  const valid::TrialRow differential = valid::RunTrialEngines(
       ring, valid::TrialArm::kUntreated, workload,
       {SimEngine::kFullScan, SimEngine::kEvent}, 9,
       /*shrink=*/false);
@@ -150,11 +153,10 @@ TEST(CampaignTest, RunTrialEnginesMatchesSingleEngineTrial) {
   primary.engine = SimEngine::kFullScan;
   const valid::TrialRow single =
       valid::ClassifyTrial(ring, valid::TrialArm::kUntreated, primary, 9);
-  EXPECT_EQ(differential.row.verdict, single.verdict);
-  EXPECT_EQ(differential.row.cycles, single.cycles);
-  EXPECT_EQ(differential.row.mismatch_kind, valid::MismatchKind::kNone);
-  EXPECT_TRUE(differential.row.mismatch.empty())
-      << differential.row.mismatch;
+  EXPECT_EQ(differential.verdict, single.verdict);
+  EXPECT_EQ(differential.cycles, single.cycles);
+  EXPECT_EQ(differential.mismatch_kind, valid::MismatchKind::kNone);
+  EXPECT_TRUE(differential.mismatch.empty()) << differential.mismatch;
 }
 
 TEST(CampaignTest, ArmsShareTheSameDesign) {
@@ -334,20 +336,20 @@ TEST(ShrinkTest, MismatchShrinksToTheCycleCore) {
 TEST(ReproTest, DumpReplayRoundTrip) {
   const NocDesign ring = MakeApproachRingDesign(6, 3);
   const valid::WorkloadConfig workload = UndetonatableWorkload();
-  const valid::TrialOutcome outcome = valid::RunTrial(
+  const valid::TrialRow row = valid::RunTrial(
       ring, valid::TrialArm::kUntreated, workload, 11, /*shrink=*/true);
-  ASSERT_EQ(outcome.row.verdict, valid::TrialVerdict::kMismatch);
-  ASSERT_FALSE(outcome.repro_json.empty());
+  ASSERT_EQ(row.verdict, valid::TrialVerdict::kMismatch);
+  ASSERT_FALSE(row.repro_json.empty());
 
-  const valid::Repro repro = valid::ReproFromJson(outcome.repro_json);
+  const valid::Repro repro = valid::ReproFromJson(row.repro_json);
   EXPECT_EQ(repro.arm, valid::TrialArm::kUntreated);
   EXPECT_EQ(repro.workload.max_cycles, workload.max_cycles);
-  EXPECT_EQ(repro.mismatch, outcome.row.mismatch);
+  EXPECT_EQ(repro.mismatch, row.mismatch);
   repro.design.Validate();
 
   const valid::ReplayResult replay = valid::ReplayRepro(repro);
   EXPECT_TRUE(replay.reproduced) << replay.row.mismatch;
-  EXPECT_EQ(replay.row.mismatch, outcome.row.mismatch);
+  EXPECT_EQ(replay.row.mismatch, row.mismatch);
 
   // The dump itself round-trips byte-identically.
   valid::Repro reparsed = valid::ReproFromJson(valid::ReproToJson(repro));
@@ -387,21 +389,100 @@ TEST(CampaignTest, RowToJsonCarriesVerdict) {
   valid::TrialRow row;
   row.design = "d";
   row.verdict = valid::TrialVerdict::kNegativeDetonated;
-  const std::string dump = valid::RowToJson(row).Dump();
+  const std::string dump = RowToJson(row).Dump();
   EXPECT_NE(dump.find("\"verdict\":\"negative_detonated\""),
             std::string::npos);
   EXPECT_EQ(dump.find("\"mismatch\""), std::string::npos);
 }
 
+TEST(CampaignTest, FirstDifferenceNamesTheFirstFieldInDigestOrder) {
+  valid::TrialRow a;
+  a.cycles = 11;
+  a.verdict = valid::TrialVerdict::kPositiveDelivered;
+  valid::TrialRow b = a;
+  EXPECT_EQ(FirstDifference(a, b), "");
+  b.run_ms = 5.0;  // wall clock is not compared
+  EXPECT_EQ(FirstDifference(a, b), "");
+  b.verdict = valid::TrialVerdict::kNegativeDetonated;
+  EXPECT_EQ(FirstDifference(a, b),
+            "verdict (\"positive_delivered\" vs \"negative_detonated\")");
+  b.cycles = 12;
+  EXPECT_EQ(FirstDifference(a, b), "cycles (11 vs 12)");
+}
+
 TEST(CampaignTest, DigestReactsToOutcomeChanges) {
   const auto result = valid::RunCampaign(SmallCampaign());
   auto rows = result.rows;
-  const std::uint64_t digest = valid::Digest(rows);
+  const std::uint64_t digest = Digest(rows);
   rows[0].cycles += 1;
-  EXPECT_NE(digest, valid::Digest(rows));
+  EXPECT_NE(digest, Digest(rows));
   rows[0].cycles -= 1;
   rows[0].run_ms += 1000.0;  // timings are excluded
-  EXPECT_EQ(digest, valid::Digest(rows));
+  rows[0].repro_json = "{}";  // so is the repro dump
+  EXPECT_EQ(digest, Digest(rows));
+}
+
+// The digest format is pinned: a change to any field's encoding, order
+// or coverage moves these values. Every campaign digest printed by the
+// benches and gated by the perf baselines rests on the same format.
+TEST(DigestFormatTest, SmallCampaignDigestIsPinned) {
+  EXPECT_EQ(valid::RunCampaign(SmallCampaign()).digest, 0xad124339158c6e28ull);
+}
+
+TEST(DigestFormatTest, FullTrialRowIsPinned) {
+  valid::TrialRow row;
+  row.trial_index = 3;
+  row.design_seed = 0x123456789abcdef0ull;
+  row.design = "ring6";
+  row.source = valid::DesignSource::kTorus;
+  row.arm = valid::TrialArm::kUpDown;
+  row.switches = 6;
+  row.links = 7;
+  row.flows = 8;
+  row.channels_before = 9;
+  row.channels_after = 10;
+  row.certified_free = true;
+  row.certificate_checked = true;
+  row.sim_deadlocked = true;
+  row.all_delivered = true;
+  row.cycles = 11;
+  row.packets_offered = 12;
+  row.packets_delivered = 13;
+  row.escalations = 2;
+  row.verdict = valid::TrialVerdict::kNegativeDetonated;
+  row.mismatch_kind = valid::MismatchKind::kNoDetonation;
+  row.mismatch = "no detonation";
+  row.shrink_flows_kept = 4;
+  row.shrink_steps = 5;
+  row.run_ms = 12.5;
+  EXPECT_EQ(Digest(std::vector{row}), 0x1ef66ea0bc9c4bd9ull);
+  const std::map<std::string, std::string> expected = {
+      {"trial", "3"},
+      {"design_seed", "1311768467463790320"},
+      {"design", "\"ring6\""},
+      {"source", "\"torus\""},
+      {"arm", "\"updown\""},
+      {"switches", "6"},
+      {"links", "7"},
+      {"flows", "8"},
+      {"channels_before", "9"},
+      {"channels_after", "10"},
+      {"certified_free", "true"},
+      {"certificate_checked", "true"},
+      {"sim_deadlocked", "true"},
+      {"all_delivered", "true"},
+      {"cycles", "11"},
+      {"packets_offered", "12"},
+      {"packets_delivered", "13"},
+      {"escalations", "2"},
+      {"verdict", "\"negative_detonated\""},
+      {"mismatch", "\"no detonation\""},
+      {"mismatch_kind", "10"},
+      {"shrink_flows_kept", "4"},
+      {"shrink_steps", "5"},
+      {"run_ms", "12.500000"},
+  };
+  EXPECT_EQ(testing::JsonMembers(RowToJson(row).Dump()), expected);
 }
 
 }  // namespace

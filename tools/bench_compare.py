@@ -11,8 +11,8 @@ bench/baselines/ with per-metric tolerance classes:
   * integer count fields          -> exact match (same reason: VC counts,
                                      iterations, switch/link/flow counts
                                      and digests are seed-deterministic)
-  * wall-clock fields (*_ms)      -> ignored by default; opt in with
-                                     --time-tolerance R to fail when
+  * wall-clock fields (*_ms and    -> ignored by default; opt in with
+    *_ms_per_<unit> rates)           --time-tolerance R to fail when
                                      fresh > baseline * (1 + R)
   * speedup fields (speedup*)     -> ratio gate: fail when
                                      fresh < baseline * (1 - R), default
@@ -57,7 +57,9 @@ IGNORED_KEYS = {"bench"}  # writer metadata, not a metric
 
 
 def is_time_metric(key: str) -> bool:
-    return key.endswith("_ms")
+    """Wall clock: a *_ms total or a *_ms_per_<unit> rate derived from one
+    (serve_sessions' session_ms_per_burst is session_ms / bursts)."""
+    return key.endswith("_ms") or "_ms_per_" in key
 
 
 def is_speedup_metric(key: str) -> bool:
@@ -312,7 +314,8 @@ def main(argv):
         "--time-tolerance",
         type=float,
         default=None,
-        help="gate *_ms metrics at baseline*(1+R); off by default",
+        help="gate *_ms and *_ms_per_<unit> metrics at baseline*(1+R); "
+        "off by default",
     )
     parser.add_argument(
         "--speedup-tolerance",

@@ -260,6 +260,42 @@ class OverheadGateIsOneSided(GateHarness):
         )  # knob widens the gate
 
 
+class PerUnitWallClockRates(GateHarness):
+    def test_ms_per_unit_rates_are_wall_clock(self):
+        # serve_sessions' session_ms_per_burst is session_ms / bursts: a
+        # wall-clock rate, informational by default in either direction
+        # and gated one-sided only under --time-tolerance.
+        write_rows(
+            self.baseline_dir / "BENCH_serve_sessions.json",
+            [self.row(session_ms_per_burst=17.8, bursts=30)],
+        )
+        write_rows(
+            self.fresh_dir / "BENCH_serve_sessions.json",
+            [self.row(session_ms_per_burst=9.45, bursts=30)],
+        )
+        self.assertEqual(self.run_gate(), 0)  # faster passes
+        self.assertEqual(self.run_gate(["--time-tolerance", "0.25"]), 0)
+        write_rows(
+            self.fresh_dir / "BENCH_serve_sessions.json",
+            [self.row(session_ms_per_burst=40.0, bursts=30)],
+        )
+        self.assertEqual(self.run_gate(), 0)  # slower passes by default
+        self.assertEqual(
+            self.run_gate(["--time-tolerance", "0.25"]), 1
+        )  # 40.0 > 17.8 * 1.25
+
+    def test_burst_count_stays_exact(self):
+        write_rows(
+            self.baseline_dir / "BENCH_serve_sessions.json",
+            [self.row(session_ms_per_burst=17.8, bursts=30)],
+        )
+        write_rows(
+            self.fresh_dir / "BENCH_serve_sessions.json",
+            [self.row(session_ms_per_burst=17.8, bursts=29)],
+        )
+        self.assertEqual(self.run_gate(), 1)
+
+
 class ToleranceClasses(GateHarness):
     def test_wall_clock_ignored_by_default(self):
         write_rows(
