@@ -1,5 +1,6 @@
 #include "deadlock/verify.h"
 
+#include <algorithm>
 #include <deque>
 
 #include "cdg/cdg.h"
@@ -13,37 +14,68 @@ DeadlockCertificate CertifyDeadlockFreedom(const NocDesign& design) {
 }
 
 DeadlockCertificate CertifyFromCdg(const NocDesign& design,
-                                   const ChannelDependencyGraph& cdg) {
-  Require(cdg.VertexCount() == design.topology.ChannelCount(),
+                                   const ChannelDependencyGraph& cdg,
+                                   std::span<const ChannelId> order) {
+  const std::size_t n = cdg.VertexCount();
+  Require(n == design.topology.ChannelCount(),
           "CertifyFromCdg: CDG vertex count does not match the design's "
           "channel count (graph out of sync)");
-  DeadlockCertificate cert;
-
-  // Kahn's algorithm, keeping the emission order as the certificate.
-  const std::size_t n = cdg.VertexCount();
-  std::vector<std::size_t> in_degree(n, 0);
-  for (const CdgEdge& e : cdg.Edges()) {
-    ++in_degree[e.to.value()];
-  }
-  std::deque<ChannelId> ready;
-  for (std::size_t v = 0; v < n; ++v) {
-    if (in_degree[v] == 0) {
-      ready.emplace_back(ChannelId(v));
+  const bool renumbered = !order.empty();
+  // number[v]: the number vertex v is certified under.
+  std::vector<std::size_t> number;
+  if (renumbered) {
+    Require(order.size() == n,
+            "CertifyFromCdg: the channel order does not list every channel");
+    number.assign(n, n);
+    for (std::size_t k = 0; k < n; ++k) {
+      const ChannelId c = order[k];
+      Require(c.valid() && c.value() < n && number[c.value()] == n,
+              "CertifyFromCdg: the channel order is not a permutation");
+      number[c.value()] = k;
     }
   }
+  const auto number_of = [&](ChannelId c) {
+    return renumbered ? number[c.value()] : c.value();
+  };
+  DeadlockCertificate cert;
+
+  // Kahn's algorithm over certified numbers, keeping the emission order
+  // as the certificate. A vertex releases its successors in ascending
+  // number, the order the renumbered design's CDG lists them in.
+  std::vector<std::size_t> in_degree(n, 0);
+  for (const CdgEdge& e : cdg.Edges()) {
+    ++in_degree[number_of(e.to)];
+  }
+  std::deque<std::size_t> ready;
+  for (std::size_t k = 0; k < n; ++k) {
+    if (in_degree[k] == 0) {
+      ready.push_back(k);
+    }
+  }
+  std::vector<std::size_t> successors;
   while (!ready.empty()) {
-    const ChannelId v = ready.front();
+    const std::size_t k = ready.front();
     ready.pop_front();
-    cert.topological_order.push_back(v);
-    for (const auto& ref : cdg.OutEdges(v)) {
-      const ChannelId w = ref.to;
-      if (--in_degree[w.value()] == 0) {
+    cert.topological_order.emplace_back(k);
+    successors.clear();
+    for (const auto& ref :
+         cdg.OutEdges(renumbered ? order[k] : ChannelId(k))) {
+      successors.push_back(number_of(ref.to));
+    }
+    if (renumbered) {
+      std::sort(successors.begin(), successors.end());
+    }
+    for (const std::size_t w : successors) {
+      if (--in_degree[w] == 0) {
         ready.push_back(w);
       }
     }
   }
   cert.deadlock_free = cert.topological_order.size() == n;
   if (!cert.deadlock_free) {
+    Require(!renumbered,
+            "CertifyFromCdg: the CDG has a cycle, and a renumbered pass has "
+            "no counterexample to report");
     cert.topological_order.clear();
     if (auto cycle = SmallestCycle(cdg)) {
       cert.counterexample = std::move(*cycle);

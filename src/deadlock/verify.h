@@ -8,6 +8,7 @@
 // flows expect.
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -40,8 +41,18 @@ DeadlockCertificate CertifyDeadlockFreedom(const NocDesign& design);
 /// the design's channel count; Require-checked). Sign-off still rests
 /// on CheckCertificate, which re-validates the order against the routes
 /// directly and trusts no CDG at all.
+///
+/// A non-empty \p order, a permutation of the channels, certifies the
+/// design renumbered so that channel order[k] is channel k: the pass
+/// runs as the from-scratch one would on that renumbered design, and
+/// the certificate names channels by their new numbers. With
+/// util/canonical.h's CanonicalChannelOrder that is the certificate of
+/// the design's parsed text form, which is what a session publishes.
+/// A renumbered pass has no counterexample to offer, so it Requires an
+/// acyclic graph.
 DeadlockCertificate CertifyFromCdg(const NocDesign& design,
-                                   const ChannelDependencyGraph& cdg);
+                                   const ChannelDependencyGraph& cdg,
+                                   std::span<const ChannelId> order = {});
 
 /// Re-validates a positive certificate against the design from scratch:
 /// the order must contain every channel exactly once and every

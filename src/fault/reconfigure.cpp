@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "obs/trace.h"
 #include "util/error.h"
 
 namespace nocdr::fault {
@@ -64,70 +65,90 @@ bool ReconfigureCore(NocDesign& design, ChannelDependencyGraph* cdg,
   FaultState next = state;
   next.Apply(design, burst);
 
-  // 1. Affected flows: endpoint switch died, or the route crosses a
-  // failed link. Routes were valid under the previous state, so any
-  // failed link on them is newly failed.
-  report.affected_flows = AffectedFlows(design, next);
+  {
+    obs::ScopedSpan span("fault.affected");
+    // 1. Affected flows: endpoint switch died, or the route crosses a
+    // failed link. Routes were valid under the previous state, so any
+    // failed link on them is newly failed.
+    report.affected_flows = AffectedFlows(design, next);
 
-  // 2. Feasibility: every affected flow must still have some surviving
-  // path. Any miss makes the whole burst infeasible, untouched.
-  SurvivorReachability reach(design, next);
-  for (const FlowId f : report.affected_flows) {
-    const Flow& flow = design.traffic.FlowAt(f);
-    const SwitchId src = design.attachment[flow.src.value()];
-    const SwitchId dst = design.attachment[flow.dst.value()];
-    if (next.SwitchFailed(src) || next.SwitchFailed(dst) ||
-        !reach.Reachable(src, dst)) {
-      report.disconnected_flows.push_back(f);
+    // 2. Feasibility: every affected flow must still have some
+    // surviving path. Any miss makes the whole burst infeasible,
+    // untouched.
+    SurvivorReachability reach(design, next);
+    for (const FlowId f : report.affected_flows) {
+      const Flow& flow = design.traffic.FlowAt(f);
+      const SwitchId src = design.attachment[flow.src.value()];
+      const SwitchId dst = design.attachment[flow.dst.value()];
+      if (next.SwitchFailed(src) || next.SwitchFailed(dst) ||
+          !reach.Reachable(src, dst)) {
+        report.disconnected_flows.push_back(f);
+      }
     }
+    span.Attr("affected_flows",
+              static_cast<std::uint64_t>(report.affected_flows.size()));
   }
   if (report.infeasible()) {
     return false;
   }
   state = std::move(next);
 
-  // 3. Mirror the rip-up into the CDG before any route changes.
-  if (cdg != nullptr) {
-    for (const FlowId f : report.affected_flows) {
-      cdg->RemoveEdges(design.routes.RouteOf(f), f);
-    }
-  }
-
-  // 4. Re-route: table detours first, rip-up Dijkstra for the rest.
-  std::vector<FlowId> ripup;
+  // 4, first part: a table-routed design patches its next-hop table
+  // around the failures. The patch touches no route, so it can run
+  // ahead of step 3 and be timed on its own.
   if (options.table != nullptr) {
+    obs::ScopedSpan span("fault.patch_table");
     report.table_pairs_disconnected = PatchNextHopTable(
         design.topology, *options.table, state.failed_links,
         state.failed_switches);
-    for (const FlowId f : report.affected_flows) {
-      const Flow& flow = design.traffic.FlowAt(f);
-      const SwitchId src = design.attachment[flow.src.value()];
-      const SwitchId dst = design.attachment[flow.dst.value()];
-      auto detour =
-          WalkTableRoute(design.topology, *options.table, src, dst);
-      if (detour.has_value()) {
-        design.routes.SetRoute(f, std::move(*detour));
-        ++report.table_detours;
-      } else {
-        ripup.push_back(f);
+  }
+
+  {
+    obs::ScopedSpan span("fault.reroute");
+    // 3. Mirror the rip-up into the CDG before any route changes.
+    if (cdg != nullptr) {
+      for (const FlowId f : report.affected_flows) {
+        cdg->RemoveEdges(design.routes.RouteOf(f), f);
       }
     }
-  } else {
-    ripup = report.affected_flows;
-  }
-  if (!ripup.empty()) {
-    RerouteFlows(design, ripup, state.failed_links, state.failed_switches,
-                 options.route_options);
-    report.ripup_reroutes = ripup.size();
-  }
-  if (cdg != nullptr) {
-    for (const FlowId f : report.affected_flows) {
-      const Route& route = design.routes.RouteOf(f);
-      cdg->AddEdges(route, f);
-      // The new edges connect pre-existing vertices, which the finder's
-      // fresh-vertex rule would never re-scan on its own.
-      finder->NoteExternalEdges(route);
+
+    // 4. Re-route: table detours first, rip-up Dijkstra for the rest.
+    std::vector<FlowId> ripup;
+    if (options.table != nullptr) {
+      for (const FlowId f : report.affected_flows) {
+        const Flow& flow = design.traffic.FlowAt(f);
+        const SwitchId src = design.attachment[flow.src.value()];
+        const SwitchId dst = design.attachment[flow.dst.value()];
+        auto detour =
+            WalkTableRoute(design.topology, *options.table, src, dst);
+        if (detour.has_value()) {
+          design.routes.SetRoute(f, std::move(*detour));
+          ++report.table_detours;
+        } else {
+          ripup.push_back(f);
+        }
+      }
+    } else {
+      ripup = report.affected_flows;
     }
+    if (!ripup.empty()) {
+      RerouteFlows(design, ripup, state.failed_links, state.failed_switches,
+                   options.route_options);
+      report.ripup_reroutes = ripup.size();
+    }
+    if (cdg != nullptr) {
+      for (const FlowId f : report.affected_flows) {
+        const Route& route = design.routes.RouteOf(f);
+        cdg->AddEdges(route, f);
+        // The new edges connect pre-existing vertices, which the
+        // finder's fresh-vertex rule would never re-scan on its own.
+        finder->NoteExternalEdges(route);
+      }
+    }
+    span.Attr("table_detours",
+              static_cast<std::uint64_t>(report.table_detours));
+    span.Attr("ripup_reroutes",
+              static_cast<std::uint64_t>(report.ripup_reroutes));
   }
 
   // 5. Deadlock removal re-runs on what the detours left behind.

@@ -20,6 +20,11 @@
 //   5. deadlock removal re-runs incrementally on that CDG
 //      (RemoveDeadlocksOnCdg), so only dirty SCCs are re-scanned.
 //
+// When a trace is current (obs/trace.h), steps 1-2 run under a
+// "fault.affected" span, the table patch under "fault.patch_table" and
+// the rest of steps 3-4 under "fault.reroute"; step 5's removal stage
+// spans follow them as siblings.
+//
 // ApplyFaultBurstRebuild is the from-scratch reference: identical
 // re-route decisions, but the CDG is re-derived and removal runs the
 // rebuild engine. The two paths must produce bit-identical designs —

@@ -127,9 +127,15 @@ std::optional<double> ParseBandwidth(std::string_view token) {
 
 }  // namespace
 
-std::string DesignText(const NocDesign& design) {
+std::string DesignText(const NocDesign& design,
+                       std::span<const FlowId> flow_order) {
   const TopologyGraph& topo = design.topology;
   const CommunicationGraph& traffic = design.traffic;
+  Require(flow_order.empty() || flow_order.size() == traffic.FlowCount(),
+          "DesignText: the flow order does not list every flow");
+  const auto flow_at = [&](std::size_t i) {
+    return flow_order.empty() ? FlowId(i) : flow_order[i];
+  };
   std::string out;
   out += "noc ";
   out += design.name.empty() ? std::string_view("unnamed")
@@ -161,7 +167,7 @@ std::string DesignText(const NocDesign& design) {
     out += '\n';
   }
   for (std::size_t f = 0; f < traffic.FlowCount(); ++f) {
-    const Flow& flow = traffic.FlowAt(FlowId(f));
+    const Flow& flow = traffic.FlowAt(flow_at(f));
     out += "flow ";
     out += traffic.CoreName(flow.src);
     out += ' ';
@@ -178,7 +184,7 @@ std::string DesignText(const NocDesign& design) {
   for (std::size_t f = 0; f < traffic.FlowCount(); ++f) {
     out += "route ";
     AppendUint(out, f);
-    for (ChannelId c : design.routes.RouteOf(FlowId(f))) {
+    for (ChannelId c : design.routes.RouteOf(flow_at(f))) {
       const Channel& ch = topo.ChannelAt(c);
       out += ' ';
       AppendUint(out, ch.link.value());

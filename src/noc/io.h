@@ -29,6 +29,7 @@
 #pragma once
 
 #include <iosfwd>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -43,8 +44,13 @@ class DesignParseError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// \p design in the text format above (stable, diff-friendly).
-std::string DesignText(const NocDesign& design);
+/// \p design in the text format above (stable, diff-friendly). A
+/// non-empty \p flow_order, a permutation of the flow ids, writes the
+/// flows in that order: flow line i and route line i are those of
+/// flow_order[i], so the text is that of the design with its flows
+/// permuted (util/canonical.h's CanonicalFlowOrder is the caller).
+std::string DesignText(const NocDesign& design,
+                       std::span<const FlowId> flow_order = {});
 
 /// Writes DesignText(\p design) to \p os.
 void WriteDesign(std::ostream& os, const NocDesign& design);

@@ -234,6 +234,9 @@ struct CachedCertification {
   [[nodiscard]] std::size_t PayloadBytes() const {
     return certificate_json.size() + treated_design_text.size();
   }
+
+  friend bool operator==(const CachedCertification&,
+                         const CachedCertification&) = default;
 };
 
 /// The in-memory certificate store, content-addressed by

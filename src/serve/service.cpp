@@ -576,6 +576,20 @@ CertResponse CertificationService::ServeMaterialized(
   return response;
 }
 
+std::uint64_t CertificationService::Publish(const std::string& canonical_text,
+                                            const CertRequest& request,
+                                            CachedCertification value) {
+  const std::uint64_t key =
+      CanonicalTextDigest(canonical_text, request.options, request.treat);
+  if (config_.cache_enabled) {
+    std::string key_text = CacheKeyText(canonical_text, request);
+    if (cache_.Revalidate(key, key_text) == nullptr) {
+      cache_.Insert(key, std::move(key_text), std::move(value));
+    }
+  }
+  return key;
+}
+
 std::vector<CertResponse> CertificationService::ServeBatch(
     const std::vector<CertRequest>& requests, std::size_t client_threads) {
   if (client_threads == 0) {

@@ -282,6 +282,20 @@ class CertificationService {
   CertResponse ServeDesign(const NocDesign& design,
                            const CertRequest& request);
 
+  /// Publishes a certification the caller computed itself: inserts
+  /// \p value into the certificate cache under the key Serve computes
+  /// for \p canonical_text (a CanonicalizeDesign text) and \p request's
+  /// options and treat flag, and returns that key. Sessions publish
+  /// every epoch this way from their live state (serve/session.h).
+  /// The caller vouches that \p value is what the certifier computes
+  /// for that canonical design; the cache's contract that a hit equals
+  /// a recompute rests on it. A key the cache already holds is left as
+  /// it is. Charges no admission and counts as no request (the cache's
+  /// insertions count it); a cache-disabled service keeps nothing.
+  std::uint64_t Publish(const std::string& canonical_text,
+                        const CertRequest& request,
+                        CachedCertification value);
+
   /// Serves \p requests over \p client_threads caller-side threads
   /// (0 = the compute pool width); responses come back indexed like the
   /// input. Deterministic payloads for any thread count.

@@ -13,8 +13,27 @@
 #include "util/canonical.h"
 #include "util/clock.h"
 #include "util/digest.h"
+#include "util/error.h"
 
 namespace nocdr::serve {
+
+namespace {
+
+/// Runs a callable when it goes out of scope, exceptions included.
+template <typename F>
+class ScopeExit {
+ public:
+  explicit ScopeExit(F on_exit) : on_exit_(std::move(on_exit)) {}
+  ~ScopeExit() { on_exit_(); }
+
+  ScopeExit(const ScopeExit&) = delete;
+  ScopeExit& operator=(const ScopeExit&) = delete;
+
+ private:
+  F on_exit_;
+};
+
+}  // namespace
 
 /// Everything a session keeps alive between messages: the design, the
 /// channel dependency graph mirroring its routes, the dirty-cycle
@@ -23,10 +42,9 @@ namespace nocdr::serve {
 /// object lives in a shared_ptr so a concurrent close can never free it
 /// under a burst.
 struct SessionService::Session {
-  Session(std::string session_id, NocDesign live, NextHopTable next_hops,
+  Session(NocDesign live, NextHopTable next_hops,
           RemovalOptions removal_options)
-      : id(std::move(session_id)),
-        options(removal_options),
+      : options(removal_options),
         design(std::move(live)),
         cdg(ChannelDependencyGraph::Build(design)),
         finder(cdg),
@@ -46,7 +64,9 @@ struct SessionService::Session {
   std::mutex mutex;
   bool closed = false;
 
-  const std::string id;
+  /// Assigned when the open inserts the session, under the service's
+  /// mutex_; read-only from then on.
+  std::string id;
   const RemovalOptions options;
 
   // The live quadruple ApplyFaultBurst advances. `finder` references
@@ -183,10 +203,15 @@ SessionResponse SessionService::Open(const SessionRequest& request) {
     }
     ++opening_;
   }
-  const auto release_slot = [&] {
-    std::lock_guard<std::mutex> lock(mutex_);
-    --opening_;
-  };
+  // The slot goes back on every way out, exceptions included, unless
+  // the open succeeded and handed it to the session it inserted.
+  bool slot_held = true;
+  const ScopeExit release_slot([&] {
+    if (slot_held) {
+      std::lock_guard<std::mutex> lock(mutex_);
+      --opening_;
+    }
+  });
 
   CertRequest cert;
   static_cast<DesignSpec&>(cert) = request.spec;
@@ -205,7 +230,6 @@ SessionResponse SessionService::Open(const SessionRequest& request) {
     materialized = MaterializeDesign(request.spec, service_.config().envelope,
                                      &table);
   } catch (const std::exception& e) {
-    release_slot();
     std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.errors;
     response.status = ServeStatus::kError;
@@ -224,7 +248,6 @@ SessionResponse SessionService::Open(const SessionRequest& request) {
     treated = service_.ServeDesign(materialized, cert);
   }
   if (treated.status != ServeStatus::kOk) {
-    release_slot();
     std::lock_guard<std::mutex> lock(mutex_);
     if (treated.status == ServeStatus::kOverloaded) {
       ++stats_.open_rejected;
@@ -236,44 +259,28 @@ SessionResponse SessionService::Open(const SessionRequest& request) {
     return response;
   }
 
-  // Second, canonical-fixpoint serve: the treated design re-serves as
-  // pure content, giving the session the exact certificate + key any
-  // stateless client re-shipping the session's current design text
-  // would get. Treatment is a no-op (the design is already deadlock
-  // free), so this costs one canonicalization — and it seeds the
-  // epoch-0 cache entry the session's snapshot text resolves to.
-  CertResponse fixpoint;
-  {
-    obs::ScopedSpan span("open.fixpoint");
-    fixpoint = service_.ServeDesign(ReadDesign(treated.treated_design_text),
-                                    cert);
-  }
-  if (fixpoint.status != ServeStatus::kOk) {
-    release_slot();
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (fixpoint.status == ServeStatus::kOverloaded) {
-      ++stats_.open_rejected;
-    } else {
-      ++stats_.errors;
-    }
-    response.status = fixpoint.status;
-    response.error = fixpoint.error;
-    return response;
-  }
-
-  NocDesign live = ReadDesign(fixpoint.treated_design_text);
-
+  // Epoch 0 is the treated design in canonical form: parsed once (the
+  // parse numbers channels link-major) with its flows in canonical
+  // order — the design any stateless client re-shipping the session's
+  // text reconstructs. Publishing it seeds the epoch-0 cache entry the
+  // session's snapshot text resolves to.
   std::shared_ptr<Session> session;
+  std::string epoch0_text;
+  {
+    obs::ScopedSpan span("open.publish");
+    const NocDesign parsed = ReadDesign(treated.treated_design_text);
+    session = std::make_shared<Session>(
+        PermuteFlows(parsed, CanonicalFlowOrder(parsed)), std::move(table),
+        request.options);
+    epoch0_text = PublishEpoch(*session);
+  }
+
   {
     std::lock_guard<std::mutex> lock(mutex_);
     --opening_;
-    const std::string session_id = "s" + std::to_string(next_session_++);
-    session = std::make_shared<Session>(session_id, std::move(live),
-                                        std::move(table), request.options);
-    session->key = fixpoint.key;
-    session->deadlock_free = fixpoint.deadlock_free;
-    session->certificate_json = fixpoint.certificate_json;
-    sessions_.emplace(session_id, session);
+    slot_held = false;
+    session->id = "s" + std::to_string(next_session_++);
+    sessions_.emplace(session->id, session);
     ++stats_.opened;
     ++stats_.epochs_served;
   }
@@ -290,7 +297,7 @@ SessionResponse SessionService::Open(const SessionRequest& request) {
   response.deadlock_free = session->deadlock_free;
   response.certificate_json = session->certificate_json;
   if (request.return_design) {
-    response.design_text = fixpoint.treated_design_text;
+    response.design_text = std::move(epoch0_text);
   }
   response.cache_outcome = treated.cache_outcome;
   return response;
@@ -310,6 +317,17 @@ SessionResponse SessionService::Burst(const SessionRequest& request,
     std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.errors;
     return response;
+  };
+  // A failure past the first mutation leaves the session unusable.
+  const auto fail_closed = [&](std::string message) {
+    session.closed = true;
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      sessions_.erase(session.id);
+      ++stats_.closed;
+    }
+    return fail(ErrorCode::kComputeFailed,
+                std::move(message) + " (session closed)");
   };
 
   std::lock_guard<std::mutex> session_lock(session.mutex);
@@ -368,16 +386,8 @@ SessionResponse SessionService::Burst(const SessionRequest& request,
     span.Attr("affected_flows",
               static_cast<std::uint64_t>(report.affected_flows.size()));
   } catch (const std::exception& e) {
-    // The live quadruple may be mid-mutation; the session is unusable.
-    session.closed = true;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      sessions_.erase(session.id);
-      ++stats_.closed;
-    }
-    return fail(ErrorCode::kComputeFailed,
-                std::string("reconfiguration failed (session closed): ") +
-                    e.what());
+    // The live quadruple may be mid-mutation.
+    return fail_closed(std::string("reconfiguration failed: ") + e.what());
   }
 
   response.status = ServeStatus::kOk;
@@ -404,29 +414,15 @@ SessionResponse SessionService::Burst(const SessionRequest& request,
   session.epoch += 1;
   session.bursts_applied += 1;
 
-  // The incremental re-certification: the removal above ran on the
-  // maintained CDG (RemoveDeadlocksOnCdg inside ApplyFaultBurst);
-  // CertifyFromCdg proves the surviving graph acyclic at dirty-SCC
-  // cost before the epoch's certificate is published.
-  DeadlockCertificate live_certificate;
-  {
-    obs::ScopedSpan span("burst.recertify");
-    live_certificate = CertifyFromCdg(session.design, session.cdg);
-  }
-  if (!live_certificate.deadlock_free) {
-    session.closed = true;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      sessions_.erase(session.id);
-      ++stats_.closed;
-    }
-    return fail(ErrorCode::kComputeFailed,
-                "post-burst CDG has a cycle (session closed)");
-  }
-
-  {
+  // The removal above ran on the maintained CDG (RemoveDeadlocksOnCdg
+  // inside ApplyFaultBurst); publishing certifies that graph, which
+  // Requires it acyclic, before the epoch's certificate is served.
+  try {
     obs::ScopedSpan span("burst.publish");
-    PublishEpoch(session, request);
+    PublishEpoch(session);
+  } catch (const std::exception& e) {
+    return fail_closed(std::string("post-burst certification failed: ") +
+                       e.what());
   }
 
   response.epoch = session.epoch;
@@ -451,41 +447,42 @@ SessionResponse SessionService::Burst(const SessionRequest& request,
   return response;
 }
 
-void SessionService::PublishEpoch(Session& session,
-                                  const SessionRequest& request) {
-  if (config_.publish_epochs) {
-    CertRequest cert;
-    cert.protocol_version = request.protocol_version;
-    cert.id = request.id;
-    cert.options = session.options;
-    cert.treat = true;
-    cert.return_design = false;
-    // Publish through the service: the epoch's certificate lands in the
-    // shared cert cache under the canonical key of the *current* design
-    // — stateless clients re-shipping the session's snapshot text hit
-    // it, and no earlier epoch's key can ever resolve to it. With a
-    // persistent tier configured (ServiceConfig::cache_dir) this same
-    // insert writes through to disk, so a restarted server serves the
-    // session's latest epoch — not a stale pre-burst one — warm: the
-    // epoch-versioned keys make every republication content-addressed.
-    const CertResponse published = service_.ServeDesign(session.design, cert);
-    if (published.status == ServeStatus::kOk) {
-      session.key = published.key;
-      session.deadlock_free = published.deadlock_free;
-      session.certificate_json = published.certificate_json;
-      return;
-    }
-    // Overloaded (or a failure injected by a test certifier): fall
-    // through to the local computation — the session must still answer,
-    // and the bytes below are exactly what the service would cache.
+std::string SessionService::PublishEpoch(Session& session) {
+  const NocDesign& design = session.design;
+  CertRequest cert;
+  cert.options = session.options;
+  cert.treat = true;
+
+  // What ComputeCertification writes for the epoch's canonical design,
+  // derived from the live state: that design is already acyclic, so
+  // treatment is a no-op, and its CDG is the live one renumbered
+  // link-major.
+  CachedCertification value;
+  const DeadlockCertificate certificate = CertifyFromCdg(
+      design, session.cdg, CanonicalChannelOrder(design.topology));
+  value.certificate_json = CertificateToJson(certificate);
+  value.treated_design_text = DesignText(design, CanonicalFlowOrder(design));
+  value.deadlock_free = certificate.deadlock_free;
+  value.initially_deadlock_free = certificate.deadlock_free;
+  value.channels_before = design.topology.ChannelCount();
+  value.channels_after = design.topology.ChannelCount();
+
+  if (session.options.paranoid_validation) {
+    const CanonicalDesign canonical = CanonicalizeDesign(design);
+    Require(canonical.text == value.treated_design_text,
+            "PublishEpoch: the canonical text (and so the key) differs from "
+            "CanonicalizeDesign's");
+    Require(ComputeCertification(canonical.design, cert) == value,
+            "PublishEpoch: the published entry differs from "
+            "ComputeCertification's");
   }
-  const CanonicalDesign canonical = CanonicalizeDesign(session.design);
-  session.key =
-      CanonicalTextDigest(canonical.text, session.options, /*treat=*/true);
-  const DeadlockCertificate certificate =
-      CertifyDeadlockFreedom(canonical.design);
-  session.deadlock_free = certificate.deadlock_free;
-  session.certificate_json = CertificateToJson(certificate);
+
+  // With a persistent tier (ServiceConfig::cache_dir) the insert writes
+  // through, so a restarted server serves the latest epoch warm.
+  session.key = service_.Publish(value.treated_design_text, cert, value);
+  session.deadlock_free = value.deadlock_free;
+  session.certificate_json = value.certificate_json;
+  return std::move(value.treated_design_text);
 }
 
 SessionResponse SessionService::Snapshot(const SessionRequest& request,

@@ -21,13 +21,22 @@
 // cert cache, keyed by the canonical form of that epoch's design — a
 // later epoch's design is different content, so it lands on a different
 // key and a session can never be answered with a stale certificate.
-// The published entry is recomputed on the canonical design (not the
-// session's live channel numbering), keeping the service's invariant
-// that a cached payload is bit-identical to a from-scratch recompute;
-// the live-CDG certificate gates the publish (the expensive removal ran
-// incrementally; CertifyFromCdg proves the result acyclic first). The
-// differential session campaign (src/valid/session_campaign) holds a
-// streamed session and a stateless replay to byte-identical responses.
+// The published entry is built from the session's live state, with no
+// text round trip, no removal and no CDG rebuild: the canonical flow
+// order renders the key's text once (DesignText), and one Kahn pass
+// over the live CDG in the canonical channel order (CertifyFromCdg)
+// gives the certificate the canonical design would get. So the entry
+// is bit-identical to what a stateless client re-shipping the epoch's
+// design text computes, which is the service's invariant for every
+// cached payload. Epoch 0 publishes through the same function, on the
+// treated design parsed once and put in canonical flow order. Three
+// oracles hold the published bytes to the from-scratch path
+// (CanonicalizeDesign + ComputeCertification): RemovalOptions::
+// paranoid_validation recomputes every publish and Requires equality;
+// the differential session campaign (src/valid/session_campaign) holds
+// a streamed session and a cold stateless replay to byte-identical
+// responses; and perfbench's traced fault_session Breakdown checks
+// every burst's certificate against ComputeCertification.
 //
 // Concurrency and lifecycle: opens are admission-bounded
 // (max_sessions); the epoch-0 certification runs through the service's
@@ -154,10 +163,6 @@ struct SessionServiceConfig {
   /// Admission bound on concurrently open sessions; opens beyond it get
   /// ErrorCode::kSessionLimit.
   std::size_t max_sessions = 256;
-  /// Publish each epoch's certificate into the service's cert cache
-  /// (see the header comment). Disabled only by benches isolating the
-  /// in-session cost.
-  bool publish_epochs = true;
 };
 
 struct SessionServiceStats {
@@ -203,10 +208,14 @@ class SessionService {
   SessionResponse Snapshot(const SessionRequest& request, Session& session);
   SessionResponse Close(const SessionRequest& request, Session& session);
   std::shared_ptr<Session> Find(const std::string& session_id);
-  /// Re-certifies the session's current design through the service
-  /// (publishing the epoch's cache entry) and refreshes the session's
-  /// key/certificate fields. Runs under the session's mutex.
-  void PublishEpoch(Session& session, const SessionRequest& request);
+  /// Certifies the session's current design from its live CDG in the
+  /// canonical channel order, publishes the epoch's cache entry
+  /// (CertificationService::Publish) and refreshes the session's
+  /// key/certificate fields; returns the epoch's canonical design text.
+  /// Throws if the live CDG has a cycle, or (paranoid_validation) if the
+  /// from-scratch path disagrees. Runs under the session's mutex, or
+  /// before the session is visible.
+  std::string PublishEpoch(Session& session);
 
   CertificationService& service_;
   SessionServiceConfig config_;

@@ -1,8 +1,6 @@
 #include "util/canonical.h"
 
 #include <algorithm>
-#include <numeric>
-#include <vector>
 
 #include "noc/io.h"
 #include "util/digest.h"
@@ -25,48 +23,6 @@ std::vector<std::pair<std::uint32_t, std::uint32_t>> RouteKey(
   return key;
 }
 
-/// Rebuilds \p design with its flows (and routes) permuted into the
-/// canonical order: ascending (src, dst, bandwidth, route). Topology,
-/// cores and attachment are untouched, so all ids except FlowId stay
-/// stable.
-NocDesign SortFlows(const NocDesign& design) {
-  const std::size_t flow_count = design.traffic.FlowCount();
-  std::vector<std::size_t> order(flow_count);
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(), [&](std::size_t a,
-                                                   std::size_t b) {
-    const Flow& fa = design.traffic.FlowAt(FlowId(a));
-    const Flow& fb = design.traffic.FlowAt(FlowId(b));
-    if (fa.src != fb.src) {
-      return fa.src.value() < fb.src.value();
-    }
-    if (fa.dst != fb.dst) {
-      return fa.dst.value() < fb.dst.value();
-    }
-    if (fa.bandwidth_mbps != fb.bandwidth_mbps) {
-      return fa.bandwidth_mbps < fb.bandwidth_mbps;
-    }
-    return RouteKey(design, design.routes.RouteOf(FlowId(a))) <
-           RouteKey(design, design.routes.RouteOf(FlowId(b)));
-  });
-
-  NocDesign out;
-  out.name = design.name;
-  out.topology = design.topology;
-  out.attachment = design.attachment;
-  for (std::size_t c = 0; c < design.traffic.CoreCount(); ++c) {
-    out.traffic.AddCore(design.traffic.CoreName(CoreId(c)));
-  }
-  out.routes.Resize(flow_count);
-  for (std::size_t i = 0; i < flow_count; ++i) {
-    const Flow& flow = design.traffic.FlowAt(FlowId(order[i]));
-    const FlowId f = out.traffic.AddFlow(flow.src, flow.dst,
-                                         flow.bandwidth_mbps);
-    out.routes.SetRoute(f, design.routes.RouteOf(FlowId(order[i])));
-  }
-  return out;
-}
-
 }  // namespace
 
 NocDesign IoCanonicalize(const NocDesign& design) {
@@ -77,9 +33,64 @@ bool IsIoStable(const NocDesign& design) {
   return DesignText(IoCanonicalize(design)) == DesignText(design);
 }
 
+std::vector<FlowId> CanonicalFlowOrder(const NocDesign& design) {
+  std::vector<FlowId> order;
+  order.reserve(design.traffic.FlowCount());
+  for (std::size_t f = 0; f < design.traffic.FlowCount(); ++f) {
+    order.emplace_back(f);
+  }
+  std::stable_sort(order.begin(), order.end(), [&](FlowId a, FlowId b) {
+    const Flow& fa = design.traffic.FlowAt(a);
+    const Flow& fb = design.traffic.FlowAt(b);
+    if (fa.src != fb.src) {
+      return fa.src.value() < fb.src.value();
+    }
+    if (fa.dst != fb.dst) {
+      return fa.dst.value() < fb.dst.value();
+    }
+    if (fa.bandwidth_mbps != fb.bandwidth_mbps) {
+      return fa.bandwidth_mbps < fb.bandwidth_mbps;
+    }
+    return RouteKey(design, design.routes.RouteOf(a)) <
+           RouteKey(design, design.routes.RouteOf(b));
+  });
+  return order;
+}
+
+NocDesign PermuteFlows(const NocDesign& design,
+                       std::span<const FlowId> order) {
+  Require(order.size() == design.traffic.FlowCount(),
+          "PermuteFlows: the order does not list every flow");
+  NocDesign out;
+  out.name = design.name;
+  out.topology = design.topology;
+  out.attachment = design.attachment;
+  for (std::size_t c = 0; c < design.traffic.CoreCount(); ++c) {
+    out.traffic.AddCore(design.traffic.CoreName(CoreId(c)));
+  }
+  out.routes.Resize(order.size());
+  for (const FlowId from : order) {
+    const Flow& flow = design.traffic.FlowAt(from);
+    const FlowId f = out.traffic.AddFlow(flow.src, flow.dst,
+                                         flow.bandwidth_mbps);
+    out.routes.SetRoute(f, design.routes.RouteOf(from));
+  }
+  return out;
+}
+
+std::vector<ChannelId> CanonicalChannelOrder(const TopologyGraph& topology) {
+  std::vector<ChannelId> order;
+  order.reserve(topology.ChannelCount());
+  for (std::size_t l = 0; l < topology.LinkCount(); ++l) {
+    const std::vector<ChannelId>& vcs = topology.ChannelsOf(LinkId(l));
+    order.insert(order.end(), vcs.begin(), vcs.end());
+  }
+  return order;
+}
+
 CanonicalDesign CanonicalizeDesign(const NocDesign& design) {
   CanonicalDesign out;
-  out.text = DesignText(SortFlows(design));
+  out.text = DesignText(design, CanonicalFlowOrder(design));
   // Drive the rendering to its round-trip fixpoint so a consumer who
   // parses the text and re-canonicalizes gets byte-identical text (and
   // therefore the same digest). One trip suffices in practice — the

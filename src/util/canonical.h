@@ -23,10 +23,19 @@
 // CanonicalDesignDigest hashes the canonical text together with the
 // semantically relevant removal options, so one primitive defines the
 // cache identity for valid/ and serve/ alike.
+//
+// The canonical form is two permutations of an in-memory design, and
+// both are exported so a caller holding a live design can reach it
+// without the text round trip: CanonicalFlowOrder (the flow sort) and
+// CanonicalChannelOrder (the link-major channel numbering the parse
+// builds). A session publishes each epoch through them
+// (serve/session.h); CanonicalizeDesign stays the oracle.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "deadlock/removal.h"
 #include "noc/design.h"
@@ -57,6 +66,25 @@ struct CanonicalDesign {
 /// Throws InvalidModelError if the text rendering fails to reach a
 /// round-trip fixpoint (never observed; guards against io drift).
 CanonicalDesign CanonicalizeDesign(const NocDesign& design);
+
+/// The flow ids of \p design in canonical order: ascending (src, dst,
+/// bandwidth, route as link:vc pairs), ties kept in id order. The sort
+/// CanonicalizeDesign applies; DesignText(design, order) renders it.
+std::vector<FlowId> CanonicalFlowOrder(const NocDesign& design);
+
+/// \p design with its flows (and their routes) permuted into \p order:
+/// flow i of the result is flow order[i] of \p design. Topology, cores
+/// and attachment are copied unchanged, so every id except FlowId
+/// survives.
+NocDesign PermuteFlows(const NocDesign& design,
+                       std::span<const FlowId> order);
+
+/// The channels of \p topology in link-major order: link 0's channels
+/// in VC order, then link 1's, and so on. Entry k is the channel that
+/// ReadDesign(DesignText(design)) numbers k, because the text stores
+/// each route hop as link:vc and the parse adds a link's VCs with the
+/// link. The two numberings differ once removal has appended VCs.
+std::vector<ChannelId> CanonicalChannelOrder(const TopologyGraph& topology);
 
 /// Mixes the semantically relevant removal options into \p h:
 /// cycle_policy, direction_policy, duplication and max_iterations.

@@ -54,6 +54,7 @@ serve::CertRequest StatelessReplay(const std::string& design_text,
   request.design_text = design_text;
   request.options = removal;
   request.treat = true;
+  request.return_design = true;
   return request;
 }
 
@@ -220,10 +221,13 @@ SessionTrialRow RunSessionTrial(DesignSource source, std::uint64_t seed,
                         ": epoch certificate was not published into the "
                         "service cache"};
       }
-      if (warm.key != key || warm.certificate_json != certificate_json) {
+      // Both answer one request, so equal digests mean every payload
+      // field is equal, the treated design text included.
+      if (serve::ResponseDigest({warm}) != serve::ResponseDigest({fresh})) {
         return Fail{SessionMismatchKind::kStaleCertificate,
                     std::string(what) +
-                        ": cached certificate differs from the session's"};
+                        ": the published entry's payload differs from a "
+                        "cold stateless serve"};
       }
       const DeadlockCertificate reloaded =
           CertificateFromJson(certificate_json);

@@ -22,9 +22,12 @@
 //     streamed session and a stateless re-submission are the same
 //     problem and must get the same certificate;
 //   * re-serving the replica's text through the session's own service
-//     must hit the cache entry the epoch published, with an identical
-//     payload — the content-addressed key moved with the design, so a
-//     stale certificate is unservable by construction;
+//     must hit the cache entry the epoch published, and every payload
+//     field of that hit (treated design text included) must equal the
+//     cold serve's — the content-addressed key moved with the design,
+//     so a stale certificate is unservable by construction, and an
+//     entry the session built from its live state must be the one a
+//     recompute writes;
 //   * the certificate must pass the independent checker against the
 //     canonical form of the replica;
 //   * every request streamed must survive a protocol codec round trip

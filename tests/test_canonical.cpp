@@ -9,6 +9,7 @@
 #include <sstream>
 #include <vector>
 
+#include "deadlock/removal.h"
 #include "noc/io.h"
 #include "test_helpers.h"
 #include "util/error.h"
@@ -18,28 +19,7 @@ namespace {
 
 using testing::MakePaperExample;
 using testing::MakeRandomDesign;
-
-/// Rebuilds \p design with flows (and their routes) permuted by
-/// \p order — the construction-order noise canonicalization must erase.
-NocDesign PermuteFlows(const NocDesign& design,
-                       const std::vector<std::size_t>& order) {
-  NocDesign out;
-  out.name = design.name;
-  out.topology = design.topology;
-  out.attachment = design.attachment;
-  for (std::size_t c = 0; c < design.traffic.CoreCount(); ++c) {
-    out.traffic.AddCore(design.traffic.CoreName(CoreId(c)));
-  }
-  out.routes.Resize(order.size());
-  for (const std::size_t original : order) {
-    const Flow& flow = design.traffic.FlowAt(FlowId(original));
-    const FlowId f =
-        out.traffic.AddFlow(flow.src, flow.dst, flow.bandwidth_mbps);
-    out.routes.SetRoute(f, design.routes.RouteOf(FlowId(original)));
-  }
-  out.Validate();
-  return out;
-}
+using testing::WithTiedTwins;
 
 TEST(CanonicalTest, IoCanonicalizePreservesFlowOrderAndText) {
   const NocDesign design = MakePaperExample().design;
@@ -59,9 +39,9 @@ TEST(CanonicalTest, DigestStableUnderFlowReordering) {
     const NocDesign design = MakeRandomDesign(seed);
     const std::uint64_t base = CanonicalDesignDigest(design, options);
 
-    std::vector<std::size_t> order(design.traffic.FlowCount());
-    for (std::size_t i = 0; i < order.size(); ++i) {
-      order[i] = order.size() - 1 - i;  // full reversal
+    std::vector<FlowId> order;
+    for (std::size_t i = design.traffic.FlowCount(); i > 0; --i) {
+      order.emplace_back(i - 1);  // full reversal
     }
     EXPECT_EQ(base,
               CanonicalDesignDigest(PermuteFlows(design, order), options))
@@ -135,6 +115,77 @@ TEST(CanonicalTest, CanonicalizationPreservesTheCertificationProblem) {
   std::sort(a.begin(), a.end());
   std::sort(b.begin(), b.end());
   EXPECT_EQ(a, b);
+}
+
+TEST(CanonicalTest, FlowOrderRendersTheCanonicalText) {
+  for (const std::uint64_t seed : {3ull, 9ull, 27ull}) {
+    // Removal may re-route one twin of a pair and not the other, so
+    // some ties are decided by the route key.
+    NocDesign design = WithTiedTwins(MakeRandomDesign(seed));
+    RemoveDeadlocks(design);
+    const std::vector<FlowId> order = CanonicalFlowOrder(design);
+    ASSERT_EQ(order.size(), design.traffic.FlowCount());
+    EXPECT_EQ(DesignText(design, order), CanonicalizeDesign(design).text)
+        << "seed " << seed;
+    EXPECT_EQ(DesignText(PermuteFlows(design, order)),
+              DesignText(design, order))
+        << "seed " << seed;
+    // Canonical order is a fixpoint of itself.
+    EXPECT_EQ(DesignText(PermuteFlows(design, order)),
+              DesignText(PermuteFlows(design, order),
+                         CanonicalFlowOrder(PermuteFlows(design, order))));
+  }
+}
+
+TEST(CanonicalTest, FlowOrderBreaksTiesOnTheRoute) {
+  // Two flows between the same cores at the same bandwidth, declared
+  // with the larger route key first: the sort must swap them.
+  NocDesign design;
+  design.name = "ties";
+  const SwitchId a = design.topology.AddSwitch("a");
+  const SwitchId b = design.topology.AddSwitch("b");
+  const SwitchId c = design.topology.AddSwitch("c");
+  const LinkId ab = design.topology.AddLink(a, b);
+  const LinkId ac = design.topology.AddLink(a, c);
+  const LinkId cb = design.topology.AddLink(c, b);
+  const CoreId src = design.traffic.AddCore("src");
+  const CoreId dst = design.traffic.AddCore("dst");
+  design.attachment = {a, b};
+  design.traffic.AddFlow(src, dst, 5.0);
+  design.traffic.AddFlow(src, dst, 5.0);
+  design.routes.Resize(2);
+  design.routes.SetRoute(FlowId(0), {*design.topology.FindChannel(ac, 0),
+                                     *design.topology.FindChannel(cb, 0)});
+  design.routes.SetRoute(FlowId(1), {*design.topology.FindChannel(ab, 0)});
+  design.Validate();
+  EXPECT_EQ(CanonicalFlowOrder(design),
+            (std::vector<FlowId>{FlowId(1), FlowId(0)}));
+}
+
+TEST(CanonicalTest, ChannelOrderIsTheParsedNumbering) {
+  // Removal and hand-added VCs append channels at the end of the
+  // array, out of link order; the parse numbers them link by link.
+  std::size_t renumbered = 0;
+  for (const std::uint64_t seed : {1ull, 4ull, 8ull, 15ull}) {
+    NocDesign design = MakeRandomDesign(seed);
+    RemoveDeadlocks(design);
+    design.topology.AddVirtualChannel(LinkId(3));
+    design.topology.AddVirtualChannel(LinkId(0));
+    design.topology.AddVirtualChannel(LinkId(3));
+    const std::vector<ChannelId> order =
+        CanonicalChannelOrder(design.topology);
+    const NocDesign parsed = ReadDesign(DesignText(design));
+    ASSERT_EQ(order.size(), parsed.topology.ChannelCount());
+    bool identity = true;
+    for (std::size_t k = 0; k < order.size(); ++k) {
+      EXPECT_EQ(design.topology.ChannelAt(order[k]),
+                parsed.topology.ChannelAt(ChannelId(k)))
+          << "seed " << seed << " channel " << k;
+      identity = identity && order[k] == ChannelId(k);
+    }
+    renumbered += identity ? 0 : 1;
+  }
+  EXPECT_EQ(renumbered, 4u);
 }
 
 TEST(CanonicalTest, DigestSeparatesDesignsAndOptions) {

@@ -12,8 +12,12 @@
 #include "fault/plan.h"
 #include "fault/reconfigure.h"
 #include "gen/generators.h"
+#include "noc/io.h"
+#include "soc/synthetic.h"
 #include "synth/route_builder.h"
+#include "synth/synthesizer.h"
 #include "test_helpers.h"
+#include "util/canonical.h"
 #include "util/error.h"
 #include "valid/fault_campaign.h"
 
@@ -260,6 +264,102 @@ TEST(FaultReconfigureTest, TableDetourPatchesInsteadOfRippingUp) {
   // surviving pair (dead entries are allowed to be holes).
   EXPECT_NO_THROW(ValidateNextHopTable(design.topology, table));
   design.Validate();
+}
+
+/// What one stream of bursts showed about the live channel numbering.
+struct NumberingTally {
+  std::size_t bursts = 0;
+  /// Bursts after which the live numbering was not link-major.
+  std::size_t renumbered = 0;
+  /// Bursts after which a pass in live numbering gave other bytes.
+  std::size_t live_differs = 0;
+};
+
+/// Treats \p design, streams a guarded fault plan through its live CDG
+/// and holds each epoch's published bytes — the live CDG certified in
+/// the canonical channel order, the text in the canonical flow order —
+/// to CanonicalizeDesign plus a from-scratch certificate.
+NumberingTally ExpectCanonicalEpochs(NocDesign design, NextHopTable table,
+                                     std::uint64_t seed) {
+  RemoveDeadlocks(design);
+  auto cdg = ChannelDependencyGraph::Build(design);
+  DirtyCycleFinder finder(cdg);
+  FaultState state = FaultState::None(design);
+  FaultPlanOptions plan_options;
+  plan_options.bursts = 3;
+  plan_options.disconnect_tolerance = 0.0;
+  const FaultPlan plan = fault::DrawFaultPlan(design, seed, plan_options);
+  fault::ReconfigureOptions opts;
+  opts.table = table.empty() ? nullptr : &table;
+  NumberingTally tally;
+  for (const FaultBurst& burst : plan.bursts) {
+    const auto report =
+        fault::ApplyFaultBurst(design, cdg, finder, state, burst, opts);
+    EXPECT_FALSE(report.infeasible()) << design.name;
+    if (report.infeasible()) {
+      break;
+    }
+    const CanonicalDesign canonical = CanonicalizeDesign(design);
+    const std::string expected =
+        CertificateToJson(CertifyDeadlockFreedom(canonical.design));
+    const std::vector<ChannelId> order =
+        CanonicalChannelOrder(design.topology);
+    EXPECT_EQ(CertificateToJson(CertifyFromCdg(design, cdg, order)),
+              expected)
+        << design.name << " burst " << tally.bursts;
+    EXPECT_EQ(DesignText(design, CanonicalFlowOrder(design)),
+              canonical.text)
+        << design.name << " burst " << tally.bursts;
+    ++tally.bursts;
+    bool identity = true;
+    for (std::size_t k = 0; k < order.size(); ++k) {
+      identity = identity && order[k] == ChannelId(k);
+    }
+    tally.renumbered += identity ? 0 : 1;
+    tally.live_differs +=
+        CertificateToJson(CertifyFromCdg(design, cdg)) == expected ? 0 : 1;
+  }
+  return tally;
+}
+
+TEST(FaultReconfigureTest, CanonicalOrderCertifiesLikeTheCanonicalDesign) {
+  NumberingTally total;
+  const auto add = [&](const NumberingTally& tally) {
+    total.bursts += tally.bursts;
+    total.renumbered += tally.renumbered;
+    total.live_differs += tally.live_differs;
+  };
+  for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
+    // Table-detoured tori.
+    gen::GeneratorSpec spec;
+    spec.family = gen::TopologyFamily::kTorus2D;
+    spec.width = 8;
+    spec.height = 8;
+    spec.pattern = gen::TrafficPattern::kUniform;
+    spec.uniform_fanout = 4;
+    spec.seed = seed;
+    NextHopTable table;
+    NocDesign torus = gen::GenerateStandardDesign(spec, &table);
+    add(ExpectCanonicalEpochs(std::move(torus), std::move(table), seed));
+
+    // Rip-up SoCs.
+    SyntheticSocSpec soc_spec;
+    soc_spec.cores = 24;
+    soc_spec.seed = seed;
+    const SocBenchmark soc = MakeSyntheticSoc(soc_spec);
+    add(ExpectCanonicalEpochs(SynthesizeDesign(soc.traffic, soc.name, 8), {},
+                              seed));
+
+    // Flows tied on (src, dst, bandwidth).
+    add(ExpectCanonicalEpochs(
+        testing::WithTiedTwins(testing::MakeRandomDesign(seed, 10, 14, 30)),
+        {}, seed));
+  }
+  EXPECT_GT(total.bursts, 12u);
+  // The order matters: bursts added VCs out of link order, and then the
+  // live numbering certifies to other bytes.
+  EXPECT_GT(total.renumbered, 0u);
+  EXPECT_GT(total.live_differs, 0u);
 }
 
 TEST(FaultReconfigureTest, TablePatchSurvivesARoutingLoopInTheInput) {

@@ -8,6 +8,19 @@
 
 namespace nocdr::testing {
 
+NocDesign WithTiedTwins(NocDesign design) {
+  const std::size_t flows = design.traffic.FlowCount();
+  for (std::size_t f = 0; f < flows; f += 2) {
+    const Flow flow = design.traffic.FlowAt(FlowId(f));
+    const FlowId twin =
+        design.traffic.AddFlow(flow.src, flow.dst, flow.bandwidth_mbps);
+    design.routes.Resize(design.traffic.FlowCount());
+    design.routes.SetRoute(twin, Route(design.routes.RouteOf(FlowId(f))));
+  }
+  design.Validate();
+  return design;
+}
+
 NocDesign MakeRandomDesign(std::uint64_t seed, std::size_t switches,
                            std::size_t cores, std::size_t flows) {
   Rng rng(seed);

@@ -117,6 +117,12 @@ inline NocDesign MakeRingDesign(std::size_t n, std::size_t hop_span = 2) {
 NocDesign MakeRandomDesign(std::uint64_t seed, std::size_t switches = 8,
                            std::size_t cores = 12, std::size_t flows = 20);
 
+/// \p design plus a twin of every flow with an even id: same cores,
+/// same bandwidth, same route. The twins tie on (src, dst, bandwidth),
+/// so the canonical flow sort (util/canonical.h) breaks the tie on the
+/// route, and a re-route that moves one twin flips the order.
+NocDesign WithTiedTwins(NocDesign design);
+
 /// The members of one flat JSON object, keyed by name, each value as
 /// text: strings quoted, integers exact, other numbers via
 /// std::to_string. Lets a test pin a row's JSON whatever its key order.

@@ -18,6 +18,8 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/trace.h"
+
 #ifndef NOCDR_BIN_DIR
 #define NOCDR_BIN_DIR "."
 #endif
@@ -84,6 +86,38 @@ std::string RequestStream() {
     stream.push_back('\n');
   }
   return stream;
+}
+
+/// A v2 session open and one fault burst on it (the first two lines of
+/// examples/serve_session_requests.jsonl).
+std::string SessionStream() {
+  return R"({"protocol_version":2,"type":"session_open","id":"open",)"
+         R"("generator":{"family":"torus","width":4,"height":4,)"
+         R"("pattern":"uniform","uniform_fanout":3,"seed":7}})"
+         "\n"
+         R"({"protocol_version":2,"type":"fault_burst","id":"b1",)"
+         R"("session":"s1","expect_epoch":0,)"
+         R"("events":[{"kind":"link","src":"t0_0","dst":"t1_0"}]})"
+         "\n";
+}
+
+/// "<trace> <span> <parent> <name>" per span of the stream traces (ids
+/// q<i>) in \p trace_file, one per line: the span tree's shape without
+/// its ticks or attributes.
+std::string StreamSpanTree(const std::string& trace_file) {
+  std::istringstream in(ReadFile(trace_file));
+  std::string tree;
+  for (std::string line; std::getline(in, line);) {
+    if (obs::IsTraceHeaderLine(line)) {
+      continue;
+    }
+    const obs::ParsedSpan span = obs::ParseSpanLine(line);
+    if (span.trace.rfind('q', 0) == 0) {
+      tree += span.trace + " " + std::to_string(span.span) + " " +
+              std::to_string(span.parent) + " " + span.name + "\n";
+    }
+  }
+  return tree;
 }
 
 class ServeCliTest : public ::testing::Test {
@@ -180,6 +214,29 @@ TEST_F(ServeCliTest, TraceBytesIdenticalAcrossThreadCountsAndRuns) {
   EXPECT_EQ(RunShell(TraceBinary() + " --in " + Path("missing.jsonl") +
                      " --check 2> " + Path("err.txt")),
             2);
+}
+
+TEST_F(ServeCliTest, SessionTracePinsItsSpanTree) {
+  // The names and parents of a session's spans, from a logical-clock
+  // run: the open's three phases, and the burst's fault steps and
+  // removal stage under apply_faults, then the publish.
+  WriteFile(Path("session.jsonl"), SessionStream());
+  ASSERT_EQ(RunShell(ServeBinary() + " --trace-out " + Path("t.jsonl") +
+                     " < " + Path("session.jsonl") + " > " +
+                     Path("out.jsonl") + " 2> " + Path("err.txt")),
+            0);
+  EXPECT_EQ(StreamSpanTree(Path("t.jsonl")),
+            "q0 0 -1 session\n"
+            "q0 1 0 open.materialize\n"
+            "q0 2 0 open.certify\n"
+            "q0 3 0 open.publish\n"
+            "q1 0 -1 session\n"
+            "q1 1 0 burst.apply_faults\n"
+            "q1 2 1 fault.affected\n"
+            "q1 3 1 fault.patch_table\n"
+            "q1 4 1 fault.reroute\n"
+            "q1 5 1 cycle_search\n"
+            "q1 6 0 burst.publish\n");
 }
 
 TEST_F(ServeCliTest, TraceSampleTracesEveryNthRequest) {

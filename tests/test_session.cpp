@@ -4,12 +4,17 @@
 // serve/protocol, valid/session_campaign).
 #include <gtest/gtest.h>
 
+#include <condition_variable>
+#include <deque>
+#include <mutex>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "deadlock/verify.h"
+#include "fault/plan.h"
 #include "gen/generators.h"
 #include "noc/io.h"
 #include "serve/protocol.h"
@@ -493,6 +498,196 @@ TEST(SessionServiceTest, EveryEpochIsServableAndNeverStale) {
   EXPECT_NE(old_reply.key, warm.key);
 }
 
+TEST(SessionServiceTest, PublishesEveryEpochWhateverAdmissionSays) {
+  // A token bucket that admits the open's one computation and never
+  // refills: nothing after the open can compute.
+  ServiceConfig config = Stack::MakeConfig();
+  config.admission.enabled = true;
+  config.admission.tokens_per_sec = 1e-9;
+  config.admission.burst = 1.0;
+  CertificationService service(config);
+  SessionService sessions(service);
+
+  // Dimension-order routes on a mesh are deadlock-free, so the open's
+  // treatment and epoch 0 share one canonical problem.
+  SessionRequest open_request;
+  open_request.op = SessionOp::kOpen;
+  open_request.spec.kind = RequestKind::kGeneratorSpec;
+  open_request.spec.generator.family = gen::TopologyFamily::kMesh2D;
+  open_request.spec.generator.width = 4;
+  open_request.spec.generator.height = 4;
+  open_request.return_design = true;
+  const SessionResponse open = sessions.Handle(open_request);
+  ASSERT_EQ(open.status, ServeStatus::kOk) << open.error.message;
+  ASSERT_EQ(open.removal_iterations, 0u);
+
+  SessionRequest burst = BurstOn(
+      open.session_id, {LinkEvent(Reparse(open.design_text), LinkId(0))}, 0);
+  burst.return_design = true;
+  const SessionResponse reply = sessions.Handle(burst);
+  ASSERT_EQ(reply.status, ServeStatus::kOk) << reply.error.message;
+  ASSERT_TRUE(reply.feasible);
+
+  // The bucket is empty, so a stateless client re-shipping the epoch's
+  // text gets an answer only if the burst published it.
+  CertRequest current;
+  current.kind = RequestKind::kDesignText;
+  current.design_text = reply.design_text;
+  const CertResponse warm = service.Serve(current);
+  ASSERT_EQ(warm.status, ServeStatus::kOk) << warm.error.message;
+  EXPECT_EQ(warm.cache_outcome, CacheOutcome::kHit);
+  EXPECT_EQ(warm.key, reply.key);
+  EXPECT_EQ(warm.certificate_json, reply.certificate_json);
+
+  // Publishes are neither requests nor computations; the open's serve
+  // and the client's are.
+  const serve::ServiceStats stats = service.Stats();
+  EXPECT_EQ(stats.requests, 2u);
+  EXPECT_EQ(stats.computations, 1u);
+  EXPECT_EQ(stats.rejected, 0u);
+  EXPECT_EQ(stats.cache.insertions, 2u);  // the open's, the burst's
+}
+
+TEST(SessionServiceTest, AFailedOpenGivesItsSlotBack) {
+  // The first computation hands back a treated text that does not
+  // parse, so that open throws after reserving its slot; later ones are
+  // real.
+  int computations = 0;
+  CertificationService service(
+      Stack::MakeConfig(),
+      [&](const NocDesign& design, const CertRequest& request) {
+        serve::CachedCertification value =
+            serve::ComputeCertification(design, request);
+        if (computations++ == 0) {
+          value.treated_design_text = "not a design";
+        }
+        return value;
+      });
+  SessionServiceConfig config;
+  config.max_sessions = 1;
+  SessionService sessions(service, config);
+
+  const SessionResponse broken =
+      sessions.Handle(OpenText(MakeRingDesign(6)));
+  EXPECT_EQ(broken.status, ServeStatus::kError);
+  EXPECT_EQ(broken.error.code, ErrorCode::kInternal);
+  // A leaked slot would answer session_limit here.
+  const SessionResponse open = sessions.Handle(OpenText(MakeRingDesign(7)));
+  EXPECT_EQ(open.status, ServeStatus::kOk) << open.error.message;
+  EXPECT_EQ(sessions.Stats().live_sessions, 1u);
+}
+
+TEST(SessionServiceTest, ConcurrentBurstsPublishWhatStatelessReadersHit) {
+  // Sessions burst on their own threads while reader threads re-serve
+  // each published epoch's text statelessly: every read must hit the
+  // epoch's entry with the session's certificate.
+  ServiceConfig config;
+  config.threads = 2;
+  CertificationService service(config);
+  SessionService sessions(service);
+
+  struct Epoch {
+    std::string design_text;
+    std::uint64_t key = 0;
+    std::string certificate_json;
+  };
+  std::mutex mutex;
+  std::condition_variable ready;
+  std::deque<Epoch> published;
+  std::size_t writers_left = 3;
+  std::vector<std::string> failures;
+  std::size_t reads = 0;
+  const auto note = [&](std::string failure) {
+    std::lock_guard<std::mutex> lock(mutex);
+    failures.push_back(std::move(failure));
+  };
+
+  const auto writer = [&](std::size_t w) {
+    SessionRequest open_request;
+    open_request.op = SessionOp::kOpen;
+    open_request.spec.kind = RequestKind::kSourceSeed;
+    open_request.spec.source = w == 0   ? valid::DesignSource::kMesh
+                               : w == 1 ? valid::DesignSource::kTorus
+                                        : valid::DesignSource::kRing;
+    open_request.spec.seed = 3 + w;
+    open_request.return_design = true;
+    const SessionResponse open = sessions.Handle(open_request);
+    if (open.status != ServeStatus::kOk) {
+      note("open " + std::to_string(w) + ": " + open.error.message);
+    } else {
+      const NocDesign design = Reparse(open.design_text);
+      fault::FaultPlanOptions options;
+      options.bursts = 3;
+      options.disconnect_tolerance = 0.0;
+      const fault::FaultPlan plan = fault::DrawFaultPlan(design, w, options);
+      std::uint64_t epoch = 0;
+      for (const fault::FaultBurst& planned : plan.bursts) {
+        std::vector<SessionEventSpec> events;
+        std::size_t unnamed = 0;
+        if (valid::NameBurst(design, planned, events, unnamed).empty()) {
+          continue;
+        }
+        SessionRequest burst =
+            BurstOn(open.session_id, std::move(events), epoch);
+        burst.return_design = true;
+        const SessionResponse reply = sessions.Handle(burst);
+        if (reply.status != ServeStatus::kOk || !reply.feasible) {
+          note("burst on " + open.session_id + ": " + reply.error.message);
+          break;
+        }
+        epoch = reply.epoch;
+        std::lock_guard<std::mutex> lock(mutex);
+        published.push_back(
+            Epoch{reply.design_text, reply.key, reply.certificate_json});
+        ready.notify_one();
+      }
+    }
+    std::lock_guard<std::mutex> lock(mutex);
+    --writers_left;
+    ready.notify_all();
+  };
+
+  const auto reader = [&] {
+    for (;;) {
+      Epoch epoch;
+      {
+        std::unique_lock<std::mutex> lock(mutex);
+        ready.wait(lock,
+                   [&] { return !published.empty() || writers_left == 0; });
+        if (published.empty()) {
+          return;
+        }
+        epoch = std::move(published.front());
+        published.pop_front();
+        ++reads;
+      }
+      CertRequest request;
+      request.kind = RequestKind::kDesignText;
+      request.design_text = epoch.design_text;
+      const CertResponse response = service.Serve(request);
+      if (response.status != ServeStatus::kOk ||
+          response.cache_outcome != CacheOutcome::kHit ||
+          response.key != epoch.key ||
+          response.certificate_json != epoch.certificate_json) {
+        note("stateless read of epoch key " + std::to_string(epoch.key) +
+             " missed or differed");
+      }
+    }
+  };
+
+  std::vector<std::thread> threads;
+  for (std::size_t w = 0; w < 3; ++w) {
+    threads.emplace_back(writer, w);
+  }
+  threads.emplace_back(reader);
+  threads.emplace_back(reader);
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  EXPECT_TRUE(failures.empty()) << failures.front();
+  EXPECT_GE(reads, 3u);
+}
+
 // ---------------------------------------------------------------------
 // Determinism and the differential campaign
 // ---------------------------------------------------------------------
@@ -530,6 +725,25 @@ TEST(SessionCampaignTest, SmallCampaignHasNoMismatchesAndStableDigest) {
   valid::SessionCampaignConfig serial = config;
   serial.threads = 1;
   EXPECT_EQ(valid::RunSessionCampaign(serial).digest, result.digest);
+}
+
+TEST(SessionCampaignTest, ParanoidPublishesMatchTheFromScratchPath) {
+  // paranoid_validation recomputes every publish through
+  // CanonicalizeDesign + ComputeCertification and Requires the same
+  // bytes; a disagreement closes the session and fails its trial. The
+  // option is not part of any key, so the digest is the plain one.
+  valid::SessionCampaignConfig config;
+  config.trials = 8;
+  config.base_seed = 5;
+  config.threads = 2;
+  config.removal.paranoid_validation = true;
+  const auto paranoid = valid::RunSessionCampaign(config);
+  for (const valid::SessionTrialRow& row : paranoid.rows) {
+    EXPECT_NE(row.verdict, valid::SessionVerdict::kMismatch)
+        << "trial " << row.trial_index << ": " << row.mismatch;
+  }
+  config.removal.paranoid_validation = false;
+  EXPECT_EQ(valid::RunSessionCampaign(config).digest, paranoid.digest);
 }
 
 TEST(SessionCampaignTest, DigestIsPinned) {

@@ -3,9 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include "cdg/cdg.h"
 #include "deadlock/removal.h"
 #include "deadlock/resource_ordering.h"
 #include "test_helpers.h"
+#include "util/error.h"
 
 namespace nocdr {
 namespace {
@@ -75,6 +77,35 @@ TEST(VerifyTest, ForgedPositiveVerdictIsRejected) {
     forged.topological_order.push_back(ChannelId(c));
   }
   EXPECT_FALSE(CheckCertificate(ex.design, forged));
+}
+
+TEST(VerifyTest, RenumberedPassNeedsAPermutationAndAnAcyclicGraph) {
+  auto ex = testing::MakePaperExample();
+  const auto identity = [](const NocDesign& design) {
+    std::vector<ChannelId> order;
+    for (std::size_t c = 0; c < design.topology.ChannelCount(); ++c) {
+      order.emplace_back(c);
+    }
+    return order;
+  };
+  // A cyclic graph has no counterexample in the new numbers.
+  EXPECT_THROW((void)CertifyFromCdg(ex.design,
+                                    ChannelDependencyGraph::Build(ex.design),
+                                    identity(ex.design)),
+               InvalidModelError);
+
+  RemoveDeadlocks(ex.design);
+  const auto cdg = ChannelDependencyGraph::Build(ex.design);
+  std::vector<ChannelId> order = identity(ex.design);
+  // The identity order is today's pass.
+  EXPECT_EQ(CertificateToJson(CertifyFromCdg(ex.design, cdg, order)),
+            CertificateToJson(CertifyDeadlockFreedom(ex.design)));
+  order.back() = order.front();
+  EXPECT_THROW((void)CertifyFromCdg(ex.design, cdg, order),
+               InvalidModelError);
+  order.pop_back();
+  EXPECT_THROW((void)CertifyFromCdg(ex.design, cdg, order),
+               InvalidModelError);
 }
 
 // ---------------------------------------------------------------------
