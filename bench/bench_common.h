@@ -1,9 +1,7 @@
-// Shared helpers for the experiment harnesses in bench/.
-//
-// Every binary in this directory regenerates one table or figure of the
-// paper (see DESIGN.md's experiment index). The helpers here run the two
-// competing deadlock-handling methods on a synthesized design and collect
-// the quantities the paper plots: extra VCs, switch area, total power.
+// Shared helpers for the harnesses in bench/ (and the tools that borrow
+// FlagParser): command-line flags, the campaign benches' thread-count
+// determinism check, and the unidirectional ring several benches treat.
+// util/clock.h's MillisSince times most benches' runs.
 #pragma once
 
 #include <cstddef>
@@ -17,13 +15,7 @@
 #include <utility>
 #include <vector>
 
-#include "deadlock/removal.h"
-#include "deadlock/resource_ordering.h"
-#include "power/model.h"
-#include "runner/sweep.h"
-#include "soc/benchmarks.h"
-#include "synth/synthesizer.h"
-#include "test_support_designs.h"
+#include "noc/design.h"
 #include "util/clock.h"
 #include "valid/campaign.h"
 
@@ -208,87 +200,34 @@ inline void AddScopeFlags(FlagParser& flags, valid::CampaignScope& scope) {
   flags.AddSize("--threads", &scope.threads);
 }
 
-/// One arm of a removal-options ablation.
-struct AblationArm {
-  std::string label;
-  RemovalOptions options;
-};
-
-/// Runs corpus × arms through SweepRunner; rows come back design-major
-/// (rows[d * arms.size() + a] is design d under arm a).
-inline std::vector<runner::SweepRow> RunCorpusSweep(
-    const std::vector<std::pair<std::string, DesignFactory>>& corpus,
-    const std::vector<AblationArm>& arms) {
-  std::vector<runner::SweepJob> jobs;
-  for (const auto& [name, make] : corpus) {
-    for (const AblationArm& arm : arms) {
-      runner::SweepJob job;
-      job.design = name;
-      job.variant = arm.label;
-      job.options = arm.options;
-      job.factory = [make = make](Rng&) { return make(); };
-      jobs.push_back(std::move(job));
+/// Unidirectional ring of \p n switches, one core each; flow i runs
+/// from core i over the next \p span links. Always cyclic.
+inline NocDesign MakeRing(std::size_t n, std::size_t span) {
+  NocDesign d;
+  d.name = "ring" + std::to_string(n) + "x" + std::to_string(span);
+  std::vector<SwitchId> sw;
+  std::vector<CoreId> cores;
+  for (std::size_t i = 0; i < n; ++i) {
+    sw.push_back(d.topology.AddSwitch());
+    cores.push_back(d.traffic.AddCore());
+    d.attachment.push_back(sw[i]);
+  }
+  std::vector<ChannelId> ring;
+  for (std::size_t i = 0; i < n; ++i) {
+    ring.push_back(*d.topology.FindChannel(
+        d.topology.AddLink(sw[i], sw[(i + 1) % n]), 0));
+  }
+  d.routes.Resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    d.traffic.AddFlow(cores[i], cores[(i + span) % n], 60.0);
+    Route r;
+    for (std::size_t h = 0; h < span; ++h) {
+      r.push_back(ring[(i + h) % n]);
     }
+    d.routes.SetRoute(FlowId(i), r);
   }
-  return runner::SweepRunner{}.Run(jobs);
-}
-
-/// Prints a diagnostic and returns true if \p row captured an error.
-inline bool RowFailed(const runner::SweepRow& row) {
-  if (row.error.empty()) {
-    return false;
-  }
-  std::cout << "JOB FAILED: " << row.design << "/" << row.variant << ": "
-            << row.error << "\n";
-  return true;
-}
-
-/// Results of applying one deadlock-handling method.
-struct MethodOutcome {
-  std::size_t vcs_added = 0;
-  double area_um2 = 0.0;
-  double power_mw = 0.0;
-  bool deadlock_free = false;
-};
-
-/// Both methods plus the untreated design, on one (benchmark, switches)
-/// point.
-struct ComparisonPoint {
-  std::string design_name;
-  std::size_t switches = 0;
-  std::size_t links = 0;
-  MethodOutcome untreated;  // vcs_added always 0; may not be deadlock-free
-  MethodOutcome removal;
-  MethodOutcome ordering;
-};
-
-/// Synthesizes `traffic` on `switches` switches and runs both methods.
-inline ComparisonPoint Compare(const CommunicationGraph& traffic,
-                               const std::string& name,
-                               std::size_t switches) {
-  ComparisonPoint point;
-  point.switches = switches;
-  const NocDesign base = SynthesizeDesign(traffic, name, switches);
-  point.design_name = base.name;
-  point.links = base.topology.LinkCount();
-
-  const auto pa_base = EstimatePowerArea(base);
-  point.untreated = {0, pa_base.switch_area_um2, pa_base.TotalPowerMw(),
-                     IsDeadlockFree(base)};
-
-  NocDesign removal_design = base;
-  const auto removal_report = RemoveDeadlocks(removal_design);
-  const auto pa_removal = EstimatePowerArea(removal_design);
-  point.removal = {removal_report.vcs_added, pa_removal.switch_area_um2,
-                   pa_removal.TotalPowerMw(), IsDeadlockFree(removal_design)};
-
-  NocDesign ordering_design = base;
-  const auto ordering_report = ApplyResourceOrdering(ordering_design);
-  const auto pa_ordering = EstimatePowerArea(ordering_design);
-  point.ordering = {ordering_report.vcs_added, pa_ordering.switch_area_um2,
-                    pa_ordering.TotalPowerMw(),
-                    IsDeadlockFree(ordering_design)};
-  return point;
+  d.Validate();
+  return d;
 }
 
 }  // namespace nocdr::bench

@@ -18,7 +18,7 @@
 #include "bench_common.h"
 #include "runner/sweep.h"
 #include "soc/synthetic.h"
-#include "test_support_designs.h"
+#include "synth/synthesizer.h"
 #include "util/json.h"
 #include "util/table.h"
 

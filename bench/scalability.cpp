@@ -14,6 +14,7 @@
 #include "gen/generators.h"
 #include "runner/sweep.h"
 #include "soc/synthetic.h"
+#include "synth/synthesizer.h"
 #include "util/json.h"
 #include "util/table.h"
 

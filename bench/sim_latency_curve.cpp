@@ -38,6 +38,8 @@
 #include "deadlock/resource_ordering.h"
 #include "gen/generators.h"
 #include "sim/simulator.h"
+#include "soc/benchmarks.h"
+#include "synth/synthesizer.h"
 #include "util/json.h"
 #include "util/table.h"
 

@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "deadlock/resource_ordering.h"
 #include "deadlock/updown.h"
 #include "gen/generators.h"
 #include "sim/simulator.h"

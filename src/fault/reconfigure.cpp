@@ -155,7 +155,7 @@ bool ReconfigureCore(NocDesign& design, ChannelDependencyGraph* cdg,
   if (cdg != nullptr) {
     report.removal =
         RemoveDeadlocksOnCdg(design, *cdg, *finder, options.removal);
-    if (options.paranoid_validation) {
+    if (options.removal.paranoid_validation) {
       Require(cdg->SameDependencies(ChannelDependencyGraph::Build(design)),
               "ApplyFaultBurst: maintained CDG diverged from rebuild");
     }
@@ -164,7 +164,7 @@ bool ReconfigureCore(NocDesign& design, ChannelDependencyGraph* cdg,
     rebuild.engine = RemovalEngine::kRebuild;
     report.removal = RemoveDeadlocks(design, rebuild);
   }
-  if (options.paranoid_validation) {
+  if (options.removal.paranoid_validation) {
     design.Validate();
   }
   return true;

@@ -56,11 +56,10 @@ struct ReconfigureOptions {
   RouteBuildOptions route_options;
   /// Options of the post-fault removal re-run. `engine` is honored only
   /// by the rebuild reference; the incremental path is, by construction,
-  /// the incremental engine.
+  /// the incremental engine. `removal.paranoid_validation` also checks
+  /// the whole burst: the mutated CDG against a from-scratch rebuild,
+  /// and the design's Validate() (slow; tests and paranoid sessions).
   RemovalOptions removal;
-  /// Cross-check the mutated CDG against a from-scratch rebuild after
-  /// the burst (slow; tests and the campaign's paranoid arm).
-  bool paranoid_validation = false;
 };
 
 struct ReconfigureReport {

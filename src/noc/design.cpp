@@ -19,11 +19,12 @@ void NocDesign::Validate() const {
   }
   Require(routes.FlowCount() == traffic.FlowCount(),
           "Validate: route set size does not match flow count");
+  std::vector<std::size_t> last_use(topology.ChannelCount(), 0);
   for (std::size_t i = 0; i < traffic.FlowCount(); ++i) {
     FlowId f(i);
     const Flow& flow = traffic.FlowAt(f);
     ValidateRoute(topology, routes.RouteOf(f), SwitchOf(flow.src),
-                  SwitchOf(flow.dst), "flow " + std::to_string(i));
+                  SwitchOf(flow.dst), i, last_use);
   }
 }
 

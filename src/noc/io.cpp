@@ -125,7 +125,22 @@ std::optional<double> ParseBandwidth(std::string_view token) {
   return value;
 }
 
+/// DesignText's bytes for \p bandwidth_mbps, those of a default-formatted
+/// std::ostream ("%g", precision 6), written at \p out; returns the end.
+char* RenderBandwidth(double bandwidth_mbps, char (&out)[32]) {
+  return std::to_chars(out, out + sizeof out, bandwidth_mbps,
+                       std::chars_format::general, 6)
+      .ptr;
+}
+
 }  // namespace
+
+double TextBandwidth(double bandwidth_mbps) {
+  char text[32];
+  const char* const end = RenderBandwidth(bandwidth_mbps, text);
+  return ParseBandwidth(std::string_view(text, end - text))
+      .value_or(bandwidth_mbps);
+}
 
 std::string DesignText(const NocDesign& design,
                        std::span<const FlowId> flow_order) {
@@ -173,12 +188,8 @@ std::string DesignText(const NocDesign& design,
     out += ' ';
     out += traffic.CoreName(flow.dst);
     out += ' ';
-    // The bytes of a default-formatted std::ostream: "%g", precision 6.
     char bandwidth[32];
-    const std::to_chars_result written =
-        std::to_chars(bandwidth, bandwidth + sizeof bandwidth,
-                      flow.bandwidth_mbps, std::chars_format::general, 6);
-    out.append(bandwidth, written.ptr);
+    out.append(bandwidth, RenderBandwidth(flow.bandwidth_mbps, bandwidth));
     out += '\n';
   }
   for (std::size_t f = 0; f < traffic.FlowCount(); ++f) {

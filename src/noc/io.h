@@ -52,6 +52,12 @@ class DesignParseError : public std::runtime_error {
 std::string DesignText(const NocDesign& design,
                        std::span<const FlowId> flow_order = {});
 
+/// \p bandwidth_mbps as the text stores it: DesignText's rendering (6
+/// significant digits) read back as ReadDesign reads it. Bandwidths that
+/// differ only past that precision store alike, so the text cannot
+/// order them.
+double TextBandwidth(double bandwidth_mbps);
+
 /// Writes DesignText(\p design) to \p os.
 void WriteDesign(std::ostream& os, const NocDesign& design);
 

@@ -1,7 +1,5 @@
 #include "noc/routing.h"
 
-#include <unordered_set>
-
 #include "util/error.h"
 
 namespace nocdr {
@@ -26,29 +24,31 @@ void RouteSet::SetRoute(FlowId f, Route route) {
 
 void ValidateRoute(const TopologyGraph& topology, const Route& route,
                    SwitchId src_switch, SwitchId dst_switch,
-                   const std::string& what) {
+                   std::size_t flow, std::span<std::size_t> last_use) {
   if (route.empty()) {
-    Require(src_switch == dst_switch,
-            what, ": empty route between distinct switches");
+    Require(src_switch == dst_switch, "flow ", flow,
+            ": empty route between distinct switches");
     return;
   }
-  std::unordered_set<ChannelId> seen;
-  for (std::size_t i = 0; i < route.size(); ++i) {
-    Require(topology.IsValidChannel(route[i]),
-            what, ": route references unknown channel");
-    Require(seen.insert(route[i]).second,
-            what, ": route repeats a channel (routing loop)");
+  for (const ChannelId c : route) {
+    Require(topology.IsValidChannel(c), "flow ", flow,
+            ": route references unknown channel");
+    std::size_t& stamp = last_use[c.value()];
+    Require(stamp != flow + 1, "flow ", flow,
+            ": route repeats a channel (routing loop)");
+    stamp = flow + 1;
   }
   const Link& first = topology.LinkAt(topology.ChannelAt(route.front()).link);
-  Require(first.src == src_switch,
-          what, ": route does not start at the source switch");
+  Require(first.src == src_switch, "flow ", flow,
+          ": route does not start at the source switch");
   const Link& last = topology.LinkAt(topology.ChannelAt(route.back()).link);
-  Require(last.dst == dst_switch,
-          what, ": route does not end at the destination switch");
+  Require(last.dst == dst_switch, "flow ", flow,
+          ": route does not end at the destination switch");
   for (std::size_t i = 0; i + 1 < route.size(); ++i) {
     const Link& a = topology.LinkAt(topology.ChannelAt(route[i]).link);
     const Link& b = topology.LinkAt(topology.ChannelAt(route[i + 1]).link);
-    Require(a.dst == b.src, what, ": discontiguous route at hop ", i);
+    Require(a.dst == b.src, "flow ", flow, ": discontiguous route at hop ",
+            i);
   }
 }
 

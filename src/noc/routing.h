@@ -7,6 +7,7 @@
 // sufficient for deadlock freedom.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "noc/topology.h"
@@ -41,10 +42,14 @@ class RouteSet {
 /// channels exist, consecutive channels are link-contiguous
 /// (link[i].dst == link[i+1].src), no channel repeats, and the route
 /// starts at \p src_switch and ends at \p dst_switch (an empty route
-/// requires src == dst). Throws InvalidModelError on violation;
-/// \p what names the route in the error message.
+/// requires src == dst). Throws InvalidModelError on violation, naming
+/// the route "flow <flow>". \p last_use holds one slot per channel of
+/// \p topology, zeroed before a design's first route and shared by all
+/// its routes: the check writes flow + 1 into the slots of the route's
+/// channels, so a repeat finds its own mark. Linear in the route; it
+/// allocates nothing.
 void ValidateRoute(const TopologyGraph& topology, const Route& route,
                    SwitchId src_switch, SwitchId dst_switch,
-                   const std::string& what);
+                   std::size_t flow, std::span<std::size_t> last_use);
 
 }  // namespace nocdr

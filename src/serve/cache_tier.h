@@ -1,16 +1,7 @@
-// CacheTier: the one cache interface of the certification service.
-//
-// The service grew its caches one concrete class at a time — a sharded
-// in-memory LRU for certificates, a second instantiation of the same
-// template for the request-fingerprint memo — and the persistent disk
-// tier (serve/disk_cache) would have been a third ad-hoc neighbor.
-// This header is the redesign that prevents that: every cache level
-// implements the same small virtual surface, so the service composes
-// tiers (TieredCertCache: memory fronting disk) without knowing what
-// backs them, and the introspection protocol reports every tier with
-// one stats shape.
-//
-// The contract every tier honors:
+// The sizing and the stats shape shared by the certification service's
+// cache tiers: ShardedLruCache (serve/cert_cache.h) in memory, DiskCache
+// on disk, and TieredCertCache (serve/disk_cache.h), which composes the
+// two concrete tiers. Every tier offers the same calls:
 //
 //   * Lookup(digest, key_text) — counted probe. The stored entry
 //     matches only if its *full key text* equals the query's; a 64-bit
@@ -31,9 +22,8 @@
 // copying multi-KB certificate strings under a shard mutex.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <string>
 
 namespace nocdr::serve {
 
@@ -74,37 +64,6 @@ struct CacheStats {
   std::uint64_t corrupt_skipped = 0;
   std::size_t entries = 0;
   std::size_t bytes = 0;
-};
-
-/// The abstract cache level: what CertificationService (and the tiered
-/// composite) program against. \p Value must provide
-/// `std::size_t PayloadBytes() const` for byte accounting.
-template <typename Value>
-class CacheTier {
- public:
-  virtual ~CacheTier() = default;
-
-  CacheTier() = default;
-  CacheTier(const CacheTier&) = delete;
-  CacheTier& operator=(const CacheTier&) = delete;
-
-  /// Counted lookup: a hit or a miss is recorded either way.
-  virtual std::shared_ptr<const Value> Lookup(std::uint64_t digest,
-                                              const std::string& key_text) = 0;
-
-  /// Hit-only re-probe (see the header comment).
-  virtual std::shared_ptr<const Value> Revalidate(
-      std::uint64_t digest, const std::string& key_text) = 0;
-
-  /// Inserts (or replaces) the entry for (\p digest, \p key_text).
-  virtual void Insert(std::uint64_t digest, std::string key_text,
-                      Value value) = 0;
-
-  /// Counters summed over the tier plus current occupancy.
-  [[nodiscard]] virtual CacheStats Stats() const = 0;
-
-  /// Drops every entry; lifetime counters are preserved.
-  virtual void Clear() = 0;
 };
 
 }  // namespace nocdr::serve

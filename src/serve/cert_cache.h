@@ -10,9 +10,9 @@
 // CertifyDeadlockFreedom are seed-free), so a cached response is
 // bit-identical to a recomputed one, which tests/test_serve.cpp pins.
 //
-// ShardedLruCache is the bounded in-memory implementation of the
-// CacheTier interface (serve/cache_tier.h); both memory levels of the
-// service are instantiations of it:
+// ShardedLruCache is the bounded in-memory cache tier (the calls every
+// tier offers are listed in serve/cache_tier.h); both memory levels of
+// the service are instantiations of it:
 //
 //   * the *certificate cache* — the memory tier of TieredCertCache
 //     (serve/disk_cache.h), content-addressed by
@@ -53,7 +53,7 @@ namespace nocdr::serve {
 /// Bounded sharded LRU map from (digest, key text) to \p Value, which
 /// must provide `std::size_t PayloadBytes() const` for the byte bound.
 template <typename Value>
-class ShardedLruCache : public CacheTier<Value> {
+class ShardedLruCache {
  public:
   explicit ShardedLruCache(CacheConfig config = {})
       : router_(config.shards), shards_(router_.Count()) {
@@ -73,7 +73,7 @@ class ShardedLruCache : public CacheTier<Value> {
   /// are shared, not copied, so a hit moves a refcount under the shard
   /// mutex instead of duplicating multi-KB certificate strings there.
   std::shared_ptr<const Value> Lookup(std::uint64_t digest,
-                                      const std::string& key_text) override {
+                                      const std::string& key_text) {
     return LookupImpl(digest, key_text, /*count_miss=*/true);
   }
 
@@ -81,15 +81,14 @@ class ShardedLruCache : public CacheTier<Value> {
   /// that already counted its miss on the fast path must not count a
   /// second one, but a hit here (the racing leader completed in
   /// between) is a real served-from-cache outcome. Counts hits only.
-  std::shared_ptr<const Value> Revalidate(
-      std::uint64_t digest, const std::string& key_text) override {
+  std::shared_ptr<const Value> Revalidate(std::uint64_t digest,
+                                          const std::string& key_text) {
     return LookupImpl(digest, key_text, /*count_miss=*/false);
   }
 
   /// Inserts (or replaces) the entry for (\p digest, \p key_text), then
   /// evicts LRU-last entries until the shard is back under both bounds.
-  void Insert(std::uint64_t digest, std::string key_text,
-              Value value) override {
+  void Insert(std::uint64_t digest, std::string key_text, Value value) {
     Shard& shard = ShardFor(digest);
     const std::size_t bytes =
         value.PayloadBytes() + key_text.size() + kEntryOverheadBytes;
@@ -121,7 +120,7 @@ class ShardedLruCache : public CacheTier<Value> {
   }
 
   /// Counters summed over all shards plus current occupancy.
-  [[nodiscard]] CacheStats Stats() const override {
+  [[nodiscard]] CacheStats Stats() const {
     CacheStats stats;
     for (const Shard& shard : shards_) {
       std::lock_guard<std::mutex> lock(shard.mutex);
@@ -139,7 +138,7 @@ class ShardedLruCache : public CacheTier<Value> {
   /// Drops every entry; the lifetime counters stay (evictions are not
   /// incremented — a Clear is an operator action, not capacity
   /// pressure).
-  void Clear() override {
+  void Clear() {
     for (Shard& shard : shards_) {
       std::lock_guard<std::mutex> lock(shard.mutex);
       shard.lru.clear();

@@ -85,10 +85,9 @@ struct DiskCacheConfig {
   std::size_t index_shards = 16;
 };
 
-/// The persistent tier. Thread-safe; implements the same CacheTier
-/// surface as the memory tier, so TieredCertCache composes the two
-/// without knowing which is which.
-class DiskCache : public CacheTier<CachedCertification> {
+/// The persistent tier. Thread-safe; offers the memory tier's calls
+/// (serve/cache_tier.h), which TieredCertCache composes.
+class DiskCache {
  public:
   /// Opens (creating if needed) the store at config.directory, scans
   /// every segment to rebuild the digest index (newest record per key
@@ -97,25 +96,25 @@ class DiskCache : public CacheTier<CachedCertification> {
   /// holds it. Throws std::runtime_error only if the directory cannot
   /// be created or listed at all.
   explicit DiskCache(DiskCacheConfig config);
-  ~DiskCache() override;
+  ~DiskCache();
 
   std::shared_ptr<const CachedCertification> Lookup(
-      std::uint64_t digest, const std::string& key_text) override;
+      std::uint64_t digest, const std::string& key_text);
   std::shared_ptr<const CachedCertification> Revalidate(
-      std::uint64_t digest, const std::string& key_text) override;
+      std::uint64_t digest, const std::string& key_text);
 
   /// Appends a record and points the index at it. No-op (beyond the
   /// oversize counter) in read-only mode or when the record alone
   /// exceeds max_bytes.
   void Insert(std::uint64_t digest, std::string key_text,
-              CachedCertification value) override;
+              CachedCertification value);
 
-  [[nodiscard]] CacheStats Stats() const override;
+  [[nodiscard]] CacheStats Stats() const;
 
   /// Deletes every segment and drops the index (writable mode only;
   /// read-only Clear drops just this process's index). Lifetime
   /// counters stay.
-  void Clear() override;
+  void Clear();
 
   /// Rewrites live records into fresh segments and deletes the old
   /// ones, dropping superseded and damaged records. Returns bytes
@@ -212,7 +211,7 @@ class DiskCache : public CacheTier<CachedCertification> {
 /// counted) so the entry survives the process. With no disk tier
 /// configured this is exactly the old bare memory cache — same
 /// counters, same behavior, which the serve bench baseline pins.
-class TieredCertCache : public CacheTier<CachedCertification> {
+class TieredCertCache {
  public:
   /// Memory-only (no persistence).
   explicit TieredCertCache(CacheConfig memory_config);
@@ -220,24 +219,24 @@ class TieredCertCache : public CacheTier<CachedCertification> {
   TieredCertCache(CacheConfig memory_config, std::unique_ptr<DiskCache> disk);
 
   std::shared_ptr<const CachedCertification> Lookup(
-      std::uint64_t digest, const std::string& key_text) override;
+      std::uint64_t digest, const std::string& key_text);
   std::shared_ptr<const CachedCertification> Revalidate(
-      std::uint64_t digest, const std::string& key_text) override;
+      std::uint64_t digest, const std::string& key_text);
   void Insert(std::uint64_t digest, std::string key_text,
-              CachedCertification value) override;
+              CachedCertification value);
 
   /// Memory-tier stats plus the composite's promotion/demotion
   /// counters. Deliberately *not* a merge with disk counters: the
   /// memory tier's hit/miss/eviction numbers keep their exact bare-
   /// cache meaning (the serve bench gates them), and the disk tier is
   /// reported separately via DiskStats().
-  [[nodiscard]] CacheStats Stats() const override;
+  [[nodiscard]] CacheStats Stats() const;
 
   /// Disk-tier stats; all-zero when no disk tier is configured.
   [[nodiscard]] CacheStats DiskStats() const;
 
   /// Clears both tiers (disk: deletes segments when writable).
-  void Clear() override;
+  void Clear();
 
   [[nodiscard]] bool has_disk() const { return disk_ != nullptr; }
   /// Null when memory-only.

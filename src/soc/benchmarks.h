@@ -14,7 +14,7 @@
 //   * D38_tvo  — dual high-bandwidth TV-out video pipelines with shared
 //     memory controllers.
 // Deadlock structure depends on core count, fan-out and route shape — all
-// matched — not on the exact proprietary bandwidth numbers (DESIGN.md).
+// matched — not on the exact proprietary bandwidth numbers.
 #pragma once
 
 #include <string>

@@ -3,7 +3,7 @@
 // Partition cores onto switches, build the irregular switch topology,
 // compute static routes — producing the NocDesign instances the deadlock
 // experiments run on. Stands in for the closed-source synthesis flow the
-// paper cites ([9]); see DESIGN.md for the substitution rationale.
+// paper cites ([9]).
 #pragma once
 
 #include <cstddef>

@@ -48,8 +48,12 @@ std::vector<FlowId> CanonicalFlowOrder(const NocDesign& design) {
     if (fa.dst != fb.dst) {
       return fa.dst.value() < fb.dst.value();
     }
-    if (fa.bandwidth_mbps != fb.bandwidth_mbps) {
-      return fa.bandwidth_mbps < fb.bandwidth_mbps;
+    // As the text stores them: bandwidths it renders alike must tie, or
+    // parsing the canonical text would re-sort them.
+    const double bandwidth_a = TextBandwidth(fa.bandwidth_mbps);
+    const double bandwidth_b = TextBandwidth(fb.bandwidth_mbps);
+    if (bandwidth_a != bandwidth_b) {
+      return bandwidth_a < bandwidth_b;
     }
     return RouteKey(design, design.routes.RouteOf(a)) <
            RouteKey(design, design.routes.RouteOf(b));
@@ -91,23 +95,11 @@ std::vector<ChannelId> CanonicalChannelOrder(const TopologyGraph& topology) {
 CanonicalDesign CanonicalizeDesign(const NocDesign& design) {
   CanonicalDesign out;
   out.text = DesignText(design, CanonicalFlowOrder(design));
-  // Drive the rendering to its round-trip fixpoint so a consumer who
-  // parses the text and re-canonicalizes gets byte-identical text (and
-  // therefore the same digest). One trip suffices in practice — the
-  // format stores link:vc pairs, not channel ids — the loop guards
-  // against io drift rather than doing expected work.
-  for (int round = 0; round < 4; ++round) {
-    out.design = ReadDesign(out.text);
-    const std::string reparsed = DesignText(out.design);
-    if (reparsed == out.text) {
-      return out;
-    }
-    out.text = reparsed;
-  }
-  throw InvalidModelError(
-      "CanonicalizeDesign: text rendering did not reach a round-trip "
-      "fixpoint for design \"" +
-      design.name + "\"");
+  out.design = ReadDesign(out.text);
+  Require(DesignText(out.design) == out.text,
+          "CanonicalizeDesign: the text of design \"", design.name,
+          "\" does not survive its own parse");
+  return out;
 }
 
 void DigestRemovalOptions(std::uint64_t& h, const RemovalOptions& options) {

@@ -51,25 +51,28 @@ NocDesign IoCanonicalize(const NocDesign& design);
 /// text implies identical channel numbering, so identical simulation).
 bool IsIoStable(const NocDesign& design);
 
-/// A design in canonical form: flows sorted by (src, dst, bandwidth,
-/// route as link:vc pairs), then rendered and parsed back so channel
-/// numbering is the one any consumer of \p text reconstructs. The sort
-/// never changes the route set, so the certificate of \p design is the
-/// certificate of the original up to flow renaming.
+/// A design in canonical form: flows sorted by (src, dst, bandwidth as
+/// the text stores it, route as link:vc pairs), then rendered and parsed
+/// back so channel numbering is the one any consumer of \p text
+/// reconstructs. The sort never changes the route set, so the
+/// certificate of \p design is the certificate of the original up to
+/// flow renaming.
 struct CanonicalDesign {
   NocDesign design;
   std::string text;
 };
 
-/// Canonicalizes \p design (flow sort + io fixpoint). Deterministic;
-/// idempotent (canonicalizing the result returns identical text).
-/// Throws InvalidModelError if the text rendering fails to reach a
-/// round-trip fixpoint (never observed; guards against io drift).
+/// Canonicalizes \p design: one render in canonical flow order, one
+/// parse. Deterministic; idempotent (canonicalizing the result, or the
+/// parse of its text, returns identical text). Throws InvalidModelError
+/// if re-rendering the parse does not reproduce the text, as for a name
+/// with whitespace in it, which the text cannot carry.
 CanonicalDesign CanonicalizeDesign(const NocDesign& design);
 
 /// The flow ids of \p design in canonical order: ascending (src, dst,
-/// bandwidth, route as link:vc pairs), ties kept in id order. The sort
-/// CanonicalizeDesign applies; DesignText(design, order) renders it.
+/// bandwidth as the text stores it, route as link:vc pairs), ties kept
+/// in id order. The sort CanonicalizeDesign applies; DesignText(design,
+/// order) renders it.
 std::vector<FlowId> CanonicalFlowOrder(const NocDesign& design);
 
 /// \p design with its flows (and their routes) permuted into \p order:

@@ -127,10 +127,14 @@ class JsonValue::Parser {
   }
 
  private:
-  void Check(bool ok, const std::string& what) const {
-    if (!ok) {
-      throw InvalidModelError("JsonValue::Parse: " + what + " at offset " +
-                              std::to_string(pos_));
+  /// Throws unless \p ok. The message, \p parts and the offset, is
+  /// joined only when the check fails: the string scanner checks every
+  /// character, so a passing check must cost its comparison alone.
+  template <detail::RequireMessagePart... Parts>
+  void Check(bool ok, const Parts&... parts) const {
+    if (!ok) [[unlikely]] {
+      detail::ThrowInvalidModel("JsonValue::Parse: ", parts..., " at offset ",
+                                pos_);
     }
   }
 
@@ -148,7 +152,7 @@ class JsonValue::Parser {
   }
 
   void Expect(char c) {
-    Check(Peek() == c, std::string("expected '") + c + "'");
+    Check(Peek() == c, "expected '", std::string_view(&c, 1), "'");
     ++pos_;
   }
 

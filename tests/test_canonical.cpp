@@ -162,6 +162,42 @@ TEST(CanonicalTest, FlowOrderBreaksTiesOnTheRoute) {
             (std::vector<FlowId>{FlowId(1), FlowId(0)}));
 }
 
+TEST(CanonicalTest, TwinsTheTextCannotOrderKeepTheirOrderWhenReshipped) {
+  // Two flows between the same cores whose bandwidths differ only past
+  // the six significant digits the text keeps, the lower one on the
+  // larger route. Both render as "100", so the route must decide: a
+  // client that parses the canonical text and canonicalizes it again
+  // must get the same text and the same cache key.
+  NocDesign design;
+  design.name = "twins";
+  const SwitchId a = design.topology.AddSwitch("a");
+  const SwitchId b = design.topology.AddSwitch("b");
+  const SwitchId c = design.topology.AddSwitch("c");
+  const LinkId ab = design.topology.AddLink(a, b);
+  const LinkId ac = design.topology.AddLink(a, c);
+  const LinkId cb = design.topology.AddLink(c, b);
+  const CoreId src = design.traffic.AddCore("src");
+  const CoreId dst = design.traffic.AddCore("dst");
+  design.attachment = {a, b};
+  design.traffic.AddFlow(src, dst, 100.0000002);
+  design.traffic.AddFlow(src, dst, 100.0000001);
+  design.routes.Resize(2);
+  design.routes.SetRoute(FlowId(0), {*design.topology.FindChannel(ab, 0)});
+  design.routes.SetRoute(FlowId(1), {*design.topology.FindChannel(ac, 0),
+                                     *design.topology.FindChannel(cb, 0)});
+  design.Validate();
+  EXPECT_EQ(TextBandwidth(100.0000002), TextBandwidth(100.0000001));
+  EXPECT_EQ(CanonicalFlowOrder(design),
+            (std::vector<FlowId>{FlowId(0), FlowId(1)}));
+
+  const CanonicalDesign once = CanonicalizeDesign(design);
+  EXPECT_EQ(CanonicalizeDesign(once.design).text, once.text);
+  EXPECT_EQ(CanonicalizeDesign(ReadDesign(once.text)).text, once.text);
+  const RemovalOptions options;
+  EXPECT_EQ(CanonicalDesignDigest(ReadDesign(once.text), options),
+            CanonicalDesignDigest(design, options));
+}
+
 TEST(CanonicalTest, ChannelOrderIsTheParsedNumbering) {
   // Removal and hand-added VCs append channels at the end of the
   // array, out of link order; the parse numbers them link by link.

@@ -171,8 +171,8 @@ TEST(FaultReconfigureTest, ReroutesAroundTheFaultAndStaysCertified) {
     options.disconnect_tolerance = 0.0;
     const FaultPlan plan = fault::DrawFaultPlan(design, seed, options);
     fault::ReconfigureOptions opts;
-    opts.paranoid_validation = true;  // Validate() + CDG cross-check
-    // Every pick of the post-burst removal, held to a full scan.
+    // Validate(), the CDG cross-check and every pick of the post-burst
+    // removal, held to a full scan.
     opts.removal.paranoid_validation = true;
     for (const FaultBurst& burst : plan.bursts) {
       const auto report =

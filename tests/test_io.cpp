@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
 #include <sstream>
 
 #include "deadlock/removal.h"
@@ -173,6 +175,25 @@ TEST(IoTest, NumberFormsTheGrammarAccepts) {
             "core x A\ncore y B\ncore z A\n"
             "flow x y 5\nflow x z 0\nflow z y 2.5\nflow z x -0\n"
             "route 0 0:1\nroute 1\nroute 2 0:0\nroute 3\n");
+}
+
+TEST(IoTest, TextBandwidthIsTheValueTheTextStores) {
+  // Oracle: printf's "%g" (6 significant digits) read back by strtod.
+  const auto stored = [](double mbps) {
+    char text[32];
+    std::snprintf(text, sizeof text, "%g", mbps);
+    return std::strtod(text, nullptr);
+  };
+  // Values on, and either side of, the points where the sixth digit
+  // rounds, and values that differ only past it.
+  for (const double base : {0.0, 1e-290, 3.3e-7, 0.001234, 1.0, 99.99995,
+                            100.0, 123456.5, 999999.5, 1e9, 1.7e300}) {
+    for (const double delta : {0.0, 1e-9, 4e-7, 5e-6}) {
+      for (const double mbps : {base * (1 + delta), base * (1 - delta)}) {
+        EXPECT_EQ(TextBandwidth(mbps), stored(mbps)) << mbps;
+      }
+    }
+  }
 }
 
 TEST(IoTest, MissingRouteIsAnError) {

@@ -16,6 +16,7 @@
 #include "deadlock/removal.h"
 #include "gen/generators.h"
 #include "util/error.h"
+#include "util/json.h"
 
 namespace {
 
@@ -122,6 +123,42 @@ TEST(RequireAllocTest, AccessorsAllocateNothing) {
   }
   EXPECT_EQ(Allocations(), before);
   EXPECT_GT(sum, 0u);
+}
+
+TEST(RequireAllocTest, ValidateAllocationsDoNotGrowWithTheDesign) {
+  // Validate checks every flow's route; neither the route's name nor
+  // the repeat check may allocate per flow or per route.
+  const auto torus = [](std::size_t side) {
+    gen::GeneratorSpec spec;
+    spec.family = gen::TopologyFamily::kTorus2D;
+    spec.width = side;
+    spec.height = side;
+    return gen::GenerateStandardDesign(spec);
+  };
+  const NocDesign small = torus(4);
+  const NocDesign large = torus(12);
+  const auto validate = [](const NocDesign& design) {
+    const std::size_t before = Allocations();
+    design.Validate();
+    return Allocations() - before;
+  };
+  EXPECT_EQ(validate(small), validate(large));
+}
+
+TEST(RequireAllocTest, JsonParseAllocationsDoNotGrowWithTheText) {
+  // The parser checks every character of a string token; a passing
+  // check must not build its message.
+  const auto parse = [](std::size_t chars) {
+    const std::string text = "{\"key\":\"" + std::string(chars, 'x') + "\"}";
+    const std::size_t before = Allocations();
+    const JsonValue value = JsonValue::Parse(text);
+    const std::size_t allocations = Allocations() - before;
+    EXPECT_EQ(value.At("key").AsString().size(), chars);
+    return allocations;
+  };
+  // The decoded string's own buffer doubles as it grows: log2 of the
+  // length, far under the bound; a message built per character is not.
+  EXPECT_LT(parse(100000), parse(1000) + 32);
 }
 
 }  // namespace

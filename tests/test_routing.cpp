@@ -20,55 +20,63 @@ class RoutingTest : public ::testing::Test {
     cab_ = *topo_.FindChannel(ab_, 0);
     cbc_ = *topo_.FindChannel(bc_, 0);
     cca_ = *topo_.FindChannel(ca_, 0);
+    last_use_.assign(topo_.ChannelCount(), 0);
   }
 
   TopologyGraph topo_;
   SwitchId a_, b_, c_;
   LinkId ab_, bc_, ca_;
   ChannelId cab_, cbc_, cca_;
+  std::vector<std::size_t> last_use_;  // ValidateRoute's channel stamps
 };
 
 TEST_F(RoutingTest, ValidTwoHopRoute) {
-  EXPECT_NO_THROW(ValidateRoute(topo_, {cab_, cbc_}, a_, c_, "t"));
+  EXPECT_NO_THROW(
+      ValidateRoute(topo_, {cab_, cbc_}, a_, c_, 0, last_use_));
 }
 
 TEST_F(RoutingTest, EmptyRouteSameSwitchOk) {
-  EXPECT_NO_THROW(ValidateRoute(topo_, {}, a_, a_, "t"));
+  EXPECT_NO_THROW(ValidateRoute(topo_, {}, a_, a_, 0, last_use_));
 }
 
 TEST_F(RoutingTest, EmptyRouteDistinctSwitchesRejected) {
-  EXPECT_THROW(ValidateRoute(topo_, {}, a_, b_, "t"), InvalidModelError);
+  EXPECT_THROW(ValidateRoute(topo_, {}, a_, b_, 0, last_use_),
+               InvalidModelError);
 }
 
 TEST_F(RoutingTest, WrongStartRejected) {
-  EXPECT_THROW(ValidateRoute(topo_, {cbc_}, a_, c_, "t"), InvalidModelError);
+  EXPECT_THROW(ValidateRoute(topo_, {cbc_}, a_, c_, 0, last_use_),
+               InvalidModelError);
 }
 
 TEST_F(RoutingTest, WrongEndRejected) {
-  EXPECT_THROW(ValidateRoute(topo_, {cab_}, a_, c_, "t"), InvalidModelError);
+  EXPECT_THROW(ValidateRoute(topo_, {cab_}, a_, c_, 0, last_use_),
+               InvalidModelError);
 }
 
 TEST_F(RoutingTest, DiscontiguousRejected) {
-  EXPECT_THROW(ValidateRoute(topo_, {cab_, cca_}, a_, a_, "t"),
+  EXPECT_THROW(ValidateRoute(topo_, {cab_, cca_}, a_, a_, 0, last_use_),
                InvalidModelError);
 }
 
 TEST_F(RoutingTest, RepeatedChannelRejected) {
   // A full loop around the triangle and once more over ab.
   EXPECT_THROW(
-      ValidateRoute(topo_, {cab_, cbc_, cca_, cab_}, a_, b_, "t"),
+      ValidateRoute(topo_, {cab_, cbc_, cca_, cab_}, a_, b_, 0, last_use_),
       InvalidModelError);
 }
 
 TEST_F(RoutingTest, UnknownChannelRejected) {
-  EXPECT_THROW(ValidateRoute(topo_, {ChannelId(99u)}, a_, b_, "t"),
-               InvalidModelError);
+  EXPECT_THROW(
+      ValidateRoute(topo_, {ChannelId(99u)}, a_, b_, 0, last_use_),
+      InvalidModelError);
 }
 
 TEST_F(RoutingTest, FullCycleRouteIsValidIfDistinctChannels) {
   // a -> b -> c -> a uses three distinct channels: structurally fine
   // (the CDG analysis decides whether it is safe, not route validation).
-  EXPECT_NO_THROW(ValidateRoute(topo_, {cab_, cbc_, cca_}, a_, a_, "t"));
+  EXPECT_NO_THROW(
+      ValidateRoute(topo_, {cab_, cbc_, cca_}, a_, a_, 0, last_use_));
 }
 
 TEST_F(RoutingTest, RouteSetAccessors) {
