@@ -1,7 +1,6 @@
 // Shared helpers for the harnesses in bench/ (and the tools that borrow
-// FlagParser): command-line flags, the campaign benches' thread-count
-// determinism check, and the unidirectional ring several benches treat.
-// util/clock.h's MillisSince times most benches' runs.
+// FlagParser): command-line flags and the campaign benches' thread-count
+// determinism check. util/clock.h's MillisSince times most benches' runs.
 #pragma once
 
 #include <cstddef>
@@ -15,7 +14,6 @@
 #include <utility>
 #include <vector>
 
-#include "noc/design.h"
 #include "util/clock.h"
 #include "valid/campaign.h"
 
@@ -198,36 +196,6 @@ inline void AddScopeFlags(FlagParser& flags, valid::CampaignScope& scope) {
   flags.AddSize("--trials", &scope.trials);
   flags.AddUint64("--seed", &scope.base_seed);
   flags.AddSize("--threads", &scope.threads);
-}
-
-/// Unidirectional ring of \p n switches, one core each; flow i runs
-/// from core i over the next \p span links. Always cyclic.
-inline NocDesign MakeRing(std::size_t n, std::size_t span) {
-  NocDesign d;
-  d.name = "ring" + std::to_string(n) + "x" + std::to_string(span);
-  std::vector<SwitchId> sw;
-  std::vector<CoreId> cores;
-  for (std::size_t i = 0; i < n; ++i) {
-    sw.push_back(d.topology.AddSwitch());
-    cores.push_back(d.traffic.AddCore());
-    d.attachment.push_back(sw[i]);
-  }
-  std::vector<ChannelId> ring;
-  for (std::size_t i = 0; i < n; ++i) {
-    ring.push_back(*d.topology.FindChannel(
-        d.topology.AddLink(sw[i], sw[(i + 1) % n]), 0));
-  }
-  d.routes.Resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    d.traffic.AddFlow(cores[i], cores[(i + span) % n], 60.0);
-    Route r;
-    for (std::size_t h = 0; h < span; ++h) {
-      r.push_back(ring[(i + h) % n]);
-    }
-    d.routes.SetRoute(FlowId(i), r);
-  }
-  d.Validate();
-  return d;
 }
 
 }  // namespace nocdr::bench

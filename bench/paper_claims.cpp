@@ -21,13 +21,14 @@
 #include <utility>
 #include <vector>
 
-#include "bench_common.h"
 #include "cdg/cdg.h"
 #include "cdg/cycle.h"
 #include "deadlock/cost.h"
 #include "deadlock/removal.h"
 #include "deadlock/resource_ordering.h"
 #include "deadlock/updown.h"
+#include "gen/generators.h"
+#include "ledger.h"
 #include "noc/io.h"
 #include "power/model.h"
 #include "runner/sweep.h"
@@ -38,115 +39,14 @@
 #include "util/table.h"
 
 using namespace nocdr;
+using bench::Cell;
+using bench::Ledger;
+using bench::Table;
 
 namespace {
 
 /// The switch count of the paper's power and area comparison.
 constexpr std::size_t kSuiteSwitches = 14;
-
-/// The BENCH rows and the exit status of one run.
-class Ledger {
- public:
-  /// A row of \p section about \p design; the caller sets its numbers.
-  static JsonObject Row(const std::string& section,
-                        const std::string& design) {
-    return JsonObject().Set("section", section).Set("design", design);
-  }
-
-  void Add(JsonObject row) { json_.AddRow(std::move(row)); }
-
-  /// Fails the run unless \p ok.
-  void Expect(bool ok, const std::string& design, const std::string& what) {
-    if (!ok) {
-      std::cout << "INVARIANT BROKEN: " << design << ": " << what << "\n";
-      ++broken_;
-    }
-  }
-
-  void ExpectAcyclic(const NocDesign& design, const std::string& method) {
-    Expect(IsDeadlockFree(design), design.name, method + " left a cyclic CDG");
-  }
-
-  /// One claim the paper states: it holds when \p measured stands in
-  /// relation \p rule ("=", ">=", ">" or "<") to \p paper.
-  void Claim(const std::string& claim, const std::string& scope,
-             const std::string& rule, double paper, double measured) {
-    const bool holds = rule == "="    ? measured == paper
-                       : rule == ">=" ? measured >= paper
-                       : rule == ">"  ? measured > paper
-                                      : measured < paper;
-    Add(Row("claim", scope)
-            .Set("arm", claim)
-            .Set("rule", rule)
-            .Set("paper", paper)
-            .Set("measured", measured)
-            .Set("holds", holds));
-  }
-
-  /// Writes the rows and returns the exit code.
-  int Finish() {
-    std::cout << "\ninvariants broken: " << broken_ << "\n";
-    if (const std::string path = json_.Write(); !path.empty()) {
-      std::cout << "rows written to " << path << "\n";
-    }
-    return broken_ == 0 ? 0 : 1;
-  }
-
- private:
-  BenchJsonWriter json_{"paper_claims"};
-  std::size_t broken_ = 0;
-};
-
-/// One printed table cell and the BENCH field that records it. A cell
-/// with an empty key is printed only: a label its row already names.
-struct Cell {
-  Cell(std::string key, std::string value)
-      : key(std::move(key)), json(JsonText(value)), text(std::move(value)) {}
-  Cell(std::string key, std::size_t count)
-      : key(std::move(key)),
-        json(JsonText(std::uint64_t{count})),
-        text(std::to_string(count)) {}
-  Cell(std::string key, double value, int digits, const char* unit = "")
-      : key(std::move(key)),
-        json(JsonText(value)),
-        text(FormatDouble(value, digits) + unit) {}
-  Cell(std::string key, bool value, std::string shown)
-      : key(std::move(key)), json(JsonText(value)), text(std::move(shown)) {}
-
-  std::string key;
-  std::string json;
-  std::string text;
-};
-
-/// A printed table whose every row is also a BENCH row of one section.
-class Table {
- public:
-  Table(Ledger& ledger, std::string section, std::vector<std::string> header)
-      : ledger_(ledger), section_(std::move(section)) {
-    text_.SetHeader(std::move(header));
-  }
-
-  /// Prints \p cells as one row and records them as the row of \p design.
-  void Add(const std::string& design, const std::vector<Cell>& cells) {
-    JsonObject row = Ledger::Row(section_, design);
-    std::vector<std::string> texts;
-    for (const Cell& cell : cells) {
-      if (!cell.key.empty()) {
-        row.SetRaw(cell.key, cell.json);
-      }
-      texts.push_back(cell.text);
-    }
-    text_.AddRow(std::move(texts));
-    ledger_.Add(std::move(row));
-  }
-
-  void Print() const { text_.Print(std::cout); }
-
- private:
-  Ledger& ledger_;
-  std::string section_;
-  TextTable text_;
-};
 
 // ------------------------------------------------------------------ E1
 
@@ -504,7 +404,7 @@ void TurnModelBaseline(Ledger& ledger,
   // Unidirectional rings: the link-constrained custom designs the paper
   // cites ([21]) as the reason turn prohibition cannot be assumed.
   for (const std::size_t n : {4u, 6u, 8u}) {
-    NocDesign ring = bench::MakeRing(n, 2);
+    NocDesign ring = gen::UnidirectionalRing(n, 2);
     updown(ring);
   }
   Table cost(ledger, "a3_cost",
@@ -580,7 +480,9 @@ void PolicyAblation(Ledger& ledger) {
   for (const auto& [n, span] : rings) {
     corpus.emplace_back(
         "ring" + std::to_string(n) + "x" + std::to_string(span),
-        [n = n, span = span](Rng&) { return bench::MakeRing(n, span); });
+        [n = n, span = span](Rng&) {
+          return gen::UnidirectionalRing(n, span);
+        });
   }
   for (const std::size_t switches : {12u, 16u, 20u}) {
     corpus.emplace_back("D36_8@" + std::to_string(switches), [switches](Rng&) {
@@ -638,7 +540,7 @@ void BufferDepthSweep(Ledger& ledger) {
   Table table(ledger, "a4",
               {"buffer depth", "untreated ring", "after removal",
                "removal VCs"});
-  const NocDesign untreated = bench::MakeRing(6, 2);
+  const NocDesign untreated = gen::UnidirectionalRing(6, 2);
   NocDesign treated = untreated;
   const std::size_t vcs = RemoveDeadlocks(treated).vcs_added;
   ledger.ExpectAcyclic(treated, "removal");
@@ -668,7 +570,7 @@ void BufferDepthSweep(Ledger& ledger) {
 }  // namespace
 
 int main() {
-  Ledger ledger;
+  Ledger ledger("paper_claims");
   WorkedExample(ledger);
   ExtraVcSweep(ledger, "fig8", "E2 / Figure 8", SocBenchmarkId::kD26Media, 5,
                25, /*mostly_zero=*/true);

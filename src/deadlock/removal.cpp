@@ -25,8 +25,11 @@ constexpr std::size_t kStageInvalidate = 3;   // CDG rebuild / ApplyBreak
 
 using obs::StageTimer;
 
-constexpr std::initializer_list<const char*> kRemovalStages = {
-    "cycle_search", "score", "apply", "invalidate"};
+const obs::StageSet& RemovalStages() {
+  static const obs::StageSet stages(
+      "removal", {"cycle_search", "score", "apply", "invalidate"});
+  return stages;
+}
 
 /// Ascending union of the flow annotations on the cycle's edges — by the
 /// CDG definition, exactly the flows that can contribute to any cost
@@ -118,7 +121,7 @@ void ApplyAndRecord(NocDesign& design, const ChannelDependencyGraph& cdg,
 RemovalReport RemoveDeadlocksRebuild(NocDesign& design,
                                      const RemovalOptions& options) {
   RemovalReport report;
-  StageTimer stages("removal", kRemovalStages);
+  StageTimer stages(RemovalStages());
   ChannelDependencyGraph cdg = ChannelDependencyGraph::Build(design);
   std::optional<CdgCycle> cycle;
   {
@@ -147,7 +150,7 @@ RemovalReport RemoveDeadlocksOnCdg(NocDesign& design,
                                    DirtyCycleFinder& finder,
                                    const RemovalOptions& options) {
   RemovalReport report;
-  StageTimer stages("removal", kRemovalStages);
+  StageTimer stages(RemovalStages());
   const DirtyCycleFinder::Stats before = finder.stats();
   // The finder's pick, held to a full scan in paranoid mode.
   const auto pick = [&] {

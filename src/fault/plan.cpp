@@ -51,29 +51,6 @@ void FaultState::Apply(const NocDesign& design, const FaultBurst& burst) {
   }
 }
 
-namespace {
-
-/// Out-links of \p s still alive under \p state.
-std::size_t AliveOut(const NocDesign& design, const FaultState& state,
-                     SwitchId s) {
-  std::size_t alive = 0;
-  for (const LinkId l : design.topology.OutLinks(s)) {
-    alive += !state.LinkFailed(l);
-  }
-  return alive;
-}
-
-std::size_t AliveIn(const NocDesign& design, const FaultState& state,
-                    SwitchId s) {
-  std::size_t alive = 0;
-  for (const LinkId l : design.topology.InLinks(s)) {
-    alive += !state.LinkFailed(l);
-  }
-  return alive;
-}
-
-/// BFS over surviving links; \p forward walks out-links, else in-links.
-/// Fills \p seen (resized/cleared here).
 void SurvivorBfs(const NocDesign& design, const FaultState& state,
                  SwitchId start, bool forward, std::vector<char>& seen) {
   seen.assign(design.topology.SwitchCount(), 0);
@@ -98,6 +75,27 @@ void SurvivorBfs(const NocDesign& design, const FaultState& state,
       }
     }
   }
+}
+
+namespace {
+
+/// Out-links of \p s still alive under \p state.
+std::size_t AliveOut(const NocDesign& design, const FaultState& state,
+                     SwitchId s) {
+  std::size_t alive = 0;
+  for (const LinkId l : design.topology.OutLinks(s)) {
+    alive += !state.LinkFailed(l);
+  }
+  return alive;
+}
+
+std::size_t AliveIn(const NocDesign& design, const FaultState& state,
+                    SwitchId s) {
+  std::size_t alive = 0;
+  for (const LinkId l : design.topology.InLinks(s)) {
+    alive += !state.LinkFailed(l);
+  }
+  return alive;
 }
 
 /// True when, under \p state, every pair of attachment switches stays

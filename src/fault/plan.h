@@ -67,6 +67,13 @@ struct FaultState {
   void Apply(const NocDesign& design, const FaultBurst& burst);
 };
 
+/// Sets seen[s] (\p seen is resized here) for every switch s reachable
+/// from \p start over the links and switches alive under \p state;
+/// \p forward walks out-links, else in-links. A failed \p start
+/// reaches nothing.
+void SurvivorBfs(const NocDesign& design, const FaultState& state,
+                 SwitchId start, bool forward, std::vector<char>& seen);
+
 struct FaultPlanOptions {
   /// Waves of failures per plan.
   std::size_t bursts = 2;

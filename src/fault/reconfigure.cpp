@@ -1,6 +1,7 @@
 #include "fault/reconfigure.h"
 
 #include <algorithm>
+#include <unordered_map>
 
 #include "obs/trace.h"
 #include "util/error.h"
@@ -8,51 +9,6 @@
 namespace nocdr::fault {
 
 namespace {
-
-/// BFS reachability over surviving links, memoized per source switch —
-/// many affected flows share a source.
-class SurvivorReachability {
- public:
-  SurvivorReachability(const NocDesign& design, const FaultState& state)
-      : design_(design), state_(state),
-        visited_(design.topology.SwitchCount() *
-                     design.topology.SwitchCount(),
-                 0),
-        done_(design.topology.SwitchCount(), 0) {}
-
-  bool Reachable(SwitchId src, SwitchId dst) {
-    const std::size_t n = design_.topology.SwitchCount();
-    if (!done_[src.value()]) {
-      char* row = visited_.data() + src.value() * n;
-      std::vector<std::uint32_t> queue;
-      if (!state_.SwitchFailed(src)) {
-        row[src.value()] = 1;
-        queue.push_back(src.value());
-      }
-      for (std::size_t head = 0; head < queue.size(); ++head) {
-        const SwitchId v(queue[head]);
-        for (const LinkId l : design_.topology.OutLinks(v)) {
-          if (state_.LinkFailed(l)) {
-            continue;
-          }
-          const SwitchId w = design_.topology.LinkAt(l).dst;
-          if (!row[w.value()] && !state_.SwitchFailed(w)) {
-            row[w.value()] = 1;
-            queue.push_back(w.value());
-          }
-        }
-      }
-      done_[src.value()] = 1;
-    }
-    return visited_[src.value() * n + dst.value()] != 0;
-  }
-
- private:
-  const NocDesign& design_;
-  const FaultState& state_;
-  std::vector<char> visited_;  // n x n, rows filled lazily
-  std::vector<char> done_;
-};
 
 /// The shared burst pipeline. \p cdg / \p finder are null on the rebuild
 /// reference path. Returns true when the design was mutated (the burst
@@ -74,14 +30,22 @@ bool ReconfigureCore(NocDesign& design, ChannelDependencyGraph* cdg,
 
     // 2. Feasibility: every affected flow must still have some
     // surviving path. Any miss makes the whole burst infeasible,
-    // untouched.
-    SurvivorReachability reach(design, next);
+    // untouched. Many affected flows share a source switch, so each
+    // source's reach is searched once.
+    std::unordered_map<std::uint32_t, std::vector<char>> reach;
+    const auto reaches = [&](SwitchId src, SwitchId dst) {
+      const auto [row, fresh] = reach.try_emplace(src.value());
+      if (fresh) {
+        SurvivorBfs(design, next, src, /*forward=*/true, row->second);
+      }
+      return row->second[dst.value()] != 0;
+    };
     for (const FlowId f : report.affected_flows) {
       const Flow& flow = design.traffic.FlowAt(f);
       const SwitchId src = design.attachment[flow.src.value()];
       const SwitchId dst = design.attachment[flow.dst.value()];
       if (next.SwitchFailed(src) || next.SwitchFailed(dst) ||
-          !reach.Reachable(src, dst)) {
+          !reaches(src, dst)) {
         report.disconnected_flows.push_back(f);
       }
     }

@@ -486,4 +486,32 @@ NocDesign GenerateStandardDesign(const GeneratorSpec& spec,
   return design;
 }
 
+NocDesign UnidirectionalRing(std::size_t n, std::size_t span) {
+  NocDesign d;
+  d.name = "ring" + std::to_string(n) + "x" + std::to_string(span);
+  std::vector<SwitchId> sw;
+  std::vector<CoreId> cores;
+  for (std::size_t i = 0; i < n; ++i) {
+    sw.push_back(d.topology.AddSwitch());
+    cores.push_back(d.traffic.AddCore());
+    d.attachment.push_back(sw[i]);
+  }
+  std::vector<ChannelId> ring;
+  for (std::size_t i = 0; i < n; ++i) {
+    ring.push_back(*d.topology.FindChannel(
+        d.topology.AddLink(sw[i], sw[(i + 1) % n]), 0));
+  }
+  d.routes.Resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    d.traffic.AddFlow(cores[i], cores[(i + span) % n], 60.0);
+    Route r;
+    for (std::size_t h = 0; h < span; ++h) {
+      r.push_back(ring[(i + h) % n]);
+    }
+    d.routes.SetRoute(FlowId(i), r);
+  }
+  d.Validate();
+  return d;
+}
+
 }  // namespace nocdr::gen

@@ -146,4 +146,11 @@ std::string FamilyShapeName(const GeneratorSpec& spec);
 NocDesign GenerateStandardDesign(const GeneratorSpec& spec,
                                  NextHopTable* table_out = nullptr);
 
+/// The canonical wormhole deadlock: a unidirectional ring of \p n
+/// switches with one core each, where flow i carries 60 MB/s from core
+/// i over the next \p span links. Named "ring<n>x<span>"; with span >= 2
+/// its CDG is the full ring cycle. No family of GeneratorSpec: it has
+/// no reverse links, so up*/down* routing is infeasible on it.
+NocDesign UnidirectionalRing(std::size_t n, std::size_t span);
+
 }  // namespace nocdr::gen

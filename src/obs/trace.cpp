@@ -258,32 +258,42 @@ void ScopedSpan::Attr(const std::string& key, std::string value) {
   }
 }
 
-StageTimer::StageTimer(const char* metric_prefix,
-                       std::initializer_list<const char*> stage_names)
-    : metric_prefix_(metric_prefix), context_(g_current) {
+StageSet::StageSet(const char* metric_prefix,
+                   std::initializer_list<const char*> stage_names)
+    : metric_prefix_(metric_prefix) {
   for (const char* name : stage_names) {
-    if (stage_count_ >= kMaxStages) {
+    if (size_ >= kMaxStages) {
       break;
     }
-    stages_[stage_count_++].name = name;
+    names_[size_++] = name;
   }
 }
 
+Histogram& StageSet::HistogramOf(std::size_t stage) const {
+  Histogram* histogram = histograms_[stage].load();
+  if (histogram == nullptr) {
+    // Racing first uses register the same name and get the same
+    // histogram back.
+    histogram = &Metrics().GetHistogram(std::string(metric_prefix_) + "." +
+                                        names_[stage] + "_us");
+    histograms_[stage].store(histogram);
+  }
+  return *histogram;
+}
+
+StageTimer::StageTimer(const StageSet& stages)
+    : set_(stages), context_(g_current) {}
+
 StageTimer::~StageTimer() {
-  for (std::size_t i = 0; i < stage_count_; ++i) {
+  for (std::size_t i = 0; i < set_.size(); ++i) {
     const Stage& stage = stages_[i];
     if (stage.calls == 0) {
       continue;
     }
-    if (metric_prefix_ != nullptr) {
-      Metrics()
-          .GetHistogram(std::string(metric_prefix_) + "." + stage.name +
-                        "_us")
-          .Record(stage.busy_ns / 1000);
-    }
+    set_.HistogramOf(i).Record(stage.busy_ns / 1000);
     if (context_.trace != nullptr) {
       const std::uint64_t span = context_.trace->Emit(
-          stage.name, context_.span, stage.first_tick, stage.last_tick);
+          set_.name(i), context_.span, stage.first_tick, stage.last_tick);
       context_.trace->Attr(span, "busy", stage.busy_ticks);
       context_.trace->Attr(span, "calls", stage.calls);
       for (const auto& [key, value] : stage.counts) {
@@ -295,6 +305,9 @@ StageTimer::~StageTimer() {
 
 void StageTimer::Count(std::size_t stage, const char* key,
                        std::uint64_t delta) {
+  if (context_.trace == nullptr) {
+    return;
+  }
   for (auto& [existing, value] : stages_[stage].counts) {
     if (std::string_view(existing) == key) {
       value += delta;

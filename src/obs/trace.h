@@ -52,6 +52,7 @@
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <initializer_list>
@@ -64,6 +65,8 @@
 #include <vector>
 
 namespace nocdr::obs {
+
+class Histogram;  // obs/metrics.h
 
 inline constexpr int kTraceSchemaVersion = 1;
 
@@ -228,6 +231,38 @@ class ScopedSpan {
   TraceContext saved_;
 };
 
+/// The stages of one kind of StageTimer and their metrics histograms
+/// "<prefix>.<stage>_us" (obs/metrics.h). A stage's histogram is
+/// registered the first time a timer records the stage and kept from
+/// then on, so timers after that touch only atomics. A set must outlive
+/// its timers; keep one per kind for the process lifetime (a
+/// function-local static). Names must outlive the set (string
+/// literals).
+class StageSet {
+ public:
+  static constexpr std::size_t kMaxStages = 8;
+
+  StageSet(const char* metric_prefix,
+           std::initializer_list<const char*> stage_names);
+
+  StageSet(const StageSet&) = delete;
+  StageSet& operator=(const StageSet&) = delete;
+
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] const char* name(std::size_t stage) const {
+    return names_[stage];
+  }
+
+  /// The histogram of \p stage, registered on first use. Thread-safe.
+  Histogram& HistogramOf(std::size_t stage) const;
+
+ private:
+  const char* metric_prefix_;
+  std::size_t size_ = 0;
+  std::array<const char*, kMaxStages> names_{};
+  mutable std::array<std::atomic<Histogram*>, kMaxStages> histograms_{};
+};
+
 /// Aggregating stage timers for loops: the removal loop enters its
 /// cycle-search / scoring / application / invalidation stages hundreds
 /// of times per run, which must not emit hundreds of spans. A
@@ -235,18 +270,12 @@ class ScopedSpan {
 /// the loop and emits *one* span per touched stage at destruction
 /// (start = first entry, end = last exit, attrs busy/calls plus any
 /// named counters), nested under whatever span was current at
-/// construction. Independently of tracing it records each stage's
-/// busy time into the metrics histogram "<prefix>.<stage>_us"
-/// (obs/metrics.h) — so stage-level aggregates exist even when no
-/// trace is attached.
+/// construction. Independently of tracing it records each touched
+/// stage's busy time into the stage's histogram (StageSet) — so
+/// stage-level aggregates exist even when no trace is attached.
 class StageTimer {
  public:
-  static constexpr std::size_t kMaxStages = 8;
-
-  /// \p metric_prefix of nullptr disables the metrics side. Stage
-  /// names must outlive the timer (string literals).
-  StageTimer(const char* metric_prefix,
-             std::initializer_list<const char*> stage_names);
+  explicit StageTimer(const StageSet& stages);
   ~StageTimer();
 
   StageTimer(const StageTimer&) = delete;
@@ -269,15 +298,15 @@ class StageTimer {
   };
 
   /// Adds a named counter attribute to \p stage's span (e.g. the
-  /// number of BFS runs a cycle search cost). Deterministic values
-  /// only — they land in byte-compared logical traces.
+  /// number of BFS runs a cycle search cost); a no-op when no trace
+  /// was current at construction. Deterministic values only — they
+  /// land in byte-compared logical traces.
   void Count(std::size_t stage, const char* key, std::uint64_t delta);
 
  private:
   friend class Section;
 
   struct Stage {
-    const char* name = nullptr;
     std::uint64_t calls = 0;
     std::uint64_t busy_ticks = 0;
     std::uint64_t busy_ns = 0;  // metrics side, always wall
@@ -286,10 +315,9 @@ class StageTimer {
     std::vector<std::pair<const char*, std::uint64_t>> counts;
   };
 
-  const char* metric_prefix_;
+  const StageSet& set_;
   TraceContext context_;  // captured at construction
-  std::size_t stage_count_ = 0;
-  std::array<Stage, kMaxStages> stages_;
+  std::array<Stage, StageSet::kMaxStages> stages_;
 };
 
 /// A parsed-and-validated span line; the schema checker shared by

@@ -178,13 +178,6 @@ std::vector<ClassCounters> AdmissionController::Counters() const {
   return counters_;
 }
 
-int AdmissionController::RankOf(const std::string& class_name) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return buckets_[BucketIndex(class_name.empty() ? kDefaultClass
-                                                 : class_name)]
-      .config.rank;
-}
-
 ReadyQueue::ReadyQueue(Discipline discipline, std::uint64_t seed,
                        std::size_t capacity)
     : discipline_(discipline), seed_(seed), capacity_(capacity) {}

@@ -23,7 +23,9 @@
 // The open-loop load generator (serve/load_gen.h) drives these classes
 // on deterministic virtual time — that is what makes a whole load
 // replay bit-identical; the live service maps steady_clock onto the
-// same interface. Nothing in here reads a real clock.
+// same interface. Nothing in here reads a real clock. The live service
+// uses the admission controller only: its admitted misses queue FIFO
+// on the compute pool, and ReadyQueue runs in the load replay alone.
 #pragma once
 
 #include <cstdint>
@@ -137,10 +139,6 @@ class AdmissionController {
   /// Snapshot of the per-class counters, config order, classes that
   /// actually sent requests appended after the configured ones.
   [[nodiscard]] std::vector<ClassCounters> Counters() const;
-
-  /// Rank of \p class_name (kDefaultClass rank for unknown names);
-  /// the priority key the kPriority discipline uses.
-  [[nodiscard]] int RankOf(const std::string& class_name) const;
 
  private:
   struct Bucket {

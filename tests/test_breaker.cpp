@@ -5,6 +5,7 @@
 
 #include "cdg/cdg.h"
 #include "cdg/cycle.h"
+#include "gen/generators.h"
 #include "test_helpers.h"
 #include "util/error.h"
 
@@ -92,7 +93,7 @@ TEST(BreakerTest, BackwardBreakAtD4MatchesPaperFigure3) {
 TEST(BreakerTest, SharedDuplicatesAcrossFlows) {
   // Ring where two flows create the same edge from different entries:
   // duplicates must be shared so the VC count equals the max cost.
-  auto d = testing::MakeRingDesign(4, 2);
+  auto d = gen::UnidirectionalRing(4, 2);
   // Flows: i -> i+2 with routes {ring[i], ring[i+1]}. Edge
   // (ring[1], ring[2]) is created by flow 1 only. Add one more flow with
   // a 3-hop route 0 -> 3 = {ring[0], ring[1], ring[2]}.

@@ -143,7 +143,7 @@ TEST(CdgChurnTest, ChurnedGraphsMatchOnTreatedDesigns) {
 }
 
 TEST(CdgChurnTest, ChurnedGraphsMatchOnRingsAndRandomDesigns) {
-  RunChurnProperty(testing::MakeRingDesign(12, 5), 1);
+  RunChurnProperty(gen::UnidirectionalRing(12, 5), 1);
   for (std::uint64_t seed = 51; seed <= 58; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     RunChurnProperty(testing::MakeRandomDesign(seed, 10, 14, 30), seed);
@@ -192,7 +192,7 @@ TEST(CdgIncrementalTest, MirrorsRebuildOnRings) {
                          {6, 3},
                          {8, 3},
                          {12, 5}}) {
-    RunMirrorProperty(testing::MakeRingDesign(n, span),
+    RunMirrorProperty(gen::UnidirectionalRing(n, span),
                       CyclePolicy::kSmallestFirst);
   }
 }
@@ -284,7 +284,7 @@ TEST(CdgIncrementalTest, PicksAfterTheFirstRevisitOnlyChangedComponents) {
 
 TEST(CdgIncrementalTest, MirrorsRebuildUnderAblationPolicies) {
   for (auto policy : {CyclePolicy::kFirstFound, CyclePolicy::kLargestFirst}) {
-    RunMirrorProperty(testing::MakeRingDesign(8, 3), policy);
+    RunMirrorProperty(gen::UnidirectionalRing(8, 3), policy);
     const auto b = MakeBenchmark(SocBenchmarkId::kD36_8);
     RunMirrorProperty(SynthesizeDesign(b.traffic, b.name, 14), policy);
   }
@@ -339,7 +339,7 @@ TEST(RemovalEngineEquivalenceTest, BenchmarkCorpus) {
 }
 
 TEST(RemovalEngineEquivalenceTest, RingsAndRandomDesigns) {
-  ExpectSameOutcome(testing::MakeRingDesign(10, 4));
+  ExpectSameOutcome(gen::UnidirectionalRing(10, 4));
   for (std::uint64_t seed = 21; seed <= 26; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     ExpectSameOutcome(testing::MakeRandomDesign(seed, 9, 12, 24));
@@ -368,7 +368,7 @@ TEST(RemovalEngineEquivalenceTest, SocWithNonNestedBreakCostsCertifies) {
 }
 
 TEST(RemovalEngineEquivalenceTest, ParanoidValidationPasses) {
-  NocDesign design = testing::MakeRingDesign(8, 3);
+  NocDesign design = gen::UnidirectionalRing(8, 3);
   RemovalOptions options;
   options.paranoid_validation = true;
   const auto report = RemoveDeadlocks(design, options);

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 
+#include "gen/generators.h"
 #include "test_helpers.h"
 
 namespace nocdr {
@@ -157,7 +158,7 @@ TEST(CycleTest, FirstCycleIsValidCycle) {
 
 TEST(CycleTest, RingDesignsOfManySizes) {
   for (std::size_t n : {3u, 4u, 5u, 8u, 12u}) {
-    auto d = testing::MakeRingDesign(n, 2);
+    auto d = gen::UnidirectionalRing(n, 2);
     const auto cdg = ChannelDependencyGraph::Build(d);
     EXPECT_FALSE(IsAcyclic(cdg)) << "ring " << n;
     const auto cycle = SmallestCycle(cdg);

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "gen/generators.h"
 #include "test_helpers.h"
 #include "util/error.h"
 
@@ -68,7 +69,7 @@ TEST(DesignTest, FlowsOnLink) {
 }
 
 TEST(DesignTest, RingHelperValidates) {
-  auto d = testing::MakeRingDesign(6, 3);
+  auto d = gen::UnidirectionalRing(6, 3);
   EXPECT_EQ(d.topology.SwitchCount(), 6u);
   EXPECT_EQ(d.traffic.FlowCount(), 6u);
   for (std::size_t i = 0; i < 6; ++i) {

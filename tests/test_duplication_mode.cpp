@@ -5,6 +5,7 @@
 
 #include "deadlock/breaker.h"
 #include "deadlock/removal.h"
+#include "gen/generators.h"
 #include "sim/simulator.h"
 #include "test_helpers.h"
 
@@ -63,7 +64,7 @@ TEST(DuplicationModeTest, BothModesAddSameChannelCount) {
 }
 
 TEST(DuplicationModeTest, PhysicalModeSurvivesStressSimulation) {
-  auto d = testing::MakeRingDesign(4, 2);
+  auto d = gen::UnidirectionalRing(4, 2);
   RemovalOptions options;
   options.duplication = DuplicationMode::kPhysicalLink;
   RemoveDeadlocks(d, options);
@@ -83,7 +84,7 @@ TEST(DuplicationModeTest, PhysicalTwinsCarryIndependentTraffic) {
   // one flit each in the same cycle (they are separate wires), unlike
   // two VCs multiplexed on one link. Completing strictly faster than the
   // flit count over a single link proves the parallelism.
-  auto d = testing::MakeRingDesign(4, 2);
+  auto d = gen::UnidirectionalRing(4, 2);
   RemovalOptions options;
   options.duplication = DuplicationMode::kPhysicalLink;
   RemoveDeadlocks(d, options);

@@ -6,6 +6,7 @@
 #include "deadlock/cost.h"
 #include "deadlock/removal.h"
 #include "deadlock/updown.h"
+#include "gen/generators.h"
 #include "sim/simulator.h"
 #include "test_helpers.h"
 
@@ -94,7 +95,7 @@ TEST(EdgeCaseTest, SharedEdgeCyclesCanFallTogether) {
   // edges, so one break can kill several. Build an 8-ring whose flows
   // close the big cycle plus a chord-based small cycle sharing channels,
   // and check the removal takes no more iterations than cycles exist.
-  auto d = testing::MakeRingDesign(8, 3);
+  auto d = gen::UnidirectionalRing(8, 3);
   const auto report = RemoveDeadlocks(d);
   EXPECT_TRUE(IsDeadlockFree(d));
   // The ring CDG has one simple cycle per "rotation class"; removal must
@@ -177,8 +178,8 @@ TEST(EdgeCaseTest, RemovalHandlesParallelFlowsOnSamePair) {
   // Many parallel flows between one core pair, all creating the same
   // dependencies: duplicates must be shared, so the VC cost equals that
   // of a single flow.
-  auto single = testing::MakeRingDesign(4, 2);
-  auto multi = testing::MakeRingDesign(4, 2);
+  auto single = gen::UnidirectionalRing(4, 2);
+  auto multi = gen::UnidirectionalRing(4, 2);
   // Triple every flow in `multi`.
   const std::size_t original_flows = multi.traffic.FlowCount();
   for (std::size_t fi = 0; fi < original_flows; ++fi) {

@@ -71,46 +71,6 @@ inline PaperExample MakePaperExample() {
   return ex;
 }
 
-/// A unidirectional ring of \p n switches with one core per switch and
-/// flows core[i] -> core[(i + hop_span) % n] routed the short way around;
-/// with hop_span >= 2 and enough flows the CDG contains the full ring
-/// cycle, the canonical wormhole deadlock.
-inline NocDesign MakeRingDesign(std::size_t n, std::size_t hop_span = 2) {
-  NocDesign d;
-  d.name = "ring" + std::to_string(n);
-  std::vector<SwitchId> switches;
-  for (std::size_t i = 0; i < n; ++i) {
-    switches.push_back(d.topology.AddSwitch());
-  }
-  std::vector<ChannelId> ring;
-  for (std::size_t i = 0; i < n; ++i) {
-    const LinkId l =
-        d.topology.AddLink(switches[i], switches[(i + 1) % n]);
-    ring.push_back(*d.topology.FindChannel(l, 0));
-  }
-  std::vector<CoreId> cores;
-  for (std::size_t i = 0; i < n; ++i) {
-    cores.push_back(d.traffic.AddCore());
-    d.attachment.push_back(switches[i]);
-  }
-  d.routes.Resize(0);
-  std::vector<Route> routes;
-  for (std::size_t i = 0; i < n; ++i) {
-    d.traffic.AddFlow(cores[i], cores[(i + hop_span) % n], 50.0);
-    Route r;
-    for (std::size_t h = 0; h < hop_span; ++h) {
-      r.push_back(ring[(i + h) % n]);
-    }
-    routes.push_back(std::move(r));
-  }
-  d.routes.Resize(d.traffic.FlowCount());
-  for (std::size_t i = 0; i < routes.size(); ++i) {
-    d.routes.SetRoute(FlowId(i), std::move(routes[i]));
-  }
-  d.Validate();
-  return d;
-}
-
 /// Random connected design: switches on a bidirectional ring plus random
 /// chords, random core placement, random flows routed by BFS shortest
 /// path. Deterministic in \p seed. Used by the property suites.

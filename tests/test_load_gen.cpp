@@ -36,7 +36,6 @@ using serve::load::Verdict;
 using serve::load::WorkItem;
 using serve::sched::Discipline;
 using testing::MakeRandomDesign;
-using testing::MakeRingDesign;
 
 // ---------------------------------------------------------------- traces
 

@@ -5,6 +5,7 @@
 
 #include "deadlock/removal.h"
 #include "deadlock/resource_ordering.h"
+#include "gen/generators.h"
 #include "soc/benchmarks.h"
 #include "synth/synthesizer.h"
 #include "test_helpers.h"
@@ -92,7 +93,7 @@ TEST(MetricsTest, HistogramCoversAllFlows) {
 }
 
 TEST(MetricsTest, BalancedLoadHasZeroCv) {
-  auto d = testing::MakeRingDesign(4, 2);  // every link carries 2 flows
+  auto d = gen::UnidirectionalRing(4, 2);  // every link carries 2 flows
   const auto m = ComputeMetrics(d);
   EXPECT_NEAR(m.link_load_cv, 0.0, 1e-12);
 }

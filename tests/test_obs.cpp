@@ -258,7 +258,8 @@ TEST(StageTimerTest, EmitsOneSpanPerTouchedStageWithBusyAndCalls) {
   TraceSink sink;
   {
     ScopedTrace trace(&sink, "k0", "compute");
-    StageTimer stages("test_obs_stage", {"search", "apply"});
+    const StageSet stage_set("test_obs_stage", {"search", "apply"});
+    StageTimer stages(stage_set);
     { StageTimer::Section section(stages, 0); }
     { StageTimer::Section section(stages, 0); }
     { StageTimer::Section section(stages, 1); }

@@ -5,6 +5,7 @@
 
 #include "deadlock/removal.h"
 #include "deadlock/resource_ordering.h"
+#include "gen/generators.h"
 #include "soc/benchmarks.h"
 #include "synth/synthesizer.h"
 #include "test_helpers.h"
@@ -68,8 +69,8 @@ TEST(PowerModelTest, DynamicScalesWithBandwidth) {
 }
 
 TEST(PowerModelTest, LongerRoutesCostMoreDynamicPower) {
-  auto short_ring = testing::MakeRingDesign(8, 2);
-  auto long_ring = testing::MakeRingDesign(8, 5);
+  auto short_ring = gen::UnidirectionalRing(8, 2);
+  auto long_ring = gen::UnidirectionalRing(8, 5);
   const auto pa_short = EstimatePowerArea(short_ring);
   const auto pa_long = EstimatePowerArea(long_ring);
   EXPECT_GT(pa_long.dynamic_mw, pa_short.dynamic_mw);

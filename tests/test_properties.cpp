@@ -5,6 +5,7 @@
 #include "cdg/cycle.h"
 #include "deadlock/removal.h"
 #include "deadlock/resource_ordering.h"
+#include "gen/generators.h"
 #include "sim/simulator.h"
 #include "test_helpers.h"
 
@@ -136,7 +137,7 @@ TEST_P(RingProperty, RemovalFixesEveryRing) {
   if (span >= n) {
     GTEST_SKIP();
   }
-  auto d = testing::MakeRingDesign(n, span);
+  auto d = gen::UnidirectionalRing(n, span);
   const auto report = RemoveDeadlocks(d);
   EXPECT_TRUE(IsDeadlockFree(d));
   EXPECT_GT(report.vcs_added, 0u);  // a ring CDG always has the big cycle

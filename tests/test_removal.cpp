@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "cdg/cdg.h"
+#include "gen/generators.h"
 #include "test_helpers.h"
 #include "util/error.h"
 
@@ -49,7 +50,7 @@ TEST(RemovalTest, StepRecordsAreConsistent) {
 
 TEST(RemovalTest, RingsOfAllSizes) {
   for (std::size_t n : {3u, 4u, 6u, 10u, 16u}) {
-    auto d = testing::MakeRingDesign(n, 2);
+    auto d = gen::UnidirectionalRing(n, 2);
     const auto report = RemoveDeadlocks(d);
     EXPECT_TRUE(IsDeadlockFree(d)) << "ring " << n;
     EXPECT_GT(report.vcs_added, 0u) << "ring " << n;
@@ -61,7 +62,7 @@ TEST(RemovalTest, LongSpanRings) {
   // Longer worms wrap further around the ring; removal must still
   // converge and produce a valid deadlock-free design.
   for (std::size_t span : {2u, 3u, 4u, 5u}) {
-    auto d = testing::MakeRingDesign(8, span);
+    auto d = gen::UnidirectionalRing(8, span);
     RemoveDeadlocks(d);
     EXPECT_TRUE(IsDeadlockFree(d)) << "span " << span;
     d.Validate();
@@ -69,14 +70,14 @@ TEST(RemovalTest, LongSpanRings) {
 }
 
 TEST(RemovalTest, IterationCapThrows) {
-  auto d = testing::MakeRingDesign(8, 3);
+  auto d = gen::UnidirectionalRing(8, 3);
   RemovalOptions options;
   options.max_iterations = 0;
   EXPECT_THROW(RemoveDeadlocks(d, options), AlgorithmLimitError);
 }
 
 TEST(RemovalTest, ParanoidValidationPasses) {
-  auto d = testing::MakeRingDesign(10, 4);
+  auto d = gen::UnidirectionalRing(10, 4);
   RemovalOptions options;
   options.paranoid_validation = true;
   EXPECT_NO_THROW(RemoveDeadlocks(d, options));
@@ -86,7 +87,7 @@ TEST(RemovalTest, ParanoidValidationPasses) {
 TEST(RemovalTest, DirectionPolicies) {
   for (auto policy : {DirectionPolicy::kBoth, DirectionPolicy::kForwardOnly,
                       DirectionPolicy::kBackwardOnly}) {
-    auto d = testing::MakeRingDesign(8, 3);
+    auto d = gen::UnidirectionalRing(8, 3);
     RemovalOptions options;
     options.direction_policy = policy;
     const auto report = RemoveDeadlocks(d, options);
@@ -99,7 +100,7 @@ TEST(RemovalTest, DirectionPolicies) {
 TEST(RemovalTest, CyclePolicies) {
   for (auto policy : {CyclePolicy::kSmallestFirst, CyclePolicy::kFirstFound,
                       CyclePolicy::kLargestFirst}) {
-    auto d = testing::MakeRingDesign(8, 3);
+    auto d = gen::UnidirectionalRing(8, 3);
     RemovalOptions options;
     options.cycle_policy = policy;
     RemoveDeadlocks(d, options);
@@ -146,7 +147,7 @@ TEST(RemovalTest, SummarizeMentionsCounts) {
 }
 
 TEST(RemovalTest, IdempotentOnSecondRun) {
-  auto d = testing::MakeRingDesign(8, 3);
+  auto d = gen::UnidirectionalRing(8, 3);
   RemoveDeadlocks(d);
   const auto second = RemoveDeadlocks(d);
   EXPECT_TRUE(second.initially_deadlock_free);

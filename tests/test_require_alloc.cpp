@@ -15,6 +15,8 @@
 #include "cdg/cdg.h"
 #include "deadlock/removal.h"
 #include "gen/generators.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "util/error.h"
 #include "util/json.h"
 
@@ -159,6 +161,28 @@ TEST(RequireAllocTest, JsonParseAllocationsDoNotGrowWithTheText) {
   // The decoded string's own buffer doubles as it grows: log2 of the
   // length, far under the bound; a message built per character is not.
   EXPECT_LT(parse(100000), parse(1000) + 32);
+}
+
+TEST(RequireAllocTest, UntracedStageTimerAllocatesNothingAfterWarmUp) {
+  // Every removal run and fault burst ends a StageTimer. With no trace
+  // current, it only records each touched stage's busy time into that
+  // stage's histogram, which the first run registers.
+  static const obs::StageSet stage_set("stage_alloc_test",
+                                       {"cycle_search", "invalidate"});
+  const auto run = [] {
+    obs::StageTimer timer(stage_set);
+    { obs::StageTimer::Section section(timer, 0); }
+    { obs::StageTimer::Section section(timer, 1); }
+    timer.Count(0, "bfs_runs", 3);
+  };
+  run();
+  const obs::Histogram& histogram =
+      obs::Metrics().GetHistogram("stage_alloc_test.cycle_search_us");
+  const std::uint64_t recorded = histogram.Snapshot().count;
+  const std::size_t before = Allocations();
+  run();
+  EXPECT_EQ(Allocations(), before);
+  EXPECT_EQ(histogram.Snapshot().count, recorded + 1);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include "cdg/cdg.h"
 #include "cdg/cycle.h"
 #include "deadlock/removal.h"
+#include "gen/generators.h"
 #include "test_helpers.h"
 
 namespace nocdr {
@@ -75,7 +76,7 @@ TEST(ResourceOrderingTest, PhysicalPathPreserved) {
 
 TEST(ResourceOrderingTest, AcyclicOnRingsAndRandomDesigns) {
   for (std::size_t n : {4u, 6u, 9u}) {
-    auto d = testing::MakeRingDesign(n, 3);
+    auto d = gen::UnidirectionalRing(n, 3);
     ApplyResourceOrdering(d);
     EXPECT_TRUE(IsDeadlockFree(d)) << "ring " << n;
     d.Validate();
@@ -138,8 +139,8 @@ TEST(ResourceOrderingTest, OffsetUsePaysOneVcPerExtraClass) {
 
 TEST(ResourceOrderingTest, CostGrowsWithRouteLength) {
   // The same ring with longer worms needs more classes: overhead grows.
-  auto short_d = testing::MakeRingDesign(8, 2);
-  auto long_d = testing::MakeRingDesign(8, 5);
+  auto short_d = gen::UnidirectionalRing(8, 2);
+  auto long_d = gen::UnidirectionalRing(8, 5);
   const auto short_report = ApplyResourceOrdering(short_d);
   const auto long_report = ApplyResourceOrdering(long_d);
   EXPECT_GT(long_report.vcs_added, short_report.vcs_added);

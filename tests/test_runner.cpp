@@ -6,6 +6,7 @@
 #include <atomic>
 #include <set>
 
+#include "gen/generators.h"
 #include "runner/sweep.h"
 #include "runner/thread_pool.h"
 #include "test_helpers.h"
@@ -59,7 +60,7 @@ std::vector<runner::SweepJob> MakeJobs() {
       job.variant = label;
       job.options.engine = engine;
       job.factory = [n = n, span = span](Rng&) {
-        return testing::MakeRingDesign(n, span);
+        return gen::UnidirectionalRing(n, span);
       };
       jobs.push_back(std::move(job));
     }
@@ -79,7 +80,7 @@ std::vector<runner::SweepJob> MakeJobs() {
   ordering.design = "ring6x3";
   ordering.variant = "ordering";
   ordering.method = runner::SweepMethod::kResourceOrdering;
-  ordering.factory = [](Rng&) { return testing::MakeRingDesign(6, 3); };
+  ordering.factory = [](Rng&) { return gen::UnidirectionalRing(6, 3); };
   jobs.push_back(std::move(ordering));
   return jobs;
 }

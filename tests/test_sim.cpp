@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "deadlock/removal.h"
+#include "gen/generators.h"
 #include "sim/transition.h"
 #include "test_helpers.h"
 #include "util/error.h"
@@ -75,7 +76,7 @@ TEST(SimTest, RingWithAggressiveTrafficDeadlocks) {
   // The canonical scenario: 4-ring, every flow spans 2 hops, packets
   // longer than the buffers, all flows injecting at once. The CDG has a
   // cycle and the sim must actually freeze.
-  auto d = testing::MakeRingDesign(4, 2);
+  auto d = gen::UnidirectionalRing(4, 2);
   SimConfig cfg = QuickConfig(8);
   cfg.traffic.packet_length = 12;  // worms span both hops
   cfg.buffer_depth = 2;
@@ -87,7 +88,7 @@ TEST(SimTest, RingWithAggressiveTrafficDeadlocks) {
 }
 
 TEST(SimTest, SameRingAfterRemovalCompletes) {
-  auto d = testing::MakeRingDesign(4, 2);
+  auto d = gen::UnidirectionalRing(4, 2);
   RemoveDeadlocks(d);
   SimConfig cfg = QuickConfig(8);
   cfg.traffic.packet_length = 12;
@@ -113,7 +114,7 @@ TEST(SimTest, PaperExampleDeadlocksThenIsFixed) {
 }
 
 TEST(SimTest, DeadlockCycleIsReportedOnRealChannels) {
-  auto d = testing::MakeRingDesign(4, 2);
+  auto d = gen::UnidirectionalRing(4, 2);
   SimConfig cfg = QuickConfig(8);
   cfg.traffic.packet_length = 12;
   cfg.buffer_depth = 2;
@@ -139,7 +140,7 @@ TEST(SimTest, BernoulliModeDeliversUnderLightLoad) {
 }
 
 TEST(SimTest, DeterministicAcrossRuns) {
-  auto d = testing::MakeRingDesign(6, 2);
+  auto d = gen::UnidirectionalRing(6, 2);
   const auto r1 = SimulateWorkload(d, QuickConfig(5));
   const auto r2 = SimulateWorkload(d, QuickConfig(5));
   EXPECT_EQ(r1.cycles, r2.cycles);
@@ -202,8 +203,8 @@ void ExpectSameResult(const SimResult& a, const SimResult& b) {
 TEST(SimEngineTest, EventMatchesFullScanEverywhere) {
   std::vector<std::pair<std::string, NocDesign>> designs;
   designs.emplace_back("line", LineDesign());
-  designs.emplace_back("ring4", testing::MakeRingDesign(4, 2));
-  designs.emplace_back("ring8", testing::MakeRingDesign(8, 3));
+  designs.emplace_back("ring4", gen::UnidirectionalRing(4, 2));
+  designs.emplace_back("ring8", gen::UnidirectionalRing(8, 3));
   for (std::uint64_t seed : {3ull, 4ull, 5ull}) {
     designs.emplace_back("random" + std::to_string(seed),
                          testing::MakeRandomDesign(seed, 8, 12, 24));

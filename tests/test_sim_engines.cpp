@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "deadlock/removal.h"
+#include "gen/generators.h"
 #include "sim/simulator.h"
 #include "sim/transition.h"
 #include "test_helpers.h"
@@ -157,8 +158,8 @@ TEST(SimEnginesTest, CorpusEquivalence) {
 TEST(SimEnginesTest, HandcraftedDesignsEquivalence) {
   std::vector<std::pair<std::string, NocDesign>> designs;
   designs.emplace_back("paper", testing::MakePaperExample().design);
-  designs.emplace_back("ring4", testing::MakeRingDesign(4, 2));
-  designs.emplace_back("ring8", testing::MakeRingDesign(8, 3));
+  designs.emplace_back("ring4", gen::UnidirectionalRing(4, 2));
+  designs.emplace_back("ring8", gen::UnidirectionalRing(8, 3));
   for (const std::uint64_t seed : {3ull, 4ull, 5ull}) {
     designs.emplace_back("random" + std::to_string(seed),
                          testing::MakeRandomDesign(seed, 8, 12, 24));
@@ -284,7 +285,7 @@ TEST(SimEnginesEdgeTest, SingleFlitWorms) {
   // packet_length == 1: every head is its own tail, so channel ownership
   // is claimed and released within one hop and every delivery completes
   // a worm.
-  const auto designs = {testing::MakeRingDesign(4, 2),
+  const auto designs = {gen::UnidirectionalRing(4, 2),
                         testing::MakeRandomDesign(11, 6, 10, 16)};
   std::size_t i = 0;
   for (const NocDesign& d : designs) {
@@ -304,7 +305,7 @@ TEST(SimEnginesEdgeTest, FullySaturatedInjection) {
   // cycle runs the worklist step — results must still be identical,
   // including any deadlock.
   for (const bool treated : {false, true}) {
-    NocDesign d = testing::MakeRingDesign(6, 2);
+    NocDesign d = gen::UnidirectionalRing(6, 2);
     if (treated) {
       RemoveDeadlocks(d);
     }

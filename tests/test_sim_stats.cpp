@@ -1,6 +1,7 @@
 // Unit tests for the simulator's per-flow and per-channel statistics.
 #include <gtest/gtest.h>
 
+#include "gen/generators.h"
 #include "sim/simulator.h"
 #include "test_helpers.h"
 
@@ -108,7 +109,7 @@ TEST(SimStatsTest, LocalFlowsAppearInFlowStats) {
 }
 
 TEST(SimStatsTest, DeadlockedRunStillReportsPartialStats) {
-  auto d = testing::MakeRingDesign(4, 2);
+  auto d = gen::UnidirectionalRing(4, 2);
   SimConfig cfg = Config(8, 12);
   cfg.buffer_depth = 2;
   const auto r = SimulateWorkload(d, cfg);

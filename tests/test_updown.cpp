@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "deadlock/removal.h"
+#include "gen/generators.h"
 #include "soc/benchmarks.h"
 #include "synth/synthesizer.h"
 #include "test_helpers.h"
@@ -14,7 +15,7 @@ namespace {
 TEST(UpDownTest, InfeasibleOnUnidirectionalRing) {
   // The paper's critique of turn prohibition: it needs bidirectional
   // links. A unidirectional ring has none.
-  auto d = testing::MakeRingDesign(4, 2);
+  auto d = gen::UnidirectionalRing(4, 2);
   EXPECT_THROW(ApplyUpDownRouting(d), TurnProhibitionInfeasibleError);
 }
 

@@ -6,6 +6,7 @@
 
 #include "cdg/cdg.h"
 #include "deadlock/removal.h"
+#include "gen/generators.h"
 #include "test_helpers.h"
 #include "util/error.h"
 #include "valid/campaign.h"
@@ -142,7 +143,7 @@ TEST(CampaignTest, EngineDifferentialCampaignRunsClean) {
 }
 
 TEST(CampaignTest, RunTrialEnginesMatchesSingleEngineTrial) {
-  const NocDesign ring = testing::MakeRingDesign(6, 2);
+  const NocDesign ring = gen::UnidirectionalRing(6, 2);
   valid::WorkloadConfig workload;
   workload.engine = SimEngine::kEvent;  // overridden by engines[0]
   const valid::TrialRow differential = valid::RunTrialEngines(
@@ -177,7 +178,7 @@ TEST(CampaignTest, ArmsShareTheSameDesign) {
 TEST(CampaignTest, UpDownInfeasibleOnUnidirectionalRing) {
   // The test-helper ring has no reverse links, so up*/down* cannot serve
   // it; that is an kArmInfeasible verdict, not a contract mismatch.
-  const NocDesign ring = testing::MakeRingDesign(6, 2);
+  const NocDesign ring = gen::UnidirectionalRing(6, 2);
   const valid::WorkloadConfig workload;
   const valid::TrialRow row =
       valid::ClassifyTrial(ring, valid::TrialArm::kUpDown, workload, 9);
@@ -187,7 +188,7 @@ TEST(CampaignTest, UpDownInfeasibleOnUnidirectionalRing) {
 }
 
 TEST(CampaignTest, UntreatedRingDetonatesOnCdgCycle) {
-  const NocDesign ring = testing::MakeRingDesign(6, 2);
+  const NocDesign ring = gen::UnidirectionalRing(6, 2);
   const valid::WorkloadConfig workload;
   const valid::TrialRow row =
       valid::ClassifyTrial(ring, valid::TrialArm::kUntreated, workload, 9);
@@ -197,7 +198,7 @@ TEST(CampaignTest, UntreatedRingDetonatesOnCdgCycle) {
 }
 
 TEST(CampaignTest, TreatedRingDeliversEverything) {
-  const NocDesign ring = testing::MakeRingDesign(6, 2);
+  const NocDesign ring = gen::UnidirectionalRing(6, 2);
   const valid::WorkloadConfig workload;
   for (const valid::TrialArm arm :
        {valid::TrialArm::kRemovalIncremental,
@@ -275,7 +276,7 @@ NocDesign MakeApproachRingDesign(std::size_t n, std::size_t extra_flows) {
 }
 
 TEST(ShrinkTest, KeepFlowsDropsFlowsAndPreservesValidity) {
-  const NocDesign ring = testing::MakeRingDesign(6, 2);
+  const NocDesign ring = gen::UnidirectionalRing(6, 2);
   std::vector<bool> keep(ring.traffic.FlowCount(), true);
   keep[0] = false;
   keep[3] = false;
@@ -290,7 +291,7 @@ TEST(ShrinkTest, KeepFlowsDropsFlowsAndPreservesValidity) {
 TEST(ShrinkTest, PruneUnusedDropsUntouchedStructure) {
   // Keep only one 2-hop flow of a 6-ring: pruning must shrink the
   // topology to that flow's corridor.
-  const NocDesign ring = testing::MakeRingDesign(6, 2);
+  const NocDesign ring = gen::UnidirectionalRing(6, 2);
   std::vector<bool> keep(ring.traffic.FlowCount(), false);
   keep[0] = true;
   const NocDesign kept = valid::KeepFlows(ring, keep);

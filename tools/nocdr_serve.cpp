@@ -31,7 +31,7 @@
 //                             one second of refill)
 //   --admission-charge-cost   charge requests their design-size cost
 //                             (sched::EstimateCost) instead of 1 token
-//   --admission-classes SPEC  priority classes as CSV of
+//   --admission-classes SPEC  admission classes as CSV of
 //                             name:rank:weight, e.g.
 //                             "interactive:0:3,batch:1:1"; requests pick
 //                             a class with the "class" field
