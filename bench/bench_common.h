@@ -1,8 +1,9 @@
 // Shared helpers for the harnesses in bench/ (and the tools that borrow
-// FlagParser): command-line flags and the campaign benches' thread-count
-// determinism check. util/clock.h's MillisSince times most benches' runs.
+// FlagParser): command-line flags and best-of timing. util/clock.h's
+// MillisSince times most benches' runs.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
@@ -15,7 +16,6 @@
 #include <vector>
 
 #include "util/clock.h"
-#include "valid/campaign.h"
 
 namespace nocdr::bench {
 
@@ -32,23 +32,24 @@ inline std::vector<std::string> SplitCsv(const std::string& csv) {
   return out;
 }
 
-/// --check-determinism for the campaign benches: reruns the whole
-/// campaign at 1 and 3 worker threads via \p digest_at (threads ->
-/// campaign digest), prints one line per rerun with the digest in hex,
-/// and returns true iff every rerun reproduced \p digest, the main
-/// run's.
-template <typename DigestAt>
-bool DigestStableAcrossThreads(std::uint64_t digest, DigestAt digest_at) {
-  bool stable = true;
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
-    const std::uint64_t rerun = digest_at(threads);
-    const bool match = rerun == digest;
-    stable = stable && match;
-    std::cout << "determinism check (" << threads << " threads): digest "
-              << std::hex << rerun << std::dec
-              << (match ? " OK" : " MISMATCH (bug!)") << "\n";
+/// Best wall clock, in ms, of one timed region. \p run runs the region
+/// once, with any setup outside its own clock, and returns the region's
+/// ms. The region runs until it has run at least 5 times and for at
+/// least 20 ms in total, so a sub-millisecond region is sampled often
+/// enough for its best to settle; it stops early once the runs total
+/// more than \p cap_ms.
+template <typename Run>
+double BestOfMs(double cap_ms, Run&& run) {
+  double best = 0.0;
+  double total = 0.0;
+  for (int runs = 1;; ++runs) {
+    const double ms = run();
+    best = runs == 1 ? ms : std::min(best, ms);
+    total += ms;
+    if ((runs >= 5 && total >= 20.0) || total > cap_ms) {
+      return best;
+    }
   }
-  return stable;
 }
 
 /// Registration-based command-line parsing for the bench harnesses.
@@ -66,31 +67,25 @@ class FlagParser {
   FlagParser(const FlagParser&) = delete;
   FlagParser& operator=(const FlagParser&) = delete;
 
-  /// --flag N (non-negative integer). \p seen, when given, records
-  /// whether the flag appeared at all (for flags whose presence matters
-  /// beyond their value, e.g. --replay-seed).
-  void AddUint64(const std::string& flag, std::uint64_t* target,
-                 bool* seen = nullptr) {
-    Add(flag, "N", seen,
+  /// --flag N (non-negative integer).
+  void AddUint64(const std::string& flag, std::uint64_t* target) {
+    Add(flag, "N",
         [=, this](const std::string& value) { *target = Number(flag, value); });
   }
-  void AddSize(const std::string& flag, std::size_t* target,
-               bool* seen = nullptr) {
-    Add(flag, "N", seen, [=, this](const std::string& value) {
+  void AddSize(const std::string& flag, std::size_t* target) {
+    Add(flag, "N", [=, this](const std::string& value) {
       *target = static_cast<std::size_t>(Number(flag, value));
     });
   }
 
-  /// Valueless --flag; presence sets \p target to true.
-  void AddSwitch(const std::string& flag, bool* target) {
-    Add(flag, "", nullptr, [=](const std::string&) { *target = true; });
+  /// Valueless --flag; presence sets \p target to \p value.
+  void AddSwitch(const std::string& flag, bool* target, bool value = true) {
+    Add(flag, "", [=](const std::string&) { *target = value; });
   }
 
   /// --flag VALUE (verbatim string).
-  void AddString(const std::string& flag, std::string* target,
-                 bool* seen = nullptr) {
-    Add(flag, "VALUE", seen,
-        [=](const std::string& value) { *target = value; });
+  void AddString(const std::string& flag, std::string* target) {
+    Add(flag, "VALUE", [=](const std::string& value) { *target = value; });
   }
 
   /// --flag a,b,c: replaces *target with the items, each read by
@@ -100,7 +95,7 @@ class FlagParser {
   void AddList(const std::string& flag, std::vector<T>* target,
                std::optional<T> (*parse)(const std::string&),
                const std::string& what) {
-    Add(flag, "VALUE", nullptr, [=, this](const std::string& csv) {
+    Add(flag, "VALUE", [=, this](const std::string& csv) {
       target->clear();
       for (const std::string& name : SplitCsv(csv)) {
         const std::optional<T> item = parse(name);
@@ -143,9 +138,6 @@ class FlagParser {
       if (match == nullptr) {
         Fail("unknown flag \"" + arg + "\"");
       }
-      if (match->seen != nullptr) {
-        *match->seen = true;
-      }
       if (match->metavar.empty()) {
         match->set("");
         continue;
@@ -162,13 +154,12 @@ class FlagParser {
     std::string flag;
     /// Shown after the flag in the usage line; empty for a switch.
     std::string metavar;
-    bool* seen;
     std::function<void(const std::string&)> set;
   };
 
-  void Add(const std::string& flag, const std::string& metavar, bool* seen,
+  void Add(const std::string& flag, const std::string& metavar,
            std::function<void(const std::string&)> set) {
-    specs_.push_back({flag, metavar, seen, std::move(set)});
+    specs_.push_back({flag, metavar, std::move(set)});
   }
 
   /// Flag values are untrusted; std::stoull would call std::terminate
@@ -189,13 +180,5 @@ class FlagParser {
   std::string binary_;
   std::vector<Spec> specs_;
 };
-
-/// The flags every campaign bench shares, on its campaign scope:
-/// --trials, --seed and --threads.
-inline void AddScopeFlags(FlagParser& flags, valid::CampaignScope& scope) {
-  flags.AddSize("--trials", &scope.trials);
-  flags.AddUint64("--seed", &scope.base_seed);
-  flags.AddSize("--threads", &scope.threads);
-}
 
 }  // namespace nocdr::bench

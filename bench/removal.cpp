@@ -28,6 +28,7 @@
 #include <utility>
 #include <vector>
 
+#include "bench_common.h"
 #include "deadlock/removal.h"
 #include "deadlock/resource_ordering.h"
 #include "deadlock/updown.h"
@@ -106,27 +107,20 @@ struct TimedRun {
   RemovalReport report;
 };
 
-/// Best-of-N timing of RemoveDeadlocks on copies of \p base; repeats
-/// until ~200ms of samples or 5 reps, whichever first.
+/// Best-of timing (bench::BestOfMs, capped at 200 ms) of
+/// RemoveDeadlocks on copies of \p base.
 TimedRun TimeRemoval(const NocDesign& base, RemovalEngine engine) {
   TimedRun result;
   RemovalOptions options;
   options.engine = engine;
-  double total = 0.0;
-  for (int rep = 0; rep < 5; ++rep) {
+  result.best_ms = bench::BestOfMs(200.0, [&] {
     NocDesign design = base;  // copy outside the timed region
     const auto t0 = std::chrono::steady_clock::now();
     RemovalReport report = RemoveDeadlocks(design, options);
     const double ms = MillisSince(t0);
-    if (rep == 0 || ms < result.best_ms) {
-      result.best_ms = ms;
-    }
     result.report = std::move(report);
-    total += ms;
-    if (total > 200.0) {
-      break;
-    }
-  }
+    return ms;
+  });
   return result;
 }
 

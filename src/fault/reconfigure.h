@@ -29,8 +29,8 @@
 // re-route decisions, but the CDG is re-derived and removal runs the
 // rebuild engine. The two paths must produce bit-identical designs —
 // the fault-reconfig validation campaign (src/valid/fault_campaign)
-// checks that on every trial, and bench_fault_reconfig measures the
-// incremental path's speedup.
+// checks that on every trial, and `bench_campaign --campaign fault`
+// measures the incremental path's speedup.
 #pragma once
 
 #include <cstddef>

@@ -1,56 +1,17 @@
 #include "serve/sched.h"
 
 #include <algorithm>
-#include <functional>
 #include <utility>
 
 #include "obs/metrics.h"
 
 namespace nocdr::serve::sched {
 
-namespace {
-
-/// SplitMix64 finalizer — the same mix util/rng uses, inlined so a
-/// queue salt never perturbs any shared generator stream.
-std::uint64_t Mix(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
-
-std::string DisciplineName(Discipline discipline) {
-  switch (discipline) {
-    case Discipline::kFifo:
-      return "fifo";
-    case Discipline::kSjf:
-      return "sjf";
-    case Discipline::kPriority:
-      return "priority";
-  }
-  return "unknown";
-}
-
-std::optional<Discipline> ParseDiscipline(const std::string& name) {
-  for (const Discipline discipline : AllDisciplines()) {
-    if (DisciplineName(discipline) == name) {
-      return discipline;
-    }
-  }
-  return std::nullopt;
-}
-
-std::vector<Discipline> AllDisciplines() {
-  return {Discipline::kFifo, Discipline::kSjf, Discipline::kPriority};
-}
-
 std::uint64_t EstimateCost(std::size_t channels, std::size_t flows) {
   // Channels bound the CDG vertex count, flows the per-iteration
   // cycle-break candidate scan; both enter roughly linearly. +1 keeps
-  // the cost of even a degenerate design positive so token charges and
-  // SJF keys never hit zero.
+  // the cost of even a degenerate design positive so a token charge
+  // never hits zero.
   return 1 + static_cast<std::uint64_t>(channels) +
          4 * static_cast<std::uint64_t>(flows);
 }
@@ -176,50 +137,6 @@ bool AdmissionController::TryAdmit(const std::string& class_name,
 std::vector<ClassCounters> AdmissionController::Counters() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return counters_;
-}
-
-ReadyQueue::ReadyQueue(Discipline discipline, std::uint64_t seed,
-                       std::size_t capacity)
-    : discipline_(discipline), seed_(seed), capacity_(capacity) {}
-
-bool ReadyQueue::Push(const Job& job) {
-  if (heap_.size() >= capacity_) {
-    return false;
-  }
-  Entry entry;
-  entry.seq = job.seq;
-  entry.job = job;
-  switch (discipline_) {
-    case Discipline::kFifo:
-      entry.key0 = job.seq;
-      entry.key1 = 0;
-      break;
-    case Discipline::kSjf:
-      entry.key0 = job.cost;
-      entry.key1 = Mix(seed_ ^ job.seq);
-      break;
-    case Discipline::kPriority:
-      // rank + 2^63 maps int64 order onto uint64 order; the sum is
-      // unsigned, so it wraps instead of overflowing.
-      entry.key0 =
-          static_cast<std::uint64_t>(static_cast<std::int64_t>(job.rank)) +
-          (std::uint64_t{1} << 63);
-      entry.key1 = job.seq;
-      break;
-  }
-  heap_.push_back(entry);
-  std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
-  return true;
-}
-
-std::optional<Job> ReadyQueue::Pop() {
-  if (heap_.empty()) {
-    return std::nullopt;
-  }
-  std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
-  Job job = heap_.back().job;
-  heap_.pop_back();
-  return job;
 }
 
 }  // namespace nocdr::serve::sched

@@ -5,7 +5,8 @@
 // workload configuration and the exact seed under which the mismatch was
 // observed. ReplayRepro re-runs the identical trial pipeline, so a dump
 // attached to a bug report reproduces the disagreement on any machine
-// with one command (bench_validation_campaign --replay <file>).
+// with one command (bench_campaign --campaign validation --replay
+// <file>).
 #pragma once
 
 #include <string>

@@ -1,12 +1,7 @@
-// src/serve/sched: queue disciplines, token-budget admission and the
-// live service's policy hook — the edge cases the load generator and
-// nocdr_serve lean on.
+// src/serve/sched: token-budget admission, the cost model and the live
+// service's policy hook — the edge cases nocdr_serve leans on.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <limits>
-#include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -31,99 +26,7 @@ using serve::sched::AdmissionConfig;
 using serve::sched::AdmissionController;
 using serve::sched::ClassConfig;
 using serve::sched::ClassCounters;
-using serve::sched::Discipline;
-using serve::sched::Job;
-using serve::sched::ReadyQueue;
 using serve::sched::TokenBucket;
-
-Job MakeJob(std::uint64_t seq, std::uint64_t cost, int rank = 0) {
-  Job job;
-  job.seq = seq;
-  job.cost = cost;
-  job.rank = rank;
-  job.payload = static_cast<std::size_t>(seq);
-  return job;
-}
-
-std::vector<std::uint64_t> PopAll(ReadyQueue& queue) {
-  std::vector<std::uint64_t> order;
-  while (std::optional<Job> job = queue.Pop()) {
-    order.push_back(job->seq);
-  }
-  return order;
-}
-
-// ------------------------------------------------------------ disciplines
-
-TEST(SchedTest, DisciplineNamesRoundTrip) {
-  for (const Discipline discipline : serve::sched::AllDisciplines()) {
-    const auto parsed =
-        serve::sched::ParseDiscipline(serve::sched::DisciplineName(discipline));
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(*parsed, discipline);
-  }
-  EXPECT_FALSE(serve::sched::ParseDiscipline("lifo").has_value());
-}
-
-TEST(SchedTest, FifoPopsInArrivalOrder) {
-  ReadyQueue queue(Discipline::kFifo, 7, 16);
-  for (std::uint64_t seq : {3, 1, 2, 0}) {
-    ASSERT_TRUE(queue.Push(MakeJob(seq, 100 - seq)));
-  }
-  EXPECT_EQ(PopAll(queue), (std::vector<std::uint64_t>{0, 1, 2, 3}));
-}
-
-TEST(SchedTest, SjfPopsCheapestFirst) {
-  ReadyQueue queue(Discipline::kSjf, 7, 16);
-  ASSERT_TRUE(queue.Push(MakeJob(0, 50)));
-  ASSERT_TRUE(queue.Push(MakeJob(1, 5)));
-  ASSERT_TRUE(queue.Push(MakeJob(2, 500)));
-  ASSERT_TRUE(queue.Push(MakeJob(3, 1)));
-  EXPECT_EQ(PopAll(queue), (std::vector<std::uint64_t>{3, 1, 0, 2}));
-}
-
-TEST(SchedTest, SjfTieBreaksAreSeedDeterministic) {
-  // Equal costs: the pop order is a pure function of the queue seed —
-  // the same seed replays the same order, a different seed permutes it.
-  const auto order_with_seed = [](std::uint64_t seed) {
-    ReadyQueue queue(Discipline::kSjf, seed, 64);
-    for (std::uint64_t seq = 0; seq < 32; ++seq) {
-      queue.Push(MakeJob(seq, 7));
-    }
-    return PopAll(queue);
-  };
-  const std::vector<std::uint64_t> first = order_with_seed(42);
-  EXPECT_EQ(first, order_with_seed(42));
-  EXPECT_NE(first, order_with_seed(43));
-  // Same multiset either way.
-  std::vector<std::uint64_t> sorted = first;
-  std::sort(sorted.begin(), sorted.end());
-  for (std::uint64_t seq = 0; seq < 32; ++seq) {
-    EXPECT_EQ(sorted[seq], seq);
-  }
-}
-
-TEST(SchedTest, PriorityPopsByRankThenFifo) {
-  ReadyQueue queue(Discipline::kPriority, 7, 16);
-  ASSERT_TRUE(queue.Push(MakeJob(0, 1, 5)));
-  ASSERT_TRUE(queue.Push(MakeJob(1, 1, -2)));
-  ASSERT_TRUE(queue.Push(MakeJob(2, 1, 5)));
-  ASSERT_TRUE(queue.Push(MakeJob(3, 1, 0)));
-  ASSERT_TRUE(queue.Push(MakeJob(4, 1, std::numeric_limits<int>::max())));
-  ASSERT_TRUE(queue.Push(MakeJob(5, 1, std::numeric_limits<int>::min())));
-  EXPECT_EQ(PopAll(queue), (std::vector<std::uint64_t>{5, 1, 3, 0, 2, 4}));
-}
-
-TEST(SchedTest, QueueBoundsAndEmptyPop) {
-  ReadyQueue queue(Discipline::kFifo, 1, 2);
-  EXPECT_FALSE(queue.Pop().has_value());  // empty pop is a clean miss
-  EXPECT_TRUE(queue.Push(MakeJob(0, 1)));
-  EXPECT_TRUE(queue.Push(MakeJob(1, 1)));
-  EXPECT_FALSE(queue.Push(MakeJob(2, 1)));  // at capacity
-  EXPECT_EQ(queue.Size(), 2u);
-  queue.Pop();
-  EXPECT_TRUE(queue.Push(MakeJob(3, 1)));  // slot freed
-}
 
 // --------------------------------------------------------------- tokens
 

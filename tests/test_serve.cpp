@@ -17,6 +17,7 @@
 #include "serve/coalescer.h"
 #include "serve/protocol.h"
 #include "serve/service.h"
+#include "serve/session.h"
 #include "test_helpers.h"
 #include "util/canonical.h"
 #include "util/error.h"
@@ -464,7 +465,7 @@ TEST(ServiceTest, ResponseDigestIsClientThreadCountStable) {
     batch.push_back(source);
   }
 
-  std::optional<std::uint64_t> reference;
+  std::optional<std::vector<std::uint64_t>> reference;
   for (const std::size_t clients : {std::size_t{1}, std::size_t{3}}) {
     ServiceConfig config;
     config.threads = 2;
@@ -477,11 +478,50 @@ TEST(ServiceTest, ResponseDigestIsClientThreadCountStable) {
     EXPECT_EQ(stats.requests, batch.size());
     EXPECT_EQ(stats.hits + stats.coalesced + stats.computations,
               batch.size());
-    const std::uint64_t digest = serve::ResponseDigest(responses);
+
+    // A session then streams through the same service: it opens on the
+    // mesh the batch computed, and its burst publishes an epoch that a
+    // second pass of the batch reads back on the same client threads.
+    serve::SessionService sessions(service);
+    serve::SessionRequest open;
+    open.op = serve::SessionOp::kOpen;
+    open.spec.kind = RequestKind::kSourceSeed;
+    open.spec.source = valid::DesignSource::kMesh;
+    open.spec.seed = 21;
+    open.return_design = true;
+    std::vector<serve::SessionResponse> stream = {sessions.Handle(open)};
+    ASSERT_EQ(stream[0].status, ServeStatus::kOk);
+    std::istringstream text(stream[0].design_text);
+    const NocDesign mesh = ReadDesign(text);
+    const Link& link = mesh.topology.LinkAt(LinkId(0));
+    serve::SessionRequest burst;
+    burst.op = serve::SessionOp::kBurst;
+    burst.session_id = stream[0].session_id;
+    burst.return_design = true;
+    burst.events.push_back({fault::FaultKind::kLink,
+                            mesh.topology.SwitchName(link.src),
+                            mesh.topology.SwitchName(link.dst), ""});
+    stream.push_back(sessions.Handle(burst));
+    ASSERT_EQ(stream[1].status, ServeStatus::kOk);
+    ASSERT_TRUE(stream[1].feasible);
+    std::vector<CertRequest> second = batch;
+    CertRequest epoch;
+    epoch.id = "epoch1";
+    epoch.kind = RequestKind::kDesignText;
+    epoch.design_text = stream[1].design_text;
+    second.push_back(epoch);
+    const std::vector<CertResponse> reread =
+        service.ServeBatch(second, clients);
+    EXPECT_EQ(reread.back().cache_outcome, CacheOutcome::kHit);
+    EXPECT_EQ(reread.back().certificate_json, stream[1].certificate_json);
+
+    const std::vector<std::uint64_t> digests = {
+        serve::ResponseDigest(responses), serve::SessionResponseDigest(stream),
+        serve::ResponseDigest(reread)};
     if (reference.has_value()) {
-      EXPECT_EQ(digest, *reference) << clients << " clients";
+      EXPECT_EQ(digests, *reference) << clients << " clients";
     }
-    reference = digest;
+    reference = digests;
   }
 }
 

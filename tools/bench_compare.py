@@ -75,16 +75,6 @@ def is_overhead_metric(key: str) -> bool:
     return key.endswith("_overhead")
 
 
-def is_latency_metric(key: str) -> bool:
-    """Virtual-time latency/wait metrics (serve_load's SLO numbers).
-
-    Gated one-sided: getting *slower* than baseline*(1+R) fails, getting
-    faster silently passes. They are emitted as integers, so this must
-    be checked before the int-exact rule.
-    """
-    return key.endswith("_latency_us") or key.endswith("_wait_us")
-
-
 def row_key(row: dict) -> tuple:
     """Identity of a row: its string fields, in sorted key order."""
     return tuple(
@@ -195,16 +185,6 @@ class Comparison:
                     f"{metric}: {fresh:.3f}x exceeds "
                     f"{limit:.3f}x ({1.0 + self.args.overhead_tolerance:.0%} "
                     f"of baseline {base:.3f}x)",
-                )
-            return
-        if is_latency_metric(metric):
-            limit = base * (1.0 + self.args.latency_tolerance)
-            if fresh > limit:
-                self.add_regression(
-                    bench,
-                    key,
-                    f"{metric}: {fresh} us > baseline {base} us "
-                    f"* {1.0 + self.args.latency_tolerance:.2f}",
                 )
             return
         if isinstance(base, int) and isinstance(fresh, int):
@@ -329,13 +309,6 @@ def main(argv):
         default=0.5,
         help="*_overhead metrics may grow to baseline*(1+R), one-sided "
         "(default 0.5)",
-    )
-    parser.add_argument(
-        "--latency-tolerance",
-        type=float,
-        default=0.25,
-        help="*_latency_us/*_wait_us metrics may grow to baseline*(1+R), "
-        "one-sided (default 0.25)",
     )
     parser.add_argument(
         "--float-tolerance",
