@@ -1,5 +1,5 @@
-// The printed tables, BENCH rows and exit status of the flagless
-// benches (paper_claims, removal). Every cell of a printed table is a
+// The printed tables, BENCH rows and exit status of a bench run
+// (paper_claims, removal, serve). Every cell of a printed table is a
 // field of a BENCH row, and a broken invariant fails the run.
 #pragma once
 

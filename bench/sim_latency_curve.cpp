@@ -20,13 +20,12 @@
 // the jump over idle cycles stops skipping. Both engines consume the
 // same pre-built TrafficSchedule so the shared O(flows x horizon)
 // schedule synthesis stays out of the measurement. The full scan takes
-// seconds per design and runs once; the event engine is timed
-// best-of-N. Rows land in BENCH_sim_latency_curve.json (section
-// "event_engine_speedup") for the tools/bench_compare.py perf gate.
+// seconds per design and runs once; the event engine's sub-millisecond
+// run is timed by bench::BestOfMs. Rows land in
+// BENCH_sim_latency_curve.json (section "event_engine_speedup") for the
+// tools/bench_compare.py perf gate.
 //
 // Flags:
-//   --repeats N    best-of-N wall clock of the event engine (default 3;
-//                  the full scan runs once)
 //   --no-speedup   latency curve only: skip part 2 and write no BENCH
 //                  rows (quick local iteration; not for gated runs)
 #include <algorithm>
@@ -63,31 +62,11 @@ SimResult RunAt(const NocDesign& design, double rate) {
   return SimulateWorkload(design, cfg);
 }
 
-/// Best-of-N wall clock of one engine over a pre-built schedule; the
-/// result of the last repetition is handed back for cross-checking.
-double TimeEngine(const NocDesign& design, SimConfig config,
-                  const TrafficSchedule& schedule, SimEngine engine,
-                  std::size_t repeats, SimResult* result_out) {
-  config.engine = engine;
-  double best = 0.0;
-  for (std::size_t rep = 0; rep < repeats; ++rep) {
-    const auto t0 = std::chrono::steady_clock::now();
-    SimResult result = SimulateWorkload(design, config, schedule);
-    const double ms = MillisSince(t0);
-    if (rep == 0 || ms < best) {
-      best = ms;
-    }
-    *result_out = std::move(result);
-  }
-  return best;
-}
-
 /// Light steady-state traffic on the largest generated meshes: the idle
 /// cycles between packets are exactly what the event engine skips and
 /// what the full scan sweeps every channel and flow for. Returns the
 /// smallest per-design event-vs-fullscan speedup.
-double MeasureEventEngineSpeedup(BenchJsonWriter& json,
-                                 std::size_t repeats) {
+double MeasureEventEngineSpeedup(BenchJsonWriter& json) {
   std::cout << "\n=== event engine vs fullscan, light steady-state "
                "Bernoulli, 1M-cycle horizon ===\n\n";
   SimConfig cfg;
@@ -98,6 +77,7 @@ double MeasureEventEngineSpeedup(BenchJsonWriter& json,
   cfg.buffer_depth = 4;
   cfg.max_cycles = 1000000;
   cfg.stall_threshold = 2000;
+  cfg.engine = SimEngine::kEvent;
 
   double min_speedup = 0.0;
   TextTable table;
@@ -116,13 +96,20 @@ double MeasureEventEngineSpeedup(BenchJsonWriter& json,
     RemoveDeadlocks(design);
 
     const TrafficSchedule schedule(design, cfg.traffic, cfg.max_cycles);
-    SimResult fullscan_result, event_result;
-    const double fullscan_ms = TimeEngine(design, cfg, schedule,
-                                          SimEngine::kFullScan, 1,
-                                          &fullscan_result);
-    const double event_ms = TimeEngine(design, cfg, schedule,
-                                       SimEngine::kEvent, repeats,
-                                       &event_result);
+    SimConfig fullscan_cfg = cfg;
+    fullscan_cfg.engine = SimEngine::kFullScan;
+    const auto t0 = std::chrono::steady_clock::now();
+    const SimResult fullscan_result =
+        SimulateWorkload(design, fullscan_cfg, schedule);
+    const double fullscan_ms = MillisSince(t0);
+    SimResult event_result;
+    const double event_ms = bench::BestOfMs(200.0, [&] {
+      const auto t1 = std::chrono::steady_clock::now();
+      SimResult result = SimulateWorkload(design, cfg, schedule);
+      const double ms = MillisSince(t1);
+      event_result = std::move(result);
+      return ms;
+    });
     if (fullscan_result.deadlocked || event_result.deadlocked ||
         fullscan_result.cycles != event_result.cycles ||
         fullscan_result.packets_delivered !=
@@ -166,15 +153,10 @@ double MeasureEventEngineSpeedup(BenchJsonWriter& json,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::size_t repeats = 3;
   bool no_speedup = false;
   bench::FlagParser flags("bench_sim_latency_curve");
-  flags.AddSize("--repeats", &repeats);
   flags.AddSwitch("--no-speedup", &no_speedup);
   flags.Parse(argc, argv);
-  if (repeats == 0) {
-    flags.Fail("--repeats must be >= 1");
-  }
 
   std::cout << "=== E9: latency vs offered load, D36_8 @ 14 switches "
                "(5-flit packets, Bernoulli) ===\n\n";
@@ -226,7 +208,7 @@ int main(int argc, char** argv) {
     return 0;
   }
   BenchJsonWriter json("sim_latency_curve");
-  const double min_speedup = MeasureEventEngineSpeedup(json, repeats);
+  const double min_speedup = MeasureEventEngineSpeedup(json);
   const std::string path = json.Write();
   if (!path.empty()) {
     std::cout << "rows written to " << path << "\n";

@@ -232,21 +232,6 @@ FaultPlan DrawFaultPlan(const NocDesign& design, std::uint64_t seed,
   return plan;
 }
 
-std::string Describe(const FaultEvent& event, const NocDesign& design) {
-  if (event.kind == FaultKind::kSwitch) {
-    const std::string& name = design.topology.SwitchName(event.switch_id);
-    return "switch " +
-           (name.empty() ? "#" + std::to_string(event.switch_id.value())
-                         : name);
-  }
-  const Link& link = design.topology.LinkAt(event.link);
-  const auto label = [&](SwitchId s) {
-    const std::string& name = design.topology.SwitchName(s);
-    return name.empty() ? "#" + std::to_string(s.value()) : name;
-  };
-  return "link " + label(link.src) + "->" + label(link.dst);
-}
-
 namespace {
 
 std::optional<SwitchId> FindSwitchByName(const NocDesign& design,

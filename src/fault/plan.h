@@ -104,9 +104,6 @@ struct FaultPlanOptions {
 FaultPlan DrawFaultPlan(const NocDesign& design, std::uint64_t seed,
                         const FaultPlanOptions& options = {});
 
-/// Human-readable one-liner, e.g. "link SW2->SW5" or "switch SW3".
-std::string Describe(const FaultEvent& event, const NocDesign& design);
-
 /// Resolves a link failure named by (src, dst) switch names — the form
 /// the serve protocol's fault_burst events arrive in. nullopt when a
 /// name is unknown or no such directed link exists. Switch and link ids

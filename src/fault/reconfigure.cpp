@@ -62,9 +62,8 @@ bool ReconfigureCore(NocDesign& design, ChannelDependencyGraph* cdg,
   // ahead of step 3 and be timed on its own.
   if (options.table != nullptr) {
     obs::ScopedSpan span("fault.patch_table");
-    report.table_pairs_disconnected = PatchNextHopTable(
-        design.topology, *options.table, state.failed_links,
-        state.failed_switches);
+    PatchNextHopTable(design.topology, *options.table, state.failed_links,
+                      state.failed_switches);
   }
 
   {

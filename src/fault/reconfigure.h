@@ -73,9 +73,6 @@ struct ReconfigureReport {
   /// How each affected flow was re-routed.
   std::size_t table_detours = 0;
   std::size_t ripup_reroutes = 0;
-  /// (src, dst) switch pairs the table patch had to leave unroutable
-  /// (informational; flows are feasibility-checked individually).
-  std::size_t table_pairs_disconnected = 0;
   /// The post-fault removal re-run.
   RemovalReport removal;
 

@@ -192,10 +192,6 @@ void Trace::Finish() {
   sink_.Finish(id_, std::move(spans_));
 }
 
-TraceContext CurrentContext() { return g_current; }
-
-void SetCurrentContext(TraceContext context) { g_current = context; }
-
 ScopedTrace::ScopedTrace(TraceSink* sink, const std::string& trace_id,
                          const std::string& root_name) {
   if (sink == nullptr || trace_id.empty()) {

@@ -182,9 +182,6 @@ struct TraceContext {
   std::int64_t span = -1;
 };
 
-[[nodiscard]] TraceContext CurrentContext();
-void SetCurrentContext(TraceContext context);
-
 /// Opens a trace with one root span and installs it as the thread's
 /// current context for its scope. Inactive (all methods no-ops) when
 /// \p sink is null or \p trace_id is empty — the tracing-off fast

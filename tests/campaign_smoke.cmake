@@ -1,7 +1,7 @@
-# One bench_campaign CTest test (see CMakeLists.txt). Runs BIN with
-# ARGS in WORKDIR and passes iff it exits with EXPECT_EXIT and, when
-# DIGEST is set, prints "digest DIGEST".
-#   cmake -DBIN=... "-DARGS=--campaign ..." -DWORKDIR=... -DEXPECT_EXIT=0
+# One bench smoke CTest test (see CMakeLists.txt). Runs any bench BIN
+# with ARGS in WORKDIR and passes iff it exits with EXPECT_EXIT and,
+# when DIGEST is set, prints "digest DIGEST".
+#   cmake -DBIN=... "-DARGS=..." -DWORKDIR=... -DEXPECT_EXIT=0
 #         [-DDIGEST=hex] -P campaign_smoke.cmake
 separate_arguments(args UNIX_COMMAND "${ARGS}")
 file(MAKE_DIRECTORY "${WORKDIR}")
