@@ -32,24 +32,52 @@ inline std::vector<std::string> SplitCsv(const std::string& csv) {
   return out;
 }
 
+/// The samples of one timed region: its best and total ms.
+struct RegionSamples {
+  double best_ms = 0.0;
+  double total_ms = 0.0;
+  int runs = 0;
+
+  void Add(double ms) {
+    best_ms = runs == 0 ? ms : std::min(best_ms, ms);
+    total_ms += ms;
+    ++runs;
+  }
+  /// At least 5 runs and 20 ms in total, so a sub-millisecond region is
+  /// sampled often enough for its best to settle.
+  [[nodiscard]] bool Settled() const { return runs >= 5 && total_ms >= 20.0; }
+};
+
 /// Best wall clock, in ms, of one timed region. \p run runs the region
 /// once, with any setup outside its own clock, and returns the region's
-/// ms. The region runs until it has run at least 5 times and for at
-/// least 20 ms in total, so a sub-millisecond region is sampled often
-/// enough for its best to settle; it stops early once the runs total
-/// more than \p cap_ms.
+/// ms. The region runs until it is settled (RegionSamples::Settled); it
+/// stops early once the runs total more than \p cap_ms.
 template <typename Run>
 double BestOfMs(double cap_ms, Run&& run) {
-  double best = 0.0;
-  double total = 0.0;
-  for (int runs = 1;; ++runs) {
-    const double ms = run();
-    best = runs == 1 ? ms : std::min(best, ms);
-    total += ms;
-    if ((runs >= 5 && total >= 20.0) || total > cap_ms) {
-      return best;
-    }
-  }
+  RegionSamples region;
+  do {
+    region.Add(run());
+  } while (!region.Settled() && region.total_ms <= cap_ms);
+  return region.best_ms;
+}
+
+/// Best wall clocks, in ms, of two timed regions that a speedup compares,
+/// as {best of \p run_a, best of \p run_b}. Each run is as above. The
+/// two alternate in one loop (a, b, a, b, ...) until both are settled,
+/// so a slow stretch of the host lands on both sides instead of on
+/// whichever ran then; they stop early once either side's runs total
+/// more than \p cap_ms.
+template <typename RunA, typename RunB>
+std::pair<double, double> BestOfMs(double cap_ms, RunA&& run_a,
+                                   RunB&& run_b) {
+  RegionSamples a;
+  RegionSamples b;
+  do {
+    a.Add(run_a());
+    b.Add(run_b());
+  } while (!(a.Settled() && b.Settled()) && a.total_ms <= cap_ms &&
+           b.total_ms <= cap_ms);
+  return {a.best_ms, b.best_ms};
 }
 
 /// Registration-based command-line parsing for the bench harnesses.

@@ -59,6 +59,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "bench_common.h"
@@ -333,23 +334,28 @@ std::vector<PerfPoint> MakePerfLadder() {
     point.design = SynthesizeDesign(soc.traffic, soc.name, cores / per_switch);
     points.push_back(std::move(point));
   };
-  add_synth(48, 3);
-  add_synth(96, 3);
-  add_synth(192, 3);
-  {
+  // Table-routed tori: the incremental path patches only the table
+  // columns its detours read, the rebuild path every column.
+  const auto add_torus = [&](std::size_t side) {
     gen::GeneratorSpec spec;
     spec.family = gen::TopologyFamily::kTorus2D;
-    spec.width = 10;
-    spec.height = 10;
+    spec.width = side;
+    spec.height = side;
     spec.pattern = gen::TrafficPattern::kUniform;
     spec.uniform_fanout = 3;
     spec.seed = 7;
     PerfPoint point;
-    point.label = "torus10x10";
+    point.label = gen::FamilyShapeName(spec);
     point.design = gen::GenerateStandardDesign(spec, &point.table);
     points.push_back(std::move(point));
-  }
-  add_synth(288, 3);  // largest last: the gated speedup
+  };
+  add_synth(48, 3);
+  add_synth(96, 3);
+  add_synth(192, 3);
+  add_torus(10);
+  add_torus(16);
+  add_torus(32);
+  add_synth(288, 3);  // the gated speedup: S288 stays last
   for (PerfPoint& point : points) {
     RemoveDeadlocks(point.design);
     fault::FaultPlanOptions plan_opts;
@@ -366,52 +372,64 @@ std::vector<PerfPoint> MakePerfLadder() {
 struct PerfSample {
   double best_ms = 0.0;
   std::size_t affected = 0;
+  std::size_t table_columns = 0;
+  std::size_t table_column_rounds = 0;
   std::size_t channels_after = 0;
   DeadlockCertificate cert;
   RouteSet routes;
 };
 
-/// Best-of timing (bench::BestOfMs, capped at 300 ms) of one re-certify
-/// path on \p point's burst. All copies are made outside the timed
-/// region; the timed region is the burst application plus
-/// certification.
-PerfSample TimePath(const PerfPoint& point, bool incremental) {
-  PerfSample sample;
-  sample.best_ms = bench::BestOfMs(300.0, [&] {
-    NocDesign design = point.design;
-    NextHopTable table = point.table;
-    fault::ReconfigureOptions opts;
-    opts.table = table.empty() ? nullptr : &table;
-    fault::FaultState state = fault::FaultState::None(design);
-    ChannelDependencyGraph cdg;
-    std::optional<DirtyCycleFinder> finder;
-    if (incremental) {
-      cdg = ChannelDependencyGraph::Build(design);
-      finder.emplace(cdg);
-      // Warm the finder cache to the pre-fault steady state: in
-      // production the finder is the one the initial removal run left
-      // behind, already knowing the graph is acyclic.
-      (void)finder->Pick(CyclePolicy::kSmallestFirst);
-    }
+/// One run of one re-certify path on \p point's burst, into \p sample;
+/// returns its ms. All copies are made outside the timed region; the
+/// timed region is the burst application plus certification.
+double TimePathOnce(const PerfPoint& point, bool incremental,
+                    PerfSample& sample) {
+  NocDesign design = point.design;
+  NextHopTable table = point.table;
+  fault::ReconfigureOptions opts;
+  opts.table = table.empty() ? nullptr : &table;
+  fault::FaultState state = fault::FaultState::None(design);
+  ChannelDependencyGraph cdg;
+  std::optional<DirtyCycleFinder> finder;
+  if (incremental) {
+    cdg = ChannelDependencyGraph::Build(design);
+    finder.emplace(cdg);
+    // Warm the finder cache to the pre-fault steady state: in
+    // production the finder is the one the initial removal run left
+    // behind, already knowing the graph is acyclic.
+    (void)finder->Pick(CyclePolicy::kSmallestFirst);
+  }
 
-    const auto t0 = std::chrono::steady_clock::now();
-    const fault::ReconfigureReport report =
-        incremental ? fault::ApplyFaultBurst(design, cdg, *finder, state,
-                                             point.burst, opts)
-                    : fault::ApplyFaultBurstRebuild(design, state,
-                                                    point.burst, opts);
-    const DeadlockCertificate cert = incremental
-                                         ? CertifyFromCdg(design, cdg)
-                                         : CertifyDeadlockFreedom(design);
-    const double ms = MillisSince(t0);
+  const auto t0 = std::chrono::steady_clock::now();
+  const fault::ReconfigureReport report =
+      incremental ? fault::ApplyFaultBurst(design, cdg, *finder, state,
+                                           point.burst, opts)
+                  : fault::ApplyFaultBurstRebuild(design, state, point.burst,
+                                                  opts);
+  const DeadlockCertificate cert = incremental
+                                       ? CertifyFromCdg(design, cdg)
+                                       : CertifyDeadlockFreedom(design);
+  const double ms = MillisSince(t0);
 
-    sample.affected = report.affected_flows.size();
-    sample.channels_after = design.topology.ChannelCount();
-    sample.cert = cert;
-    sample.routes = design.routes;
-    return ms;
-  });
-  return sample;
+  sample.affected = report.affected_flows.size();
+  sample.table_columns = report.table_columns;
+  sample.table_column_rounds = report.table_column_rounds;
+  sample.channels_after = design.topology.ChannelCount();
+  sample.cert = cert;
+  sample.routes = design.routes;
+  return ms;
+}
+
+/// Best-of timing of both re-certify paths on \p point's burst, in
+/// alternation (bench::BestOfMs, capped at 300 ms a side); returns
+/// {incremental, rebuild}.
+std::pair<PerfSample, PerfSample> TimePaths(const PerfPoint& point) {
+  PerfSample inc;
+  PerfSample reb;
+  std::tie(inc.best_ms, reb.best_ms) = bench::BestOfMs(
+      300.0, [&] { return TimePathOnce(point, /*incremental=*/true, inc); },
+      [&] { return TimePathOnce(point, /*incremental=*/false, reb); });
+  return {std::move(inc), std::move(reb)};
 }
 
 /// Runs the ladder; returns the largest design's speedup and sets
@@ -420,12 +438,12 @@ double RunPerfLadder(BenchJsonWriter& json, bool& mismatch) {
   std::cout << "\n=== incremental re-certify vs full rebuild ===\n\n";
   const std::vector<PerfPoint> points = MakePerfLadder();
   TextTable table;
-  table.SetHeader({"design", "channels", "affected", "rebuild (ms)",
-                   "incremental (ms)", "speedup"});
+  table.SetHeader({"design", "channels", "affected", "table columns",
+                   "column rounds", "rebuild (ms)", "incremental (ms)",
+                   "speedup"});
   double largest_speedup = 0.0;
   for (const PerfPoint& point : points) {
-    const PerfSample inc = TimePath(point, /*incremental=*/true);
-    const PerfSample reb = TimePath(point, /*incremental=*/false);
+    const auto [inc, reb] = TimePaths(point);
     if (inc.channels_after != reb.channels_after ||
         inc.affected != reb.affected ||
         inc.cert.deadlock_free != reb.cert.deadlock_free ||
@@ -446,8 +464,10 @@ double RunPerfLadder(BenchJsonWriter& json, bool& mismatch) {
     largest_speedup = speedup;  // ladder ends with the largest design
     table.AddRow({point.label,
                   std::to_string(point.design.topology.ChannelCount()),
-                  std::to_string(inc.affected), FormatDouble(reb.best_ms, 3),
-                  FormatDouble(inc.best_ms, 3),
+                  std::to_string(inc.affected),
+                  std::to_string(inc.table_columns),
+                  std::to_string(inc.table_column_rounds),
+                  FormatDouble(reb.best_ms, 3), FormatDouble(inc.best_ms, 3),
                   FormatDouble(speedup, 1) + "x"});
     json.AddRow(JsonObject()
                     .Set("section", "reconfig_perf")
@@ -455,6 +475,8 @@ double RunPerfLadder(BenchJsonWriter& json, bool& mismatch) {
                     .Set("channels", point.design.topology.ChannelCount())
                     .Set("flows", point.design.traffic.FlowCount())
                     .Set("affected_flows", inc.affected)
+                    .Set("table_columns", inc.table_columns)
+                    .Set("table_column_rounds", inc.table_column_rounds)
                     .Set("rebuild_ms", reb.best_ms)
                     .Set("incremental_ms", inc.best_ms)
                     .Set("speedup", speedup));

@@ -4,10 +4,10 @@
 //
 //   * Engine ladder (E7, E10): RemoveDeadlocks with the incremental CDG
 //     engine and with the rebuild-per-iteration baseline on copies of
-//     each design, best of up to five runs, and the VCs resource
-//     ordering adds. The ladder climbs from rings and D36_8 through
-//     synthetic SoCs and the structured families at 85-144 switches to
-//     S288_f4, a 288-core SoC, timed last.
+//     each design, the two timed in alternation (bench::BestOfMs), and
+//     the VCs resource ordering adds. The ladder climbs from rings and
+//     D36_8 through synthetic SoCs and the structured families at
+//     85-144 switches to S288_f4, a 288-core SoC, timed last.
 //   * Determinism: the ladder's jobs through SweepRunner at one thread
 //     and at all hardware threads; the digests must be equal.
 //   * Family grid (E11): mesh, torus, ring and fat tree at two sizes
@@ -25,6 +25,7 @@
 #include <chrono>
 #include <iostream>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -107,21 +108,26 @@ struct TimedRun {
   RemovalReport report;
 };
 
-/// Best-of timing (bench::BestOfMs, capped at 200 ms) of
-/// RemoveDeadlocks on copies of \p base.
-TimedRun TimeRemoval(const NocDesign& base, RemovalEngine engine) {
-  TimedRun result;
-  RemovalOptions options;
-  options.engine = engine;
-  result.best_ms = bench::BestOfMs(200.0, [&] {
+/// Best-of timing of RemoveDeadlocks on copies of \p base, the rebuild
+/// and the incremental engine in alternation (bench::BestOfMs, capped at
+/// 200 ms a side); returns {rebuild, incremental}.
+std::pair<TimedRun, TimedRun> TimeRemoval(const NocDesign& base) {
+  const auto timed = [&base](RemovalEngine engine, TimedRun& result) {
+    RemovalOptions options;
+    options.engine = engine;
     NocDesign design = base;  // copy outside the timed region
     const auto t0 = std::chrono::steady_clock::now();
     RemovalReport report = RemoveDeadlocks(design, options);
     const double ms = MillisSince(t0);
     result.report = std::move(report);
     return ms;
-  });
-  return result;
+  };
+  TimedRun rebuild;
+  TimedRun incremental;
+  std::tie(rebuild.best_ms, incremental.best_ms) = bench::BestOfMs(
+      200.0, [&] { return timed(RemovalEngine::kRebuild, rebuild); },
+      [&] { return timed(RemovalEngine::kIncremental, incremental); });
+  return {std::move(rebuild), std::move(incremental)};
 }
 
 /// Times both engines and counts resource ordering's VCs on every rung;
@@ -135,9 +141,7 @@ double EngineLadder(Ledger& ledger, const std::vector<Rung>& ladder) {
                "BFS runs"});
   double largest_speedup = 0.0;
   for (const Rung& rung : ladder) {
-    const TimedRun rebuild = TimeRemoval(rung.design, RemovalEngine::kRebuild);
-    const TimedRun incremental =
-        TimeRemoval(rung.design, RemovalEngine::kIncremental);
+    const auto [rebuild, incremental] = TimeRemoval(rung.design);
     const RemovalReport& report = incremental.report;
     const bool agree = rebuild.report.iterations == report.iterations &&
                        rebuild.report.vcs_added == report.vcs_added &&

@@ -1,6 +1,8 @@
 #include "fault/reconfigure.h"
 
 #include <algorithm>
+#include <optional>
+#include <span>
 #include <unordered_map>
 
 #include "obs/trace.h"
@@ -59,11 +61,48 @@ bool ReconfigureCore(NocDesign& design, ChannelDependencyGraph* cdg,
 
   // 4, first part: a table-routed design patches its next-hop table
   // around the failures. The patch touches no route, so it can run
-  // ahead of step 3 and be timed on its own.
+  // ahead of step 3 and be timed on its own. The burst is one journal
+  // round; the incremental path replays the pending rounds only on the
+  // columns its detour walks read (each walk reads its destination's
+  // column), the rebuild reference on every column.
   if (options.table != nullptr) {
     obs::ScopedSpan span("fault.patch_table");
-    PatchNextHopTable(design.topology, *options.table, state.failed_links,
-                      state.failed_switches);
+    NextHopTable& table = *options.table;
+    table.JournalRound(design.topology, state.failed_links,
+                       state.failed_switches);
+    TableRefresh refresh;
+    if (cdg == nullptr) {
+      refresh = table.Flush(design.topology);
+    } else {
+      std::vector<SwitchId> read;
+      read.reserve(report.affected_flows.size());
+      for (const FlowId f : report.affected_flows) {
+        read.push_back(
+            design.attachment[design.traffic.FlowAt(f).dst.value()]);
+      }
+      // Under paranoid validation a copy patches every column: each
+      // column the detours read must equal its eagerly patched self.
+      std::optional<NextHopTable> eager;
+      if (options.removal.paranoid_validation) {
+        eager.emplace(table);
+        eager->Flush(design.topology);
+      }
+      refresh = table.Refresh(design.topology, read);
+      if (eager.has_value()) {
+        for (const SwitchId d : read) {
+          const std::span<const LinkId> lazy = table.Column(d);
+          const std::span<const LinkId> reference = eager->Column(d);
+          Require(std::equal(lazy.begin(), lazy.end(), reference.begin()),
+                  "ApplyFaultBurst: lazily patched column ", d.value(),
+                  " differs from the eagerly patched table");
+        }
+      }
+    }
+    report.table_columns = refresh.columns;
+    report.table_column_rounds = refresh.column_rounds;
+    span.Attr("columns", static_cast<std::uint64_t>(refresh.columns));
+    span.Attr("column_rounds",
+              static_cast<std::uint64_t>(refresh.column_rounds));
   }
 
   {

@@ -12,8 +12,15 @@
 //      disconnected flows and nothing is mutated;
 //   3. otherwise affected flows are re-routed — through the patched
 //      next-hop table when the design is table-routed (the detour
-//      policy; synth/route_builder::PatchNextHopTable), falling back to
-//      congestion-aware rip-up-and-reroute Dijkstra otherwise;
+//      policy; synth/route_builder.h), falling back to congestion-aware
+//      rip-up-and-reroute Dijkstra otherwise. The burst is one patch
+//      round in the table's journal (NextHopTable::JournalRound), and
+//      only the columns of the affected flows' destination switches
+//      replay their pending rounds: a detour walk reads only its
+//      destination's column. Every other column stays pending until a
+//      later burst reads it. The rebuild reference patches every column
+//      in every burst (PatchNextHopTable's schedule); the columns the
+//      walks read are bit-identical either way;
 //   4. the route churn is mirrored into the caller's live CDG via
 //      RemoveEdges/AddEdges (plus DirtyCycleFinder taints), never a
 //      rebuild;
@@ -47,7 +54,9 @@ namespace nocdr::fault {
 
 struct ReconfigureOptions {
   /// Next-hop table of a table-routed design; enables the table-driven
-  /// detour policy and is patched in place as bursts land. nullptr means
+  /// detour policy and is patched in place as bursts land (step 3).
+  /// After ApplyFaultBurst, columns no detour read may hold pending
+  /// rounds; NextHopTable::Flush brings them up to date. nullptr means
   /// every affected flow takes the rip-up-and-reroute fallback. Each
   /// reconfiguration pipeline (e.g. the incremental and the rebuild
   /// reference of one trial) must own its own copy.
@@ -58,7 +67,9 @@ struct ReconfigureOptions {
   /// by the rebuild reference; the incremental path is, by construction,
   /// the incremental engine. `removal.paranoid_validation` also checks
   /// the whole burst: the mutated CDG against a from-scratch rebuild,
-  /// and the design's Validate() (slow; tests and paranoid sessions).
+  /// every table column the detours read against a copy of the table
+  /// patched in every column, and the design's Validate() (slow; tests
+  /// and paranoid sessions).
   RemovalOptions removal;
 };
 
@@ -73,6 +84,11 @@ struct ReconfigureReport {
   /// How each affected flow was re-routed.
   std::size_t table_detours = 0;
   std::size_t ripup_reroutes = 0;
+  /// Next-hop table columns that replayed a pending patch round in this
+  /// burst, and the rounds they replayed (NextHopTable::Refresh); 0 when
+  /// the design is not table-routed.
+  std::size_t table_columns = 0;
+  std::size_t table_column_rounds = 0;
   /// The post-fault removal re-run.
   RemovalReport removal;
 

@@ -1,6 +1,7 @@
 #include "gen/generators.h"
 
 #include <algorithm>
+#include <span>
 #include <unordered_set>
 #include <utility>
 
@@ -66,16 +67,17 @@ GeneratedTopology BuildGrid(const GeneratorSpec& spec, bool wrap) {
   // Dimension-ordered XY: correct x fully, then y. On the torus each
   // dimension goes the shorter way around (ties break toward +).
   const std::size_t n = w * h;
-  out.table.assign(n, std::vector<LinkId>(n));
-  for (std::size_t s = 0; s < n; ++s) {
-    const std::size_t sx = s % w;
-    const std::size_t sy = s / w;
-    for (std::size_t d = 0; d < n; ++d) {
+  out.table = NextHopTable(n);
+  for (std::size_t d = 0; d < n; ++d) {
+    const std::size_t dx = d % w;
+    const std::size_t dy = d / w;
+    const std::span<LinkId> column = out.table.MutableColumn(SwitchId(d));
+    for (std::size_t s = 0; s < n; ++s) {
       if (s == d) {
         continue;
       }
-      const std::size_t dx = d % w;
-      const std::size_t dy = d / w;
+      const std::size_t sx = s % w;
+      const std::size_t sy = s / w;
       std::size_t next;
       if (sx != dx) {
         bool positive;
@@ -98,7 +100,7 @@ GeneratedTopology BuildGrid(const GeneratorSpec& spec, bool wrap) {
         const std::size_t ny = positive ? (sy + 1) % h : (sy + h - 1) % h;
         next = GridIndex(sx, ny, w);
       }
-      out.table[s][d] = LinkBetween(out.topology, s, next);
+      column[s] = LinkBetween(out.topology, s, next);
     }
   }
   out.core_switches.reserve(n);
@@ -123,16 +125,17 @@ GeneratedTopology BuildRing(const GeneratorSpec& spec) {
   // Shortest way around; ties (opposite node on an even ring) break
   // clockwise. Flows that chain clockwise segments all the way around
   // are what makes the CDG cyclic.
-  out.table.assign(n, std::vector<LinkId>(n));
-  for (std::size_t s = 0; s < n; ++s) {
-    for (std::size_t d = 0; d < n; ++d) {
+  out.table = NextHopTable(n);
+  for (std::size_t d = 0; d < n; ++d) {
+    const std::span<LinkId> column = out.table.MutableColumn(SwitchId(d));
+    for (std::size_t s = 0; s < n; ++s) {
       if (s == d) {
         continue;
       }
       const std::size_t clockwise = (d + n - s) % n;
       const std::size_t next =
           clockwise <= n - clockwise ? (s + 1) % n : (s + n - 1) % n;
-      out.table[s][d] = LinkBetween(out.topology, s, next);
+      column[s] = LinkBetween(out.topology, s, next);
     }
   }
   out.core_switches.reserve(n);
@@ -185,28 +188,30 @@ GeneratedTopology BuildFatTree(const GeneratorSpec& spec) {
     }
   }
 
-  // Ancestor of \p node at \p level (level <= level_of[node]).
-  const auto ancestor = [&](std::size_t node, std::size_t level) {
-    while (level_of[node] > level) {
-      node = parent[node];
-    }
-    return node;
-  };
-
   // Up to the lowest common ancestor, then down; the parallel link for a
   // hop is picked by destination modulo (d-mod-k spreading). Up*/down*
-  // discipline, so the CDG stays acyclic.
-  out.table.assign(n, std::vector<LinkId>(n));
-  for (std::size_t s = 0; s < n; ++s) {
-    for (std::size_t d = 0; d < n; ++d) {
+  // discipline, so the CDG stays acyclic. Column d goes down from each
+  // of d's ancestors (ancestor[l] is the one at level l) and up from
+  // every other switch.
+  out.table = NextHopTable(n);
+  std::vector<std::size_t> ancestor(levels);
+  for (std::size_t d = 0; d < n; ++d) {
+    for (std::size_t node = d;; node = parent[node]) {
+      ancestor[level_of[node]] = node;
+      if (level_of[node] == 0) {
+        break;
+      }
+    }
+    const std::size_t par = d % uplinks;
+    const std::span<LinkId> column = out.table.MutableColumn(SwitchId(d));
+    for (std::size_t s = 0; s < n; ++s) {
       if (s == d) {
         continue;
       }
-      const std::size_t par = d % uplinks;
-      if (level_of[d] > level_of[s] && ancestor(d, level_of[s]) == s) {
-        out.table[s][d] = down[ancestor(d, level_of[s] + 1)][par];
+      if (level_of[d] > level_of[s] && ancestor[level_of[s]] == s) {
+        column[s] = down[ancestor[level_of[s] + 1]][par];
       } else {
-        out.table[s][d] = up[s][par];
+        column[s] = up[s][par];
       }
     }
   }

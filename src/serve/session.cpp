@@ -49,7 +49,8 @@ struct SessionService::Session {
         cdg(ChannelDependencyGraph::Build(design)),
         finder(cdg),
         table(std::move(next_hops)),
-        state(fault::FaultState::None(design)) {
+        state(fault::FaultState::None(design)),
+        tied_runs(TiedFlowRuns(design)) {
     for (std::size_t s = 0; s < design.topology.SwitchCount(); ++s) {
       // Name resolution for protocol-level fault events; duplicate or
       // empty names simply stay unresolvable by name.
@@ -77,6 +78,10 @@ struct SessionService::Session {
   NextHopTable table;
   fault::FaultState state;
   std::unordered_map<std::string, SwitchId> switch_by_name;
+  /// The design's flows are in canonical order from the open on, and
+  /// bursts change only routes: the canonical order of each epoch
+  /// re-sorts only these runs of flows tied on (src, dst, bandwidth).
+  const std::vector<FlowRun> tied_runs;
 
   std::uint64_t epoch = 0;
   std::size_t bursts_applied = 0;
@@ -461,7 +466,8 @@ std::string SessionService::PublishEpoch(Session& session) {
   const DeadlockCertificate certificate = CertifyFromCdg(
       design, session.cdg, CanonicalChannelOrder(design.topology));
   value.certificate_json = CertificateToJson(certificate);
-  value.treated_design_text = DesignText(design, CanonicalFlowOrder(design));
+  value.treated_design_text =
+      DesignText(design, CanonicalFlowOrder(design, session.tied_runs));
   value.deadlock_free = certificate.deadlock_free;
   value.initially_deadlock_free = certificate.deadlock_free;
   value.channels_before = design.topology.ChannelCount();

@@ -23,7 +23,10 @@
 // key and a session can never be answered with a stale certificate.
 // The published entry is built from the session's live state, with no
 // text round trip, no removal and no CDG rebuild: the canonical flow
-// order renders the key's text once (DesignText), and one Kahn pass
+// order renders the key's text once (DesignText). The session's flows
+// are in canonical order from the open on and bursts change only
+// routes, so that order re-sorts only the runs of flows tied on (src,
+// dst, bandwidth), by route, and renders no bandwidth. One Kahn pass
 // over the live CDG in the canonical channel order (CertifyFromCdg)
 // gives the certificate the canonical design would get. So the entry
 // is bit-identical to what a stateless client re-shipping the epoch's

@@ -128,55 +128,79 @@ void RouteHeaviestFirst(const TopologyGraph& topology,
   }
 }
 
-/// Throws unless \p table is \p n x \p n; \p who prefixes the message.
-void RequireSquare(const NextHopTable& table, std::size_t n,
-                   const std::string& who) {
-  Require(table.size() == n, who, ": row count != switch count");
-  for (std::size_t s = 0; s < n; ++s) {
-    Require(table[s].size() == n, who, ": row ", s,
-            " column count != switch count");
-  }
+/// Throws unless \p table is sized for \p n switches; \p who prefixes
+/// the message.
+void RequireSized(const NextHopTable& table, std::size_t n, const char* who) {
+  Require(table.SwitchCount() == n, who, ": table sized for ",
+          table.SwitchCount(), " switches, the topology has ", n);
 }
+
+/// Throws unless \p d names a column of a table of \p n switches.
+void RequireColumnIndex(SwitchId d, std::size_t n) {
+  Require(d.valid() && d.value() < n, "NextHopTable: column ", d.value(),
+          " out of range for ", n, " switches");
+}
+
+/// Journal stamp of an element that has not failed.
+constexpr std::uint32_t kNever = std::numeric_limits<std::uint32_t>::max();
+
+/// The failure masks of one patch round, read off the journal's stamps:
+/// an element is down in round r when it was stamped in a round <= r.
+/// Empty stamps mean nothing failed (the validator's view).
+struct RoundMasks {
+  std::span<const std::uint32_t> link_down;
+  std::span<const std::uint32_t> switch_failed;
+  std::uint32_t round = 0;
+
+  bool LinkDown(LinkId l) const {
+    return !link_down.empty() && link_down[l.value()] <= round;
+  }
+  bool SwitchDown(std::size_t s) const {
+    return !switch_failed.empty() && switch_failed[s] <= round;
+  }
+};
 
 // Walk verdicts of ClassifyWalks.
 constexpr std::uint8_t kUnclassified = 0;
 constexpr std::uint8_t kReaches = 1;
 constexpr std::uint8_t kBroken = 2;
 
-/// The table-walk classifier behind ValidateNextHopTable and
-/// PatchNextHopTable. Classifies every source's walk toward \p d by
-/// pointer chasing with memoization, so each switch is chased once per
-/// destination: status[s] becomes kReaches when the walk from s arrives
-/// at d, and kBroken when it crosses a failed link or switch, hits a hole
-/// or exceeds n switches (a routing loop). Sources with a hole stay
-/// kUnclassified unless some other walk runs into them. Returns the lowest
-/// source with a filled entry whose walk is broken, or n when there is
-/// none. \p table must be square (RequireSquare); \p chain is a reused
-/// buffer.
+/// The table-walk classifier behind ValidateNextHopTable and the column
+/// patch. Classifies every source's walk down \p column toward \p d by
+/// pointer chasing with memoization, so each switch is chased once:
+/// status[s] becomes kReaches when the walk from s arrives at d, and
+/// kBroken when it crosses a link or switch down under \p masks, hits a
+/// hole or exceeds n switches (a routing loop). Sources with a hole stay
+/// kUnclassified unless some other walk runs into them. Returns the
+/// lowest source with a filled entry whose walk is broken, or n when
+/// there is none. \p chain is a reused buffer.
 std::size_t ClassifyWalks(const TopologyGraph& topology,
-                          const NextHopTable& table, std::size_t d,
-                          const std::vector<char>& failed_links,
-                          const std::vector<char>& failed_switches,
+                          std::span<const LinkId> column, std::size_t d,
+                          const RoundMasks& masks,
                           std::vector<std::uint8_t>& status,
                           std::vector<std::uint32_t>& chain) {
-  const std::size_t n = table.size();
+  const std::size_t n = column.size();
   status.assign(n, kUnclassified);
   status[d] = kReaches;
   std::size_t first_broken = n;
   for (std::size_t s = 0; s < n; ++s) {
-    if (status[s] != kUnclassified || !table[s][d].valid()) {
+    if (status[s] != kUnclassified || !column[s].valid()) {
       continue;
     }
     chain.clear();
     std::size_t cur = s;
     while (status[cur] == kUnclassified) {
       chain.push_back(static_cast<std::uint32_t>(cur));
-      const LinkId l = table[cur][d];
-      if (chain.size() > n || SwitchDown(SwitchId(cur), failed_switches) ||
-          !l.valid() || LinkDown(topology, l, failed_links, failed_switches)) {
-        break;  // a routing loop, a failure or a hole
+      const LinkId l = column[cur];
+      if (chain.size() > n || masks.SwitchDown(cur) || !l.valid()) {
+        break;  // a routing loop, a failed switch or a hole
       }
-      cur = topology.LinkAt(l).dst.value();
+      // LinkAt throws on an entry naming no link, before its stamp is read.
+      const Link& link = topology.LinkAt(l);
+      if (masks.LinkDown(l)) {
+        break;  // a failed link
+      }
+      cur = link.dst.value();
     }
     const std::uint8_t verdict =
         status[cur] == kUnclassified ? kBroken : status[cur];
@@ -188,6 +212,80 @@ std::size_t ClassifyWalks(const TopologyGraph& topology,
     }
   }
   return first_broken;
+}
+
+/// Buffers PatchColumn reuses from one column to the next.
+struct PatchScratch {
+  std::vector<std::uint8_t> status;
+  std::vector<std::uint32_t> chain;
+  std::vector<std::uint32_t> dist;
+  std::vector<LinkId> via;
+  std::vector<std::uint32_t> queue;
+};
+
+/// One round of the detour repair (PatchNextHopTable) on \p column, the
+/// entries toward \p d, under \p masks. Reads and writes that column
+/// only. Returns the number of filled entries it disconnected.
+std::size_t PatchColumn(const TopologyGraph& topology,
+                        std::span<LinkId> column, std::size_t d,
+                        const RoundMasks& masks, PatchScratch& scratch) {
+  const std::size_t n = column.size();
+  if (masks.SwitchDown(d)) {
+    // Nothing can route to a dead switch; drop every entry toward it.
+    std::fill(column.begin(), column.end(), LinkId());
+    return 0;
+  }
+  const std::vector<std::uint8_t>& status = scratch.status;
+  if (ClassifyWalks(topology, column, d, masks, scratch.status,
+                    scratch.chain) == n) {
+    return 0;  // every filled walk toward d survives
+  }
+  // Backward BFS from d over surviving links: dist[s] = surviving hops
+  // from s to d, via[s] = the first link of one such shortest path.
+  // Incoming links are scanned in ascending id order, so ties break
+  // deterministically toward the lowest link id.
+  constexpr std::uint32_t kUnreached =
+      std::numeric_limits<std::uint32_t>::max();
+  std::vector<std::uint32_t>& dist = scratch.dist;
+  std::vector<LinkId>& via = scratch.via;
+  std::vector<std::uint32_t>& queue = scratch.queue;
+  dist.assign(n, kUnreached);
+  via.assign(n, LinkId());
+  dist[d] = 0;
+  queue.assign(1, static_cast<std::uint32_t>(d));
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const SwitchId v(queue[head]);
+    for (const LinkId l : topology.InLinks(v)) {
+      if (masks.LinkDown(l)) {
+        continue;
+      }
+      const std::size_t u = topology.LinkAt(l).src.value();
+      if (dist[u] != kUnreached) {
+        continue;
+      }
+      dist[u] = dist[v.value()] + 1;
+      via[u] = l;
+      queue.push_back(static_cast<std::uint32_t>(u));
+    }
+  }
+  // Re-aim every broken walk; a hole some walk ran into is broken too.
+  std::size_t disconnected = 0;
+  for (std::size_t s = 0; s < n; ++s) {
+    if (s == d || status[s] != kBroken) {
+      continue;
+    }
+    if (masks.SwitchDown(s)) {
+      column[s] = LinkId();
+      continue;
+    }
+    if (dist[s] == kUnreached) {
+      column[s] = LinkId();
+      ++disconnected;
+      continue;
+    }
+    column[s] = via[s];
+  }
+  return disconnected;
 }
 
 }  // namespace
@@ -210,13 +308,139 @@ RouteSet BuildRoutes(const TopologyGraph& topology,
   return routes;
 }
 
+NextHopTable::NextHopTable(std::size_t switch_count)
+    : n_(switch_count),
+      next_hops_(switch_count * switch_count),
+      column_rounds_(switch_count, 0) {}
+
+std::span<const LinkId> NextHopTable::Column(SwitchId d) const {
+  RequireColumnIndex(d, n_);
+  Require(column_rounds_[d.value()] == rounds_, "NextHopTable: column ",
+          d.value(), " read with patch rounds pending (",
+          column_rounds_[d.value()], " of ", rounds_, " applied)");
+  return {next_hops_.data() + std::size_t{d.value()} * n_, n_};
+}
+
+std::span<LinkId> NextHopTable::MutableColumn(SwitchId d) {
+  (void)Column(d);  // the range and pending-round checks
+  return {next_hops_.data() + std::size_t{d.value()} * n_, n_};
+}
+
+std::size_t NextHopTable::PendingRounds(SwitchId d) const {
+  RequireColumnIndex(d, n_);
+  return rounds_ - column_rounds_[d.value()];
+}
+
+void NextHopTable::JournalRound(const TopologyGraph& topology,
+                                const std::vector<char>& failed_links,
+                                const std::vector<char>& failed_switches) {
+  const std::size_t links = topology.LinkCount();
+  RequireSized(*this, topology.SwitchCount(), "NextHopTable::JournalRound");
+  Require(failed_links.empty() || failed_links.size() == links,
+          "NextHopTable: failed-link mask size mismatch");
+  Require(failed_switches.empty() || failed_switches.size() == n_,
+          "NextHopTable: failed-switch mask size mismatch");
+  Require(link_failed_.empty() || link_failed_.size() == links,
+          "NextHopTable: journal holds ", link_failed_.size(),
+          " links, the topology has ", links);
+  Require(rounds_ + 1 < kNever, "NextHopTable: too many patch rounds");
+  const auto failed = [](const std::vector<char>& mask, std::size_t i) {
+    return !mask.empty() && mask[i] != 0;
+  };
+  const std::uint32_t round = rounds_ + 1;
+  for (std::size_t l = 0; l < link_failed_.size(); ++l) {
+    Require(link_failed_[l] == kNever || failed(failed_links, l),
+            "NextHopTable: round ", round, " un-fails link ", l,
+            ", failed in round ", link_failed_[l]);
+  }
+  for (std::size_t s = 0; s < switch_failed_.size(); ++s) {
+    Require(switch_failed_[s] == kNever || failed(failed_switches, s),
+            "NextHopTable: round ", round, " un-fails switch ", s,
+            ", failed in round ", switch_failed_[s]);
+  }
+  if (link_failed_.empty()) {
+    link_failed_.assign(links, kNever);
+    link_down_.assign(links, kNever);
+    switch_failed_.assign(n_, kNever);
+  }
+  for (std::size_t l = 0; l < links; ++l) {
+    if (link_failed_[l] == kNever && failed(failed_links, l)) {
+      link_failed_[l] = round;
+    }
+  }
+  for (std::size_t s = 0; s < n_; ++s) {
+    if (switch_failed_[s] == kNever && failed(failed_switches, s)) {
+      switch_failed_[s] = round;
+    }
+  }
+  for (std::size_t l = 0; l < links; ++l) {
+    const Link& link = topology.LinkAt(LinkId(l));
+    link_down_[l] = std::min({link_failed_[l],
+                              switch_failed_[link.src.value()],
+                              switch_failed_[link.dst.value()]});
+  }
+  rounds_ = round;
+}
+
+TableRefresh NextHopTable::Refresh(const TopologyGraph& topology,
+                                   std::span<const SwitchId> columns) {
+  RequireSized(*this, topology.SwitchCount(), "NextHopTable::Refresh");
+  TableRefresh refresh;
+  PatchScratch scratch;
+  for (const SwitchId d : columns) {
+    RequireColumnIndex(d, n_);
+    std::uint32_t& applied = column_rounds_[d.value()];
+    if (applied == rounds_) {
+      continue;
+    }
+    ++refresh.columns;
+    refresh.column_rounds += rounds_ - applied;
+    const std::span<LinkId> column(
+        next_hops_.data() + std::size_t{d.value()} * n_, n_);
+    for (; applied < rounds_; ++applied) {
+      refresh.disconnected +=
+          PatchColumn(topology, column, d.value(),
+                      RoundMasks{link_down_, switch_failed_, applied + 1},
+                      scratch);
+    }
+  }
+  return refresh;
+}
+
+TableRefresh NextHopTable::Flush(const TopologyGraph& topology) {
+  std::vector<SwitchId> all;
+  all.reserve(n_);
+  for (std::size_t d = 0; d < n_; ++d) {
+    all.emplace_back(d);
+  }
+  return Refresh(topology, all);
+}
+
+bool NextHopTable::operator==(const NextHopTable& other) const {
+  if (n_ != other.n_) {
+    return false;
+  }
+  bool equal = true;
+  for (std::size_t d = 0; d < n_; ++d) {
+    const std::span<const LinkId> mine = Column(SwitchId(d));
+    const std::span<const LinkId> theirs = other.Column(SwitchId(d));
+    equal = equal && std::equal(mine.begin(), mine.end(), theirs.begin());
+  }
+  return equal;
+}
+
 void ValidateNextHopTable(const TopologyGraph& topology,
                           const NextHopTable& table) {
   const std::size_t n = topology.SwitchCount();
-  RequireSquare(table, n, "NextHopTable");
-  for (std::size_t s = 0; s < n; ++s) {
-    for (std::size_t d = 0; d < n; ++d) {
-      const LinkId l = table[s][d];
+  RequireSized(table, n, "NextHopTable");
+  // Column by column: its entries, then its walks in one memoized pass
+  // (the entries a walk follows are checked before it follows them).
+  std::vector<std::uint8_t> status;
+  std::vector<std::uint32_t> chain;
+  for (std::size_t d = 0; d < n; ++d) {
+    const std::span<const LinkId> column = table.Column(SwitchId(d));
+    for (std::size_t s = 0; s < n; ++s) {
+      const LinkId l = column[s];
       if (!l.valid()) {
         continue;
       }
@@ -227,14 +451,8 @@ void ValidateNextHopTable(const TopologyGraph& topology,
               "NextHopTable: link on (", s, ",", d,
               ") does not leave switch ", s);
     }
-  }
-  // Every filled pair must reach its destination without revisiting a
-  // switch: one memoized pass per destination.
-  std::vector<std::uint8_t> status;
-  std::vector<std::uint32_t> chain;
-  for (std::size_t d = 0; d < n; ++d) {
-    const std::size_t s = ClassifyWalks(topology, table, d, {}, {}, status,
-                                        chain);
+    const std::size_t s =
+        ClassifyWalks(topology, column, d, RoundMasks{}, status, chain);
     Require(s == n, "NextHopTable: the walk from ", s, " to ", d,
             " hits a hole or a routing loop");
   }
@@ -245,17 +463,16 @@ std::optional<Route> WalkTableRoute(const TopologyGraph& topology,
                                     SwitchId dst) {
   Require(topology.IsValidSwitch(src) && topology.IsValidSwitch(dst),
           "WalkTableRoute: invalid endpoint switch");
-  Require(table.size() == topology.SwitchCount(),
-          "WalkTableRoute: table row count != switch count");
   const std::size_t n = topology.SwitchCount();
+  RequireSized(table, n, "WalkTableRoute");
+  const std::span<const LinkId> column = table.Column(dst);
   Route route;
   SwitchId cur = src;
   while (cur != dst) {
-    const auto& row = table[cur.value()];
-    if (row.size() != n || !row[dst.value()].valid()) {
+    const LinkId l = column[cur.value()];
+    if (!l.valid()) {
       return std::nullopt;  // hole: this pair needs the rip-up fallback
     }
-    const LinkId l = row[dst.value()];
     Require(topology.IsValidLink(l) && topology.LinkAt(l).src == cur,
             "WalkTableRoute: table entry does not leave switch ",
             cur.value());
@@ -274,75 +491,8 @@ std::size_t PatchNextHopTable(const TopologyGraph& topology,
                               NextHopTable& table,
                               const std::vector<char>& failed_links,
                               const std::vector<char>& failed_switches) {
-  const std::size_t n = topology.SwitchCount();
-  RequireSquare(table, n, "PatchNextHopTable");
-  Require(failed_links.empty() || failed_links.size() == topology.LinkCount(),
-          "PatchNextHopTable: failed-link mask size mismatch");
-  Require(failed_switches.empty() || failed_switches.size() == n,
-          "PatchNextHopTable: failed-switch mask size mismatch");
-
-  std::size_t disconnected = 0;
-  std::vector<std::uint8_t> status;
-  std::vector<std::uint32_t> chain;
-  std::vector<std::uint32_t> dist(n);
-  std::vector<LinkId> via(n);
-  std::vector<std::uint32_t> queue;
-  constexpr std::uint32_t kUnreached =
-      std::numeric_limits<std::uint32_t>::max();
-
-  for (std::size_t d = 0; d < n; ++d) {
-    if (SwitchDown(SwitchId(d), failed_switches)) {
-      // Nothing can route to a dead switch; drop every entry toward it.
-      for (std::size_t s = 0; s < n; ++s) {
-        table[s][d] = LinkId();
-      }
-      continue;
-    }
-    if (ClassifyWalks(topology, table, d, failed_links, failed_switches,
-                      status, chain) == n) {
-      continue;  // every filled walk toward d survives
-    }
-    // Backward BFS from d over surviving links: dist[s] = surviving hops
-    // from s to d, via[s] = the first link of one such shortest path.
-    // Incoming links are scanned in ascending id order, so ties break
-    // deterministically toward the lowest link id.
-    std::fill(dist.begin(), dist.end(), kUnreached);
-    std::fill(via.begin(), via.end(), LinkId());
-    dist[d] = 0;
-    queue.assign(1, static_cast<std::uint32_t>(d));
-    for (std::size_t head = 0; head < queue.size(); ++head) {
-      const SwitchId v(queue[head]);
-      for (const LinkId l : topology.InLinks(v)) {
-        if (LinkDown(topology, l, failed_links, failed_switches)) {
-          continue;
-        }
-        const std::size_t u = topology.LinkAt(l).src.value();
-        if (dist[u] != kUnreached) {
-          continue;
-        }
-        dist[u] = dist[v.value()] + 1;
-        via[u] = l;
-        queue.push_back(static_cast<std::uint32_t>(u));
-      }
-    }
-    // Re-aim every broken walk; a hole some walk ran into is broken too.
-    for (std::size_t s = 0; s < n; ++s) {
-      if (s == d || status[s] != kBroken) {
-        continue;
-      }
-      if (SwitchDown(SwitchId(s), failed_switches)) {
-        table[s][d] = LinkId();
-        continue;
-      }
-      if (dist[s] == kUnreached) {
-        table[s][d] = LinkId();
-        ++disconnected;
-        continue;
-      }
-      table[s][d] = via[s];
-    }
-  }
-  return disconnected;
+  table.JournalRound(topology, failed_links, failed_switches);
+  return table.Flush(topology).disconnected;
 }
 
 void RerouteFlows(NocDesign& design, const std::vector<FlowId>& flows,
@@ -384,8 +534,7 @@ RouteSet BuildTableRoutes(const TopologyGraph& topology,
                           const NextHopTable& table) {
   Require(attachment.size() == traffic.CoreCount(),
           "BuildTableRoutes: attachment incomplete");
-  Require(table.size() == topology.SwitchCount(),
-          "BuildTableRoutes: table row count != switch count");
+  RequireSized(table, topology.SwitchCount(), "BuildTableRoutes");
   RouteSet routes(traffic.FlowCount());
   for (std::size_t fi = 0; fi < traffic.FlowCount(); ++fi) {
     const FlowId f(fi);

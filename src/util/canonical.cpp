@@ -1,6 +1,8 @@
 #include "util/canonical.h"
 
 #include <algorithm>
+#include <cstddef>
+#include <utility>
 
 #include "noc/io.h"
 #include "util/digest.h"
@@ -23,6 +25,44 @@ std::vector<std::pair<std::uint32_t, std::uint32_t>> RouteKey(
   return key;
 }
 
+/// The last key of the canonical flow order: the routes as link:vc pairs.
+bool RouteLess(const NocDesign& design, FlowId a, FlowId b) {
+  return RouteKey(design, design.routes.RouteOf(a)) <
+         RouteKey(design, design.routes.RouteOf(b));
+}
+
+/// Whether flow \p f ties with flow f - 1 on (src, dst, bandwidth as
+/// the text stores it); throws InvalidModelError when f - 1 sorts after
+/// f on those keys.
+bool TiesWithPrevious(const NocDesign& design, std::size_t f) {
+  const Flow& prev = design.traffic.FlowAt(FlowId(f - 1));
+  const Flow& next = design.traffic.FlowAt(FlowId(f));
+  const auto ends = [](const Flow& flow) {
+    return std::pair(flow.src.value(), flow.dst.value());
+  };
+  Require(ends(prev) <= ends(next), "TiedFlowRuns: flows ", f - 1, " and ",
+          f, " are out of canonical order");
+  if (ends(prev) != ends(next)) {
+    return false;
+  }
+  // Bandwidths are rendered only for flows tied on (src, dst).
+  const double bandwidth_prev = TextBandwidth(prev.bandwidth_mbps);
+  const double bandwidth_next = TextBandwidth(next.bandwidth_mbps);
+  Require(bandwidth_prev <= bandwidth_next, "TiedFlowRuns: flows ", f - 1,
+          " and ", f, " are out of canonical order");
+  return bandwidth_prev == bandwidth_next;
+}
+
+/// The flow ids of \p design in id order.
+std::vector<FlowId> FlowIds(const NocDesign& design) {
+  std::vector<FlowId> ids;
+  ids.reserve(design.traffic.FlowCount());
+  for (std::size_t f = 0; f < design.traffic.FlowCount(); ++f) {
+    ids.emplace_back(f);
+  }
+  return ids;
+}
+
 }  // namespace
 
 NocDesign IoCanonicalize(const NocDesign& design) {
@@ -34,11 +74,7 @@ bool IsIoStable(const NocDesign& design) {
 }
 
 std::vector<FlowId> CanonicalFlowOrder(const NocDesign& design) {
-  std::vector<FlowId> order;
-  order.reserve(design.traffic.FlowCount());
-  for (std::size_t f = 0; f < design.traffic.FlowCount(); ++f) {
-    order.emplace_back(f);
-  }
+  std::vector<FlowId> order = FlowIds(design);
   std::stable_sort(order.begin(), order.end(), [&](FlowId a, FlowId b) {
     const Flow& fa = design.traffic.FlowAt(a);
     const Flow& fb = design.traffic.FlowAt(b);
@@ -55,9 +91,40 @@ std::vector<FlowId> CanonicalFlowOrder(const NocDesign& design) {
     if (bandwidth_a != bandwidth_b) {
       return bandwidth_a < bandwidth_b;
     }
-    return RouteKey(design, design.routes.RouteOf(a)) <
-           RouteKey(design, design.routes.RouteOf(b));
+    return RouteLess(design, a, b);
   });
+  return order;
+}
+
+std::vector<FlowRun> TiedFlowRuns(const NocDesign& design) {
+  std::vector<FlowRun> runs;
+  const std::size_t flows = design.traffic.FlowCount();
+  std::size_t begin = 0;
+  for (std::size_t f = 1; f <= flows; ++f) {
+    if (f < flows && TiesWithPrevious(design, f)) {
+      continue;
+    }
+    if (f - begin >= 2) {
+      runs.push_back(FlowRun{begin, f});
+    }
+    begin = f;
+  }
+  return runs;
+}
+
+std::vector<FlowId> CanonicalFlowOrder(const NocDesign& design,
+                                       std::span<const FlowRun> tied_runs) {
+  std::vector<FlowId> order = FlowIds(design);
+  for (const FlowRun& run : tied_runs) {
+    Require(run.begin < run.end && run.end <= order.size(),
+            "CanonicalFlowOrder: tied run [", run.begin, ", ", run.end,
+            ") out of range for ", order.size(), " flows");
+    std::stable_sort(order.begin() + static_cast<std::ptrdiff_t>(run.begin),
+                     order.begin() + static_cast<std::ptrdiff_t>(run.end),
+                     [&](FlowId a, FlowId b) {
+                       return RouteLess(design, a, b);
+                     });
+  }
   return order;
 }
 

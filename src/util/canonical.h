@@ -32,6 +32,7 @@
 // (serve/session.h); CanonicalizeDesign stays the oracle.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -74,6 +75,29 @@ CanonicalDesign CanonicalizeDesign(const NocDesign& design);
 /// in id order. The sort CanonicalizeDesign applies; DesignText(design,
 /// order) renders it.
 std::vector<FlowId> CanonicalFlowOrder(const NocDesign& design);
+
+/// A run of flows tied on (src, dst, bandwidth as the text stores it):
+/// flow ids [begin, end).
+struct FlowRun {
+  std::size_t begin = 0;
+  std::size_t end = 0;
+};
+
+/// The runs of two or more flows of \p design tied on (src, dst,
+/// bandwidth as the text stores it), ascending. \p design's flows must
+/// already be in canonical order on those keys, as PermuteFlows(d,
+/// CanonicalFlowOrder(d)) leaves them; throws InvalidModelError when
+/// they are not.
+std::vector<FlowRun> TiedFlowRuns(const NocDesign& design);
+
+/// CanonicalFlowOrder(design) for a design whose flows are in canonical
+/// order on (src, dst, bandwidth as the text stores it) with the tied
+/// runs \p tied_runs: each run stable-sorted by route, the rest in id
+/// order, with no bandwidth rendered. Re-routes keep the runs, so a
+/// design that only changes routes (a session, serve/session.h) takes
+/// its runs once and re-sorts only within them.
+std::vector<FlowId> CanonicalFlowOrder(const NocDesign& design,
+                                       std::span<const FlowRun> tied_runs);
 
 /// \p design with its flows (and their routes) permuted into \p order:
 /// flow i of the result is flow order[i] of \p design. Topology, cores

@@ -11,6 +11,7 @@
 
 #include "deadlock/removal.h"
 #include "noc/io.h"
+#include "synth/route_builder.h"
 #include "test_helpers.h"
 #include "util/error.h"
 
@@ -135,6 +136,39 @@ TEST(CanonicalTest, FlowOrderRendersTheCanonicalText) {
               DesignText(PermuteFlows(design, order),
                          CanonicalFlowOrder(PermuteFlows(design, order))));
   }
+}
+
+TEST(CanonicalTest, TiedRunsOrderADesignWhoseRoutesChanged) {
+  // A design in canonical order keeps its runs of tied flows while
+  // re-routes change routes (a session's epochs, serve/session.h), and
+  // sorting within the runs gives the full canonical order. Here the
+  // first flow of each run detours around its first link, which moves
+  // it behind its twin whenever the detour's route key is larger.
+  std::size_t moved = 0;
+  for (const std::uint64_t seed : {3ull, 9ull, 27ull}) {
+    const NocDesign twins = WithTiedTwins(MakeRandomDesign(seed));
+    EXPECT_THROW(TiedFlowRuns(twins), InvalidModelError)
+        << "twins appended out of order";
+    NocDesign design = PermuteFlows(twins, CanonicalFlowOrder(twins));
+    const std::vector<FlowRun> runs = TiedFlowRuns(design);
+    ASSERT_FALSE(runs.empty());
+    for (const FlowRun& run : runs) {
+      const FlowId first(run.begin);
+      const Route& route = design.routes.RouteOf(first);
+      if (route.empty()) {
+        continue;
+      }
+      std::vector<char> failed(design.topology.LinkCount(), 0);
+      failed[design.topology.ChannelAt(route.front()).link.value()] = 1;
+      RerouteFlows(design, {first}, failed, {});
+    }
+    const std::vector<FlowId> order = CanonicalFlowOrder(design);
+    EXPECT_EQ(CanonicalFlowOrder(design, runs), order) << "seed " << seed;
+    for (std::size_t f = 0; f < order.size(); ++f) {
+      moved += order[f] == FlowId(f) ? 0 : 1;
+    }
+  }
+  EXPECT_GT(moved, 0u);
 }
 
 TEST(CanonicalTest, FlowOrderBreaksTiesOnTheRoute) {

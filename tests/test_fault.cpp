@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 
 #include "cdg/cdg.h"
 #include "cdg/incremental.h"
@@ -261,9 +262,119 @@ TEST(FaultReconfigureTest, TableDetourPatchesInsteadOfRippingUp) {
   EXPECT_EQ(report.table_detours, report.affected_flows.size());
   EXPECT_EQ(report.ripup_reroutes, 0u);
   // The patched table must still be complete and loop-free for every
-  // surviving pair (dead entries are allowed to be holes).
+  // surviving pair (dead entries are allowed to be holes), once the
+  // columns no detour read have caught up with the burst.
+  EXPECT_THROW(ValidateNextHopTable(design.topology, table),
+               InvalidModelError);
+  table.Flush(design.topology);
   EXPECT_NO_THROW(ValidateNextHopTable(design.topology, table));
   design.Validate();
+}
+
+/// The destination switches of \p flows, each once.
+std::set<SwitchId> DestinationSwitches(const NocDesign& design,
+                                       const std::vector<FlowId>& flows) {
+  std::set<SwitchId> switches;
+  for (const FlowId f : flows) {
+    switches.insert(design.attachment[design.traffic.FlowAt(f).dst.value()]);
+  }
+  return switches;
+}
+
+TEST(FaultReconfigureTest, LazyTablePatchMatchesTheRebuildReference) {
+  // The incremental path patches only the columns its detours read; the
+  // rebuild reference patches every column in every burst. Side by side
+  // over multi-burst plans, on a table-routed torus and fat tree (whose
+  // spine switches can fail), both must land on the same routes, VCs
+  // and reports, and the lazy table, flushed, on the eager one.
+  std::vector<gen::GeneratorSpec> specs(2);
+  specs[0].family = gen::TopologyFamily::kTorus2D;
+  specs[0].width = 6;
+  specs[0].height = 6;
+  specs[0].uniform_fanout = 3;
+  specs[1].family = gen::TopologyFamily::kFatTree;
+  specs[1].tree_arity = 2;
+  specs[1].tree_levels = 4;
+  specs[1].tree_uplinks = 2;
+  std::size_t bursts = 0;
+  std::size_t lazy_columns = 0;
+  std::size_t eager_columns = 0;
+  for (gen::GeneratorSpec& spec : specs) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      spec.seed = seed;
+      NextHopTable table;
+      NocDesign inc = gen::GenerateStandardDesign(spec, &table);
+      RemoveDeadlocks(inc);
+      NocDesign reb = inc;
+      NextHopTable table_inc = table;
+      NextHopTable table_reb = table;
+      auto cdg = ChannelDependencyGraph::Build(inc);
+      DirtyCycleFinder finder(cdg);
+      FaultState state_inc = FaultState::None(inc);
+      FaultState state_reb = FaultState::None(reb);
+      fault::ReconfigureOptions opts_inc;
+      opts_inc.table = &table_inc;
+      // Also holds each column the detours read to an eagerly patched
+      // copy, inside ApplyFaultBurst.
+      opts_inc.removal.paranoid_validation = true;
+      fault::ReconfigureOptions opts_reb;
+      opts_reb.table = &table_reb;
+
+      FaultPlanOptions plan_options;
+      plan_options.bursts = 4;
+      plan_options.switch_fault_probability = 0.3;
+      plan_options.disconnect_tolerance = 0.0;
+      const FaultPlan plan = fault::DrawFaultPlan(inc, seed, plan_options);
+      const std::size_t n = inc.topology.SwitchCount();
+      for (std::size_t b = 0; b < plan.bursts.size(); ++b) {
+        const std::string where = inc.name + " burst " + std::to_string(b);
+        const auto rep_inc = fault::ApplyFaultBurst(
+            inc, cdg, finder, state_inc, plan.bursts[b], opts_inc);
+        const auto rep_reb = fault::ApplyFaultBurstRebuild(
+            reb, state_reb, plan.bursts[b], opts_reb);
+        ASSERT_FALSE(rep_inc.infeasible()) << where;
+        ASSERT_FALSE(rep_reb.infeasible()) << where;
+        ++bursts;
+        EXPECT_EQ(rep_inc.affected_flows, rep_reb.affected_flows) << where;
+        EXPECT_EQ(rep_inc.table_detours, rep_reb.table_detours) << where;
+        EXPECT_EQ(rep_inc.ripup_reroutes, rep_reb.ripup_reroutes) << where;
+        EXPECT_EQ(rep_inc.removal.iterations, rep_reb.removal.iterations)
+            << where;
+        EXPECT_EQ(rep_inc.removal.vcs_added, rep_reb.removal.vcs_added)
+            << where;
+        EXPECT_EQ(rep_inc.removal.flows_rerouted,
+                  rep_reb.removal.flows_rerouted)
+            << where;
+        ASSERT_EQ(inc.topology.ChannelCount(), reb.topology.ChannelCount())
+            << where;
+        for (std::size_t f = 0; f < inc.traffic.FlowCount(); ++f) {
+          ASSERT_EQ(inc.routes.RouteOf(FlowId(f)),
+                    reb.routes.RouteOf(FlowId(f)))
+              << where << " flow " << f;
+        }
+        // The work each schedule did: every column once on the eager
+        // path; on the lazy path, on a first burst, one round on each
+        // destination the detours walk toward.
+        EXPECT_EQ(rep_reb.table_columns, n) << where;
+        EXPECT_EQ(rep_reb.table_column_rounds, n) << where;
+        if (b == 0) {
+          EXPECT_EQ(rep_inc.table_columns,
+                    DestinationSwitches(inc, rep_inc.affected_flows).size())
+              << where;
+          EXPECT_EQ(rep_inc.table_column_rounds, rep_inc.table_columns)
+              << where;
+        }
+        EXPECT_LE(rep_inc.table_column_rounds, rep_inc.table_columns * (b + 1))
+            << where;
+        lazy_columns += rep_inc.table_columns;
+        eager_columns += rep_reb.table_columns;
+      }
+      table_inc.Flush(inc.topology);
+      EXPECT_TRUE(table_inc == table_reb) << inc.name;
+    }
+  }
+  EXPECT_GE(bursts, 24u);
+  EXPECT_LT(lazy_columns * 4, eager_columns);
 }
 
 /// What one stream of bursts showed about the live channel numbering.
@@ -372,14 +483,14 @@ TEST(FaultReconfigureTest, TablePatchSurvivesARoutingLoopInTheInput) {
   const SwitchId c = topology.AddSwitch("C");
   const LinkId ab = topology.AddLink(a, b);
   const LinkId ba = topology.AddLink(b, a);
-  NextHopTable looped(3, std::vector<LinkId>(3));
-  looped[a.value()][c.value()] = ab;
-  looped[b.value()][c.value()] = ba;  // the loop: C is never reached
+  NextHopTable looped(3);
+  looped.MutableColumn(c)[a.value()] = ab;
+  looped.MutableColumn(c)[b.value()] = ba;  // the loop: C is never reached
   const std::size_t unroutable =
       PatchNextHopTable(topology, looped, {}, {});
   EXPECT_EQ(unroutable, 2u);  // both entries were filled, C has no in-links
-  EXPECT_FALSE(looped[a.value()][c.value()].valid());
-  EXPECT_FALSE(looped[b.value()][c.value()].valid());
+  EXPECT_FALSE(looped.Column(c)[a.value()].valid());
+  EXPECT_FALSE(looped.Column(c)[b.value()].valid());
   EXPECT_NO_THROW(ValidateNextHopTable(topology, looped));
 }
 

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <span>
 
 #include "deadlock/removal.h"
 #include "gen/generators.h"
@@ -317,13 +318,14 @@ TEST(NextHopTableTest, ValidatorRejectsHolesAndLoops) {
   // A hole on a walk another pair relies on: clear (1 -> 2)'s entry
   // while (0 -> 2) still routes through switch 1.
   NextHopTable holed = topo.table;
-  holed[1][2] = LinkId();
+  holed.MutableColumn(SwitchId(2))[1] = LinkId();
   EXPECT_THROW(ValidateNextHopTable(topo.topology, holed),
                InvalidModelError);
   // A loop: 0 -> 2 forwards to 3, 3 -> 2 forwards back to 0.
   NextHopTable looped = topo.table;
-  looped[0][2] = *topo.topology.FindLink(SwitchId(0), SwitchId(3));
-  looped[3][2] = *topo.topology.FindLink(SwitchId(3), SwitchId(0));
+  const std::span<LinkId> toward_2 = looped.MutableColumn(SwitchId(2));
+  toward_2[0] = *topo.topology.FindLink(SwitchId(0), SwitchId(3));
+  toward_2[3] = *topo.topology.FindLink(SwitchId(3), SwitchId(0));
   EXPECT_THROW(ValidateNextHopTable(topo.topology, looped),
                InvalidModelError);
 }

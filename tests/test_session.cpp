@@ -498,6 +498,50 @@ TEST(SessionServiceTest, EveryEpochIsServableAndNeverStale) {
   EXPECT_NE(old_reply.key, warm.key);
 }
 
+TEST(SessionServiceTest, TiedFlowsPublishInCanonicalOrderEveryEpoch) {
+  // Twins tied on (src, dst, bandwidth) sort by route, and a burst that
+  // re-routes one twin can flip them. Each publish re-sorts only the
+  // runs of tied flows taken at the open; paranoid validation holds its
+  // text to CanonicalizeDesign's and closes the session on a mismatch.
+  std::size_t bursts = 0;
+  std::size_t affected = 0;
+  for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
+    Stack stack;
+    SessionRequest open_request = OpenText(
+        testing::WithTiedTwins(testing::MakeRandomDesign(seed, 10, 14, 30)));
+    open_request.options.paranoid_validation = true;
+    const SessionResponse open = stack.sessions.Handle(open_request);
+    ASSERT_EQ(open.status, ServeStatus::kOk) << open.error.message;
+    const NocDesign epoch0 = Reparse(open.design_text);
+
+    fault::FaultPlanOptions plan_options;
+    plan_options.bursts = 4;
+    plan_options.disconnect_tolerance = 0.0;
+    const fault::FaultPlan plan =
+        fault::DrawFaultPlan(epoch0, seed, plan_options);
+    std::uint64_t epoch = 0;
+    for (const fault::FaultBurst& burst : plan.bursts) {
+      std::vector<SessionEventSpec> events;
+      std::size_t dropped = 0;
+      valid::NameBurst(epoch0, burst, events, dropped);
+      ASSERT_EQ(dropped, 0u);
+      if (events.empty()) {
+        continue;
+      }
+      const SessionResponse reply =
+          stack.sessions.Handle(BurstOn(open.session_id, events, epoch));
+      ASSERT_EQ(reply.status, ServeStatus::kOk)
+          << "seed " << seed << ": " << reply.error.message;
+      ASSERT_TRUE(reply.feasible) << "seed " << seed;
+      epoch = reply.epoch;
+      affected += reply.affected_flows;
+      ++bursts;
+    }
+  }
+  EXPECT_GE(bursts, 10u);
+  EXPECT_GT(affected, 0u);
+}
+
 TEST(SessionServiceTest, PublishesEveryEpochWhateverAdmissionSays) {
   // A token bucket that admits the open's one computation and never
   // refills: nothing after the open can compute.
