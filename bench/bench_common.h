@@ -65,18 +65,29 @@ double BestOfMs(double cap_ms, Run&& run) {
 /// as {best of \p run_a, best of \p run_b}. Each run is as above. The
 /// two alternate in one loop (a, b, a, b, ...) until both are settled,
 /// so a slow stretch of the host lands on both sides instead of on
-/// whichever ran then; they stop early once either side's runs total
-/// more than \p cap_ms.
+/// whichever ran then. A side whose runs total more than \p cap_ms
+/// stops running; the other keeps running until it is settled too (or
+/// passes the cap itself), so the cheap side of a large speedup is not
+/// cut to the one or two runs the expensive side fits under the cap.
 template <typename RunA, typename RunB>
 std::pair<double, double> BestOfMs(double cap_ms, RunA&& run_a,
                                    RunB&& run_b) {
   RegionSamples a;
   RegionSamples b;
+  const auto open = [cap_ms](const RegionSamples& r) {
+    return r.total_ms <= cap_ms;
+  };
+  const auto unsettled = [&open](const RegionSamples& r) {
+    return open(r) && !r.Settled();
+  };
   do {
-    a.Add(run_a());
-    b.Add(run_b());
-  } while (!(a.Settled() && b.Settled()) && a.total_ms <= cap_ms &&
-           b.total_ms <= cap_ms);
+    if (open(a)) {
+      a.Add(run_a());
+    }
+    if (open(b)) {
+      b.Add(run_b());
+    }
+  } while (unsettled(a) || unsettled(b));
   return {a.best_ms, b.best_ms};
 }
 

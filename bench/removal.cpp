@@ -15,13 +15,18 @@
 //     whether the untreated design is cyclic, the VCs of removal and of
 //     resource ordering, up*/down*'s hop inflation, and steady-state
 //     throughput and latency of the removal-treated design.
+//   * Generation at scale: GenerateStandardDesign under uniform traffic
+//     for mesh and torus up to 100x100, a 1024-switch ring and a 4x6 fat
+//     tree: the design's size, its route hops and the next-hop columns
+//     it stored (none: a family routes by its rule), timed once.
 //
 // Every deterministic number printed is a field of a row of
 // BENCH_removal.json. Takes no flags. Exits 1 when an invariant breaks:
 // the engines disagree, a treated design keeps a cyclic CDG, a torus or
 // ring point under uniform traffic needs no VC, an untreated mesh or
 // fat-tree point is cyclic, a treated design deadlocks in simulation, a
-// sweep job throws, or the sweep digests differ. No timing sets it.
+// sweep job throws, the sweep digests differ, or a generated design
+// stored a next-hop column. No timing sets it.
 #include <chrono>
 #include <iostream>
 #include <string>
@@ -406,6 +411,54 @@ void FamilyGrid(Ledger& ledger) {
   }
 }
 
+/// Generation at scale, uniform traffic, seed 1: each design's size and
+/// route hops, the next-hop columns its table stored (a family routes by
+/// its rule, so none) and one timed run.
+void GenerateAtScale(Ledger& ledger) {
+  std::cout << "\n=== generation at scale ===\n\n";
+  Table table(ledger, "generate",
+              {"design", "switches", "links", "flows", "route hops",
+               "stored columns", "generate (ms)"});
+  std::vector<gen::GeneratorSpec> specs;
+  for (const gen::TopologyFamily family :
+       {gen::TopologyFamily::kMesh2D, gen::TopologyFamily::kTorus2D}) {
+    for (const std::size_t side : {32u, 64u, 100u}) {
+      gen::GeneratorSpec& spec = specs.emplace_back();
+      spec.family = family;
+      spec.width = spec.height = side;
+    }
+  }
+  gen::GeneratorSpec& ring = specs.emplace_back();
+  ring.family = gen::TopologyFamily::kRing;
+  ring.ring_nodes = 1024;
+  gen::GeneratorSpec& tree = specs.emplace_back();
+  tree.family = gen::TopologyFamily::kFatTree;
+  tree.tree_arity = 4;
+  tree.tree_levels = 6;
+  for (const gen::GeneratorSpec& spec : specs) {
+    NextHopTable next_hops;
+    const auto t0 = std::chrono::steady_clock::now();
+    const NocDesign design = gen::GenerateStandardDesign(spec, &next_hops);
+    const double ms = MillisSince(t0);
+    std::size_t hops = 0;
+    for (std::size_t f = 0; f < design.traffic.FlowCount(); ++f) {
+      hops += design.routes.RouteOf(FlowId(f)).size();
+    }
+    const std::size_t stored = next_hops.StoredColumns();
+    ledger.Expect(stored == 0, design.name,
+                  "generation stored " + std::to_string(stored) +
+                      " next-hop columns");
+    table.Add(design.name,
+              {Cell("", design.name),
+               Cell("switches", design.topology.SwitchCount()),
+               Cell("links", design.topology.LinkCount()),
+               Cell("flows", design.traffic.FlowCount()),
+               Cell("route_hops", hops), Cell("stored_columns", stored),
+               Cell("generate_ms", ms, 2)});
+  }
+  table.Print();
+}
+
 }  // namespace
 
 int main() {
@@ -413,5 +466,6 @@ int main() {
   const std::vector<Rung> ladder = MakeLadder();
   SweepDeterminism(ledger, ladder, EngineLadder(ledger, ladder));
   FamilyGrid(ledger);
+  GenerateAtScale(ledger);
   return ledger.Finish();
 }

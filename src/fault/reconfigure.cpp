@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <optional>
-#include <span>
 #include <unordered_map>
 
 #include "obs/trace.h"
@@ -90,9 +89,7 @@ bool ReconfigureCore(NocDesign& design, ChannelDependencyGraph* cdg,
       refresh = table.Refresh(design.topology, read);
       if (eager.has_value()) {
         for (const SwitchId d : read) {
-          const std::span<const LinkId> lazy = table.Column(d);
-          const std::span<const LinkId> reference = eager->Column(d);
-          Require(std::equal(lazy.begin(), lazy.end(), reference.begin()),
+          Require(table.Column(d) == eager->Column(d),
                   "ApplyFaultBurst: lazily patched column ", d.value(),
                   " differs from the eagerly patched table");
         }

@@ -16,8 +16,9 @@
 //      rip-up-and-reroute Dijkstra otherwise. The burst is one patch
 //      round in the table's journal (NextHopTable::JournalRound), and
 //      only the columns of the affected flows' destination switches
-//      replay their pending rounds: a detour walk reads only its
-//      destination's column. Every other column stays pending until a
+//      replay their pending rounds, each stored from the family's rule
+//      on its first read: a detour walk reads only its destination's
+//      column. Every other column stays pending, and unstored, until a
 //      later burst reads it. The rebuild reference patches every column
 //      in every burst (PatchNextHopTable's schedule); the columns the
 //      walks read are bit-identical either way;

@@ -1,7 +1,6 @@
 #include "gen/generators.h"
 
 #include <algorithm>
-#include <span>
 #include <unordered_set>
 #include <utility>
 
@@ -12,25 +11,29 @@ namespace nocdr::gen {
 
 namespace {
 
-/// Adds the links \p a -> \p b and \p b -> \p a, in that order.
-void AddLinkPair(TopologyGraph& topology, std::size_t a, std::size_t b) {
-  topology.AddLink(SwitchId(a), SwitchId(b));
-  topology.AddLink(SwitchId(b), SwitchId(a));
-}
-
-/// The link \p src -> \p dst of a grid or ring, which has no parallel
-/// links.
-LinkId LinkBetween(const TopologyGraph& topology, std::size_t src,
-                   std::size_t dst) {
-  const auto l = topology.FindLink(SwitchId(src), SwitchId(dst));
-  Require(l.has_value(), "generator: missing link ", src, "->", dst);
-  return *l;
+/// Adds the links \p a -> \p b and \p b -> \p a, in that order, and
+/// records them as \p a's port \p a_port and \p b's port \p b_port.
+void AddLinkPair(TopologyGraph& topology, NextHopRule& rule, std::size_t a,
+                 std::size_t b, std::size_t a_port, std::size_t b_port) {
+  const std::size_t ports = rule.PortsPerSwitch();
+  rule.ports[a * ports + a_port] = topology.AddLink(SwitchId(a), SwitchId(b));
+  rule.ports[b * ports + b_port] = topology.AddLink(SwitchId(b), SwitchId(a));
 }
 
 // ------------------------------------------------------------- mesh/torus
 
 std::size_t GridIndex(std::size_t x, std::size_t y, std::size_t width) {
   return y * width + x;
+}
+
+/// The attachment points of a grid or ring: every switch.
+std::vector<SwitchId> EverySwitch(std::size_t n) {
+  std::vector<SwitchId> switches;
+  switches.reserve(n);
+  for (std::size_t s = 0; s < n; ++s) {
+    switches.emplace_back(s);
+  }
+  return switches;
 }
 
 GeneratedTopology BuildGrid(const GeneratorSpec& spec, bool wrap) {
@@ -51,62 +54,30 @@ GeneratedTopology BuildGrid(const GeneratorSpec& spec, bool wrap) {
                              std::to_string(y));
     }
   }
+  // Dimension-ordered XY: correct x fully, then y. On the torus each
+  // dimension goes the shorter way around (ties break toward +).
+  NextHopRule rule;
+  rule.kind = NextHopRule::Kind::kGrid;
+  rule.width = w;
+  rule.height = h;
+  rule.wrap = wrap;
+  rule.ports.resize(w * h * rule.PortsPerSwitch());
   // One bidirectional pair per grid edge; the torus adds the wrap edges.
   for (std::size_t y = 0; y < h; ++y) {
     for (std::size_t x = 0; x < w; ++x) {
       const std::size_t s = GridIndex(x, y, w);
       if (x + 1 < w || wrap) {
-        AddLinkPair(out.topology, s, GridIndex((x + 1) % w, y, w));
+        AddLinkPair(out.topology, rule, s, GridIndex((x + 1) % w, y, w),
+                    NextHopRule::kPlusX, NextHopRule::kMinusX);
       }
       if (y + 1 < h || wrap) {
-        AddLinkPair(out.topology, s, GridIndex(x, (y + 1) % h, w));
+        AddLinkPair(out.topology, rule, s, GridIndex(x, (y + 1) % h, w),
+                    NextHopRule::kPlusY, NextHopRule::kMinusY);
       }
     }
   }
-
-  // Dimension-ordered XY: correct x fully, then y. On the torus each
-  // dimension goes the shorter way around (ties break toward +).
-  const std::size_t n = w * h;
-  out.table = NextHopTable(n);
-  for (std::size_t d = 0; d < n; ++d) {
-    const std::size_t dx = d % w;
-    const std::size_t dy = d / w;
-    const std::span<LinkId> column = out.table.MutableColumn(SwitchId(d));
-    for (std::size_t s = 0; s < n; ++s) {
-      if (s == d) {
-        continue;
-      }
-      const std::size_t sx = s % w;
-      const std::size_t sy = s / w;
-      std::size_t next;
-      if (sx != dx) {
-        bool positive;
-        if (wrap) {
-          const std::size_t forward = (dx + w - sx) % w;
-          positive = forward <= w - forward;
-        } else {
-          positive = dx > sx;
-        }
-        const std::size_t nx = positive ? (sx + 1) % w : (sx + w - 1) % w;
-        next = GridIndex(nx, sy, w);
-      } else {
-        bool positive;
-        if (wrap) {
-          const std::size_t forward = (dy + h - sy) % h;
-          positive = forward <= h - forward;
-        } else {
-          positive = dy > sy;
-        }
-        const std::size_t ny = positive ? (sy + 1) % h : (sy + h - 1) % h;
-        next = GridIndex(sx, ny, w);
-      }
-      column[s] = LinkBetween(out.topology, s, next);
-    }
-  }
-  out.core_switches.reserve(n);
-  for (std::size_t s = 0; s < n; ++s) {
-    out.core_switches.push_back(SwitchId(s));
-  }
+  out.table = NextHopTable(std::move(rule));
+  out.core_switches = EverySwitch(w * h);
   return out;
 }
 
@@ -119,29 +90,21 @@ GeneratedTopology BuildRing(const GeneratorSpec& spec) {
   for (std::size_t i = 0; i < n; ++i) {
     out.topology.AddSwitch("r" + std::to_string(i));
   }
+  // A wrapped n x 1 grid: shortest way around, ties (the opposite node
+  // on an even ring) break clockwise. Flows that chain clockwise
+  // segments all the way around are what makes the CDG cyclic.
+  NextHopRule rule;
+  rule.kind = NextHopRule::Kind::kGrid;
+  rule.width = n;
+  rule.height = 1;
+  rule.wrap = true;
+  rule.ports.resize(n * rule.PortsPerSwitch());
   for (std::size_t i = 0; i < n; ++i) {
-    AddLinkPair(out.topology, i, (i + 1) % n);
+    AddLinkPair(out.topology, rule, i, (i + 1) % n, NextHopRule::kPlusX,
+                NextHopRule::kMinusX);
   }
-  // Shortest way around; ties (opposite node on an even ring) break
-  // clockwise. Flows that chain clockwise segments all the way around
-  // are what makes the CDG cyclic.
-  out.table = NextHopTable(n);
-  for (std::size_t d = 0; d < n; ++d) {
-    const std::span<LinkId> column = out.table.MutableColumn(SwitchId(d));
-    for (std::size_t s = 0; s < n; ++s) {
-      if (s == d) {
-        continue;
-      }
-      const std::size_t clockwise = (d + n - s) % n;
-      const std::size_t next =
-          clockwise <= n - clockwise ? (s + 1) % n : (s + n - 1) % n;
-      column[s] = LinkBetween(out.topology, s, next);
-    }
-  }
-  out.core_switches.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    out.core_switches.push_back(SwitchId(i));
-  }
+  out.table = NextHopTable(std::move(rule));
+  out.core_switches = EverySwitch(n);
   return out;
 }
 
@@ -165,56 +128,34 @@ GeneratedTopology BuildFatTree(const GeneratorSpec& spec) {
   const std::size_t n = level_start[levels];
 
   GeneratedTopology out;
-  std::vector<std::size_t> level_of(n);
-  std::vector<std::size_t> parent(n, 0);
-  // Per child: its parallel links to (up) and from (down) its parent.
-  std::vector<std::vector<LinkId>> up(n);
-  std::vector<std::vector<LinkId>> down(n);
   for (std::size_t l = 0; l < levels; ++l) {
     for (std::size_t j = level_start[l]; j < level_start[l + 1]; ++j) {
-      level_of[j] = l;
       out.topology.AddSwitch("f" + std::to_string(l) + "_" +
                              std::to_string(j - level_start[l]));
     }
   }
-  for (std::size_t j = level_start[1]; j < n; ++j) {
-    const std::size_t l = level_of[j];
-    parent[j] = level_start[l - 1] + (j - level_start[l]) / k;
-    const SwitchId child(j);
-    const SwitchId above(parent[j]);
-    for (std::size_t p = 0; p < uplinks; ++p) {
-      up[j].push_back(out.topology.AddLink(child, above));
-      down[j].push_back(out.topology.AddLink(above, child));
-    }
-  }
-
   // Up to the lowest common ancestor, then down; the parallel link for a
   // hop is picked by destination modulo (d-mod-k spreading). Up*/down*
-  // discipline, so the CDG stays acyclic. Column d goes down from each
-  // of d's ancestors (ancestor[l] is the one at level l) and up from
-  // every other switch.
-  out.table = NextHopTable(n);
-  std::vector<std::size_t> ancestor(levels);
-  for (std::size_t d = 0; d < n; ++d) {
-    for (std::size_t node = d;; node = parent[node]) {
-      ancestor[level_of[node]] = node;
-      if (level_of[node] == 0) {
-        break;
-      }
-    }
-    const std::size_t par = d % uplinks;
-    const std::span<LinkId> column = out.table.MutableColumn(SwitchId(d));
-    for (std::size_t s = 0; s < n; ++s) {
-      if (s == d) {
-        continue;
-      }
-      if (level_of[d] > level_of[s] && ancestor[level_of[s]] == s) {
-        column[s] = down[ancestor[level_of[s] + 1]][par];
-      } else {
-        column[s] = up[s][par];
+  // discipline, so the CDG stays acyclic. Each child's ports are its
+  // parallel links up to its parent, then down from it.
+  NextHopRule rule;
+  rule.kind = NextHopRule::Kind::kFatTree;
+  rule.arity = k;
+  rule.levels = levels;
+  rule.uplinks = uplinks;
+  rule.ports.resize(n * rule.PortsPerSwitch());
+  for (std::size_t l = 1; l < levels; ++l) {
+    for (std::size_t j = level_start[l]; j < level_start[l + 1]; ++j) {
+      const SwitchId child(j);
+      const SwitchId above(level_start[l - 1] + (j - level_start[l]) / k);
+      LinkId* ports = rule.ports.data() + j * rule.PortsPerSwitch();
+      for (std::size_t p = 0; p < uplinks; ++p) {
+        ports[p] = out.topology.AddLink(child, above);
+        ports[uplinks + p] = out.topology.AddLink(above, child);
       }
     }
   }
+  out.table = NextHopTable(std::move(rule));
   out.core_switches.reserve(level_start[levels] - level_start[levels - 1]);
   for (std::size_t j = level_start[levels - 1]; j < n; ++j) {
     out.core_switches.push_back(SwitchId(j));
@@ -417,7 +358,6 @@ GeneratedTopology BuildFamilyTopology(const GeneratorSpec& spec) {
       out = BuildFatTree(spec);
       break;
   }
-  ValidateNextHopTable(out.topology, out.table);
   return out;
 }
 

@@ -116,11 +116,32 @@ struct GeneratorSpec {
   std::uint64_t seed = 1;
 };
 
-/// Topology plus the family's routing policy, before traffic: the
-/// next-hop table is complete for every switch pair and loop-free
-/// (ValidateNextHopTable holds), and core_switches lists the attachment
-/// points in deterministic order (all switches for mesh/torus/ring,
-/// leaves for the fat tree).
+/// Topology plus the family's routing policy, before traffic. The
+/// next-hop table is the family's rule (NextHopRule, synth/
+/// route_builder.h) with no column stored: O(S) ports instead of S x S
+/// entries (S = switch count). core_switches lists the attachment points
+/// in deterministic order (all switches for mesh/torus/ring, leaves for
+/// the fat tree).
+///
+/// Why every rule is complete and loop-free, so that every (s, d) walk
+/// reaches d in at most S hops (ValidateNextHopTable would hold; the
+/// tests hold each rule to the explicit table as an oracle):
+///
+///   * mesh, torus, ring — an XY hop changes one coordinate by one. While
+///     x differs it moves x one step toward dx (on a wrapped dimension
+///     the shorter way, so the wrapped distance |dx - x| shrinks by one
+///     and the direction never flips); y is untouched. Once x matches,
+///     the same holds for y, and x stays put. The remaining distance in
+///     the active dimension falls by one every hop, so the walk arrives
+///     after the Manhattan (wrapped) distance, never revisiting a switch.
+///     Every port a hop uses exists: a mesh hop never leaves the grid,
+///     and a ring (a wrapped n x 1 grid) never moves in y.
+///   * fat tree — from a switch that is not an ancestor of d the hop goes
+///     up, one level nearer the root; from an ancestor of d it goes down
+///     to the child on d's side, one level nearer d. Up hops end at the
+///     lowest common ancestor (the root at worst, an ancestor of every
+///     switch), then down hops follow d's ancestor chain to d: at most
+///     2 x (levels - 1) hops, levels strictly monotone within each phase.
 struct GeneratedTopology {
   TopologyGraph topology;
   NextHopTable table;
@@ -128,7 +149,7 @@ struct GeneratedTopology {
 };
 
 /// Builds the selected family's switch graph and classical routing
-/// table. Deterministic in the spec; throws InvalidModelError on
+/// rule, in O(S). Deterministic in the spec; throws InvalidModelError on
 /// out-of-range parameters.
 GeneratedTopology BuildFamilyTopology(const GeneratorSpec& spec);
 
@@ -138,11 +159,13 @@ std::string FamilyShapeName(const GeneratorSpec& spec);
 
 /// The complete generated design: BuildFamilyTopology, cores round-robin
 /// over the attachment points, the traffic pattern's flow set, and
-/// routes expanded from the next-hop table via BuildTableRoutes. The
-/// result satisfies Validate() and is named
+/// routes expanded from the rule via BuildTableRoutes, each hop checked
+/// as it is walked. The result satisfies Validate() (contiguous routes,
+/// no repeated channel, the right endpoints) and is named
 /// "<shape>_<pattern>[_c<cores_per_switch>]". When \p table_out is
-/// non-null it receives the family's next-hop table — the fault
-/// pipeline's table-driven detour policy needs it (fault/reconfigure).
+/// non-null it receives the family's next-hop table, with no column
+/// stored — the fault pipeline's table-driven detour policy needs it
+/// (fault/reconfigure). Nothing S x S is allocated.
 NocDesign GenerateStandardDesign(const GeneratorSpec& spec,
                                  NextHopTable* table_out = nullptr);
 

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <limits>
 #include <queue>
+#include <utility>
 
 #include "util/error.h"
 
@@ -139,6 +140,39 @@ void RequireSized(const NextHopTable& table, std::size_t n, const char* who) {
 void RequireColumnIndex(SwitchId d, std::size_t n) {
   Require(d.valid() && d.value() < n, "NextHopTable: column ", d.value(),
           " out of range for ", n, " switches");
+}
+
+/// Where fat-tree switch \p s sits, for \p arity children per switch:
+/// its level (0 = root), the first switch and the width of that level,
+/// and its index within the level.
+struct TreePlace {
+  std::size_t level = 0;
+  std::size_t start = 0;
+  std::size_t width = 1;
+  std::size_t index = 0;
+};
+
+TreePlace PlaceInTree(std::size_t s, std::size_t arity) {
+  TreePlace place;
+  while (s >= place.start + place.width) {
+    place.start += place.width;
+    place.width *= arity;
+    ++place.level;
+  }
+  place.index = s - place.start;
+  return place;
+}
+
+/// True when a grid hop from coordinate \p from toward \p to goes the +
+/// way: toward it on a mesh, the shorter way around on a wrapped
+/// dimension of \p extent (ties toward +).
+bool PositiveHop(std::size_t from, std::size_t to, std::size_t extent,
+                 bool wrap) {
+  if (!wrap) {
+    return to > from;
+  }
+  const std::size_t forward = to >= from ? to - from : to + extent - from;
+  return forward <= extent - forward;
 }
 
 /// Journal stamp of an element that has not failed.
@@ -308,27 +342,153 @@ RouteSet BuildRoutes(const TopologyGraph& topology,
   return routes;
 }
 
-NextHopTable::NextHopTable(std::size_t switch_count)
-    : n_(switch_count),
-      next_hops_(switch_count * switch_count),
-      column_rounds_(switch_count, 0) {}
+std::size_t NextHopRule::SwitchCount() const {
+  switch (kind) {
+    case Kind::kNone:
+      return 0;
+    case Kind::kGrid:
+      return width * height;
+    case Kind::kFatTree: {
+      std::size_t count = 0;
+      std::size_t per_level = 1;
+      for (std::size_t l = 0; l < levels; ++l) {
+        count += per_level;
+        per_level *= arity;
+      }
+      return count;
+    }
+  }
+  return 0;
+}
 
-std::span<const LinkId> NextHopTable::Column(SwitchId d) const {
+std::size_t NextHopRule::PortsPerSwitch() const {
+  switch (kind) {
+    case Kind::kNone:
+      return 0;
+    case Kind::kGrid:
+      return 4;
+    case Kind::kFatTree:
+      return 2 * uplinks;
+  }
+  return 0;
+}
+
+LinkId NextHopRule::NextHop(std::size_t s, std::size_t d) const {
+  if (s == d) {
+    return LinkId();
+  }
+  switch (kind) {
+    case Kind::kNone:
+      return LinkId();
+    case Kind::kGrid: {
+      // Correct x fully, then y.
+      const std::size_t sx = s % width;
+      const std::size_t dx = d % width;
+      if (sx != dx) {
+        return ports[s * 4 +
+                     (PositiveHop(sx, dx, width, wrap) ? kPlusX : kMinusX)];
+      }
+      return ports[s * 4 + (PositiveHop(s / width, d / width, height, wrap)
+                                ? kPlusY
+                                : kMinusY)];
+    }
+    case Kind::kFatTree: {
+      // Down from each of d's ancestors toward the child on d's side, up
+      // from every other switch.
+      const TreePlace from = PlaceInTree(s, arity);
+      const TreePlace to = PlaceInTree(d, arity);
+      const std::size_t parallel = d % uplinks;
+      if (to.level > from.level) {
+        std::size_t below = to.index;  // d's ancestor one level below s
+        for (std::size_t l = to.level; l > from.level + 1; --l) {
+          below /= arity;
+        }
+        if (below / arity == from.index) {
+          const std::size_t child = from.start + from.width + below;
+          return ports[child * 2 * uplinks + uplinks + parallel];
+        }
+      }
+      return ports[s * 2 * uplinks + parallel];
+    }
+  }
+  return LinkId();
+}
+
+void NextHopRule::FillColumn(std::size_t d, std::span<LinkId> column) const {
+  for (std::size_t s = 0; s < column.size(); ++s) {
+    column[s] = NextHop(s, d);
+  }
+}
+
+std::span<const LinkId> NextHopColumn::Entries(
+    std::vector<LinkId>& scratch) const {
+  if (stored_ != nullptr) {
+    return {stored_, n_};
+  }
+  scratch.resize(n_);
+  rule_->FillColumn(d_, scratch);
+  return scratch;
+}
+
+bool NextHopColumn::operator==(const NextHopColumn& other) const {
+  if (n_ != other.n_) {
+    return false;
+  }
+  for (std::size_t s = 0; s < n_; ++s) {
+    if ((*this)[s] != other[s]) {
+      return false;
+    }
+  }
+  return true;
+}
+
+NextHopTable::NextHopTable(std::size_t switch_count)
+    : n_(switch_count), columns_(switch_count) {}
+
+NextHopTable::NextHopTable(NextHopRule rule)
+    : n_(rule.SwitchCount()), rule_(std::move(rule)), columns_(n_) {
+  Require(rule_.ports.size() == n_ * rule_.PortsPerSwitch(),
+          "NextHopTable: the rule has ", rule_.ports.size(), " ports for ",
+          n_, " switches");
+}
+
+NextHopColumn NextHopTable::Column(SwitchId d) const {
   RequireColumnIndex(d, n_);
-  Require(column_rounds_[d.value()] == rounds_, "NextHopTable: column ",
-          d.value(), " read with patch rounds pending (",
-          column_rounds_[d.value()], " of ", rounds_, " applied)");
-  return {next_hops_.data() + std::size_t{d.value()} * n_, n_};
+  const ColumnState& column = columns_[d.value()];
+  Require(column.rounds == rounds_, "NextHopTable: column ", d.value(),
+          " read with patch rounds pending (", column.rounds, " of ", rounds_,
+          " applied)");
+  NextHopColumn view;
+  view.stored_ = column.entries.empty() ? nullptr : column.entries.data();
+  view.rule_ = &rule_;
+  view.d_ = d.value();
+  view.n_ = n_;
+  return view;
+}
+
+std::span<LinkId> NextHopTable::Store(std::size_t d) {
+  std::vector<LinkId>& entries = columns_[d].entries;
+  if (entries.empty()) {
+    entries.resize(n_);
+    rule_.FillColumn(d, entries);
+  }
+  return entries;
 }
 
 std::span<LinkId> NextHopTable::MutableColumn(SwitchId d) {
   (void)Column(d);  // the range and pending-round checks
-  return {next_hops_.data() + std::size_t{d.value()} * n_, n_};
+  return Store(d.value());
+}
+
+std::size_t NextHopTable::StoredColumns() const {
+  return static_cast<std::size_t>(
+      std::count_if(columns_.begin(), columns_.end(),
+                    [](const ColumnState& c) { return !c.entries.empty(); }));
 }
 
 std::size_t NextHopTable::PendingRounds(SwitchId d) const {
   RequireColumnIndex(d, n_);
-  return rounds_ - column_rounds_[d.value()];
+  return rounds_ - columns_[d.value()].rounds;
 }
 
 void NextHopTable::JournalRound(const TopologyGraph& topology,
@@ -389,19 +549,17 @@ TableRefresh NextHopTable::Refresh(const TopologyGraph& topology,
   PatchScratch scratch;
   for (const SwitchId d : columns) {
     RequireColumnIndex(d, n_);
-    std::uint32_t& applied = column_rounds_[d.value()];
-    if (applied == rounds_) {
+    ColumnState& state = columns_[d.value()];
+    if (state.rounds == rounds_) {
       continue;
     }
     ++refresh.columns;
-    refresh.column_rounds += rounds_ - applied;
-    const std::span<LinkId> column(
-        next_hops_.data() + std::size_t{d.value()} * n_, n_);
-    for (; applied < rounds_; ++applied) {
-      refresh.disconnected +=
-          PatchColumn(topology, column, d.value(),
-                      RoundMasks{link_down_, switch_failed_, applied + 1},
-                      scratch);
+    refresh.column_rounds += rounds_ - state.rounds;
+    const std::span<LinkId> column = Store(d.value());
+    for (; state.rounds < rounds_; ++state.rounds) {
+      refresh.disconnected += PatchColumn(
+          topology, column, d.value(),
+          RoundMasks{link_down_, switch_failed_, state.rounds + 1}, scratch);
     }
   }
   return refresh;
@@ -422,9 +580,8 @@ bool NextHopTable::operator==(const NextHopTable& other) const {
   }
   bool equal = true;
   for (std::size_t d = 0; d < n_; ++d) {
-    const std::span<const LinkId> mine = Column(SwitchId(d));
-    const std::span<const LinkId> theirs = other.Column(SwitchId(d));
-    equal = equal && std::equal(mine.begin(), mine.end(), theirs.begin());
+    // Both columns are read (and checked) before the comparison.
+    equal = (Column(SwitchId(d)) == other.Column(SwitchId(d))) && equal;
   }
   return equal;
 }
@@ -437,8 +594,10 @@ void ValidateNextHopTable(const TopologyGraph& topology,
   // (the entries a walk follows are checked before it follows them).
   std::vector<std::uint8_t> status;
   std::vector<std::uint32_t> chain;
+  std::vector<LinkId> scratch;
   for (std::size_t d = 0; d < n; ++d) {
-    const std::span<const LinkId> column = table.Column(SwitchId(d));
+    const std::span<const LinkId> column =
+        table.Column(SwitchId(d)).Entries(scratch);
     for (std::size_t s = 0; s < n; ++s) {
       const LinkId l = column[s];
       if (!l.valid()) {
@@ -465,7 +624,7 @@ std::optional<Route> WalkTableRoute(const TopologyGraph& topology,
           "WalkTableRoute: invalid endpoint switch");
   const std::size_t n = topology.SwitchCount();
   RequireSized(table, n, "WalkTableRoute");
-  const std::span<const LinkId> column = table.Column(dst);
+  const NextHopColumn column = table.Column(dst);
   Route route;
   SwitchId cur = src;
   while (cur != dst) {

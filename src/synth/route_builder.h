@@ -38,6 +38,56 @@ RouteSet BuildRoutes(const TopologyGraph& topology,
                      const std::vector<SwitchId>& attachment,
                      const RouteBuildOptions& options = {});
 
+/// A generated family's routing rule, as a plain value: entry (s, d) of
+/// its next-hop table is a pure function of (s, d), computed from the
+/// family's shape and each switch's port links (NextHop). No callback
+/// and no pointer, so a copy of a rule-backed table is a plain copy.
+///
+/// kGrid: a width x height grid, switch s at (s % width, s / width),
+/// routed dimension-ordered XY: x is corrected fully, then y. With wrap
+/// (the torus; a ring is a wrapped width x 1 grid) each dimension goes
+/// the shorter way around, ties toward +. Ports per switch: the links to
+/// its +x, -x, +y and -y neighbours, in that order (invalid where a mesh
+/// edge or a ring's missing y dimension has none).
+///
+/// kFatTree: `arity` children per switch, `levels` levels from the root,
+/// switches numbered level by level. Up to the lowest common ancestor,
+/// then down, the parallel link of each hop picked by destination
+/// modulo `uplinks` (d-mod-k). Ports per switch: its `uplinks` links up
+/// to its parent, then its `uplinks` links down from it (invalid on the
+/// root).
+///
+/// kNone: no entry at all, the all-holes content of an explicit table.
+struct NextHopRule {
+  enum class Kind : std::uint8_t { kNone, kGrid, kFatTree };
+  /// Grid port slots.
+  static constexpr std::size_t kPlusX = 0;
+  static constexpr std::size_t kMinusX = 1;
+  static constexpr std::size_t kPlusY = 2;
+  static constexpr std::size_t kMinusY = 3;
+
+  Kind kind = Kind::kNone;
+  std::size_t width = 0;
+  std::size_t height = 0;
+  bool wrap = false;
+  std::size_t arity = 0;
+  std::size_t levels = 0;
+  std::size_t uplinks = 0;
+  /// PortsPerSwitch() links per switch, switch by switch.
+  std::vector<LinkId> ports;
+
+  /// The switches the rule routes (0 for kNone).
+  [[nodiscard]] std::size_t SwitchCount() const;
+  [[nodiscard]] std::size_t PortsPerSwitch() const;
+  /// The link switch \p s forwards on toward \p d: invalid when s == d,
+  /// and for any (s, d) under kNone. Otherwise both must be below
+  /// SwitchCount().
+  [[nodiscard]] LinkId NextHop(std::size_t s, std::size_t d) const;
+  /// Writes NextHop(s, d) into \p column[s] for every s (SwitchCount()
+  /// entries; kNone fills holes at the size of \p column).
+  void FillColumn(std::size_t d, std::span<LinkId> column) const;
+};
+
 /// What NextHopTable::Refresh replayed.
 struct TableRefresh {
   /// Columns that replayed at least one pending round.
@@ -49,6 +99,30 @@ struct TableRefresh {
   std::size_t disconnected = 0;
 };
 
+/// One column of a NextHopTable, read entry by entry: the stored
+/// entries, or the rule's answers for a column the table does not
+/// store. A view: valid while its table is not written or destroyed.
+class NextHopColumn {
+ public:
+  /// Entry s: the link switch s forwards on toward this column's switch.
+  [[nodiscard]] LinkId operator[](std::size_t s) const {
+    return stored_ != nullptr ? stored_[s] : rule_->NextHop(s, d_);
+  }
+  /// The whole column: the stored entries, or the rule's column written
+  /// into \p scratch.
+  [[nodiscard]] std::span<const LinkId> Entries(
+      std::vector<LinkId>& scratch) const;
+  /// Equal sizes and entries.
+  bool operator==(const NextHopColumn& other) const;
+
+ private:
+  friend class NextHopTable;
+  const LinkId* stored_ = nullptr;
+  const NextHopRule* rule_ = nullptr;
+  std::size_t d_ = 0;
+  std::size_t n_ = 0;
+};
+
 /// Deterministic distributed routing table: entry (s, d) is the outgoing
 /// link switch s forwards on toward destination switch d (invalid LinkId
 /// on the diagonal and for unreachable pairs). This is the form
@@ -57,9 +131,15 @@ struct TableRefresh {
 /// function of (current switch, destination), unlike the per-flow
 /// congestion-aware paths of BuildRoutes.
 ///
-/// Layout: by column. Column d holds the entries toward d, and the table
-/// is one flat array indexed [d * n + s] (n = switch count), so a walk
-/// toward d, which reads only column d, reads one contiguous run.
+/// Rule and stored columns: a table's default content is its rule
+/// (NextHopRule; a generated family's routing policy, or all holes for
+/// an explicit table), so a generated table costs O(S), not S x S
+/// (S = switch count). A column d — the entries toward d — is stored,
+/// as one contiguous run of S entries, only once something writes it:
+/// Refresh stores it from the rule before replaying its pending rounds,
+/// MutableColumn before handing it out. An entry of an unstored column
+/// is the rule's answer. No const method stores anything, so threads
+/// may read one table concurrently.
 ///
 /// Patch journal: fault repair (PatchNextHopTable, fault/reconfigure.h)
 /// works in rounds, one per patch call. JournalRound records a round's
@@ -70,18 +150,24 @@ struct TableRefresh {
 /// and end bit-identical to a column patched in every round, as long as
 /// the topology's links do not change in between (removal adds VCs,
 /// never links). Each column counts the rounds applied to it; the rest
-/// are pending.
+/// are pending. A column's first refresh stores it from the rule, then
+/// replays every pending round in full.
 ///
 /// Stale reads are loud: Column and MutableColumn throw
-/// InvalidModelError on a column with pending rounds, so WalkTableRoute,
-/// ValidateNextHopTable and equality never see an unpatched column. The
-/// check runs once per column access, not once per entry.
+/// InvalidModelError on a column with pending rounds, stored or not, so
+/// WalkTableRoute, ValidateNextHopTable and equality never see an
+/// unpatched column. The check runs once per column access, not once
+/// per entry.
 class NextHopTable {
  public:
   /// The empty table (no switches): a design that is not table-routed.
   NextHopTable() = default;
-  /// \p switch_count x \p switch_count holes, nothing journaled.
+  /// An explicit table: \p switch_count x \p switch_count holes,
+  /// nothing stored, nothing journaled.
   explicit NextHopTable(std::size_t switch_count);
+  /// A table whose content is \p rule, for rule.SwitchCount() switches.
+  /// Throws InvalidModelError when the rule's port count does not match.
+  explicit NextHopTable(NextHopRule rule);
 
   [[nodiscard]] bool empty() const { return n_ == 0; }
   void clear() { *this = NextHopTable(); }
@@ -90,9 +176,12 @@ class NextHopTable {
   /// Column \p d: entry s is the link s forwards on toward d. Throws
   /// InvalidModelError when d is out of range or column d has pending
   /// rounds.
-  [[nodiscard]] std::span<const LinkId> Column(SwitchId d) const;
-  /// Column \p d for writing (table builders); throws like Column.
+  [[nodiscard]] NextHopColumn Column(SwitchId d) const;
+  /// Column \p d for writing (table builders): stores it from the rule
+  /// if it is not stored yet; throws like Column.
   [[nodiscard]] std::span<LinkId> MutableColumn(SwitchId d);
+  /// Columns stored so far (0 on a table fresh from its rule).
+  [[nodiscard]] std::size_t StoredColumns() const;
 
   /// Records one patch round under the failure masks (indexed by LinkId /
   /// SwitchId; an empty mask means nothing failed) and leaves every
@@ -109,26 +198,35 @@ class NextHopTable {
   [[nodiscard]] std::size_t PendingRounds(SwitchId d) const;
 
   /// Replays the pending rounds of each column in \p columns (repeats
-  /// allowed), in round order; afterwards those columns read as if every
-  /// round had patched them when it was journaled. Throws
-  /// InvalidModelError when the table is not sized for \p topology or a
-  /// column is out of range.
+  /// allowed), in round order, storing each from the rule first if it is
+  /// not stored; afterwards those columns read as if every round had
+  /// patched them when it was journaled. Throws InvalidModelError when
+  /// the table is not sized for \p topology or a column is out of range.
   TableRefresh Refresh(const TopologyGraph& topology,
                        std::span<const SwitchId> columns);
   /// Refresh on every column.
   TableRefresh Flush(const TopologyGraph& topology);
 
-  /// Equal switch counts and entries (journals aside). Reads every
-  /// column of both sides, so a pending round on either throws.
+  /// Equal switch counts and entries (journals aside; stored or from the
+  /// rule alike). Reads every column of both sides, so a pending round on
+  /// either throws.
   bool operator==(const NextHopTable& other) const;
 
  private:
+  /// One destination's column: its entries once stored (empty until
+  /// then) and the rounds applied.
+  struct ColumnState {
+    std::vector<LinkId> entries;
+    std::uint32_t rounds = 0;
+  };
+
+  /// Stores column \p d from the rule unless it is stored; returns it.
+  std::span<LinkId> Store(std::size_t d);
+
   std::size_t n_ = 0;
-  /// Entry (s, d) at [d * n_ + s].
-  std::vector<LinkId> next_hops_;
+  NextHopRule rule_;
+  std::vector<ColumnState> columns_;
   std::uint32_t rounds_ = 0;
-  /// Per column: rounds applied.
-  std::vector<std::uint32_t> column_rounds_;
   /// Per link: the round its own mask entry was first set. Per link
   /// again: the round it first became unusable (its own entry or an
   /// endpoint switch). Per switch: the round it first failed. Unfailed
@@ -145,13 +243,17 @@ class NextHopTable {
 /// complete and loop-free for every reachable pair). Column by column:
 /// the entries, then the walks in one memoized pass, the walk classifier
 /// the patch also uses, so every switch is followed once per
-/// destination. Throws InvalidModelError on a violation or a column with
-/// pending rounds.
+/// destination; an unstored column is read whole from the rule into a
+/// scratch buffer, and nothing is stored. Generation does not call it:
+/// a family's rule is loop-free by its argument (gen/generators.h), and
+/// this stays the check for explicit and patched tables. Throws
+/// InvalidModelError on a violation or a column with pending rounds.
 void ValidateNextHopTable(const TopologyGraph& topology,
                           const NextHopTable& table);
 
 /// Expands \p table into one static route per flow of \p traffic with
-/// WalkTableRoute from each flow's source switch, always on VC 0 (the
+/// WalkTableRoute from each flow's source switch, reading entry by entry
+/// and storing nothing, always on VC 0 (the
 /// implicit channel; extra VCs are the deadlock methods' job). Throws
 /// InvalidModelError when the table is sized for another switch count,
 /// has no entry for a hop some flow needs or a walk exceeds the switch
@@ -168,7 +270,9 @@ RouteSet BuildTableRoutes(const TopologyGraph& topology,
 // its endpoint switches has failed.
 
 /// Expands entry (src, dst) hop by hop into a VC-0 route, like
-/// BuildTableRoutes does for whole flows; it reads column \p dst only.
+/// BuildTableRoutes does for whole flows; it reads column \p dst only,
+/// entry by entry (the rule's answers where the column is not stored).
+/// Every hop is checked: the link leaves the current switch and has VC 0.
 /// Returns nullopt instead of throwing when the table has a hole on the
 /// walk or the walk exceeds the switch count — the caller (the fault
 /// detour policy) falls back to rip-up-and-reroute for exactly those

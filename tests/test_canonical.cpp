@@ -10,8 +10,11 @@
 #include <vector>
 
 #include "deadlock/removal.h"
+#include "gen/generators.h"
 #include "noc/io.h"
+#include "soc/synthetic.h"
 #include "synth/route_builder.h"
+#include "synth/synthesizer.h"
 #include "test_helpers.h"
 #include "util/error.h"
 
@@ -256,6 +259,46 @@ TEST(CanonicalTest, ChannelOrderIsTheParsedNumbering) {
     renumbered += identity ? 0 : 1;
   }
   EXPECT_EQ(renumbered, 4u);
+}
+
+TEST(CanonicalTest, TreatedDesignsKeepSwitchAndLinkIds) {
+  // A session pairs the generator's next-hop table, which names links by
+  // id, with the design parsed from its treated text, and resolves fault
+  // events by switch name. So through removal's VCs and the canonical
+  // render and parse, every switch keeps its id and name and every link
+  // its id and (src, dst); only channel and flow ids may move.
+  std::vector<NocDesign> designs;
+  for (const gen::TopologyFamily family : gen::AllFamilies()) {
+    gen::GeneratorSpec spec;
+    spec.family = family;
+    spec.uniform_fanout = 4;
+    designs.push_back(gen::GenerateStandardDesign(spec));
+  }
+  SyntheticSocSpec soc_spec;
+  soc_spec.cores = 36;
+  soc_spec.fanout = 4;
+  const SocBenchmark soc = MakeSyntheticSoc(soc_spec);
+  designs.push_back(SynthesizeDesign(soc.traffic, soc.name, 12));
+  std::size_t vcs_added = 0;
+  for (const NocDesign& generated : designs) {
+    NocDesign treated = generated;
+    vcs_added += RemoveDeadlocks(treated).vcs_added;
+    const TopologyGraph& before = generated.topology;
+    const TopologyGraph& after = CanonicalizeDesign(treated).design.topology;
+    ASSERT_EQ(after.SwitchCount(), before.SwitchCount()) << generated.name;
+    for (std::size_t s = 0; s < before.SwitchCount(); ++s) {
+      EXPECT_EQ(after.SwitchName(SwitchId(s)), before.SwitchName(SwitchId(s)))
+          << generated.name << " switch " << s;
+    }
+    ASSERT_EQ(after.LinkCount(), before.LinkCount()) << generated.name;
+    for (std::size_t l = 0; l < before.LinkCount(); ++l) {
+      EXPECT_EQ(after.LinkAt(LinkId(l)).src, before.LinkAt(LinkId(l)).src)
+          << generated.name << " link " << l;
+      EXPECT_EQ(after.LinkAt(LinkId(l)).dst, before.LinkAt(LinkId(l)).dst)
+          << generated.name << " link " << l;
+    }
+  }
+  EXPECT_GT(vcs_added, 0u);  // the canonical pass renumbered channels
 }
 
 TEST(CanonicalTest, DigestSeparatesDesignsAndOptions) {

@@ -1,5 +1,6 @@
 // Standard-topology generators: structural invariants per family,
-// routing-table completeness/minimality, deadlock character of the
+// routing-table completeness/minimality, each family's routing rule
+// against the pair-by-pair reference table, deadlock character of the
 // classical policies, and byte-identical determinism.
 #include <gtest/gtest.h>
 
@@ -10,6 +11,7 @@
 #include "deadlock/removal.h"
 #include "gen/generators.h"
 #include "noc/io.h"
+#include "test_helpers.h"
 #include "util/error.h"
 
 namespace nocdr {
@@ -308,6 +310,108 @@ TEST(GeneratorSpecTest, OutOfRangeParametersThrow) {
   spec = GeneratorSpec{};
   spec.min_bandwidth = 0.0;
   EXPECT_THROW(gen::GenerateStandardDesign(spec), InvalidModelError);
+}
+
+/// Every shape the rule oracle covers: mesh and torus at every width and
+/// height in 2..9 and 3..9, rings of 3..33 switches, fat trees of arity
+/// 2-4, 2-4 levels and 1-3 uplinks.
+std::vector<GeneratorSpec> OracleShapes() {
+  std::vector<GeneratorSpec> specs;
+  for (const TopologyFamily family :
+       {TopologyFamily::kMesh2D, TopologyFamily::kTorus2D}) {
+    const std::size_t low = family == TopologyFamily::kMesh2D ? 2 : 3;
+    for (std::size_t w = low; w <= 9; ++w) {
+      for (std::size_t h = low; h <= 9; ++h) {
+        GeneratorSpec spec;
+        spec.family = family;
+        spec.width = w;
+        spec.height = h;
+        specs.push_back(spec);
+      }
+    }
+  }
+  for (std::size_t n = 3; n <= 33; ++n) {
+    GeneratorSpec spec;
+    spec.family = TopologyFamily::kRing;
+    spec.ring_nodes = n;
+    specs.push_back(spec);
+  }
+  for (std::size_t arity = 2; arity <= 4; ++arity) {
+    for (std::size_t levels = 2; levels <= 4; ++levels) {
+      for (std::size_t uplinks = 1; uplinks <= 3; ++uplinks) {
+        GeneratorSpec spec;
+        spec.family = TopologyFamily::kFatTree;
+        spec.tree_arity = arity;
+        spec.tree_levels = levels;
+        spec.tree_uplinks = uplinks;
+        specs.push_back(spec);
+      }
+    }
+  }
+  return specs;
+}
+
+TEST(NextHopRuleTest, RuleMatchesTheReferenceTableOnEveryShape) {
+  // Each family routes by a rule instead of a filled table. The rule
+  // must equal the table filled pair by pair, pass the validator like
+  // it, and route every pattern's flows to the same bytes.
+  std::size_t designs = 0;
+  for (GeneratorSpec spec : OracleShapes()) {
+    const auto topo = gen::BuildFamilyTopology(spec);
+    const NextHopTable reference = testing::ReferenceTable(spec);
+    const std::string shape = gen::FamilyShapeName(spec);
+    EXPECT_EQ(topo.table.StoredColumns(), 0u) << shape;
+    ASSERT_EQ(reference.StoredColumns(), reference.SwitchCount()) << shape;
+    EXPECT_TRUE(topo.table == reference) << shape;
+    // Entry by entry above; whole columns, as a patch stores them, here.
+    NextHopTable stored = topo.table;
+    for (std::size_t d = 0; d < stored.SwitchCount(); ++d) {
+      (void)stored.MutableColumn(SwitchId(d));
+    }
+    EXPECT_EQ(stored.StoredColumns(), stored.SwitchCount()) << shape;
+    EXPECT_TRUE(stored == reference) << shape;
+    EXPECT_NO_THROW(ValidateNextHopTable(topo.topology, topo.table)) << shape;
+    EXPECT_NO_THROW(ValidateNextHopTable(topo.topology, reference)) << shape;
+    for (const TrafficPattern pattern : gen::AllPatterns()) {
+      for (const std::size_t cores : {1u, 2u}) {
+        spec.pattern = pattern;
+        spec.cores_per_switch = cores;
+        const NocDesign design = gen::GenerateStandardDesign(spec);
+        NocDesign rerouted = design;
+        rerouted.routes = BuildTableRoutes(rerouted.topology, rerouted.traffic,
+                                           rerouted.attachment, reference);
+        EXPECT_EQ(DesignText(design), DesignText(rerouted)) << design.name;
+        ++designs;
+      }
+    }
+  }
+  EXPECT_EQ(designs, 171u * 8u);
+}
+
+TEST(NextHopRuleTest, GenerationStoresNoColumn) {
+  // Nothing S x S on a cold path: the table a generated design hands out
+  // is its rule, every column unstored, and reading it stores nothing.
+  for (const TopologyFamily family : gen::AllFamilies()) {
+    GeneratorSpec spec;
+    spec.family = family;
+    NextHopTable table;
+    const NocDesign design = gen::GenerateStandardDesign(spec, &table);
+    ASSERT_EQ(table.SwitchCount(), design.topology.SwitchCount());
+    EXPECT_EQ(table.StoredColumns(), 0u) << design.name;
+    ValidateNextHopTable(design.topology, table);
+    (void)BuildTableRoutes(design.topology, design.traffic, design.attachment,
+                           table);
+    EXPECT_EQ(table.StoredColumns(), 0u) << design.name;
+  }
+  // An explicit table keeps its all-holes default and stores a column
+  // only when one is written.
+  NextHopTable explicit_table(4);
+  EXPECT_EQ(explicit_table.StoredColumns(), 0u);
+  EXPECT_FALSE(explicit_table.Column(SwitchId(2))[1].valid());
+  explicit_table.MutableColumn(SwitchId(2))[1] = LinkId(0);
+  EXPECT_EQ(explicit_table.StoredColumns(), 1u);
+  EXPECT_EQ(explicit_table.Column(SwitchId(2))[1], LinkId(0));
+  EXPECT_FALSE(explicit_table.Column(SwitchId(2))[0].valid());
 }
 
 TEST(NextHopTableTest, ValidatorRejectsHolesAndLoops) {

@@ -2,11 +2,167 @@
 
 #include <algorithm>
 #include <deque>
+#include <span>
 
 #include "util/error.h"
 #include "util/json.h"
 
 namespace nocdr::testing {
+
+namespace {
+
+/// The link \p src -> \p dst of a grid or ring, which has no parallel
+/// links.
+LinkId LinkBetween(const TopologyGraph& topology, std::size_t src,
+                   std::size_t dst) {
+  const auto l = topology.FindLink(SwitchId(src), SwitchId(dst));
+  Require(l.has_value(), "ReferenceTable: missing link ", src, "->", dst);
+  return *l;
+}
+
+/// Dimension-ordered XY over a w x h grid, each dimension the shorter way
+/// around when it wraps (ties toward +).
+void FillGrid(const TopologyGraph& topology, NextHopTable& table,
+              std::size_t w, std::size_t h, bool wrap) {
+  const std::size_t n = w * h;
+  for (std::size_t d = 0; d < n; ++d) {
+    const std::size_t dx = d % w;
+    const std::size_t dy = d / w;
+    const std::span<LinkId> column = table.MutableColumn(SwitchId(d));
+    for (std::size_t s = 0; s < n; ++s) {
+      if (s == d) {
+        continue;
+      }
+      const std::size_t sx = s % w;
+      const std::size_t sy = s / w;
+      std::size_t next;
+      if (sx != dx) {
+        bool positive;
+        if (wrap) {
+          const std::size_t forward = (dx + w - sx) % w;
+          positive = forward <= w - forward;
+        } else {
+          positive = dx > sx;
+        }
+        const std::size_t nx = positive ? (sx + 1) % w : (sx + w - 1) % w;
+        next = sy * w + nx;
+      } else {
+        bool positive;
+        if (wrap) {
+          const std::size_t forward = (dy + h - sy) % h;
+          positive = forward <= h - forward;
+        } else {
+          positive = dy > sy;
+        }
+        const std::size_t ny = positive ? (sy + 1) % h : (sy + h - 1) % h;
+        next = ny * w + sx;
+      }
+      column[s] = LinkBetween(topology, s, next);
+    }
+  }
+}
+
+/// The shorter way around a ring of \p n switches, ties clockwise.
+void FillRing(const TopologyGraph& topology, NextHopTable& table,
+              std::size_t n) {
+  for (std::size_t d = 0; d < n; ++d) {
+    const std::span<LinkId> column = table.MutableColumn(SwitchId(d));
+    for (std::size_t s = 0; s < n; ++s) {
+      if (s == d) {
+        continue;
+      }
+      const std::size_t clockwise = (d + n - s) % n;
+      const std::size_t next =
+          clockwise <= n - clockwise ? (s + 1) % n : (s + n - 1) % n;
+      column[s] = LinkBetween(topology, s, next);
+    }
+  }
+}
+
+/// Up to the lowest common ancestor, then down, the parallel link picked
+/// by destination modulo the uplink count.
+void FillFatTree(const TopologyGraph& topology, NextHopTable& table,
+                 const gen::GeneratorSpec& spec) {
+  const std::size_t k = spec.tree_arity;
+  const std::size_t levels = spec.tree_levels;
+  const std::size_t n = topology.SwitchCount();
+  std::vector<std::size_t> level_start(levels + 1, 0);
+  std::size_t per_level = 1;
+  for (std::size_t l = 0; l < levels; ++l) {
+    level_start[l + 1] = level_start[l] + per_level;
+    per_level *= k;
+  }
+  std::vector<std::size_t> level_of(n);
+  std::vector<std::size_t> parent(n, 0);
+  // Per child: its parallel links to (up) and from (down) its parent, in
+  // id order.
+  std::vector<std::vector<LinkId>> up(n);
+  std::vector<std::vector<LinkId>> down(n);
+  for (std::size_t l = 0; l < levels; ++l) {
+    for (std::size_t j = level_start[l]; j < level_start[l + 1]; ++j) {
+      level_of[j] = l;
+    }
+  }
+  for (std::size_t j = level_start[1]; j < n; ++j) {
+    parent[j] = level_start[level_of[j] - 1] +
+                (j - level_start[level_of[j]]) / k;
+    for (const LinkId l : topology.OutLinks(SwitchId(j))) {
+      if (topology.LinkAt(l).dst == SwitchId(parent[j])) {
+        up[j].push_back(l);
+      }
+    }
+    for (const LinkId l : topology.InLinks(SwitchId(j))) {
+      if (topology.LinkAt(l).src == SwitchId(parent[j])) {
+        down[j].push_back(l);
+      }
+    }
+    std::sort(up[j].begin(), up[j].end());
+    std::sort(down[j].begin(), down[j].end());
+  }
+  std::vector<std::size_t> ancestor(levels);
+  for (std::size_t d = 0; d < n; ++d) {
+    for (std::size_t node = d;; node = parent[node]) {
+      ancestor[level_of[node]] = node;
+      if (level_of[node] == 0) {
+        break;
+      }
+    }
+    const std::size_t par = d % spec.tree_uplinks;
+    const std::span<LinkId> column = table.MutableColumn(SwitchId(d));
+    for (std::size_t s = 0; s < n; ++s) {
+      if (s == d) {
+        continue;
+      }
+      if (level_of[d] > level_of[s] && ancestor[level_of[s]] == s) {
+        column[s] = down[ancestor[level_of[s] + 1]].at(par);
+      } else {
+        column[s] = up[s].at(par);
+      }
+    }
+  }
+}
+
+}  // namespace
+
+NextHopTable ReferenceTable(const gen::GeneratorSpec& spec) {
+  const TopologyGraph topology = gen::BuildFamilyTopology(spec).topology;
+  NextHopTable table(topology.SwitchCount());
+  switch (spec.family) {
+    case gen::TopologyFamily::kMesh2D:
+      FillGrid(topology, table, spec.width, spec.height, /*wrap=*/false);
+      break;
+    case gen::TopologyFamily::kTorus2D:
+      FillGrid(topology, table, spec.width, spec.height, /*wrap=*/true);
+      break;
+    case gen::TopologyFamily::kRing:
+      FillRing(topology, table, spec.ring_nodes);
+      break;
+    case gen::TopologyFamily::kFatTree:
+      FillFatTree(topology, table, spec);
+      break;
+  }
+  return table;
+}
 
 NocDesign WithTiedTwins(NocDesign design) {
   const std::size_t flows = design.traffic.FlowCount();

@@ -6,7 +6,9 @@
 #include <string>
 #include <vector>
 
+#include "gen/generators.h"
 #include "noc/design.h"
+#include "synth/route_builder.h"
 #include "util/rng.h"
 
 namespace nocdr::testing {
@@ -82,6 +84,12 @@ NocDesign MakeRandomDesign(std::uint64_t seed, std::size_t switches = 8,
 /// so the canonical flow sort (util/canonical.h) breaks the tie on the
 /// route, and a re-route that moves one twin flips the order.
 NocDesign WithTiedTwins(NocDesign design);
+
+/// The family's next-hop table for \p spec filled pair by pair, the way
+/// the generators built it before they routed by rule: an explicit table
+/// for gen::BuildFamilyTopology(spec).topology with every column
+/// stored. The oracle the rule-backed tables are held to.
+NextHopTable ReferenceTable(const gen::GeneratorSpec& spec);
 
 /// The members of one flat JSON object, keyed by name, each value as
 /// text: strings quoted, integers exact, other numbers via

@@ -12,6 +12,7 @@
 #include "synth/partition.h"
 #include "synth/synthesizer.h"
 #include "synth/topology_builder.h"
+#include "test_helpers.h"
 #include "util/error.h"
 #include "util/rng.h"
 
@@ -335,15 +336,19 @@ TEST(NextHopTableTest, LazyColumnsMatchTheEagerlyPatchedTable) {
   // each round and replays a column's pending rounds only when it is
   // read. Masks grow by links and switches, some of which disconnect
   // pairs; every eager round is also held to the pair-by-pair reference.
+  // The lazy side starts from the family's rule with nothing stored; the
+  // eager side from the same rule, then from the pair-by-pair reference
+  // table, fully stored.
   std::size_t reads = 0;
   std::size_t disconnecting_plans = 0;
   for (const gen::GeneratorSpec& spec : SmallFamilies()) {
     const auto topo = gen::BuildFamilyTopology(spec);
     const TopologyGraph& topology = topo.topology;
     const std::size_t n = topology.SwitchCount();
+    const NextHopTable reference = testing::ReferenceTable(spec);
     Rng rng(7);
-    for (std::size_t plan = 0; plan < 30; ++plan) {
-      NextHopTable eager = topo.table;
+    for (std::size_t plan = 0; plan < 60; ++plan) {
+      NextHopTable eager = plan < 30 ? topo.table : reference;
       NextHopTable lazy = topo.table;
       std::vector<char> failed_links(topology.LinkCount(), 0);
       std::vector<char> failed_switches(n, 0);
@@ -372,9 +377,7 @@ TEST(NextHopTableTest, LazyColumnsMatchTheEagerlyPatchedTable) {
           const SwitchId d(rng.NextBelow(n));
           lazy_disconnected += lazy.Refresh(topology, {&d, 1}).disconnected;
           EXPECT_EQ(lazy.PendingRounds(d), 0u) << where;
-          const std::span<const LinkId> read = lazy.Column(d);
-          const std::span<const LinkId> patched = eager.Column(d);
-          EXPECT_TRUE(std::equal(read.begin(), read.end(), patched.begin()))
+          EXPECT_TRUE(lazy.Column(d) == eager.Column(d))
               << where << " column " << d.value();
           ++reads;
         }
@@ -382,14 +385,15 @@ TEST(NextHopTableTest, LazyColumnsMatchTheEagerlyPatchedTable) {
       const TableRefresh flush = lazy.Flush(topology);
       lazy_disconnected += flush.disconnected;
       EXPECT_LE(flush.columns, n);
+      EXPECT_EQ(lazy.StoredColumns(), n);
       EXPECT_TRUE(lazy == eager) << gen::FamilyShapeName(spec);
       EXPECT_EQ(lazy_disconnected, eager_disconnected)
           << gen::FamilyShapeName(spec);
       disconnecting_plans += eager_disconnected > 0 ? 1 : 0;
     }
   }
-  EXPECT_GT(reads, 300u);
-  EXPECT_GT(disconnecting_plans, 20u);
+  EXPECT_GT(reads, 600u);
+  EXPECT_GT(disconnecting_plans, 40u);
 }
 
 TEST(NextHopTableTest, StaleReadsAndUnfailingRoundsThrow) {
@@ -419,6 +423,7 @@ TEST(NextHopTableTest, StaleReadsAndUnfailingRoundsThrow) {
   const TableRefresh refresh = table.Refresh(topology, {&three, 1});
   EXPECT_EQ(refresh.columns, 1u);
   EXPECT_EQ(refresh.column_rounds, 1u);
+  EXPECT_EQ(table.StoredColumns(), 1u);
   EXPECT_TRUE(WalkTableRoute(topology, table, SwitchId(1), three));
   EXPECT_THROW(WalkTableRoute(topology, table, SwitchId(1), SwitchId(4)),
                InvalidModelError);
@@ -440,10 +445,15 @@ TEST(NextHopTableTest, StaleReadsAndUnfailingRoundsThrow) {
   EXPECT_EQ(table.Rounds(), 2u);
   EXPECT_EQ(table.PendingRounds(three), 1u);
   EXPECT_EQ(table.PendingRounds(SwitchId(4)), 2u);
+  // A stored column with a pending round throws like an unstored one.
+  EXPECT_THROW((void)table.Column(three), InvalidModelError);
+  EXPECT_THROW(WalkTableRoute(topology, table, SwitchId(1), three),
+               InvalidModelError);
 
   const TableRefresh flush = table.Flush(topology);
   EXPECT_EQ(flush.columns, 6u);
   EXPECT_EQ(flush.column_rounds, 11u);
+  EXPECT_EQ(table.StoredColumns(), 6u);
   EXPECT_NO_THROW(ValidateNextHopTable(topology, table));
 }
 
