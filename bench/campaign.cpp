@@ -1,8 +1,14 @@
-// The three differential campaigns of src/valid, from one main:
+// The three differential campaigns of src/valid, from one main. Each
+// runs its trials, then a ladder that times its fast path against its
+// reference:
 //
 //   --campaign validation  certificates vs cycle-accurate simulation
 //                          (valid/campaign.h): per-arm and per-source
-//                          summaries, BENCH_validation_campaign.json.
+//                          summaries, then the event_engine_speedup
+//                          ladder, which runs the event engine and the
+//                          full-scan reference on light 1M-cycle mesh
+//                          traffic and gates the speedup at 3,000x;
+//                          BENCH_validation_campaign.json.
 //   --campaign fault       fault bursts, the incremental reconfiguration
 //                          path vs the rebuild path
 //                          (valid/fault_campaign.h): a per-source
@@ -17,8 +23,9 @@
 //
 // Each campaign prints its header, runs its trials, lists every
 // mismatch with the file it dumped and the --replay command that reruns
-// it, reruns at 1 and 3 threads under --check-determinism, and writes
-// its rows.
+// it, reruns at 1 and 3 threads under --check-determinism, runs its
+// ladder, and writes its rows. Tables, rows and the exit status go
+// through bench::Ledger (ledger.h).
 //
 // Flags. A campaign reads only its own flags; any other exits 2.
 //   --campaign NAME      validation | fault | session (required)
@@ -42,16 +49,17 @@
 //                        field for field. One just selects it.
 //   --no-shrink          validation: skip minimizing mismatches
 //   --emit-trials        fault: one BENCH row per trial
-//   --no-perf            fault, session: skip the ladder
+//   --no-perf            skip the ladder
 //   --bursts K           session: fault bursts per ladder round (10)
 //   --rounds R           session: ladder rounds per rung (3)
 //
 // Exit code: 0 iff no trial mismatched, the digests matched under
-// --check-determinism, and the ladder passed: fault's two paths agree
-// and its largest rung is faster than 1x; session's certificates agree
-// and its largest rung reaches 1.5x. --replay exits 0 when the mismatch
-// reproduces, 1 when the trial comes back clean and 2 when the file
-// cannot be read.
+// --check-determinism, and the ladder passed: validation's engines
+// agree and the event engine is at least 3,000x faster on both meshes;
+// fault's two paths agree and its largest rung is faster than 1x;
+// session's certificates agree and its largest rung reaches 1.5x; 1
+// otherwise. --replay exits 0 when the mismatch reproduces, 1 when the
+// trial comes back clean and 2 when the file cannot be read.
 #include <algorithm>
 #include <chrono>
 #include <fstream>
@@ -70,10 +78,12 @@
 #include "fault/plan.h"
 #include "fault/reconfigure.h"
 #include "gen/generators.h"
+#include "ledger.h"
 #include "noc/io.h"
 #include "runner/sweep.h"
 #include "serve/service.h"
 #include "serve/session.h"
+#include "sim/simulator.h"
 #include "soc/synthetic.h"
 #include "synth/synthesizer.h"
 #include "util/json.h"
@@ -84,6 +94,9 @@
 #include "valid/session_campaign.h"
 
 using namespace nocdr;
+using bench::Cell;
+using bench::Ledger;
+using bench::Table;
 
 namespace {
 
@@ -140,6 +153,97 @@ int ReplayRow(const std::string& path, Trial trial,
 
 // ------------------------------------------------------------ validation
 
+/// The event engine's in-binary floor on its speedup over the full scan.
+/// An engine that still visited every idle cycle would be only some
+/// hundreds of times faster here, so the floor fails as soon as the jump
+/// over idle cycles stops skipping.
+constexpr double kMinSpeedupVsFullScan = 3000.0;
+
+/// "<packets> pkts / <cycles> cyc" of one simulation.
+std::string Outcome(const SimResult& result) {
+  return std::to_string(result.packets_delivered) + " pkts / " +
+         std::to_string(result.cycles) + " cyc";
+}
+
+/// The validation ladder: the event engine against the full-scan
+/// reference on the largest generated meshes under light steady-state
+/// Bernoulli traffic over a 1M-cycle horizon. The idle cycles between
+/// packets are what the event engine skips and what the full scan sweeps
+/// every channel and flow for. Both engines consume one pre-built
+/// TrafficSchedule, so the shared O(flows x horizon) schedule synthesis
+/// stays out of the measurement. The full scan takes seconds per design
+/// and runs once; the event engine's sub-millisecond run is timed by
+/// bench::BestOfMs.
+void RunEngineLadder(Ledger& ledger) {
+  std::cout << "\n=== event engine vs fullscan, light steady-state "
+               "Bernoulli, 1M-cycle horizon ===\n\n";
+  SimConfig cfg;
+  cfg.traffic.mode = InjectionMode::kBernoulli;
+  cfg.traffic.reference_injection_rate = 0.0000001;
+  cfg.traffic.packet_length = 4;
+  cfg.traffic.seed = 11;
+  cfg.buffer_depth = 4;
+  cfg.max_cycles = 1000000;
+  cfg.stall_threshold = 2000;
+  cfg.engine = SimEngine::kEvent;
+
+  double min_speedup = 0.0;
+  Table table(ledger, "event_engine_speedup",
+              {"design", "channels", "flows", "packets", "fullscan (ms)",
+               "event (ms)", "speedup"});
+  for (const std::size_t extent : {std::size_t{16}, std::size_t{20}}) {
+    gen::GeneratorSpec spec;
+    spec.family = gen::TopologyFamily::kMesh2D;
+    spec.width = extent;
+    spec.height = extent;
+    spec.cores_per_switch = 1;
+    spec.pattern = gen::TrafficPattern::kUniform;
+    spec.uniform_fanout = 2;
+    spec.seed = 21;
+    NocDesign design = gen::GenerateStandardDesign(spec);
+    RemoveDeadlocks(design);
+
+    const TrafficSchedule schedule(design, cfg.traffic, cfg.max_cycles);
+    SimConfig fullscan_cfg = cfg;
+    fullscan_cfg.engine = SimEngine::kFullScan;
+    const auto t0 = std::chrono::steady_clock::now();
+    const SimResult fullscan = SimulateWorkload(design, fullscan_cfg, schedule);
+    const double fullscan_ms = MillisSince(t0);
+    SimResult event;
+    const double event_ms = bench::BestOfMs(200.0, [&] {
+      const auto t1 = std::chrono::steady_clock::now();
+      SimResult result = SimulateWorkload(design, cfg, schedule);
+      const double ms = MillisSince(t1);
+      event = std::move(result);
+      return ms;
+    });
+    const bool agree = !fullscan.deadlocked && !event.deadlocked &&
+                       fullscan.cycles == event.cycles &&
+                       fullscan.packets_delivered == event.packets_delivered &&
+                       fullscan.flits_delivered == event.flits_delivered;
+    ledger.Expect(agree, design.name,
+                  "engines disagree: fullscan " + Outcome(fullscan) +
+                      ", event " + Outcome(event));
+    const double speedup = event_ms > 0.0 ? fullscan_ms / event_ms : 0.0;
+    min_speedup =
+        min_speedup == 0.0 ? speedup : std::min(min_speedup, speedup);
+    table.Add(table.Row(design.name).Set("cycles", event.cycles),
+              {Cell("", design.name),
+               Cell("channels", design.topology.ChannelCount()),
+               Cell("flows", design.traffic.FlowCount()),
+               Cell("packets_delivered", event.packets_delivered),
+               Cell("fullscan_ms", fullscan_ms, 2),
+               Cell("event_ms", event_ms, 2),
+               Cell("speedup_vs_fullscan", speedup, 0, "x")});
+  }
+  table.Print();
+  std::cout << "minimum event engine speedup " << FormatDouble(min_speedup, 0)
+            << "x (gate: >= " << FormatDouble(kMinSpeedupVsFullScan, 0)
+            << "x; baseline-gated by CI)\n";
+  ledger.Expect(min_speedup >= kMinSpeedupVsFullScan, "event engine",
+                "speedup below the in-binary floor");
+}
+
 struct Validation {
   static constexpr const char* kName = "validation";
   static constexpr const char* kBench = "validation_campaign";
@@ -148,6 +252,7 @@ struct Validation {
   using Result = valid::CampaignResult<valid::TrialRow>;
 
   valid::CampaignConfig config;
+  bool perf = true;
 
   void AddFlags(bench::FlagParser& flags) {
     flags.AddList("--sources", &config.sources, valid::ParseSource,
@@ -155,6 +260,7 @@ struct Validation {
     flags.AddList("--arms", &config.arms, valid::ParseArm, "arm");
     flags.AddList("--engines", &config.engines, ParseEngine, "engine");
     flags.AddSwitch("--no-shrink", &config.shrink, false);
+    flags.AddSwitch("--no-perf", &perf, false);
   }
   void Check(const bench::FlagParser&) const {}
 
@@ -183,9 +289,9 @@ struct Validation {
   }
 
   void Summarize(const Result& result, double campaign_ms,
-                 BenchJsonWriter& json) const {
+                 Ledger& ledger) const {
     for (const valid::TrialRow& row : result.rows) {
-      json.AddRow(RowToJson(row).Set("section", "trial"));
+      ledger.Add(RowToJson(row).Set("section", "trial"));
     }
     std::vector<std::string> arms, sources;
     for (const valid::TrialArm arm : config.arms) {
@@ -194,12 +300,13 @@ struct Validation {
     for (const valid::DesignSource source : config.sources) {
       sources.push_back(valid::SourceName(source));
     }
-    PrintGroup(result, "arm", arms, json, [](const valid::TrialRow& row) {
+    PrintGroup(result, "arm", arms, ledger, [](const valid::TrialRow& row) {
       return valid::ArmName(row.arm);
     });
-    PrintGroup(result, "source", sources, json, [](const valid::TrialRow& row) {
-      return valid::SourceName(row.source);
-    });
+    PrintGroup(result, "source", sources, ledger,
+               [](const valid::TrialRow& row) {
+                 return valid::SourceName(row.source);
+               });
     std::cout << result.rows.size() << " trials in "
               << FormatDouble(campaign_ms, 1) << " ms: "
               << result.Count(valid::TrialVerdict::kPositiveDelivered)
@@ -212,15 +319,15 @@ struct Validation {
               << std::dec << "\n";
   }
 
-  /// One table (and one "<key>_summary" row per name) of the rows whose
-  /// \p selector names each of \p names.
+  /// One table (section "<key>_summary", one row per name) of the rows
+  /// whose \p selector names each of \p names.
   template <typename Selector>
   static void PrintGroup(const Result& result, const std::string& key,
                          const std::vector<std::string>& names,
-                         BenchJsonWriter& json, const Selector& selector) {
-    TextTable table;
-    table.SetHeader({key, "trials", "positive", "detonated", "infeasible",
-                     "mismatch", "escalated", "extra_vcs"});
+                         Ledger& ledger, const Selector& selector) {
+    Table table(ledger, key + "_summary",
+                {key, "trials", "positive", "detonated", "infeasible",
+                 "mismatch", "escalated", "extra_vcs"});
     for (const std::string& name : names) {
       std::size_t trials = 0, positive = 0, detonated = 0, infeasible = 0,
                   mismatch = 0, escalated = 0, extra_vcs = 0;
@@ -240,47 +347,37 @@ struct Validation {
           extra_vcs += row.channels_after - row.channels_before;
         }
       }
-      table.AddRow({name, std::to_string(trials), std::to_string(positive),
-                    std::to_string(detonated), std::to_string(infeasible),
-                    std::to_string(mismatch), std::to_string(escalated),
-                    std::to_string(extra_vcs)});
-      json.AddRow(JsonObject()
-                      .Set("section", key + "_summary")
-                      .Set(key, name)
-                      .Set("trials", trials)
-                      .Set("positive", positive)
-                      .Set("detonated", detonated)
-                      .Set("infeasible", infeasible)
-                      .Set("mismatch", mismatch)
-                      .Set("escalated", escalated)
-                      .Set("extra_vcs", extra_vcs));
+      table.Add(table.Row(),
+                {Cell(key, name), Cell("trials", trials),
+                 Cell("positive", positive), Cell("detonated", detonated),
+                 Cell("infeasible", infeasible), Cell("mismatch", mismatch),
+                 Cell("escalated", escalated), Cell("extra_vcs", extra_vcs)});
     }
-    table.Print(std::cout);
+    table.Print();
     std::cout << "\n";
   }
 
-  bool Finish(const Result& result, double campaign_ms,
-              std::optional<bool> deterministic, BenchJsonWriter& json) const {
-    const std::size_t positives =
-        result.Count(valid::TrialVerdict::kPositiveDelivered);
-    const std::size_t detonations =
-        result.Count(valid::TrialVerdict::kNegativeDetonated);
-    const std::size_t infeasibles =
-        result.Count(valid::TrialVerdict::kArmInfeasible);
-    json.AddRow(JsonObject()
-                    .Set("section", "campaign")
-                    .Set("trials", result.rows.size())
-                    .Set("base_seed", config.base_seed)
-                    .Set("arms", config.arms.size())
-                    .Set("sources", config.sources.size())
-                    .Set("positives", positives)
-                    .Set("detonations", detonations)
-                    .Set("infeasibles", infeasibles)
-                    .Set("mismatches", result.Mismatches())
-                    .Set("digest", result.digest)
-                    .Set("deterministic", deterministic.value_or(true))
-                    .Set("campaign_ms", campaign_ms));
-    return true;
+  void Finish(const Result& result, double campaign_ms,
+              std::optional<bool> deterministic, Ledger& ledger) const {
+    ledger.Add(JsonObject()
+                   .Set("section", "campaign")
+                   .Set("trials", result.rows.size())
+                   .Set("base_seed", config.base_seed)
+                   .Set("arms", config.arms.size())
+                   .Set("sources", config.sources.size())
+                   .Set("positives",
+                        result.Count(valid::TrialVerdict::kPositiveDelivered))
+                   .Set("detonations",
+                        result.Count(valid::TrialVerdict::kNegativeDetonated))
+                   .Set("infeasibles",
+                        result.Count(valid::TrialVerdict::kArmInfeasible))
+                   .Set("mismatches", result.Mismatches())
+                   .Set("digest", result.digest)
+                   .Set("deterministic", deterministic.value_or(true))
+                   .Set("campaign_ms", campaign_ms));
+    if (perf) {
+      RunEngineLadder(ledger);
+    }
   }
 
   int Replay(const std::string& path) const {
@@ -421,70 +518,61 @@ double TimePathOnce(const PerfPoint& point, bool incremental,
 }
 
 /// Best-of timing of both re-certify paths on \p point's burst, in
-/// alternation (bench::BestOfMs, capped at 300 ms a side); returns
-/// {incremental, rebuild}.
+/// alternation (bench::BestOfMs); returns {incremental, rebuild}. The
+/// 1,500 ms cap a side lets torus32x32's rebuild side, about 200-300 ms
+/// a run, reach a settled best of 5 runs.
 std::pair<PerfSample, PerfSample> TimePaths(const PerfPoint& point) {
   PerfSample inc;
   PerfSample reb;
   std::tie(inc.best_ms, reb.best_ms) = bench::BestOfMs(
-      300.0, [&] { return TimePathOnce(point, /*incremental=*/true, inc); },
+      1500.0, [&] { return TimePathOnce(point, /*incremental=*/true, inc); },
       [&] { return TimePathOnce(point, /*incremental=*/false, reb); });
   return {std::move(inc), std::move(reb)};
 }
 
-/// Runs the ladder; returns the largest design's speedup and sets
-/// \p mismatch when the two paths' outcomes differ on any rung.
-double RunPerfLadder(BenchJsonWriter& json, bool& mismatch) {
+/// Runs the ladder; returns the largest design's speedup. The two paths
+/// must agree on every rung.
+double RunPerfLadder(Ledger& ledger) {
   std::cout << "\n=== incremental re-certify vs full rebuild ===\n\n";
   const std::vector<PerfPoint> points = MakePerfLadder();
-  TextTable table;
-  table.SetHeader({"design", "channels", "affected", "table columns",
-                   "column rounds", "rebuild (ms)", "incremental (ms)",
-                   "speedup"});
+  Table table(ledger, "reconfig_perf",
+              {"design", "channels", "affected", "table columns",
+               "column rounds", "rebuild (ms)", "incremental (ms)",
+               "speedup"});
   double largest_speedup = 0.0;
   for (const PerfPoint& point : points) {
     const auto [inc, reb] = TimePaths(point);
-    if (inc.channels_after != reb.channels_after ||
-        inc.affected != reb.affected ||
-        inc.cert.deadlock_free != reb.cert.deadlock_free ||
-        inc.cert.topological_order != reb.cert.topological_order) {
-      std::cout << "PATH MISMATCH on " << point.label
-                << ": incremental and rebuild outcomes differ\n";
-      mismatch = true;
-    }
+    const bool same = inc.channels_after == reb.channels_after &&
+                      inc.affected == reb.affected &&
+                      inc.cert.deadlock_free == reb.cert.deadlock_free &&
+                      inc.cert.topological_order == reb.cert.topological_order;
+    ledger.Expect(same, point.label, "incremental and rebuild outcomes differ");
     for (std::size_t f = 0; f < inc.routes.FlowCount(); ++f) {
       if (inc.routes.RouteOf(FlowId(f)) != reb.routes.RouteOf(FlowId(f))) {
-        std::cout << "PATH MISMATCH on " << point.label << ": flow " << f
-                  << " routed differently\n";
-        mismatch = true;
+        ledger.Expect(false, point.label,
+                      "flow " + std::to_string(f) + " routed differently");
         break;
       }
     }
     const double speedup = inc.best_ms > 0.0 ? reb.best_ms / inc.best_ms : 0.0;
     largest_speedup = speedup;  // ladder ends with the largest design
-    table.AddRow({point.label,
-                  std::to_string(point.design.topology.ChannelCount()),
-                  std::to_string(inc.affected),
-                  std::to_string(inc.table_columns),
-                  std::to_string(inc.table_column_rounds),
-                  FormatDouble(reb.best_ms, 3), FormatDouble(inc.best_ms, 3),
-                  FormatDouble(speedup, 1) + "x"});
-    json.AddRow(JsonObject()
-                    .Set("section", "reconfig_perf")
-                    .Set("design", point.label)
-                    .Set("channels", point.design.topology.ChannelCount())
-                    .Set("flows", point.design.traffic.FlowCount())
-                    .Set("affected_flows", inc.affected)
-                    .Set("table_columns", inc.table_columns)
-                    .Set("table_column_rounds", inc.table_column_rounds)
-                    .Set("rebuild_ms", reb.best_ms)
-                    .Set("incremental_ms", inc.best_ms)
-                    .Set("speedup", speedup));
+    table.Add(
+        table.Row(point.label).Set("flows", point.design.traffic.FlowCount()),
+        {Cell("", point.label),
+         Cell("channels", point.design.topology.ChannelCount()),
+         Cell("affected_flows", inc.affected),
+         Cell("table_columns", inc.table_columns),
+         Cell("table_column_rounds", inc.table_column_rounds),
+         Cell("rebuild_ms", reb.best_ms, 3),
+         Cell("incremental_ms", inc.best_ms, 3),
+         Cell("speedup", speedup, 1, "x")});
   }
-  table.Print(std::cout);
+  table.Print();
   std::cout << "\nSpeedup on largest design (" << points.back().label
             << "): " << FormatDouble(largest_speedup, 1)
             << "x (gate: must beat 1x; baseline-gated by CI)\n";
+  ledger.Expect(largest_speedup > 1.0, points.back().label,
+                "incremental re-certify not faster than the rebuild");
   return largest_speedup;
 }
 
@@ -521,16 +609,16 @@ struct Fault {
   }
 
   void Summarize(const Result& result, double campaign_ms,
-                 BenchJsonWriter& json) const {
+                 Ledger& ledger) const {
     if (emit_trials) {
       for (const valid::FaultTrialRow& row : result.rows) {
-        json.AddRow(RowToJson(row).Set("section", "trial"));
+        ledger.Add(RowToJson(row).Set("section", "trial"));
       }
     }
-    TextTable table;
-    table.SetHeader({"source", "trials", "reconfigured", "disconnected",
-                     "mismatch", "affected", "detours", "ripups",
-                     "vcs_added", "mid_deadlocks"});
+    Table table(ledger, "source_summary",
+                {"source", "trials", "reconfigured", "disconnected",
+                 "mismatch", "affected", "detours", "ripups", "vcs_added",
+                 "mid_deadlocks"});
     for (const valid::DesignSource source : config.sources) {
       std::size_t trials = 0, reconf = 0, disc = 0, mism = 0, affected = 0,
                   detours = 0, ripups = 0, vcs = 0, middl = 0;
@@ -548,26 +636,17 @@ struct Fault {
         vcs += row.removal_vcs_added;
         middl += row.midflight_deadlocks;
       }
-      const std::string name = valid::SourceName(source);
-      table.AddRow({name, std::to_string(trials), std::to_string(reconf),
-                    std::to_string(disc), std::to_string(mism),
-                    std::to_string(affected), std::to_string(detours),
-                    std::to_string(ripups), std::to_string(vcs),
-                    std::to_string(middl)});
-      json.AddRow(JsonObject()
-                      .Set("section", "source_summary")
-                      .Set("source", name)
-                      .Set("trials", trials)
-                      .Set("reconfigured", reconf)
-                      .Set("disconnected", disc)
-                      .Set("mismatch", mism)
-                      .Set("affected_flows", affected)
-                      .Set("table_detours", detours)
-                      .Set("ripup_reroutes", ripups)
-                      .Set("removal_vcs_added", vcs)
-                      .Set("midflight_deadlocks", middl));
+      table.Add(table.Row(),
+                {Cell("source", valid::SourceName(source)),
+                 Cell("trials", trials), Cell("reconfigured", reconf),
+                 Cell("disconnected", disc), Cell("mismatch", mism),
+                 Cell("affected_flows", affected),
+                 Cell("table_detours", detours),
+                 Cell("ripup_reroutes", ripups),
+                 Cell("removal_vcs_added", vcs),
+                 Cell("midflight_deadlocks", middl)});
     }
-    table.Print(std::cout);
+    table.Print();
     std::cout << "\n"
               << result.rows.size() << " trials in "
               << FormatDouble(campaign_ms, 1) << " ms: "
@@ -579,30 +658,23 @@ struct Fault {
               << std::dec << "\n";
   }
 
-  bool Finish(const Result& result, double campaign_ms,
-              std::optional<bool> deterministic, BenchJsonWriter& json) const {
-    bool paths_differ = false;
-    double largest_speedup = 0.0;
-    if (perf) {
-      largest_speedup = RunPerfLadder(json, paths_differ);
-    }
-    const std::size_t reconfigured =
-        result.Count(valid::FaultVerdict::kReconfigured);
-    const std::size_t disconnected =
-        result.Count(valid::FaultVerdict::kDisconnected);
-    json.AddRow(JsonObject()
-                    .Set("section", "campaign")
-                    .Set("trials", result.rows.size())
-                    .Set("base_seed", config.base_seed)
-                    .Set("sources", config.sources.size())
-                    .Set("reconfigured", reconfigured)
-                    .Set("disconnected", disconnected)
-                    .Set("mismatches", result.Mismatches())
-                    .Set("digest", result.digest)
-                    .Set("deterministic", deterministic.value_or(true))
-                    .Set("campaign_ms", campaign_ms)
-                    .Set("largest_design_speedup", largest_speedup));
-    return !perf || (!paths_differ && largest_speedup > 1.0);
+  void Finish(const Result& result, double campaign_ms,
+              std::optional<bool> deterministic, Ledger& ledger) const {
+    const double largest_speedup = perf ? RunPerfLadder(ledger) : 0.0;
+    ledger.Add(JsonObject()
+                   .Set("section", "campaign")
+                   .Set("trials", result.rows.size())
+                   .Set("base_seed", config.base_seed)
+                   .Set("sources", config.sources.size())
+                   .Set("reconfigured",
+                        result.Count(valid::FaultVerdict::kReconfigured))
+                   .Set("disconnected",
+                        result.Count(valid::FaultVerdict::kDisconnected))
+                   .Set("mismatches", result.Mismatches())
+                   .Set("digest", result.digest)
+                   .Set("deterministic", deterministic.value_or(true))
+                   .Set("campaign_ms", campaign_ms)
+                   .Set("largest_design_speedup", largest_speedup));
   }
 
   int Replay(const std::string& path) const {
@@ -627,19 +699,14 @@ fault::FaultPlanOptions PerfPlan(std::size_t bursts) {
   return plan;
 }
 
-struct RungOutcome {
-  bool failed = false;
-  double speedup = 0.0;
-};
-
 /// One session-delta rung: stream \p rounds seeded fault plans of
 /// \p bursts bursts through a live session, then replay each plan the
 /// stateless way (rebuild the design client-side, render it to text,
-/// re-submit) and compare wall clock and final certificates.
-RungOutcome RunRung(const gen::GeneratorSpec& spec, std::uint64_t seed,
-                    std::size_t bursts_per_round, std::size_t rounds,
-                    BenchJsonWriter& json, TextTable& table) {
-  RungOutcome outcome;
+/// re-submit) and compare wall clock and final certificates. Returns the
+/// rung's speedup, 0 when a message fails.
+double RunRung(const gen::GeneratorSpec& spec, std::uint64_t seed,
+               std::size_t bursts_per_round, std::size_t rounds,
+               Ledger& ledger, Table& table) {
   NextHopTable base_table;
   const NocDesign base = gen::GenerateStandardDesign(spec, &base_table);
 
@@ -669,10 +736,8 @@ RungOutcome RunRung(const gen::GeneratorSpec& spec, std::uint64_t seed,
     open_request.return_design = true;
     const serve::SessionResponse open = sessions.Handle(open_request);
     if (open.status != serve::ServeStatus::kOk) {
-      std::cout << "RUNG FAILED: session_open: " << open.error.message
-                << "\n";
-      outcome.failed = true;
-      return outcome;
+      ledger.Expect(false, base.name, "session_open: " + open.error.message);
+      return 0.0;
     }
 
     NocDesign replica = ReadDesign(open.design_text);
@@ -712,10 +777,10 @@ RungOutcome RunRung(const gen::GeneratorSpec& spec, std::uint64_t seed,
       request.events = specs[b];
       const serve::SessionResponse reply = sessions.Handle(request);
       if (reply.status != serve::ServeStatus::kOk || !reply.feasible) {
-        std::cout << "RUNG FAILED: burst " << b
-                  << " not applied: " << reply.error.message << "\n";
-        outcome.failed = true;
-        return outcome;
+        ledger.Expect(false, base.name,
+                      "burst " + std::to_string(b) + " not applied: " +
+                          reply.error.message);
+        return 0.0;
       }
       session_certificate = reply.certificate_json;
     }
@@ -728,20 +793,20 @@ RungOutcome RunRung(const gen::GeneratorSpec& spec, std::uint64_t seed,
       const fault::ReconfigureReport report =
           fault::ApplyFaultBurstRebuild(replica, state, burst, reconfigure);
       if (report.infeasible()) {
-        std::cout << "RUNG FAILED: stateless pass hit an infeasible "
-                     "burst the session applied\n";
-        outcome.failed = true;
-        return outcome;
+        ledger.Expect(false, base.name,
+                      "stateless pass hit an infeasible burst the session "
+                      "applied");
+        return 0.0;
       }
       serve::CertRequest resubmit;
       resubmit.kind = serve::RequestKind::kDesignText;
       resubmit.design_text = DesignText(replica);
       const serve::CertResponse reply = stateless_service.Serve(resubmit);
       if (reply.status != serve::ServeStatus::kOk || !reply.deadlock_free) {
-        std::cout << "RUNG FAILED: stateless re-submission failed: "
-                  << reply.error.message << "\n";
-        outcome.failed = true;
-        return outcome;
+        ledger.Expect(false, base.name,
+                      "stateless re-submission failed: " +
+                          reply.error.message);
+        return 0.0;
       }
       stateless_certificate = reply.certificate_json;
     }
@@ -759,33 +824,27 @@ RungOutcome RunRung(const gen::GeneratorSpec& spec, std::uint64_t seed,
     sessions.Handle(close_request);
   }
 
-  outcome.speedup = session_ms > 0.0 ? stateless_ms / session_ms : 0.0;
-  outcome.failed = outcome.failed || !certificates_match;
+  ledger.Expect(certificates_match, base.name,
+                "session and stateless certificates diverged");
+  const double speedup = session_ms > 0.0 ? stateless_ms / session_ms : 0.0;
   const double per_burst_session =
       bursts_run != 0 ? session_ms / static_cast<double>(bursts_run) : 0.0;
   const double per_burst_stateless =
       bursts_run != 0 ? stateless_ms / static_cast<double>(bursts_run) : 0.0;
-  table.AddRow({base.name, std::to_string(base.topology.SwitchCount()),
-                std::to_string(flows), std::to_string(bursts_run),
-                FormatDouble(per_burst_session, 3),
-                FormatDouble(per_burst_stateless, 3),
-                FormatDouble(outcome.speedup, 2),
-                certificates_match ? "identical" : "DIVERGED (bug!)"});
-  json.AddRow(JsonObject()
-                  .Set("section", "session_delta")
-                  .Set("design", base.name)
-                  .Set("switches", base.topology.SwitchCount())
-                  .Set("links", base.topology.LinkCount())
-                  .Set("flows", flows)
-                  .Set("rounds", rounds)
-                  .Set("bursts", bursts_run)
-                  .Set("session_ms", session_ms)
-                  .Set("stateless_ms", stateless_ms)
-                  .Set("session_ms_per_burst", per_burst_session)
-                  .Set("stateless_ms_per_burst", per_burst_stateless)
-                  .Set("certificates_match", certificates_match)
-                  .Set("speedup", outcome.speedup));
-  return outcome;
+  table.Add(table.Row(base.name)
+                .Set("links", base.topology.LinkCount())
+                .Set("rounds", rounds)
+                .Set("session_ms", session_ms)
+                .Set("stateless_ms", stateless_ms),
+            {Cell("", base.name),
+             Cell("switches", base.topology.SwitchCount()),
+             Cell("flows", flows), Cell("bursts", bursts_run),
+             Cell("session_ms_per_burst", per_burst_session, 3),
+             Cell("stateless_ms_per_burst", per_burst_stateless, 3),
+             Cell("speedup", speedup, 2),
+             Cell("certificates_match", certificates_match,
+                  certificates_match ? "identical" : "DIVERGED (bug!)")});
+  return speedup;
 }
 
 struct Session {
@@ -825,7 +884,7 @@ struct Session {
   }
 
   void Summarize(const Result& result, double campaign_ms,
-                 BenchJsonWriter& json) const {
+                 Ledger& ledger) const {
     std::size_t events_unnamed = 0;
     std::size_t epochs = 0;
     for (const valid::SessionTrialRow& row : result.rows) {
@@ -840,39 +899,40 @@ struct Session {
               << epochs << " epochs advanced, " << events_unnamed
               << " events unnamed; digest " << std::hex << result.digest
               << std::dec << " (" << FormatDouble(campaign_ms, 0) << " ms)\n";
-    json.AddRow(JsonObject()
-                    .Set("section", "session_campaign")
-                    .Set("trials", result.rows.size())
-                    .Set("streamed", streamed)
-                    .Set("disconnected", disconnected)
-                    .Set("mismatches", result.Mismatches())
-                    .Set("epochs", epochs)
-                    .Set("events_unnamed", events_unnamed)
-                    .Set("digest", result.digest)
-                    .Set("campaign_ms", campaign_ms));
+    ledger.Add(JsonObject()
+                   .Set("section", "session_campaign")
+                   .Set("trials", result.rows.size())
+                   .Set("streamed", streamed)
+                   .Set("disconnected", disconnected)
+                   .Set("mismatches", result.Mismatches())
+                   .Set("epochs", epochs)
+                   .Set("events_unnamed", events_unnamed)
+                   .Set("digest", result.digest)
+                   .Set("campaign_ms", campaign_ms));
   }
 
-  bool Finish(const Result& result, double /*campaign_ms*/,
-              std::optional<bool> deterministic, BenchJsonWriter& json) const {
+  void Finish(const Result& result, double /*campaign_ms*/,
+              std::optional<bool> deterministic, Ledger& ledger) const {
     if (deterministic.has_value()) {
-      json.AddRow(JsonObject()
-                      .Set("section", "session_determinism")
-                      .Set("trials", config.trials)
-                      .Set("digest", result.digest)
-                      .Set("digests_match", *deterministic));
+      ledger.Add(JsonObject()
+                     .Set("section", "session_determinism")
+                     .Set("trials", config.trials)
+                     .Set("digest", result.digest)
+                     .Set("digests_match", *deterministic));
     }
-    return !perf || RunLadder(json);
+    if (perf) {
+      RunLadder(ledger);
+    }
   }
 
-  /// The session-delta ladder; false when a rung fails or the largest
-  /// rung's speedup is below 1.5x.
-  bool RunLadder(BenchJsonWriter& json) const {
+  /// The session-delta ladder: every rung must pass and the largest
+  /// reach 1.5x.
+  void RunLadder(Ledger& ledger) const {
     std::cout << "\n=== session-delta vs stateless re-submission: " << bursts
               << " bursts x " << rounds << " rounds per rung ===\n\n";
-    TextTable table;
-    table.SetHeader({"design", "switches", "flows", "bursts",
-                     "session_ms/burst", "stateless_ms/burst", "speedup",
-                     "final certs"});
+    Table table(ledger, "session_delta",
+                {"design", "switches", "flows", "bursts", "session_ms/burst",
+                 "stateless_ms/burst", "speedup", "final certs"});
     std::vector<gen::GeneratorSpec> rungs(3);
     rungs[0].family = gen::TopologyFamily::kMesh2D;
     rungs[0].width = 8;
@@ -883,24 +943,22 @@ struct Session {
     rungs[2].family = gen::TopologyFamily::kMesh2D;
     rungs[2].width = 16;
     rungs[2].height = 16;
-    bool failed = false;
     double headline = 0.0;
     for (const gen::GeneratorSpec& spec : rungs) {
-      const RungOutcome outcome =
-          RunRung(spec, config.base_seed, bursts, rounds, json, table);
-      failed = failed || outcome.failed;
-      headline = outcome.speedup;  // last rung = largest design
+      // The last rung is the largest design.
+      headline = RunRung(spec, config.base_seed, bursts, rounds, ledger, table);
     }
-    table.Print(std::cout);
+    table.Print();
     std::cout << "\nheadline (largest rung): session_delta_speedup "
               << FormatDouble(headline, 2)
               << "x (gate: >= 1.5x; baseline-gated by CI)\n";
-    json.AddRow(JsonObject()
-                    .Set("section", "session_summary")
-                    .Set("bursts_per_round", bursts)
-                    .Set("rounds", rounds)
-                    .Set("session_delta_speedup", headline));
-    return !failed && headline >= 1.5;
+    ledger.Add(JsonObject()
+                   .Set("section", "session_summary")
+                   .Set("bursts_per_round", bursts)
+                   .Set("rounds", rounds)
+                   .Set("session_delta_speedup", headline));
+    ledger.Expect(headline >= 1.5, "session_delta",
+                  "largest rung's speedup below 1.5x");
   }
 
   int Replay(const std::string& path) const {
@@ -940,16 +998,17 @@ int RunCampaign(int argc, char** argv) {
   const auto t0 = std::chrono::steady_clock::now();
   const typename Campaign::Result result = Campaign::Run(campaign.config);
   const double campaign_ms = MillisSince(t0);
-  BenchJsonWriter json(Campaign::kBench);
-  campaign.Summarize(result, campaign_ms, json);
+  Ledger ledger(Campaign::kBench);
+  campaign.Summarize(result, campaign_ms, ledger);
 
   for (const auto& row : result.rows) {
     if (row.verdict != decltype(row.verdict)::kMismatch) {
       continue;
     }
-    std::cout << "MISMATCH trial " << row.trial_index << " ("
-              << Campaign::Label(row) << ", design seed " << row.design_seed
-              << "): " << row.mismatch << "\n";
+    const std::string trial = "trial " + std::to_string(row.trial_index) +
+                              " (" + Campaign::Label(row) + ", design seed " +
+                              std::to_string(row.design_seed) + ")";
+    ledger.Expect(false, trial, row.mismatch);
     const std::string dump = Campaign::Dump(row);
     if (!dump.empty()) {
       const std::string path = std::string(Campaign::kDump) +
@@ -972,19 +1031,14 @@ int RunCampaign(int argc, char** argv) {
       const bool match = digest == result.digest;
       deterministic = *deterministic && match;
       std::cout << "determinism check (" << threads << " threads): digest "
-                << std::hex << digest << std::dec
-                << (match ? " OK" : " MISMATCH (bug!)") << "\n";
+                << std::hex << digest << std::dec << "\n";
+      ledger.Expect(match, "determinism check",
+                    std::to_string(threads) + " threads gave another digest");
     }
   }
 
-  const bool passed = campaign.Finish(result, campaign_ms, deterministic, json);
-  const std::string path = json.Write();
-  if (!path.empty()) {
-    std::cout << "rows written to " << path << "\n";
-  }
-  const bool failed = result.Mismatches() != 0 ||
-                      !deterministic.value_or(true) || !passed;
-  return failed ? 1 : 0;
+  campaign.Finish(result, campaign_ms, deterministic, ledger);
+  return ledger.Finish();
 }
 
 }  // namespace

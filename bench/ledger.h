@@ -1,6 +1,7 @@
 // The printed tables, BENCH rows and exit status of a bench run
-// (paper_claims, removal, serve). Every cell of a printed table is a
-// field of a BENCH row, and a broken invariant fails the run.
+// (every bench: campaign, paper_claims, removal, serve). Every cell of a
+// printed table is a field of a BENCH row, and a broken invariant fails
+// the run.
 #pragma once
 
 #include <cstddef>
@@ -102,10 +103,14 @@ class Table {
     text_.SetHeader(std::move(header));
   }
 
-  /// This table's row about \p design, before its cells: the caller may
-  /// set fields the table does not print.
+  /// This table's row, before its cells: the caller may set fields the
+  /// table does not print.
+  [[nodiscard]] JsonObject Row() const {
+    return JsonObject().Set("section", section_);
+  }
+  /// This table's row about \p design, before its cells.
   [[nodiscard]] JsonObject Row(const std::string& design) const {
-    return Ledger::Row(section_, design);
+    return Row().Set("design", design);
   }
 
   /// Prints \p cells as one row and records them as the row of \p design.

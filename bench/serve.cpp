@@ -454,8 +454,7 @@ void ServeMix(Ledger& ledger, bench::Table& table, const std::string& mix,
   }
   const double hit_rate =
       static_cast<double>(stats.hits) / static_cast<double>(stream.size());
-  table.Add(JsonObject()
-                .Set("section", "serve_mix")
+  table.Add(table.Row()
                 .Set("mix", mix)
                 .Set("coalesced", stats.coalesced)
                 .Set("evictions", stats.cache.evictions)

@@ -147,8 +147,6 @@ class ShardedLruCache {
     }
   }
 
-  [[nodiscard]] std::size_t ShardCount() const { return shards_.size(); }
-
  private:
   struct Entry {
     std::uint64_t digest = 0;

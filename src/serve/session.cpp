@@ -50,17 +50,7 @@ struct SessionService::Session {
         finder(cdg),
         table(std::move(next_hops)),
         state(fault::FaultState::None(design)),
-        tied_runs(TiedFlowRuns(design)) {
-    for (std::size_t s = 0; s < design.topology.SwitchCount(); ++s) {
-      // Name resolution for protocol-level fault events; duplicate or
-      // empty names simply stay unresolvable by name.
-      const SwitchId sid{s};
-      const std::string& name = design.topology.SwitchName(sid);
-      if (!name.empty()) {
-        switch_by_name.emplace(name, sid);
-      }
-    }
-  }
+        tied_runs(TiedFlowRuns(design)) {}
 
   std::mutex mutex;
   bool closed = false;
@@ -77,7 +67,6 @@ struct SessionService::Session {
   DirtyCycleFinder finder;
   NextHopTable table;
   fault::FaultState state;
-  std::unordered_map<std::string, SwitchId> switch_by_name;
   /// The design's flows are in canonical order from the open on, and
   /// bursts change only routes: the canonical order of each epoch
   /// re-sorts only these runs of flows tied on (src, dst, bandwidth).

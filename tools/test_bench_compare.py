@@ -75,20 +75,21 @@ class CleanAndRegressedRuns(GateHarness):
         self.assertEqual(self.run_gate(), 0)  # within the 40% floor
 
     def test_event_engine_speedup_holds_40_percent_floor(self):
-        # The sim_latency_curve gate: event_engine_speedup is a *speedup*
+        # The validation campaign's engine ladder: a key with "speedup"
+        # in it (that ladder's speedup_vs_fullscan) is a *speedup*
         # metric, so a fresh value below 40% of baseline is a regression
         # while anything at or above the floor is treated as noise.
         write_rows(
-            self.baseline_dir / "BENCH_sim_latency_curve.json",
+            self.baseline_dir / "BENCH_validation_campaign.json",
             [self.row(event_engine_speedup=30.0)],
         )
         write_rows(
-            self.fresh_dir / "BENCH_sim_latency_curve.json",
+            self.fresh_dir / "BENCH_validation_campaign.json",
             [self.row(event_engine_speedup=11.9)],
         )
         self.assertEqual(self.run_gate(), 1)  # 11.9 < 30.0 * 0.4
         write_rows(
-            self.fresh_dir / "BENCH_sim_latency_curve.json",
+            self.fresh_dir / "BENCH_validation_campaign.json",
             [self.row(event_engine_speedup=13.0)],
         )
         self.assertEqual(self.run_gate(), 0)  # above the floor
