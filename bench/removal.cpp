@@ -18,15 +18,20 @@
 //   * Generation at scale: GenerateStandardDesign under uniform traffic
 //     for mesh and torus up to 100x100, a 1024-switch ring and a 4x6 fat
 //     tree: the design's size, its route hops and the next-hop columns
-//     it stored (none: a family routes by its rule), timed once.
+//     it stored (none: a family routes by its rule), timed once. The
+//     mesh and torus rows also canonicalize the design and run a served
+//     request's ComputeCertification once: its iterations, VCs, payload
+//     bytes and payload digest, plus the cycle search's work counters
+//     from a RemoveDeadlocks run on a copy.
 //
 // Every deterministic number printed is a field of a row of
 // BENCH_removal.json. Takes no flags. Exits 1 when an invariant breaks:
 // the engines disagree, a treated design keeps a cyclic CDG, a torus or
 // ring point under uniform traffic needs no VC, an untreated mesh or
 // fat-tree point is cyclic, a treated design deadlocks in simulation, a
-// sweep job throws, the sweep digests differ, or a generated design
-// stored a next-hop column. No timing sets it.
+// sweep job throws, the sweep digests differ, a generated design stored
+// a next-hop column, or a request's computation is not deadlock-free or
+// disagrees with its removal run. No timing sets it.
 #include <chrono>
 #include <iostream>
 #include <string>
@@ -41,11 +46,14 @@
 #include "gen/generators.h"
 #include "ledger.h"
 #include "runner/sweep.h"
+#include "serve/service.h"
 #include "sim/simulator.h"
 #include "soc/benchmarks.h"
 #include "soc/synthetic.h"
 #include "synth/synthesizer.h"
+#include "util/canonical.h"
 #include "util/clock.h"
+#include "util/digest.h"
 #include "util/json.h"
 #include "util/table.h"
 
@@ -411,14 +419,48 @@ void FamilyGrid(Ledger& ledger) {
   }
 }
 
+/// The request cells of a generate row: canonicalize \p design, run a
+/// served request's ComputeCertification once (timed, not gated), and
+/// RemoveDeadlocks on a copy of the canonical design for the cycle
+/// search's counters.
+std::vector<Cell> RequestCells(Ledger& ledger, const NocDesign& design) {
+  const CanonicalDesign canonical = CanonicalizeDesign(design);
+  const auto t0 = std::chrono::steady_clock::now();
+  const serve::CachedCertification served =
+      serve::ComputeCertification(canonical.design, serve::CertRequest{});
+  const double ms = MillisSince(t0);
+  NocDesign copy = canonical.design;
+  const RemovalReport report = RemoveDeadlocks(copy);
+  ledger.Expect(served.deadlock_free, design.name,
+                "the computed certificate is not deadlock-free");
+  ledger.Expect(report.iterations == served.iterations &&
+                    report.vcs_added == served.vcs_added,
+                design.name, "the computation and its removal run disagree");
+  std::uint64_t digest = kFnvOffsetBasis;
+  DigestField(digest, served.certificate_json);
+  DigestField(digest, served.treated_design_text);
+  return {Cell("iterations", served.iterations),
+          Cell("vcs_added", served.vcs_added),
+          Cell("payload_bytes", served.certificate_json.size() +
+                                    served.treated_design_text.size()),
+          Cell("payload_digest", digest),
+          Cell("cycle_bfs_runs", report.cycle_bfs_runs),
+          Cell("scc_vertices", report.scc_vertices),
+          Cell("cycle_checks", report.cycle_checks),
+          Cell("compute_ms", ms, 1)};
+}
+
 /// Generation at scale, uniform traffic, seed 1: each design's size and
 /// route hops, the next-hop columns its table stored (a family routes by
-/// its rule, so none) and one timed run.
+/// its rule, so none) and one timed run; for mesh and torus, one request
+/// computed on it (RequestCells).
 void GenerateAtScale(Ledger& ledger) {
   std::cout << "\n=== generation at scale ===\n\n";
   Table table(ledger, "generate",
               {"design", "switches", "links", "flows", "route hops",
-               "stored columns", "generate (ms)"});
+               "stored columns", "generate (ms)", "iterations", "VCs",
+               "payload bytes", "payload digest", "BFS runs",
+               "SCC vertices", "cycle checks", "compute (ms)"});
   std::vector<gen::GeneratorSpec> specs;
   for (const gen::TopologyFamily family :
        {gen::TopologyFamily::kMesh2D, gen::TopologyFamily::kTorus2D}) {
@@ -448,13 +490,20 @@ void GenerateAtScale(Ledger& ledger) {
     ledger.Expect(stored == 0, design.name,
                   "generation stored " + std::to_string(stored) +
                       " next-hop columns");
-    table.Add(design.name,
-              {Cell("", design.name),
-               Cell("switches", design.topology.SwitchCount()),
-               Cell("links", design.topology.LinkCount()),
-               Cell("flows", design.traffic.FlowCount()),
-               Cell("route_hops", hops), Cell("stored_columns", stored),
-               Cell("generate_ms", ms, 2)});
+    std::vector<Cell> cells = {
+        Cell("", design.name),
+        Cell("switches", design.topology.SwitchCount()),
+        Cell("links", design.topology.LinkCount()),
+        Cell("flows", design.traffic.FlowCount()),
+        Cell("route_hops", hops), Cell("stored_columns", stored),
+        Cell("generate_ms", ms, 2)};
+    if (spec.family == gen::TopologyFamily::kMesh2D ||
+        spec.family == gen::TopologyFamily::kTorus2D) {
+      for (Cell& cell : RequestCells(ledger, design)) {
+        cells.push_back(std::move(cell));
+      }
+    }
+    table.Add(design.name, cells);
   }
   table.Print();
 }

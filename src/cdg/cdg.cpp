@@ -11,6 +11,11 @@ namespace {
 /// Smallest capacity a vertex span is (re)allocated with.
 constexpr std::uint32_t kMinSpanCapacity = 4;
 
+bool TargetsBefore(const ChannelDependencyGraph::OutEdgeRef& ref,
+                   ChannelId to) {
+  return ref.to < to;
+}
+
 }  // namespace
 
 ChannelDependencyGraph ChannelDependencyGraph::Build(const NocDesign& design) {
@@ -37,11 +42,15 @@ ChannelDependencyGraph::OutEdges(ChannelId c) const {
 
 std::optional<std::size_t> ChannelDependencyGraph::FindEdge(
     ChannelId from, ChannelId to) const {
-  auto it = edge_index_.find(Key(from, to));
-  if (it == edge_index_.end()) {
+  if (!from.valid() || from.value() >= spans_.size()) {
     return std::nullopt;
   }
-  return it->second;
+  const VertexSpan& span = spans_[from.value()];
+  const std::uint32_t at = SlotOf(from, to);
+  if (at == span.size || pool_[span.begin + at].to != to) {
+    return std::nullopt;
+  }
+  return pool_[span.begin + at].edge;
 }
 
 std::vector<ChannelId> ChannelDependencyGraph::Successors(ChannelId c) const {
@@ -52,17 +61,20 @@ std::vector<ChannelId> ChannelDependencyGraph::Successors(ChannelId c) const {
   return result;
 }
 
-std::uint64_t ChannelDependencyGraph::OutChangedAt(ChannelId c) const {
-  Require(c.valid() && c.value() < out_changed_at_.size(),
-          "OutChangedAt: channel is not a CDG vertex");
-  return out_changed_at_[c.value()];
-}
-
 void ChannelDependencyGraph::EnsureVertices(std::size_t count) {
   if (count > spans_.size()) {
     spans_.resize(count);
-    out_changed_at_.resize(count, 0);
   }
+}
+
+void ChannelDependencyGraph::TrackChanges(bool on) {
+  tracking_ = on;
+  ClearChanges();
+}
+
+void ChannelDependencyGraph::ClearChanges() {
+  changes_.stamped.clear();
+  changes_.deleted.clear();
 }
 
 void ChannelDependencyGraph::AddEdges(const Route& route, FlowId flow) {
@@ -118,10 +130,10 @@ void ChannelDependencyGraph::AddDependency(ChannelId from, ChannelId to,
   Require(from.valid() && from.value() < spans_.size() && to.valid() &&
               to.value() < spans_.size(),
           "AddDependency: channel is not a CDG vertex");
-  const std::uint64_t key = Key(from, to);
-  auto it = edge_index_.find(key);
-  if (it != edge_index_.end()) {
-    std::vector<FlowId>& flows = edges_[it->second].flows;
+  const VertexSpan& span = spans_[from.value()];
+  const std::uint32_t at = SlotOf(from, to);
+  if (at < span.size && pool_[span.begin + at].to == to) {
+    std::vector<FlowId>& flows = edges_[pool_[span.begin + at].edge].flows;
     auto pos = std::lower_bound(flows.begin(), flows.end(), flow);
     if (pos == flows.end() || *pos != flow) {
       flows.insert(pos, flow);
@@ -130,16 +142,15 @@ void ChannelDependencyGraph::AddDependency(ChannelId from, ChannelId to,
   }
   const auto index = static_cast<std::uint32_t>(edges_.size());
   edges_.push_back(CdgEdge{from, to, {flow}});
-  edge_index_.emplace(key, index);
-  InsertSlot(from, OutEdgeRef{to, index});
+  InsertSlot(from, at, OutEdgeRef{to, index});
 }
 
 void ChannelDependencyGraph::RemoveDependency(ChannelId from, ChannelId to,
                                               FlowId flow) {
-  auto it = edge_index_.find(Key(from, to));
-  Require(it != edge_index_.end(),
+  const std::optional<std::size_t> found = FindEdge(from, to);
+  Require(found.has_value(),
           "RemoveDependency: edge not present; CDG out of sync with design");
-  const std::uint32_t index = it->second;
+  const auto index = static_cast<std::uint32_t>(*found);
   std::vector<FlowId>& flows = edges_[index].flows;
   auto pos = std::lower_bound(flows.begin(), flows.end(), flow);
   Require(pos != flows.end() && *pos == flow,
@@ -152,20 +163,36 @@ void ChannelDependencyGraph::RemoveDependency(ChannelId from, ChannelId to,
 
   // Last flow gone: delete the edge. The edge store stays dense via
   // swap-remove; the adjacency slot of the moved edge is repointed.
-  EraseSlot(from, to);
-  edge_index_.erase(it);
+  VertexSpan& span = spans_[from.value()];
+  OutEdgeRef* data = pool_.data() + span.begin;
+  const std::uint32_t at = SlotOf(from, to);
+  std::move(data + at + 1, data + span.size, data + at);
+  --span.size;
+  --live_slots_;
+  Stamp(from);
+  if (tracking_) {
+    changes_.deleted.emplace_back(from, to);
+  }
   const auto last = static_cast<std::uint32_t>(edges_.size() - 1);
   if (index != last) {
     edges_[index] = std::move(edges_[last]);
     const CdgEdge& moved = edges_[index];
-    edge_index_[Key(moved.from, moved.to)] = index;
     RetargetSlot(moved.from, moved.to, index);
   }
   edges_.pop_back();
   MaybeCompact();
 }
 
-void ChannelDependencyGraph::InsertSlot(ChannelId from, OutEdgeRef ref) {
+std::uint32_t ChannelDependencyGraph::SlotOf(ChannelId from,
+                                             ChannelId to) const {
+  const VertexSpan& span = spans_[from.value()];
+  const OutEdgeRef* data = pool_.data() + span.begin;
+  return static_cast<std::uint32_t>(
+      std::lower_bound(data, data + span.size, to, TargetsBefore) - data);
+}
+
+void ChannelDependencyGraph::InsertSlot(ChannelId from, std::uint32_t at,
+                                        OutEdgeRef ref) {
   VertexSpan& span = spans_[from.value()];
   if (span.size == span.capacity) {
     // Relocate the span to the end of the pool with doubled capacity; the
@@ -179,41 +206,26 @@ void ChannelDependencyGraph::InsertSlot(ChannelId from, OutEdgeRef ref) {
     span.capacity = capacity;
   }
   OutEdgeRef* data = pool_.data() + span.begin;
-  std::uint32_t at = span.size;
-  while (at > 0 && ref.to < data[at - 1].to) {
-    data[at] = data[at - 1];
-    --at;
-  }
+  std::move_backward(data + at, data + span.size, data + span.size + 1);
   data[at] = ref;
   ++span.size;
   ++live_slots_;
-  out_changed_at_[from.value()] = ++generation_;
-}
-
-void ChannelDependencyGraph::EraseSlot(ChannelId from, ChannelId to) {
-  VertexSpan& span = spans_[from.value()];
-  OutEdgeRef* data = pool_.data() + span.begin;
-  OutEdgeRef* end = data + span.size;
-  OutEdgeRef* pos = std::lower_bound(
-      data, end, to,
-      [](const OutEdgeRef& ref, ChannelId t) { return ref.to < t; });
-  Require(pos != end && pos->to == to, "EraseSlot: adjacency slot missing");
-  std::move(pos + 1, end, pos);
-  --span.size;
-  --live_slots_;
-  out_changed_at_[from.value()] = ++generation_;
+  Stamp(from);
 }
 
 void ChannelDependencyGraph::RetargetSlot(ChannelId from, ChannelId to,
                                           std::uint32_t edge) {
-  VertexSpan& span = spans_[from.value()];
-  OutEdgeRef* data = pool_.data() + span.begin;
-  OutEdgeRef* end = data + span.size;
-  OutEdgeRef* pos = std::lower_bound(
-      data, end, to,
-      [](const OutEdgeRef& ref, ChannelId t) { return ref.to < t; });
-  Require(pos != end && pos->to == to, "RetargetSlot: adjacency slot missing");
-  pos->edge = edge;
+  const VertexSpan& span = spans_[from.value()];
+  const std::uint32_t at = SlotOf(from, to);
+  Require(at < span.size && pool_[span.begin + at].to == to,
+          "RetargetSlot: adjacency slot missing");
+  pool_[span.begin + at].edge = edge;
+}
+
+void ChannelDependencyGraph::Stamp(ChannelId v) {
+  if (tracking_) {
+    changes_.stamped.push_back(v);
+  }
 }
 
 void ChannelDependencyGraph::MaybeCompact() {

@@ -16,19 +16,21 @@
 // out-edge slots contiguously (sorted by target id), with per-vertex
 // slack capacity so the removal loop can mutate the graph in place via
 // the incremental API (AddEdges / RemoveEdges / ApplyBreak) instead of
-// re-deriving it from the design after every break. The representation is
-// canonical — adjacency sorted by target, flow annotations sorted by flow
-// id — so a graph reached through increments is indistinguishable from a
-// from-scratch Build of the same design (see SameDependencies), and every
-// order-sensitive consumer (the cycle searches) behaves identically on
-// both.
+// re-deriving it from the design after every break. There is no hash
+// index: an edge is found by binary search in its from-vertex's sorted
+// span, which is short (at most 5 slots on a treated torus, 1.4-1.5 on
+// average). The representation is canonical — adjacency sorted by
+// target, flow annotations sorted by flow id — so a graph reached
+// through increments is indistinguishable from a from-scratch Build of
+// the same design (see SameDependencies), and every order-sensitive
+// consumer (the cycle searches) behaves identically on both.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "noc/design.h"
@@ -117,20 +119,30 @@ class ChannelDependencyGraph {
       const ChannelDependencyGraph& other) const;
 
   // ----------------------------------------------------------------------
-  // Change stamps. Every insertion into or deletion from a vertex's
-  // out-adjacency advances a mutation counter and stamps the vertex with
-  // the new value, so a reader that remembers Generation() can later ask
-  // which vertices' out-edge sets changed since (cdg/incremental.h).
-  // Re-annotating an existing edge with more or fewer flows, and the
-  // pool's internal moves, leave the edge set and the stamps alone.
+  // Change log, for a reader that caches what it derived from the graph
+  // (cdg/incremental.h). While tracking is on, every insertion into or
+  // deletion from a vertex's out-adjacency logs that vertex, and every
+  // deleted edge logs its endpoints. Re-annotating an existing edge with
+  // more or fewer flows, and the pool's internal moves, log nothing.
+  // Build logs nothing, and a graph no reader tracks keeps no log.
 
-  /// The mutation counter: the number of out-adjacency insertions and
-  /// deletions so far.
-  [[nodiscard]] std::uint64_t Generation() const { return generation_; }
+  struct ChangeLog {
+    /// Vertices whose out-edge set changed, once per insertion or
+    /// deletion, in order.
+    std::vector<ChannelId> stamped;
+    /// Deleted edges as (from, to), in order.
+    std::vector<std::pair<ChannelId, ChannelId>> deleted;
+  };
 
-  /// Generation() right after the last insertion into or deletion from
-  /// \p c's out-adjacency; 0 if it never changed.
-  [[nodiscard]] std::uint64_t OutChangedAt(ChannelId c) const;
+  /// Starts (true) or stops (false) logging; either way the log empties.
+  void TrackChanges(bool on);
+  [[nodiscard]] bool TracksChanges() const { return tracking_; }
+
+  /// What changed since tracking started or the last ClearChanges.
+  [[nodiscard]] const ChangeLog& Changes() const { return changes_; }
+
+  /// Empties the log once its reader has consumed it.
+  void ClearChanges();
 
  private:
   /// Adjacency span of one vertex inside the flat pool.
@@ -142,26 +154,23 @@ class ChannelDependencyGraph {
 
   void AddDependency(ChannelId from, ChannelId to, FlowId flow);
   void RemoveDependency(ChannelId from, ChannelId to, FlowId flow);
-  /// Inserts an adjacency slot for (from -> to) keeping the span sorted.
-  void InsertSlot(ChannelId from, OutEdgeRef ref);
-  /// Removes the adjacency slot with target \p to from \p from's span.
-  void EraseSlot(ChannelId from, ChannelId to);
+  /// The slot of \p to in from's sorted span, or where it would go.
+  [[nodiscard]] std::uint32_t SlotOf(ChannelId from, ChannelId to) const;
+  /// Inserts \p ref at slot \p at of from's span.
+  void InsertSlot(ChannelId from, std::uint32_t at, OutEdgeRef ref);
   /// Points from's slot targeting \p to at \p edge (after a swap-remove).
   void RetargetSlot(ChannelId from, ChannelId to, std::uint32_t edge);
+  /// Logs \p v as stamped while tracking is on.
+  void Stamp(ChannelId v);
   /// Rewrites the pool without slack holes once they dominate.
   void MaybeCompact();
-
-  static std::uint64_t Key(ChannelId from, ChannelId to) {
-    return (static_cast<std::uint64_t>(from.value()) << 32) | to.value();
-  }
 
   std::vector<CdgEdge> edges_;  // dense: deletion swap-removes
   std::vector<OutEdgeRef> pool_;
   std::vector<VertexSpan> spans_;  // per vertex
-  std::unordered_map<std::uint64_t, std::uint32_t> edge_index_;
   std::size_t live_slots_ = 0;  // pool_ slots currently inside a span
-  std::uint64_t generation_ = 0;
-  std::vector<std::uint64_t> out_changed_at_;  // per vertex
+  bool tracking_ = false;
+  ChangeLog changes_;
 };
 
 }  // namespace nocdr

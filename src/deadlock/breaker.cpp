@@ -1,8 +1,5 @@
 #include "deadlock/breaker.h"
 
-#include <unordered_map>
-#include <unordered_set>
-
 #include "util/error.h"
 
 namespace nocdr {
@@ -10,25 +7,27 @@ namespace nocdr {
 BreakResult BreakCycle(NocDesign& design, const CdgCycle& cycle,
                        std::size_t edge_pos, BreakDirection direction,
                        DuplicationMode mode,
-                       const std::vector<FlowId>* candidate_flows) {
+                       const std::vector<FlowId>* candidate_flows,
+                       CycleIndex* index) {
   Require(!cycle.empty(), "BreakCycle: empty cycle");
   Require(edge_pos < cycle.size(), "BreakCycle: edge position out of range");
   const std::size_t m = cycle.size();
   const ChannelId edge_from = cycle[edge_pos];
   const ChannelId edge_to = cycle[(edge_pos + 1) % m];
+  CycleIndex own;
+  const CycleIndex::Fill pos(index != nullptr ? *index : own, cycle,
+                             design.topology.ChannelCount());
 
-  std::unordered_set<ChannelId> in_cycle(cycle.begin(), cycle.end());
-
-  // Shared duplicate map: original cycle channel -> its new VC. Created
-  // lazily so we only add the channels some re-routed flow actually needs.
-  std::unordered_map<ChannelId, ChannelId> duplicate;
+  // Shared duplicates, by cycle position: the new VC of each cycle
+  // channel. Created lazily so we only add the channels some re-routed
+  // flow actually needs.
+  std::vector<ChannelId> duplicate(m);
   BreakResult result;
-  auto duplicate_of = [&](ChannelId original) {
-    auto it = duplicate.find(original);
-    if (it != duplicate.end()) {
-      return it->second;
+  auto duplicate_of = [&](std::size_t q) {
+    if (duplicate[q].valid()) {
+      return duplicate[q];
     }
-    const LinkId link = design.topology.ChannelAt(original).link;
+    const LinkId link = design.topology.ChannelAt(cycle[q]).link;
     ChannelId fresh;
     if (mode == DuplicationMode::kVirtualChannel) {
       fresh = design.topology.AddVirtualChannel(link);
@@ -39,9 +38,16 @@ BreakResult BreakCycle(NocDesign& design, const CdgCycle& cycle,
       const LinkId twin = design.topology.AddLink(phys.src, phys.dst);
       fresh = design.topology.ChannelsOf(twin).front();
     }
-    duplicate.emplace(original, fresh);
+    duplicate[q] = fresh;
     result.added_channels.push_back(fresh);
     return fresh;
+  };
+  // Replaces route[j] by its duplicate if it is a cycle channel.
+  auto duplicate_hop = [&](Route& route, std::size_t j) {
+    const std::uint32_t q = pos.PositionOf(route[j]);
+    if (q != CycleIndex::kOffCycle) {
+      route[j] = duplicate_of(q);
+    }
   };
 
   const std::size_t scan_count = candidate_flows
@@ -65,15 +71,11 @@ BreakResult BreakCycle(NocDesign& design, const CdgCycle& cycle,
     result.old_routes.push_back(route);
     if (direction == BreakDirection::kForward) {
       for (std::size_t j = 0; j <= pair_at; ++j) {
-        if (in_cycle.contains(route[j])) {
-          route[j] = duplicate_of(route[j]);
-        }
+        duplicate_hop(route, j);
       }
     } else {
       for (std::size_t j = pair_at + 1; j < route.size(); ++j) {
-        if (in_cycle.contains(route[j])) {
-          route[j] = duplicate_of(route[j]);
-        }
+        duplicate_hop(route, j);
       }
     }
     result.rerouted_flows.push_back(f);

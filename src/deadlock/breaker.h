@@ -55,10 +55,12 @@ struct BreakResult {
 /// \p candidate_flows, when given, restricts the re-route scan to those
 /// flows (ascending FlowId order); the CDG annotation of the broken edge
 /// lists exactly the flows that create it, so passing it is equivalent to
-/// scanning every flow. Pass nullptr to scan all flows.
+/// scanning every flow. Pass nullptr to scan all flows. \p index is the
+/// scratch of CycleIndex (deadlock/cost.h); nullptr allocates one.
 BreakResult BreakCycle(NocDesign& design, const CdgCycle& cycle,
                        std::size_t edge_pos, BreakDirection direction,
                        DuplicationMode mode = DuplicationMode::kVirtualChannel,
-                       const std::vector<FlowId>* candidate_flows = nullptr);
+                       const std::vector<FlowId>* candidate_flows = nullptr,
+                       CycleIndex* index = nullptr);
 
 }  // namespace nocdr

@@ -2,34 +2,48 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdint>
-#include <unordered_map>
 
 #include "util/error.h"
 
 namespace nocdr {
 
-namespace {
-
-/// Maps each cycle vertex to its index within the cycle.
-std::unordered_map<ChannelId, std::size_t> CyclePositions(
-    const CdgCycle& cycle) {
-  std::unordered_map<ChannelId, std::size_t> pos;
-  for (std::size_t i = 0; i < cycle.size(); ++i) {
-    Require(pos.emplace(cycle[i], i).second,
-            "cycle repeats a vertex; not a simple cycle");
+CycleIndex::Fill::Fill(CycleIndex& index, const CdgCycle& cycle,
+                       std::size_t channel_count)
+    : index_(index), cycle_(cycle) {
+  std::vector<std::uint32_t>& position = index_.position_;
+  if (position.size() < channel_count) {
+    position.resize(channel_count, kOffCycle);
   }
-  return pos;
+  for (std::size_t i = 0; i < cycle.size(); ++i) {
+    const ChannelId c = cycle[i];
+    const bool known = c.valid() && c.value() < channel_count;
+    if (!known || position[c.value()] != kOffCycle) {
+      // A throwing constructor runs no destructor: clear what was set.
+      for (std::size_t k = 0; k < i; ++k) {
+        position[cycle[k].value()] = kOffCycle;
+      }
+      throw InvalidModelError(known
+                                  ? "cycle repeats a vertex; not a simple cycle"
+                                  : "cycle names a channel the design lacks");
+    }
+    position[c.value()] = static_cast<std::uint32_t>(i);
+  }
 }
 
-}  // namespace
+CycleIndex::Fill::~Fill() {
+  for (const ChannelId c : cycle_) {
+    index_.position_[c.value()] = kOffCycle;
+  }
+}
 
 CycleCostTable ComputeCycleCostTable(
     const NocDesign& design, const CdgCycle& cycle, BreakDirection direction,
-    const std::vector<FlowId>* candidate_flows) {
+    const std::vector<FlowId>* candidate_flows, CycleIndex* index) {
   Require(!cycle.empty(), "ComputeCycleCostTable: empty cycle");
   const std::size_t m = cycle.size();
-  const auto pos = CyclePositions(cycle);
+  CycleIndex own;
+  const CycleIndex::Fill pos(index != nullptr ? *index : own, cycle,
+                             design.topology.ChannelCount());
   const bool forward = direction == BreakDirection::kForward;
 
   // Bitsets over cycle positions, `words` 64-bit words each: `walked`
@@ -60,11 +74,10 @@ CycleCostTable ComputeCycleCostTable(
     std::size_t val = 0;
     for (std::size_t s = 0; s < n; ++s) {
       const std::size_t i = forward ? s : n - 1 - s;
-      auto it = pos.find(route[i]);
-      if (it == pos.end()) {
+      const std::uint32_t q = pos.PositionOf(route[i]);
+      if (q == CycleIndex::kOffCycle) {
         continue;
       }
-      const std::size_t q = it->second;
       ++val;
       walked[q / 64] |= std::uint64_t{1} << (q % 64);
       // Edge p is the one whose duplicated side ends at c_q: (c_q,
@@ -102,9 +115,9 @@ CycleCostTable ComputeCycleCostTable(
 
 BreakCandidate FindDepToBreak(
     const NocDesign& design, const CdgCycle& cycle, BreakDirection direction,
-    const std::vector<FlowId>* candidate_flows) {
-  const CycleCostTable table =
-      ComputeCycleCostTable(design, cycle, direction, candidate_flows);
+    const std::vector<FlowId>* candidate_flows, CycleIndex* index) {
+  const CycleCostTable table = ComputeCycleCostTable(
+      design, cycle, direction, candidate_flows, index);
   BreakCandidate best;
   best.direction = direction;
   for (std::size_t p = 0; p < table.combined.size(); ++p) {

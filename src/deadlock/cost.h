@@ -29,6 +29,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <optional>
 #include <vector>
@@ -68,6 +69,42 @@ struct BreakCandidate {
   BreakDirection direction = BreakDirection::kForward;
 };
 
+/// Scratch for scoring and breaking one cycle: each channel's position on
+/// the cycle, in an array indexed by channel id, so a route hop costs one
+/// load. ComputeCycleCostTable, FindDepToBreak and BreakCycle fill it from
+/// their cycle and clear exactly those entries before they return, so a
+/// removal run hands one index to every call and never resets the whole
+/// array. A call given none uses a fresh one of its own.
+class CycleIndex {
+ public:
+  static constexpr std::uint32_t kOffCycle = 0xffffffffu;
+
+  /// Marks a cycle's channels with their positions for its lifetime and
+  /// clears them when it ends, also when the call throws.
+  class Fill {
+   public:
+    /// Requires a non-empty cycle of distinct channels of a design with
+    /// \p channel_count channels.
+    Fill(CycleIndex& index, const CdgCycle& cycle, std::size_t channel_count);
+    ~Fill();
+    Fill(const Fill&) = delete;
+    Fill& operator=(const Fill&) = delete;
+
+    /// Position of \p c on the cycle, or kOffCycle.
+    [[nodiscard]] std::uint32_t PositionOf(ChannelId c) const {
+      const std::vector<std::uint32_t>& position = index_.position_;
+      return c.value() < position.size() ? position[c.value()] : kOffCycle;
+    }
+
+   private:
+    CycleIndex& index_;
+    const CdgCycle& cycle_;
+  };
+
+ private:
+  std::vector<std::uint32_t> position_;  // per channel id
+};
+
 /// Builds the full cost table for breaking \p cycle in \p direction
 /// (FindDepToBreakForward / ...Backward of the paper, with the table
 /// exposed). \p cycle must be a genuine cycle of the design's CDG.
@@ -77,15 +114,18 @@ struct BreakCandidate {
 /// edge contribute a row, and the CDG's per-edge flow annotations name
 /// exactly those flows — so passing the union of the cycle edges' flow
 /// lists produces the identical table at a fraction of the cost. Pass
-/// nullptr to scan every flow of the design.
+/// nullptr to scan every flow of the design. \p index is the scratch of
+/// CycleIndex; nullptr allocates one for the call.
 CycleCostTable ComputeCycleCostTable(
     const NocDesign& design, const CdgCycle& cycle, BreakDirection direction,
-    const std::vector<FlowId>* candidate_flows = nullptr);
+    const std::vector<FlowId>* candidate_flows = nullptr,
+    CycleIndex* index = nullptr);
 
 /// The paper's FindDepToBreak{Forward,Backward}: minimum combined cost and
 /// its edge position (first minimum wins, deterministically).
 BreakCandidate FindDepToBreak(
     const NocDesign& design, const CdgCycle& cycle, BreakDirection direction,
-    const std::vector<FlowId>* candidate_flows = nullptr);
+    const std::vector<FlowId>* candidate_flows = nullptr,
+    CycleIndex* index = nullptr);
 
 }  // namespace nocdr

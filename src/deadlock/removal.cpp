@@ -52,33 +52,35 @@ std::vector<FlowId> CycleFlowUnion(const ChannelDependencyGraph& cdg,
 
 BreakCandidate PickBreak(const NocDesign& design, const CdgCycle& cycle,
                          DirectionPolicy policy,
-                         const std::vector<FlowId>& candidates) {
+                         const std::vector<FlowId>& candidates,
+                         CycleIndex& index) {
   switch (policy) {
     case DirectionPolicy::kForwardOnly:
       return FindDepToBreak(design, cycle, BreakDirection::kForward,
-                            &candidates);
+                            &candidates, &index);
     case DirectionPolicy::kBackwardOnly:
       return FindDepToBreak(design, cycle, BreakDirection::kBackward,
-                            &candidates);
+                            &candidates, &index);
     case DirectionPolicy::kBoth:
       break;
   }
   // Algorithm 1, steps 5-11: evaluate both directions, keep the cheaper;
   // forward wins ties (the paper's `if f_cost <= b_cost`).
-  const BreakCandidate fwd =
-      FindDepToBreak(design, cycle, BreakDirection::kForward, &candidates);
-  const BreakCandidate bwd =
-      FindDepToBreak(design, cycle, BreakDirection::kBackward, &candidates);
+  const BreakCandidate fwd = FindDepToBreak(
+      design, cycle, BreakDirection::kForward, &candidates, &index);
+  const BreakCandidate bwd = FindDepToBreak(
+      design, cycle, BreakDirection::kBackward, &candidates, &index);
   return fwd.cost <= bwd.cost ? fwd : bwd;
 }
 
 /// Applies the chosen break and records it; shared by both engines.
 /// \p stages aggregates the scoring and application time (stage spans
-/// and "removal.*_us" histograms are emitted when it is destroyed).
+/// and "removal.*_us" histograms are emitted when it is destroyed), and
+/// \p index is the run's scoring and breaking scratch.
 void ApplyAndRecord(NocDesign& design, const ChannelDependencyGraph& cdg,
                     const CdgCycle& cycle, const RemovalOptions& options,
-                    StageTimer& stages, RemovalReport& report,
-                    BreakResult& applied_out) {
+                    StageTimer& stages, CycleIndex& index,
+                    RemovalReport& report, BreakResult& applied_out) {
   if (report.iterations >= options.max_iterations) {
     throw AlgorithmLimitError("RemoveDeadlocks: iteration cap exceeded (" +
                               std::to_string(options.max_iterations) + ")");
@@ -87,13 +89,14 @@ void ApplyAndRecord(NocDesign& design, const ChannelDependencyGraph& cdg,
   BreakCandidate chosen;
   {
     StageTimer::Section section(stages, kStageScore);
-    chosen = PickBreak(design, cycle, options.direction_policy, candidates);
+    chosen = PickBreak(design, cycle, options.direction_policy, candidates,
+                       index);
     stages.Count(kStageScore, "candidates", candidates.size());
   }
   {
     StageTimer::Section section(stages, kStageApply);
     applied_out = BreakCycle(design, cycle, chosen.edge_pos, chosen.direction,
-                             options.duplication, &candidates);
+                             options.duplication, &candidates, &index);
     stages.Count(kStageApply, "vcs_added", applied_out.added_channels.size());
   }
 
@@ -122,6 +125,7 @@ RemovalReport RemoveDeadlocksRebuild(NocDesign& design,
                                      const RemovalOptions& options) {
   RemovalReport report;
   StageTimer stages(RemovalStages());
+  CycleIndex index;
   ChannelDependencyGraph cdg = ChannelDependencyGraph::Build(design);
   std::optional<CdgCycle> cycle;
   {
@@ -132,7 +136,8 @@ RemovalReport RemoveDeadlocksRebuild(NocDesign& design,
 
   while (cycle) {
     BreakResult applied;
-    ApplyAndRecord(design, cdg, *cycle, options, stages, report, applied);
+    ApplyAndRecord(design, cdg, *cycle, options, stages, index, report,
+                   applied);
     {
       StageTimer::Section section(stages, kStageInvalidate);
       cdg = ChannelDependencyGraph::Build(design);
@@ -151,6 +156,7 @@ RemovalReport RemoveDeadlocksOnCdg(NocDesign& design,
                                    const RemovalOptions& options) {
   RemovalReport report;
   StageTimer stages(RemovalStages());
+  CycleIndex index;
   const DirtyCycleFinder::Stats before = finder.stats();
   // The finder's pick, held to a full scan in paranoid mode.
   const auto pick = [&] {
@@ -171,7 +177,8 @@ RemovalReport RemoveDeadlocksOnCdg(NocDesign& design,
 
   while (cycle) {
     BreakResult applied;
-    ApplyAndRecord(design, cdg, *cycle, options, stages, report, applied);
+    ApplyAndRecord(design, cdg, *cycle, options, stages, index, report,
+                   applied);
     {
       StageTimer::Section section(stages, kStageInvalidate);
       cdg.ApplyBreak(design, applied.rerouted_flows, applied.old_routes);
@@ -182,10 +189,13 @@ RemovalReport RemoveDeadlocksOnCdg(NocDesign& design,
     }
     cycle = pick();
   }
-  report.cycle_bfs_runs = finder.stats().bfs_runs - before.bfs_runs;
+  const DirtyCycleFinder::Stats& after = finder.stats();
+  report.cycle_bfs_runs = after.bfs_runs - before.bfs_runs;
+  report.scc_vertices = after.scc_vertices - before.scc_vertices;
+  report.cycle_checks = after.cycle_checks - before.cycle_checks;
   stages.Count(kStageCycleSearch, "bfs_runs", report.cycle_bfs_runs);
-  stages.Count(kStageCycleSearch, "scc_vertices",
-               finder.stats().scc_vertices - before.scc_vertices);
+  stages.Count(kStageCycleSearch, "scc_vertices", report.scc_vertices);
+  stages.Count(kStageCycleSearch, "cycle_checks", report.cycle_checks);
   return report;
 }
 

@@ -15,8 +15,8 @@
 // paper's literal formulation, kept as the reference baseline the
 // incremental engine is benchmarked and property-tested against. Both
 // make identical removal decisions (same steps, VC counts and final
-// designs); only the cycle_bfs_runs work counter differs, as it exists
-// to measure the incremental engine.
+// designs); only the work counters (cycle_bfs_runs, scc_vertices,
+// cycle_checks) differ, as they exist to measure the incremental engine.
 #pragma once
 
 #include <cstddef>
@@ -87,6 +87,12 @@ struct RemovalReport {
   /// run (incremental engine only; 0 for the rebuild engine). The rebuild
   /// engine's equivalent is roughly VertexCount() per iteration.
   std::size_t cycle_bfs_runs = 0;
+  /// The incremental engine's other two cycle-search counters
+  /// (DirtyCycleFinder::Stats), over the run; 0 for the rebuild engine:
+  /// vertices whose SCC a pick recomputed, and cached cycles re-verified
+  /// edge by edge.
+  std::size_t scc_vertices = 0;
+  std::size_t cycle_checks = 0;
   std::vector<RemovalStep> steps;
 };
 
@@ -106,8 +112,9 @@ class DirtyCycleFinder;
 /// the fault-reconfiguration pipeline (src/fault) uses to keep one CDG
 /// and one finder cache alive across fault bursts instead of paying a
 /// from-scratch Build per burst. options.engine is ignored — this *is*
-/// the incremental engine; report.cycle_bfs_runs counts only the BFS
-/// work of this call, not the finder's lifetime total.
+/// the incremental engine; the report's work counters (cycle_bfs_runs,
+/// scc_vertices, cycle_checks) count only this call, not the finder's
+/// lifetime total.
 RemovalReport RemoveDeadlocksOnCdg(NocDesign& design,
                                    ChannelDependencyGraph& cdg,
                                    DirtyCycleFinder& finder,

@@ -33,9 +33,10 @@ struct DeadlockCertificate {
 DeadlockCertificate CertifyDeadlockFreedom(const NocDesign& design);
 
 /// CertifyDeadlockFreedom computed from an already-maintained CDG
-/// instead of re-deriving one from the design — the fault pipeline's
-/// fast path: Kahn's algorithm is O(V+E), while a from-scratch Build
-/// pays a hash-map insert per route hop. The CDG representation is
+/// instead of re-deriving one from the design — the path of the fault
+/// pipeline and of ComputeCertification, which certifies from the graph
+/// removal kept: Kahn's algorithm is O(V+E), while a from-scratch Build
+/// walks every route hop again. The CDG representation is
 /// canonical, so the certificate is identical to the from-scratch one
 /// *provided* \p cdg is in sync with \p design (vertex count must match
 /// the design's channel count; Require-checked). Sign-off still rests

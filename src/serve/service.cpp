@@ -5,6 +5,8 @@
 #include <cstring>
 #include <utility>
 
+#include "cdg/cdg.h"
+#include "cdg/incremental.h"
 #include "deadlock/verify.h"
 #include "noc/io.h"
 #include "obs/metrics.h"
@@ -245,16 +247,30 @@ NocDesign MaterializeDesign(const DesignSpec& spec,
   throw InvalidModelError("MaterializeDesign: unknown request kind");
 }
 
-CachedCertification ComputeCertification(const NocDesign& canonical_design,
-                                         const CertRequest& request) {
-  CachedCertification out;
-  NocDesign treated = canonical_design;
-  out.channels_before = treated.topology.ChannelCount();
+namespace {
+
+/// ComputeCertification's treat and certify steps on one CDG, which is
+/// freed before the payload is rendered: the incremental engine keeps the
+/// graph it treats in sync with the design, so certify reads it as it
+/// stands. Fills \p out's removal fields when the request treats.
+DeadlockCertificate TreatAndCertify(NocDesign& design,
+                                    const CertRequest& request,
+                                    CachedCertification& out) {
+  ChannelDependencyGraph cdg;
+  bool cdg_in_sync = false;
   if (request.treat) {
     // The removal StageTimer (deadlock/removal.cpp) nests its
     // cycle_search/score/apply/invalidate stage spans under this one.
     obs::ScopedSpan span("treat");
-    const RemovalReport report = RemoveDeadlocks(treated, request.options);
+    RemovalReport report;
+    if (request.options.engine == RemovalEngine::kIncremental) {
+      cdg = ChannelDependencyGraph::Build(design);
+      DirtyCycleFinder finder(cdg);
+      report = RemoveDeadlocksOnCdg(design, cdg, finder, request.options);
+      cdg_in_sync = true;
+    } else {
+      report = RemoveDeadlocks(design, request.options);
+    }
     out.initially_deadlock_free = report.initially_deadlock_free;
     out.iterations = report.iterations;
     out.vcs_added = report.vcs_added;
@@ -262,12 +278,30 @@ CachedCertification ComputeCertification(const NocDesign& canonical_design,
     span.Attr("iterations", static_cast<std::uint64_t>(report.iterations));
     span.Attr("vcs_added", static_cast<std::uint64_t>(report.vcs_added));
   }
-  out.channels_after = treated.topology.ChannelCount();
-  DeadlockCertificate certificate;
-  {
-    obs::ScopedSpan span("certify");
-    certificate = CertifyDeadlockFreedom(treated);
+  obs::ScopedSpan span("certify");
+  if (!cdg_in_sync) {
+    cdg = ChannelDependencyGraph::Build(design);
   }
+  // With no channel order this is CertifyDeadlockFreedom's certificate
+  // byte for byte. CheckCertificate walks the routes and reads no CDG,
+  // so a positive certificate is also checked by code that shares
+  // nothing with the graph's upkeep; a failure is compute_failed.
+  DeadlockCertificate certificate = CertifyFromCdg(design, cdg);
+  Require(!certificate.deadlock_free || CheckCertificate(design, certificate),
+          "ComputeCertification: the certificate fails CheckCertificate");
+  return certificate;
+}
+
+}  // namespace
+
+CachedCertification ComputeCertification(const NocDesign& canonical_design,
+                                         const CertRequest& request) {
+  CachedCertification out;
+  NocDesign treated = canonical_design;
+  out.channels_before = treated.topology.ChannelCount();
+  const DeadlockCertificate certificate =
+      TreatAndCertify(treated, request, out);
+  out.channels_after = treated.topology.ChannelCount();
   out.deadlock_free = certificate.deadlock_free;
   if (!request.treat) {
     out.initially_deadlock_free = certificate.deadlock_free;

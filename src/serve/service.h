@@ -348,7 +348,13 @@ class CertificationService {
 
 /// The production certification computation: copy the canonical design,
 /// optionally RemoveDeadlocks with the request's options, certify, and
-/// serialize certificate + treated design. Deterministic in its inputs.
+/// serialize certificate + treated design. Deterministic in its inputs,
+/// and byte-equal to RemoveDeadlocks + CertifyDeadlockFreedom +
+/// DesignText. It builds one CDG: the incremental engine treats on it
+/// (RemoveDeadlocksOnCdg) and certify reads it (CertifyFromCdg); the
+/// rebuild engine, or treat = false, certifies from one Build. Every
+/// positive certificate must pass CheckCertificate, or the computation
+/// throws.
 CachedCertification ComputeCertification(const NocDesign& canonical_design,
                                          const CertRequest& request);
 

@@ -5,6 +5,10 @@
 // rests on, checked here across the whole regression corpus.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "cdg/cdg.h"
 #include "cdg/cycle.h"
 #include "cdg/incremental.h"
@@ -65,6 +69,21 @@ TEST(CdgIncrementalTest, RemoveEdgesThrowsWhenOutOfSync) {
   cdg.AddEdges({ex.c1, ex.c2}, ex.f1);
   EXPECT_THROW(cdg.RemoveEdges({ex.c2, ex.c3}, ex.f1), InvalidModelError);
   EXPECT_THROW(cdg.RemoveEdges({ex.c1, ex.c2}, ex.f2), InvalidModelError);
+}
+
+TEST(CdgIncrementalTest, LookupsOutsideTheGraphFindNothing) {
+  auto ex = testing::MakePaperExample();
+  ChannelDependencyGraph cdg;
+  cdg.EnsureVertices(ex.design.topology.ChannelCount());
+  cdg.AddEdges({ex.c1, ex.c2}, ex.f1);
+  EXPECT_FALSE(cdg.FindEdge(ChannelId(), ex.c2).has_value());
+  EXPECT_FALSE(cdg.FindEdge(ChannelId(99), ex.c2).has_value());
+  EXPECT_FALSE(cdg.FindEdge(ex.c1, ChannelId()).has_value());
+  EXPECT_THROW(cdg.RemoveEdges({ChannelId(99), ex.c2}, ex.f1),
+               InvalidModelError);
+  EXPECT_THROW(cdg.RemoveEdges({ChannelId(), ex.c2}, ex.f1),
+               InvalidModelError);
+  EXPECT_EQ(cdg.EdgeCount(), 1u);
 }
 
 TEST(CdgIncrementalTest, SameDependenciesDetectsDifferences) {
@@ -280,6 +299,198 @@ TEST(CdgIncrementalTest, PicksAfterTheFirstRevisitOnlyChangedComponents) {
   EXPECT_LT(stats.scc_vertices * 10, stats.picks * cdg.VertexCount())
       << stats.scc_vertices << " SCC vertices over " << stats.picks
       << " picks of up to " << cdg.VertexCount() << " vertices";
+}
+
+// ------------------------------------------------------------------------
+// The finder's skip: a marked SCC re-verifies its cached cycles only when
+// it lost an edge with both ends inside it. Every pick here is held to a
+// full scan, as RemovalOptions::paranoid_validation holds it.
+
+using Edge = std::pair<std::uint32_t, std::uint32_t>;
+
+/// A CDG on \p vertices vertices whose edge i only flow i creates, so
+/// RemoveEdge deletes exactly that edge.
+ChannelDependencyGraph EdgeGraph(std::size_t vertices,
+                                 const std::vector<Edge>& edges) {
+  ChannelDependencyGraph cdg;
+  cdg.EnsureVertices(vertices);
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    cdg.AddEdges({ChannelId(edges[i].first), ChannelId(edges[i].second)},
+                 FlowId(i));
+  }
+  return cdg;
+}
+
+void RemoveEdge(ChannelDependencyGraph& cdg, const std::vector<Edge>& edges,
+                Edge edge) {
+  const auto it = std::find(edges.begin(), edges.end(), edge);
+  ASSERT_NE(it, edges.end());
+  cdg.RemoveEdges({ChannelId(edge.first), ChannelId(edge.second)},
+                  FlowId(static_cast<std::size_t>(it - edges.begin())));
+}
+
+/// The finder's pick, which must equal the full scan's.
+std::optional<CdgCycle> CheckedPick(DirtyCycleFinder& finder,
+                                    const ChannelDependencyGraph& cdg,
+                                    CyclePolicy policy) {
+  std::optional<CdgCycle> picked = finder.Pick(policy);
+  EXPECT_EQ(picked, PickCycle(cdg, policy)) << "pick diverged from a full scan";
+  return picked;
+}
+
+CdgCycle Cycle(std::initializer_list<std::uint32_t> vertices) {
+  CdgCycle cycle;
+  for (const std::uint32_t v : vertices) {
+    cycle.emplace_back(v);
+  }
+  return cycle;
+}
+
+TEST(DirtyCycleFinderTest, SccThatLostAnInternalEdgeRechecksItsCycles) {
+  // One SCC of two triangles through vertex 0. Deleting 1 -> 2 leaves
+  // {0, 3, 4} strongly connected: 0's cached cycle (0, 1, 2) is gone, and
+  // only a re-check finds that out.
+  const std::vector<Edge> edges = {{0, 1}, {1, 2}, {2, 0},
+                                   {0, 3}, {3, 4}, {4, 0}};
+  auto cdg = EdgeGraph(5, edges);
+  DirtyCycleFinder finder(cdg);
+  EXPECT_EQ(CheckedPick(finder, cdg, CyclePolicy::kSmallestFirst),
+            Cycle({0, 1, 2}));
+
+  RemoveEdge(cdg, edges, {1, 2});
+  const DirtyCycleFinder::Stats before = finder.stats();
+  EXPECT_EQ(CheckedPick(finder, cdg, CyclePolicy::kSmallestFirst),
+            Cycle({0, 3, 4}));
+  const DirtyCycleFinder::Stats& after = finder.stats();
+  EXPECT_EQ(after.scc_vertices - before.scc_vertices, 5u);
+  // 3 and 4 keep their cycles after a check; 0 fails its check and is
+  // re-BFSed; 1 and 2 are trivial now.
+  EXPECT_EQ(after.cycle_checks - before.cycle_checks, 3u);
+  EXPECT_EQ(after.bfs_runs - before.bfs_runs, 1u);
+}
+
+TEST(DirtyCycleFinderTest, SccThatLostOnlyALeavingEdgeKeepsItsCyclesUnchecked) {
+  // SCC {0, 1, 2} with an edge 2 -> 3 into SCC {3, 4}. Deleting that
+  // edge marks {0, 1, 2} (vertex 2's out-edges changed), yet no cycle of
+  // it can have broken.
+  const std::vector<Edge> edges = {{0, 1}, {1, 2}, {2, 0},
+                                   {2, 3}, {3, 4}, {4, 3}};
+  auto cdg = EdgeGraph(5, edges);
+  DirtyCycleFinder finder(cdg);
+  EXPECT_EQ(CheckedPick(finder, cdg, CyclePolicy::kSmallestFirst),
+            Cycle({3, 4}));
+
+  RemoveEdge(cdg, edges, {2, 3});
+  const DirtyCycleFinder::Stats before = finder.stats();
+  EXPECT_EQ(CheckedPick(finder, cdg, CyclePolicy::kLargestFirst),
+            Cycle({0, 1, 2}));
+  const DirtyCycleFinder::Stats& after = finder.stats();
+  EXPECT_EQ(after.scc_vertices - before.scc_vertices, 3u);
+  EXPECT_EQ(after.cycle_checks - before.cycle_checks, 0u);
+  EXPECT_EQ(after.bfs_runs - before.bfs_runs, 0u);
+}
+
+TEST(DirtyCycleFinderTest, TiesGoToTheLowestVertexUnderEveryPolicy) {
+  // Triangles at 0-2 and 6-8, 2-cycles at 3-4 and 9-10, 4-cycles at
+  // 11-14 and 15-18, vertex 5 isolated: the smallest and the largest
+  // pick each break a tie between two cycles, and the first-found pick
+  // is neither of them.
+  const std::vector<Edge> edges = {
+      {0, 1},   {1, 2},   {2, 0},   {3, 4},   {4, 3},   {6, 7},
+      {7, 8},   {8, 6},   {9, 10},  {10, 9},  {11, 12}, {12, 13},
+      {13, 14}, {14, 11}, {15, 16}, {16, 17}, {17, 18}, {18, 15}};
+  auto cdg = EdgeGraph(19, edges);
+  DirtyCycleFinder finder(cdg);
+  EXPECT_EQ(CheckedPick(finder, cdg, CyclePolicy::kSmallestFirst),
+            Cycle({3, 4}));
+  EXPECT_EQ(CheckedPick(finder, cdg, CyclePolicy::kLargestFirst),
+            Cycle({11, 12, 13, 14}));
+  EXPECT_EQ(CheckedPick(finder, cdg, CyclePolicy::kFirstFound),
+            Cycle({0, 1, 2}));
+
+  // Breaking the winners hands each tie to the other cycle.
+  RemoveEdge(cdg, edges, {3, 4});
+  RemoveEdge(cdg, edges, {11, 12});
+  RemoveEdge(cdg, edges, {0, 1});
+  EXPECT_EQ(CheckedPick(finder, cdg, CyclePolicy::kSmallestFirst),
+            Cycle({9, 10}));
+  EXPECT_EQ(CheckedPick(finder, cdg, CyclePolicy::kLargestFirst),
+            Cycle({15, 16, 17, 18}));
+  EXPECT_EQ(CheckedPick(finder, cdg, CyclePolicy::kFirstFound),
+            Cycle({6, 7, 8}));
+}
+
+TEST(DirtyCycleFinderTest, ChangeLogHoldsOnlyWhatNoPickHasRead) {
+  const std::vector<Edge> edges = {{0, 1}, {1, 0}, {1, 2}, {2, 1}};
+  auto cdg = EdgeGraph(3, edges);
+  // No reader: building and mutating log nothing.
+  RemoveEdge(cdg, edges, {2, 1});
+  EXPECT_TRUE(cdg.Changes().stamped.empty());
+  EXPECT_TRUE(cdg.Changes().deleted.empty());
+  {
+    DirtyCycleFinder finder(cdg);
+    EXPECT_THROW(DirtyCycleFinder second(cdg), InvalidModelError);
+    CheckedPick(finder, cdg, CyclePolicy::kSmallestFirst);
+    RemoveEdge(cdg, edges, {1, 2});
+    EXPECT_EQ(cdg.Changes().stamped, std::vector<ChannelId>{ChannelId(1)});
+    ASSERT_EQ(cdg.Changes().deleted.size(), 1u);
+    EXPECT_EQ(cdg.Changes().deleted[0],
+              std::make_pair(ChannelId(1), ChannelId(2)));
+    EXPECT_EQ(CheckedPick(finder, cdg, CyclePolicy::kSmallestFirst),
+              Cycle({0, 1}));
+    EXPECT_TRUE(cdg.Changes().stamped.empty());
+    EXPECT_TRUE(cdg.Changes().deleted.empty());
+    RemoveEdge(cdg, edges, {1, 0});
+    EXPECT_FALSE(cdg.Changes().deleted.empty());
+  }
+  // The finder's end stops the log and drops what no pick read.
+  EXPECT_FALSE(cdg.TracksChanges());
+  EXPECT_TRUE(cdg.Changes().stamped.empty());
+  EXPECT_TRUE(cdg.Changes().deleted.empty());
+  DirtyCycleFinder next(cdg);
+  EXPECT_FALSE(CheckedPick(next, cdg, CyclePolicy::kSmallestFirst));
+}
+
+// The re-check path on whole designs: SoC removal runs whose SCCs lose
+// internal edges, with every pick held to a full scan and the CDG to a
+// rebuild.
+TEST(DirtyCycleFinderTest, ParanoidSocRemovalRechecksCachedCycles) {
+  const auto b = MakeBenchmark(SocBenchmarkId::kD36_8);
+  std::size_t checks = 0;
+  for (const std::size_t switches : {24u, 34u}) {
+    SCOPED_TRACE(b.name + "@" + std::to_string(switches));
+    NocDesign design = SynthesizeDesign(b.traffic, b.name, switches);
+    RemovalOptions options;
+    options.paranoid_validation = true;
+    const RemovalReport report = RemoveDeadlocks(design, options);
+    EXPECT_GT(report.iterations, 0u);
+    EXPECT_TRUE(IsDeadlockFree(design));
+    checks += report.cycle_checks;
+  }
+  EXPECT_GT(checks, 0u) << "no pick re-checked a cached cycle";
+}
+
+// Picks stay exact while the SCC member lists compact. A path of
+// 2-cycles i <-> i+1 is one SCC; each deletion below splits it and
+// re-numbers most of it, so dead member entries soon outnumber the
+// vertices and the lists compact about every other pick.
+TEST(DirtyCycleFinderTest, PicksStayExactAcrossMemberListCompaction) {
+  const std::size_t n = 64;
+  std::vector<Edge> edges;
+  for (std::uint32_t i = 0; i + 1 < n; ++i) {
+    edges.push_back({i, i + 1});
+    edges.push_back({i + 1, i});
+  }
+  auto cdg = EdgeGraph(n, edges);
+  DirtyCycleFinder finder(cdg);
+  CheckedPick(finder, cdg, CyclePolicy::kSmallestFirst);
+  for (std::uint32_t i = 0; i + 1 < n; i += 2) {
+    RemoveEdge(cdg, edges, {i + 1, i});
+    CheckedPick(finder, cdg, CyclePolicy::kSmallestFirst);
+  }
+  // What is left: the 2-cycles {1, 2}, {3, 4}, ..., {61, 62}.
+  EXPECT_EQ(CheckedPick(finder, cdg, CyclePolicy::kLargestFirst),
+            Cycle({1, 2}));
 }
 
 TEST(CdgIncrementalTest, MirrorsRebuildUnderAblationPolicies) {

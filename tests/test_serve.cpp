@@ -580,6 +580,57 @@ TEST(ServiceTest, CachedAndRecomputedResponsesAreBitIdentical) {
   EXPECT_EQ(serve::ResponseDigest({hit}), reference);
 }
 
+// ComputeCertification builds one CDG per computation and, with the
+// incremental engine, certifies from the graph removal kept in sync. It
+// must equal the three-call reference byte for byte under both engines,
+// and untreated, where a cyclic design's certificate is a counterexample.
+TEST(ServiceTest, ComputeCertificationEqualsTheThreeCallReference) {
+  gen::GeneratorSpec torus;
+  torus.family = gen::TopologyFamily::kTorus2D;
+  torus.width = torus.height = 6;
+  const std::vector<NocDesign> designs = {
+      gen::GenerateStandardDesign(torus), UnidirectionalRing(8, 3),
+      MakePaperExample().design, MakeRandomDesign(3, 10, 14, 30)};
+  std::size_t counterexamples = 0;
+  for (const NocDesign& input : designs) {
+    const NocDesign canonical = CanonicalizeDesign(input).design;
+    for (const bool treat : {true, false}) {
+      for (const RemovalEngine engine :
+           {RemovalEngine::kIncremental, RemovalEngine::kRebuild}) {
+        SCOPED_TRACE(input.name + (treat ? " treated" : " untreated") +
+                     (engine == RemovalEngine::kRebuild ? ", rebuild" : ""));
+        CertRequest request;
+        request.treat = treat;
+        request.options.engine = engine;
+        const CachedCertification served =
+            serve::ComputeCertification(canonical, request);
+
+        NocDesign treated = canonical;
+        RemovalReport report;
+        if (treat) {
+          report = RemoveDeadlocks(treated, request.options);
+        }
+        const DeadlockCertificate certificate =
+            CertifyDeadlockFreedom(treated);
+        EXPECT_EQ(served.certificate_json, CertificateToJson(certificate));
+        EXPECT_EQ(served.treated_design_text, DesignText(treated));
+        EXPECT_EQ(served.deadlock_free, certificate.deadlock_free);
+        EXPECT_EQ(served.iterations, report.iterations);
+        EXPECT_EQ(served.vcs_added, report.vcs_added);
+        EXPECT_EQ(served.flows_rerouted, report.flows_rerouted);
+        EXPECT_EQ(served.channels_before, canonical.topology.ChannelCount());
+        EXPECT_EQ(served.channels_after, treated.topology.ChannelCount());
+        if (!certificate.deadlock_free) {
+          EXPECT_FALSE(treat);
+          EXPECT_FALSE(certificate.counterexample.empty());
+          ++counterexamples;
+        }
+      }
+    }
+  }
+  EXPECT_GT(counterexamples, 0u) << "no untreated design was cyclic";
+}
+
 // ------------------------------------------------------------- protocol
 
 TEST(ProtocolTest, DesignRequestRoundTrips) {

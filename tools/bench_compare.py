@@ -34,7 +34,9 @@ Per-metric overrides: --tolerance metric=R (repeatable; R is a relative
 tolerance in either direction, e.g. --tolerance avg_packet_latency=0.5).
 
 Rows are keyed by their string-valued fields (section, design, arm,
-family, ...), which the benches emit deterministically. A baseline row
+family, ...), which the benches emit deterministically. A campaign's
+per-trial rows (section "trial") share those, so their integer "trial"
+index is part of their key as well. A baseline row
 with no fresh counterpart is a regression (a bench silently dropped
 coverage); extra fresh rows are reported but pass (new coverage).
 Likewise asymmetric: a metric present in the baseline but missing from
@@ -76,11 +78,14 @@ def is_overhead_metric(key: str) -> bool:
 
 
 def row_key(row: dict) -> tuple:
-    """Identity of a row: its string fields, in sorted key order."""
+    """Identity of a row: its string fields, in sorted key order, plus
+    the trial index of a per-trial row."""
+    per_trial = row.get("section") == "trial"
     return tuple(
         (k, v)
         for k, v in sorted(row.items())
-        if isinstance(v, str) and k not in IGNORED_KEYS
+        if k not in IGNORED_KEYS
+        and (isinstance(v, str) or (per_trial and k == "trial"))
     )
 
 

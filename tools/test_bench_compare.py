@@ -165,6 +165,39 @@ class FreshOnlyAdditionsAreInformational(GateHarness):
         self.assertEqual(self.run_gate(), 0)
 
 
+class PerTrialRows(GateHarness):
+    def trial_rows(self, outcomes):
+        return [
+            {"section": "trial", "arm": "removal", "trial": i, "ok": ok}
+            for i, ok in enumerate(outcomes)
+        ]
+
+    def test_trial_index_tells_per_trial_rows_apart(self):
+        # A campaign's per-trial rows share every string field; keyed by
+        # those alone they would collapse into one row.
+        rows = self.trial_rows([True, True, True])
+        keys = {bench_compare.row_key(row) for row in rows}
+        self.assertEqual(len(keys), 3)
+        write_rows(self.baseline_dir / "BENCH_a.json", rows)
+        write_rows(self.fresh_dir / "BENCH_a.json", rows)
+        self.assertEqual(self.run_gate(), 0)
+
+    def test_a_changed_early_trial_fails(self):
+        # Keyed by string fields alone, both files would keep only their
+        # last row, which agrees, and trial 0's change would pass.
+        write_rows(
+            self.baseline_dir / "BENCH_a.json", self.trial_rows([False, True])
+        )
+        write_rows(
+            self.fresh_dir / "BENCH_a.json", self.trial_rows([True, True])
+        )
+        self.assertEqual(self.run_gate(), 1)
+
+    def test_other_sections_keep_string_keys(self):
+        row = self.row(trial=4, vcs=1)
+        self.assertNotIn(("trial", 4), bench_compare.row_key(row))
+
+
 class ProvenanceHeaderRows(GateHarness):
     def test_provenance_rows_are_skipped(self):
         # BenchJsonWriter stamps a build-provenance header row into
