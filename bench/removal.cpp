@@ -19,10 +19,12 @@
 //     for mesh and torus up to 100x100, a 1024-switch ring and a 4x6 fat
 //     tree: the design's size, its route hops and the next-hop columns
 //     it stored (none: a family routes by its rule), timed once. The
-//     mesh and torus rows also canonicalize the design and run a served
-//     request's ComputeCertification once: its iterations, VCs, payload
-//     bytes and payload digest, plus the cycle search's work counters
-//     from a RemoveDeadlocks run on a copy.
+//     mesh and torus rows also canonicalize the design (timed) and run a
+//     served request's ComputeCertification once: its iterations, VCs,
+//     payload bytes and payload digest, plus the cycle search's work
+//     counters from a RemoveDeadlocks run on a copy. CanonicalizeDesign
+//     must equal the text round trip on the design and on that treated
+//     copy.
 //
 // Every deterministic number printed is a field of a row of
 // BENCH_removal.json. Takes no flags. Exits 1 when an invariant breaks:
@@ -30,8 +32,9 @@
 // ring point under uniform traffic needs no VC, an untreated mesh or
 // fat-tree point is cyclic, a treated design deadlocks in simulation, a
 // sweep job throws, the sweep digests differ, a generated design stored
-// a next-hop column, or a request's computation is not deadlock-free or
-// disagrees with its removal run. No timing sets it.
+// a next-hop column, a request's computation is not deadlock-free or
+// disagrees with its removal run, or CanonicalizeDesign differs from the
+// text round trip. No timing sets it.
 #include <chrono>
 #include <iostream>
 #include <string>
@@ -45,6 +48,7 @@
 #include "deadlock/updown.h"
 #include "gen/generators.h"
 #include "ledger.h"
+#include "noc/io.h"
 #include "runner/sweep.h"
 #include "serve/service.h"
 #include "sim/simulator.h"
@@ -419,18 +423,38 @@ void FamilyGrid(Ledger& ledger) {
   }
 }
 
-/// The request cells of a generate row: canonicalize \p design, run a
-/// served request's ComputeCertification once (timed, not gated), and
-/// RemoveDeadlocks on a copy of the canonical design for the cycle
-/// search's counters.
+/// Expects CanonicalizeDesign(\p design), \p canonical, to equal the
+/// text round trip it replaced: \p design rendered in canonical flow
+/// order and parsed back. Equal designs have the same channel table,
+/// flows and routes.
+void ExpectRoundTrip(Ledger& ledger, const NocDesign& design,
+                     const CanonicalDesign& canonical,
+                     const std::string& what) {
+  const std::string text = DesignText(design, CanonicalFlowOrder(design));
+  ledger.Expect(canonical.text == text, design.name,
+                what + ": the canonical text differs from the round trip's");
+  ledger.Expect(ReadDesign(text) == canonical.design, design.name,
+                what + ": the canonical design differs from the round trip's");
+}
+
+/// The request cells of a generate row: canonicalize \p design (timed,
+/// not gated), run a served request's ComputeCertification once (timed,
+/// not gated), and RemoveDeadlocks on a copy of the canonical design for
+/// the cycle search's counters. CanonicalizeDesign must equal the text
+/// round trip on the design and on that treated copy, whose VCs removal
+/// appended out of link order.
 std::vector<Cell> RequestCells(Ledger& ledger, const NocDesign& design) {
+  auto t0 = std::chrono::steady_clock::now();
   const CanonicalDesign canonical = CanonicalizeDesign(design);
-  const auto t0 = std::chrono::steady_clock::now();
+  const double canonicalize_ms = MillisSince(t0);
+  ExpectRoundTrip(ledger, design, canonical, "untreated");
+  t0 = std::chrono::steady_clock::now();
   const serve::CachedCertification served =
       serve::ComputeCertification(canonical.design, serve::CertRequest{});
   const double ms = MillisSince(t0);
   NocDesign copy = canonical.design;
   const RemovalReport report = RemoveDeadlocks(copy);
+  ExpectRoundTrip(ledger, copy, CanonicalizeDesign(copy), "treated");
   ledger.Expect(served.deadlock_free, design.name,
                 "the computed certificate is not deadlock-free");
   ledger.Expect(report.iterations == served.iterations &&
@@ -447,7 +471,8 @@ std::vector<Cell> RequestCells(Ledger& ledger, const NocDesign& design) {
           Cell("cycle_bfs_runs", report.cycle_bfs_runs),
           Cell("scc_vertices", report.scc_vertices),
           Cell("cycle_checks", report.cycle_checks),
-          Cell("compute_ms", ms, 1)};
+          Cell("compute_ms", ms, 1),
+          Cell("canonicalize_ms", canonicalize_ms, 1)};
 }
 
 /// Generation at scale, uniform traffic, seed 1: each design's size and
@@ -460,7 +485,8 @@ void GenerateAtScale(Ledger& ledger) {
               {"design", "switches", "links", "flows", "route hops",
                "stored columns", "generate (ms)", "iterations", "VCs",
                "payload bytes", "payload digest", "BFS runs",
-               "SCC vertices", "cycle checks", "compute (ms)"});
+               "SCC vertices", "cycle checks", "compute (ms)",
+               "canonicalize (ms)"});
   std::vector<gen::GeneratorSpec> specs;
   for (const gen::TopologyFamily family :
        {gen::TopologyFamily::kMesh2D, gen::TopologyFamily::kTorus2D}) {

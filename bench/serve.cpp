@@ -55,7 +55,9 @@
 //   --requests N         requests per serve mix (default 600)
 //   --designs U          unique designs in the serve corpus (default 20)
 //   --seed S             base seed (default 1)
-//   --threads T          compute-pool threads, 0 = hardware (default 0)
+//   --threads T          ServiceConfig::threads: ServeBatch's width, each
+//                        cold request computing on its own thread;
+//                        0 = hardware (default 0)
 //   --crash-loop N       first run N kill -9 crash/recover rounds
 //                        (default 0)
 //   --no-perf            skip serve_summary and obs_overhead and both

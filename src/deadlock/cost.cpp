@@ -36,27 +36,56 @@ CycleIndex::Fill::~Fill() {
   }
 }
 
-CycleCostTable ComputeCycleCostTable(
-    const NocDesign& design, const CdgCycle& cycle, BreakDirection direction,
-    const std::vector<FlowId>* candidate_flows, CycleIndex* index) {
+/// Algorithm 2's walk over the flows that may create edges of one cycle,
+/// shared by ComputeCycleCostTable and FindDepToBreak: it fills the
+/// duplicated-position bitsets in \p index's scratch and writes the
+/// per-flow rows of \p rows only when given a table.
+class CycleWalk {
+ public:
+  CycleWalk(const NocDesign& design, const CdgCycle& cycle,
+            BreakDirection direction,
+            const std::vector<FlowId>* candidate_flows, CycleIndex& index,
+            CycleCostTable* rows);
+
+  /// The combined cost at edge p: the distinct cycle channels the breaks
+  /// at p duplicate.
+  [[nodiscard]] std::size_t Combined(std::size_t p) const {
+    std::size_t cost = 0;
+    for (std::size_t w = 0; w < words_; ++w) {
+      cost += std::popcount(index_.duplicated_[p * words_ + w]);
+    }
+    return cost;
+  }
+
+ private:
+  const CycleIndex& index_;
+  std::size_t words_ = 0;
+};
+
+CycleWalk::CycleWalk(const NocDesign& design, const CdgCycle& cycle,
+                     BreakDirection direction,
+                     const std::vector<FlowId>* candidate_flows,
+                     CycleIndex& index, CycleCostTable* rows)
+    : index_(index) {
   Require(!cycle.empty(), "ComputeCycleCostTable: empty cycle");
   const std::size_t m = cycle.size();
-  CycleIndex own;
-  const CycleIndex::Fill pos(index != nullptr ? *index : own, cycle,
-                             design.topology.ChannelCount());
+  const CycleIndex::Fill pos(index, cycle, design.topology.ChannelCount());
   const bool forward = direction == BreakDirection::kForward;
 
   // Bitsets over cycle positions, `words` 64-bit words each: `walked`
   // holds the cycle channels one flow has walked so far, and
   // duplicated[p] the union of what the rows' breaks at edge p duplicate.
-  const std::size_t words = (m + 63) / 64;
-  std::vector<std::uint64_t> walked(words);
-  std::vector<std::uint64_t> duplicated(m * words, 0);
+  words_ = (m + 63) / 64;
+  if (index.walked_.size() < words_) {
+    index.walked_.resize(words_);
+  }
+  index.duplicated_.assign(m * words_, 0);
+  std::uint64_t* const walked = index.walked_.data();
+  std::uint64_t* const duplicated = index.duplicated_.data();
 
   const std::size_t scan_count = candidate_flows
                                      ? candidate_flows->size()
                                      : design.traffic.FlowCount();
-  CycleCostTable table;
   for (std::size_t fi = 0; fi < scan_count; ++fi) {
     const FlowId f = candidate_flows ? (*candidate_flows)[fi] : FlowId(fi);
     const Route& route = design.routes.RouteOf(f);
@@ -69,8 +98,8 @@ CycleCostTable ComputeCycleCostTable(
     // it holds on reaching c_{p+1}. Flows that walk at most one cycle
     // channel create no cycle edge (Algorithm 2, steps 3-7) and get no
     // row.
-    std::fill(walked.begin(), walked.end(), 0);
-    std::vector<std::size_t> row;
+    std::fill(walked, walked + words_, 0);
+    std::vector<std::size_t>* row = nullptr;
     std::size_t val = 0;
     for (std::size_t s = 0; s < n; ++s) {
       const std::size_t i = forward ? s : n - 1 - s;
@@ -90,25 +119,30 @@ CycleCostTable ComputeCycleCostTable(
       if (!creates) {
         continue;
       }
-      if (row.empty()) {
-        row.assign(m, 0);
+      if (rows != nullptr) {
+        if (row == nullptr) {
+          rows->flows.push_back(f);
+          row = &rows->cost.emplace_back(m, 0);
+        }
+        (*row)[p] = val;
       }
-      row[p] = val;
-      for (std::size_t w = 0; w < words; ++w) {
-        duplicated[p * words + w] |= walked[w];
+      for (std::size_t w = 0; w < words_; ++w) {
+        duplicated[p * words_ + w] |= walked[w];
       }
-    }
-    if (!row.empty()) {
-      table.flows.push_back(f);
-      table.cost.push_back(std::move(row));
     }
   }
+}
 
-  table.combined.assign(m, 0);
-  for (std::size_t p = 0; p < m; ++p) {
-    for (std::size_t w = 0; w < words; ++w) {
-      table.combined[p] += std::popcount(duplicated[p * words + w]);
-    }
+CycleCostTable ComputeCycleCostTable(
+    const NocDesign& design, const CdgCycle& cycle, BreakDirection direction,
+    const std::vector<FlowId>* candidate_flows, CycleIndex* index) {
+  CycleIndex own;
+  CycleCostTable table;
+  const CycleWalk walk(design, cycle, direction, candidate_flows,
+                       index != nullptr ? *index : own, &table);
+  table.combined.resize(cycle.size());
+  for (std::size_t p = 0; p < cycle.size(); ++p) {
+    table.combined[p] = walk.Combined(p);
   }
   return table;
 }
@@ -116,16 +150,18 @@ CycleCostTable ComputeCycleCostTable(
 BreakCandidate FindDepToBreak(
     const NocDesign& design, const CdgCycle& cycle, BreakDirection direction,
     const std::vector<FlowId>* candidate_flows, CycleIndex* index) {
-  const CycleCostTable table = ComputeCycleCostTable(
-      design, cycle, direction, candidate_flows, index);
+  CycleIndex own;
+  const CycleWalk walk(design, cycle, direction, candidate_flows,
+                       index != nullptr ? *index : own, nullptr);
   BreakCandidate best;
   best.direction = direction;
-  for (std::size_t p = 0; p < table.combined.size(); ++p) {
-    if (table.combined[p] == 0) {
+  for (std::size_t p = 0; p < cycle.size(); ++p) {
+    const std::size_t cost = walk.Combined(p);
+    if (cost == 0) {
       continue;  // no flow creates this edge; cannot break here
     }
-    if (table.combined[p] < best.cost) {
-      best.cost = table.combined[p];
+    if (cost < best.cost) {
+      best.cost = cost;
       best.edge_pos = p;
     }
   }

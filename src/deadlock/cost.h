@@ -69,12 +69,16 @@ struct BreakCandidate {
   BreakDirection direction = BreakDirection::kForward;
 };
 
+class CycleWalk;  // cost.cpp: the scoring walk, whose bitsets live here
+
 /// Scratch for scoring and breaking one cycle: each channel's position on
 /// the cycle, in an array indexed by channel id, so a route hop costs one
-/// load. ComputeCycleCostTable, FindDepToBreak and BreakCycle fill it from
-/// their cycle and clear exactly those entries before they return, so a
-/// removal run hands one index to every call and never resets the whole
-/// array. A call given none uses a fresh one of its own.
+/// load, and the scoring walk's bitsets over cycle positions.
+/// ComputeCycleCostTable, FindDepToBreak and BreakCycle fill the positions
+/// from their cycle and clear exactly those entries before they return,
+/// so a removal run hands one index to every call, never resets the whole
+/// array and allocates no scoring scratch once the bitsets have grown to
+/// its longest cycle. A call given none uses a fresh one of its own.
 class CycleIndex {
  public:
   static constexpr std::uint32_t kOffCycle = 0xffffffffu;
@@ -102,12 +106,20 @@ class CycleIndex {
   };
 
  private:
+  friend class CycleWalk;
+
   std::vector<std::uint32_t> position_;  // per channel id
+  /// The cycle positions one flow has walked so far.
+  std::vector<std::uint64_t> walked_;
+  /// Per cycle edge p, the union of the positions the breaks at p
+  /// duplicate: the combined cost's bitset.
+  std::vector<std::uint64_t> duplicated_;
 };
 
 /// Builds the full cost table for breaking \p cycle in \p direction
 /// (FindDepToBreakForward / ...Backward of the paper, with the table
-/// exposed). \p cycle must be a genuine cycle of the design's CDG.
+/// exposed). \p cycle must be a genuine cycle of the design's CDG. The
+/// walk is FindDepToBreak's, which writes no rows.
 ///
 /// \p candidate_flows, when given, restricts the scan to those flows
 /// (ascending FlowId order). Only flows that create at least one cycle
@@ -122,7 +134,10 @@ CycleCostTable ComputeCycleCostTable(
     CycleIndex* index = nullptr);
 
 /// The paper's FindDepToBreak{Forward,Backward}: minimum combined cost and
-/// its edge position (first minimum wins, deterministically).
+/// its edge position (first minimum wins, deterministically), equal to
+/// the first minimum of ComputeCycleCostTable(...).combined. It walks the
+/// same flows but keeps no per-flow row: the combined cost comes from
+/// the duplicated-position bitsets alone, in \p index's scratch.
 BreakCandidate FindDepToBreak(
     const NocDesign& design, const CdgCycle& cycle, BreakDirection direction,
     const std::vector<FlowId>* candidate_flows = nullptr,

@@ -37,6 +37,10 @@ struct NocDesign {
 
   /// Flows whose route traverses at least one channel of \p link.
   [[nodiscard]] std::vector<FlowId> FlowsOnLink(LinkId link) const;
+
+  /// Member-wise: the same ids throughout. Bandwidths compare as
+  /// doubles, so 0.0 equals -0.0.
+  bool operator==(const NocDesign&) const = default;
 };
 
 }  // namespace nocdr

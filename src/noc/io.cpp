@@ -142,6 +142,12 @@ double TextBandwidth(double bandwidth_mbps) {
       .value_or(bandwidth_mbps);
 }
 
+bool IsTextToken(std::string_view name) {
+  return !name.empty() && std::none_of(name.begin(), name.end(), [](char c) {
+    return IsSpace(c) || c == '#';
+  });
+}
+
 std::string DesignText(const NocDesign& design,
                        std::span<const FlowId> flow_order) {
   const TopologyGraph& topo = design.topology;

@@ -58,6 +58,13 @@ std::string DesignText(const NocDesign& design,
 /// order them.
 double TextBandwidth(double bandwidth_mbps);
 
+/// True when \p name reads back from the text as itself: one non-empty
+/// token, with none of the whitespace that separates tokens and no '#',
+/// which starts a comment. DesignText writes names as they are, so a
+/// design, switch or core name that is not a token does not survive
+/// ReadDesign.
+bool IsTextToken(std::string_view name);
+
 /// Writes DesignText(\p design) to \p os.
 void WriteDesign(std::ostream& os, const NocDesign& design);
 

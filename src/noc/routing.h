@@ -34,6 +34,8 @@ class RouteSet {
 
   void SetRoute(FlowId f, Route route);
 
+  friend bool operator==(const RouteSet&, const RouteSet&) = default;
+
  private:
   std::vector<Route> routes_;
 };

@@ -22,6 +22,8 @@ namespace nocdr {
 struct Link {
   SwitchId src;
   SwitchId dst;
+
+  friend bool operator==(const Link&, const Link&) = default;
 };
 
 /// One channel: a physical link plus a virtual-channel index on that link.
@@ -95,6 +97,9 @@ class TopologyGraph {
 
   /// Human-readable channel label, e.g. "SW0->SW3.vc1".
   [[nodiscard]] std::string ChannelLabel(ChannelId c) const;
+
+  /// Same switches, links and channels, each with the same id.
+  friend bool operator==(const TopologyGraph&, const TopologyGraph&) = default;
 
  private:
   std::vector<std::string> switch_names_;

@@ -18,6 +18,8 @@ struct Flow {
   CoreId src;
   CoreId dst;
   double bandwidth_mbps = 0.0;
+
+  friend bool operator==(const Flow&, const Flow&) = default;
 };
 
 /// The application's core set and flow set.
@@ -50,6 +52,10 @@ class CommunicationGraph {
   [[nodiscard]] bool IsValidFlow(FlowId f) const {
     return f.valid() && f.value() < FlowCount();
   }
+
+  /// Same cores and flows, each with the same id.
+  friend bool operator==(const CommunicationGraph&,
+                         const CommunicationGraph&) = default;
 
  private:
   std::vector<std::string> core_names_;

@@ -224,6 +224,10 @@ void ScopedTrace::Attr(const std::string& key, std::string value) {
   }
 }
 
+DetachedScope::DetachedScope() : saved_(g_current) { g_current = {}; }
+
+DetachedScope::~DetachedScope() { g_current = saved_; }
+
 ScopedSpan::ScopedSpan(const std::string& name) {
   if (g_current.trace == nullptr) {
     return;

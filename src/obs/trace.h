@@ -38,8 +38,9 @@
 // Propagation is by thread-local context: ScopedTrace installs a trace
 // as current, ScopedSpan nests under whatever is current (and is a
 // no-op when nothing is), so deep layers like deadlock/removal.cpp
-// need no signature changes. A computation closure running on a pool
-// thread starts with an empty context and opens its own trace there.
+// need no signature changes. A certification computation runs on its
+// leader's thread under a DetachedScope, so it starts with an empty
+// context and opens its own trace there.
 //
 // The on-disk format is JSON Lines (docs/OBSERVABILITY.md): one header
 // line {"trace_schema":1,"clock":...}, then one flat object per span —
@@ -204,6 +205,23 @@ class ScopedTrace {
  private:
   std::unique_ptr<Trace> trace_;
   std::uint64_t root_ = 0;
+  TraceContext saved_;
+};
+
+/// Clears the thread's current context for its scope and restores it
+/// after: spans opened inside are no-ops unless a ScopedTrace opens a
+/// trace of their own. For work a request runs on behalf of others (a
+/// coalescing leader's computation, serve/coalescer.h), which must not
+/// land in that request's trace.
+class DetachedScope {
+ public:
+  DetachedScope();
+  ~DetachedScope();
+
+  DetachedScope(const DetachedScope&) = delete;
+  DetachedScope& operator=(const DetachedScope&) = delete;
+
+ private:
   TraceContext saved_;
 };
 

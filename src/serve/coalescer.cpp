@@ -5,19 +5,13 @@
 namespace nocdr::serve {
 
 RequestCoalescer::RequestCoalescer(CoalescerConfig config)
-    : config_(config), pool_(config.threads) {}
-
-RequestCoalescer::~RequestCoalescer() {
-  // Leaders already admitted must finish (they hold promises followers
-  // may be blocked on); the pool drains its queue before stopping.
-  pool_.WaitIdle();
-}
+    : config_(config) {}
 
 RequestCoalescer::Outcome RequestCoalescer::Submit(
     std::uint64_t digest, const std::string& key_text, const ProbeFn& probe,
-    const MakeComputeFn& make_compute) {
+    const ComputeFn& compute) {
   Outcome outcome;
-  std::shared_ptr<std::promise<Result>> promise;
+  std::promise<Result> promise;
   {
     std::unique_lock<std::mutex> lock(mutex_);
     // Probe the cache under the registry lock: a leader retires its
@@ -45,35 +39,22 @@ RequestCoalescer::Outcome RequestCoalescer::Submit(
       return outcome;
     }
     outcome.kind = Outcome::Kind::kLeader;
-    promise = std::make_shared<std::promise<Result>>();
-    outcome.future = promise->get_future().share();
+    outcome.future = promise.get_future().share();
     slots.push_back(InFlight{key_text, outcome.future});
     ++pending_;
   }
-  // Leader only, lock released: materialize the computation (this is
-  // where the design/request captures get copied, once per key). If
-  // that materialization or the pool enqueue itself throws (allocation
-  // failure), the registered slot must not leak: followers would block
-  // forever on a promise nobody owns and the admission budget would
-  // shrink permanently. Poison the promise and retire the slot instead;
-  // the caller observes the failure through the future like any other
-  // computation error.
+  // Leader only, lock released: compute here, on the caller's thread.
+  // compute() publishes to the cache before returning; only then is the
+  // promise fulfilled and the in-flight entry retired. A throw, from the
+  // computation or from an allocation on the way, poisons the promise
+  // instead, so followers never block on a promise nobody fulfils and
+  // the admission budget never leaks.
   try {
-    pool_.Submit([this, digest, key_text, promise,
-                  compute = make_compute()]() {
-      try {
-        // compute() publishes to the cache before returning; only then
-        // is the in-flight entry retired below.
-        promise->set_value(compute());
-      } catch (...) {
-        promise->set_exception(std::current_exception());
-      }
-      Retire(digest, key_text);
-    });
+    promise.set_value(compute());
   } catch (...) {
-    promise->set_exception(std::current_exception());
-    Retire(digest, key_text);
+    promise.set_exception(std::current_exception());
   }
+  Retire(digest, key_text);
   return outcome;
 }
 

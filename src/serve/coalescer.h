@@ -1,29 +1,33 @@
-// In-flight request coalescing (single-flight) over the runner pool.
+// In-flight request coalescing (single-flight), computed on the
+// leader's own thread.
 //
 // When N clients ask for the same certification key concurrently, the
 // service must run the computation once and fan the result out — N
 // identical RemoveDeadlocks runs would burn N-1 computations to produce
 // bit-identical bytes. The coalescer keeps a registry of in-flight
 // computations keyed by canonical digest + key text; the first request
-// for a key becomes the *leader* (its computation is submitted to the
-// shared ThreadPool), later requests become *followers* sharing the
-// leader's future.
+// for a key becomes the *leader* and runs the computation itself,
+// inside Submit, on the thread that called it. Later requests for the
+// key become *followers* and wait on the leader's shared future. The
+// coalescer owns no thread: a request computes where it was asked, so
+// a cold request pays no hand-off to a pool and back.
 //
 // Exactly-once contract: a request first probes the cache *under the
-// coalescer lock* (via the probe callback). The leader's task inserts
-// its result into the cache before the registry entry is retired — also
-// under the lock — so every request for a key either sees the cached
-// value, joins the in-flight leader, or becomes the first leader. With
-// an eviction-free cache this makes "one computation per distinct key"
-// exact, not probabilistic; tests/test_serve.cpp pins it across thread
-// counts.
+// coalescer lock* (via the probe callback). The leader's computation
+// inserts its result into the cache; only then does Submit fulfil the
+// shared promise and retire the registry entry — under the lock — so
+// every request for a key either sees the cached value, joins the
+// in-flight leader, or becomes the first leader. With an eviction-free
+// cache this makes "one computation per distinct key" exact, not
+// probabilistic; tests/test_serve.cpp pins it across thread counts.
 //
 // Backpressure: leaders admitted but not yet finished are bounded by
 // max_pending. A request whose key is not in flight and whose admission
 // would exceed the bound is rejected immediately (kRejected) — the
 // caller turns that into an "overloaded" response instead of queueing
 // unboundedly. Followers never count against the bound (they add no
-// work).
+// work). Since leaders compute on their callers' threads, the bound also
+// caps how many threads compute at once.
 //
 // Exceptions: a leader computation that throws poisons its future;
 // leader and followers all observe the same exception, and nothing is
@@ -33,22 +37,18 @@
 #include <cstdint>
 #include <functional>
 #include <future>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
-#include "runner/thread_pool.h"
 #include "serve/cert_cache.h"
 
 namespace nocdr::serve {
 
 struct CoalescerConfig {
-  /// Worker threads of the compute pool; 0 = hardware concurrency.
-  std::size_t threads = 0;
-  /// Max leaders admitted (queued + running). 0 rejects everything.
+  /// Max leaders admitted and still computing. 0 rejects everything.
   std::size_t max_pending = 1024;
 };
 
@@ -58,20 +58,16 @@ class RequestCoalescer {
   /// Cache probe, called with the registry lock held; return a value to
   /// resolve the request without computing.
   using ProbeFn = std::function<std::optional<Result>()>;
-  /// The computation plus its publication (cache insert); runs on the
-  /// pool, exactly once per admitted leader. May throw.
+  /// The computation plus its publication (cache insert). Runs only for
+  /// a leader, inside Submit on the leader's thread, with the registry
+  /// lock released, so it may read the caller's state in place. May
+  /// throw.
   using ComputeFn = std::function<Result()>;
-  /// Builds the ComputeFn. Called synchronously inside Submit, after
-  /// the leader decision and outside the registry lock — so the
-  /// (potentially multi-KB) captures behind the computation are copied
-  /// exactly once per leader, never for resolved, follower or rejected
-  /// requests. The factory itself should capture by reference.
-  using MakeComputeFn = std::function<ComputeFn()>;
 
   struct Outcome {
     enum class Kind {
       kResolved,  // probe produced the value; `resolved` is set
-      kLeader,    // this request started the computation; wait on future
+      kLeader,    // this request computed; `future` is ready
       kFollower,  // joined an in-flight computation; wait on future
       kRejected,  // admission bound hit; no future
     };
@@ -85,26 +81,17 @@ class RequestCoalescer {
   RequestCoalescer(const RequestCoalescer&) = delete;
   RequestCoalescer& operator=(const RequestCoalescer&) = delete;
 
-  /// Destructor waits for in-flight computations.
-  ~RequestCoalescer();
-
   /// Resolves, joins, leads or rejects the request for
-  /// (\p digest, \p key_text). The computation \p make_compute builds
-  /// must insert its result into the cache the probe reads before
-  /// returning (the exactly-once argument above depends on that
+  /// (\p digest, \p key_text). A leader runs \p compute before Submit
+  /// returns, and the outcome's future holds its result or exception.
+  /// \p compute must insert its result into the cache the probe reads
+  /// before returning (the exactly-once argument above depends on that
   /// ordering).
   Outcome Submit(std::uint64_t digest, const std::string& key_text,
-                 const ProbeFn& probe, const MakeComputeFn& make_compute);
+                 const ProbeFn& probe, const ComputeFn& compute);
 
   /// Leaders admitted but not yet finished.
   [[nodiscard]] std::size_t Pending() const;
-
-  /// Tasks outstanding on the underlying pool (stats surface).
-  [[nodiscard]] std::size_t PoolBacklog() const {
-    return pool_.UnfinishedCount();
-  }
-
-  [[nodiscard]] std::size_t ThreadCount() const { return pool_.ThreadCount(); }
 
  private:
   struct InFlight {
@@ -122,7 +109,6 @@ class RequestCoalescer {
   /// only under a digest collision, which text comparison untangles).
   std::unordered_map<std::uint64_t, std::vector<InFlight>> inflight_;
   std::size_t pending_ = 0;
-  ThreadPool pool_;  // last member: workers must die before the state above
 };
 
 }  // namespace nocdr::serve

@@ -12,9 +12,10 @@
 //     with per-class fairness counters (admitted / rejected / cost)
 //     surfaced through ServiceStats and `nocdr_serve --stats`.
 //
-// CertificationService::Serve charges every cache miss here; admitted
-// misses queue FIFO on the compute pool, and a class's rank only
-// labels its stats lines. Time is always an explicit `now_us`
+// CertificationService::Serve charges every cache miss here; an
+// admitted miss computes at once on the thread serving it (the service
+// has no compute pool), and a class's rank only labels its stats
+// lines. Time is always an explicit `now_us`
 // argument: the live service maps steady_clock onto it, and tests
 // drive the bucket with chosen timestamps. Nothing in here reads a
 // real clock.

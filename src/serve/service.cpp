@@ -103,9 +103,9 @@ std::string OptionsKeySuffix(const CertRequest& request) {
 /// encoding of every option the digest covers. Two keys are the same
 /// certification problem iff their texts compare equal, so a 64-bit
 /// digest collision can only ever degrade to a miss.
-std::string CacheKeyText(const std::string& canonical_text,
+std::string CacheKeyText(std::string canonical_text,
                          const CertRequest& request) {
-  return canonical_text + OptionsKeySuffix(request);
+  return std::move(canonical_text) + OptionsKeySuffix(request);
 }
 
 /// Renders the exact bit pattern of \p value — injective, unlike any
@@ -294,10 +294,9 @@ DeadlockCertificate TreatAndCertify(NocDesign& design,
 
 }  // namespace
 
-CachedCertification ComputeCertification(const NocDesign& canonical_design,
+CachedCertification ComputeCertification(NocDesign treated,
                                          const CertRequest& request) {
   CachedCertification out;
-  NocDesign treated = canonical_design;
   out.channels_before = treated.topology.ChannelCount();
   const DeadlockCertificate certificate =
       TreatAndCertify(treated, request, out);
@@ -320,7 +319,7 @@ CertificationService::CertificationService(ServiceConfig config,
       certifier_(std::move(certifier)),
       cache_(config.cache, MakeDiskTier(config)),
       front_(config.front_cache),
-      coalescer_(CoalescerConfig{config.threads, config.max_pending}),
+      coalescer_(CoalescerConfig{config.max_pending}),
       admission_(config.admission),
       epoch_(std::chrono::steady_clock::now()) {
   if (!certifier_) {
@@ -340,8 +339,8 @@ CertResponse CertificationService::Guarded(
   const auto t0 = std::chrono::steady_clock::now();
   CertResponse response;
   // Request failures are responses, never escaping exceptions: Serve is
-  // called from ServeBatch's pool workers (which must not throw) and
-  // from long-lived server loops, and an injected test certifier (or an
+  // called from ServeBatch's workers (which must not throw) and from
+  // long-lived server loops, and an injected test certifier (or an
   // allocation failure outside the inner try blocks) may throw types
   // the inner handlers don't cover.
   try {
@@ -389,7 +388,7 @@ CertResponse CertificationService::Serve(const CertRequest& request) {
   return response;
 }
 
-CertResponse CertificationService::ServeDesign(const NocDesign& design,
+CertResponse CertificationService::ServeDesign(NocDesign design,
                                                const CertRequest& request) {
   return Guarded(request, [&] {
     {
@@ -398,7 +397,7 @@ CertResponse CertificationService::ServeDesign(const NocDesign& design,
     }
     // No raw request bytes exist for an in-memory design, so there is
     // no fingerprint to memoize; the canonical cache still dedups.
-    return ServeMaterialized(design, request, {}, 0);
+    return ServeMaterialized(std::move(design), request, {}, 0);
   });
 }
 
@@ -452,13 +451,13 @@ CertResponse CertificationService::ServeInner(const CertRequest& request) {
     response.error = MakeError(ErrorCode::kInvalidRequest, e.what());
     return response;
   }
-  return ServeMaterialized(design, request, std::move(fingerprint),
+  return ServeMaterialized(std::move(design), request, std::move(fingerprint),
                            fingerprint_digest);
 }
 
 CertResponse CertificationService::ServeMaterialized(
-    const NocDesign& design, const CertRequest& request,
-    std::string fingerprint, std::uint64_t fingerprint_digest) {
+    NocDesign design, const CertRequest& request, std::string fingerprint,
+    std::uint64_t fingerprint_digest) {
   CertResponse response;
   response.protocol_version = request.protocol_version;
   response.id = request.id;
@@ -474,15 +473,28 @@ CertResponse CertificationService::ServeMaterialized(
     response.error = MakeError(ErrorCode::kInvalidRequest, e.what());
     return response;
   }
+  if (request.options.paranoid_validation) {
+    // The text round trip CanonicalizeDesign replaced is its oracle:
+    // rendered in canonical flow order and parsed back, it must give
+    // the same text and the same design.
+    Require(DesignText(design, CanonicalFlowOrder(design)) == canonical.text &&
+                ReadDesign(canonical.text) == canonical.design,
+            "ServeMaterialized: CanonicalizeDesign differs from the text "
+            "round trip");
+  }
+  // The canonical design stands for the materialized one from here on.
+  design = NocDesign();
   response.key =
       CanonicalTextDigest(canonical.text, request.options, request.treat);
-  const std::string key_text = CacheKeyText(canonical.text, request);
+  const std::string key_text =
+      CacheKeyText(std::move(canonical.text), request);
 
   if (!config_.cache_enabled) {
     // Recompute path: inline on the caller thread, no memoization, no
     // coalescing. The bench's cold baseline.
     try {
-      const CachedCertification value = certifier_(canonical.design, request);
+      const CachedCertification value =
+          certifier_(std::move(canonical.design), request);
       FillPayload(response, value, request);
       response.cache_outcome = CacheOutcome::kComputed;
       std::lock_guard<std::mutex> lock(stats_mutex_);
@@ -525,8 +537,8 @@ CertResponse CertificationService::ServeMaterialized(
   // the budget. The rejection is the same structured "overloaded" shape
   // as an in-flight-bound rejection — clients cannot tell which policy
   // said no, and both speak v1 and v2 unchanged.
-  if (!admission_.TryAdmit(request.priority_class, sched::EstimateCost(design),
-                           NowUs())) {
+  if (!admission_.TryAdmit(request.priority_class,
+                           sched::EstimateCost(canonical.design), NowUs())) {
     response.status = ServeStatus::kOverloaded;
     response.error = MakeError(ErrorCode::kOverloaded,
                                "admission budget exhausted; retry later");
@@ -536,9 +548,9 @@ CertResponse CertificationService::ServeMaterialized(
     return response;
   }
 
-  // Slow path: re-probe + single-flight under the coalescer lock. The
-  // factory defers the design/request copies to the one leader; the
-  // followers a duplicate burst produces never pay them.
+  // Slow path: re-probe + single-flight under the coalescer lock. A
+  // leader computes inside Submit, here on this thread, and treats the
+  // canonical design in place; a follower waits for its leader.
   RequestCoalescer::Outcome outcome = coalescer_.Submit(
       response.key, key_text,
       [&]() -> std::optional<RequestCoalescer::Result> {
@@ -547,24 +559,23 @@ CertResponse CertificationService::ServeMaterialized(
         }
         return std::nullopt;
       },
-      [&]() -> RequestCoalescer::ComputeFn {
-        return [this, design = canonical.design, request,
-                key = response.key, key_text]() {
-          // The computation's own trace, keyed by canonical digest —
-          // not by requester. Runs on a pool thread whose context is
-          // empty (ScopedTrace saves/restores, so inline execution
-          // would also be correct); ComputeCertification's
-          // treat/certify/serialize spans and the removal stage spans
-          // nest under this root.
-          obs::ScopedTrace trace(config_.trace, KeyTraceId(key), "compute");
-          trace.Attr("treat", static_cast<std::uint64_t>(request.treat));
-          CachedCertification value = certifier_(design, request);
-          trace.Attr("vcs_added", static_cast<std::uint64_t>(value.vcs_added));
-          // Publish before the coalescer retires the in-flight entry —
-          // the exactly-once-per-key argument lives on this ordering.
-          cache_.Insert(key, key_text, value);
-          return value;
-        };
+      [&]() -> CachedCertification {
+        // The computation's own trace, keyed by canonical digest — not
+        // by requester. Detached from this request's trace context, so
+        // ComputeCertification's treat/certify/serialize spans and the
+        // removal stage spans nest under this root, or nowhere when the
+        // service has no sink.
+        obs::DetachedScope detached;
+        obs::ScopedTrace trace(config_.trace, KeyTraceId(response.key),
+                               "compute");
+        trace.Attr("treat", static_cast<std::uint64_t>(request.treat));
+        CachedCertification value =
+            certifier_(std::move(canonical.design), request);
+        trace.Attr("vcs_added", static_cast<std::uint64_t>(value.vcs_added));
+        // Publish before the coalescer retires the in-flight entry — the
+        // exactly-once-per-key argument lives on this ordering.
+        cache_.Insert(response.key, key_text, value);
+        return value;
       });
 
   switch (outcome.kind) {
@@ -591,7 +602,7 @@ CertResponse CertificationService::ServeMaterialized(
           outcome.kind == RequestCoalescer::Outcome::Kind::kLeader;
       try {
         obs::ScopedHistogramTimer timer(Instruments().coalesce_wait_us);
-        const CachedCertification value = outcome.future.get();
+        const CachedCertification& value = outcome.future.get();
         FillPayload(response, value, request);
         response.cache_outcome =
             leader ? CacheOutcome::kComputed : CacheOutcome::kCoalesced;
@@ -627,7 +638,7 @@ std::uint64_t CertificationService::Publish(const std::string& canonical_text,
 std::vector<CertResponse> CertificationService::ServeBatch(
     const std::vector<CertRequest>& requests, std::size_t client_threads) {
   if (client_threads == 0) {
-    client_threads = coalescer_.ThreadCount();
+    client_threads = config_.threads;
   }
   return runner::ParallelMapIndexed<CertResponse>(
       requests.size(), client_threads,
@@ -640,7 +651,7 @@ ServiceStats CertificationService::Stats() const {
     std::lock_guard<std::mutex> lock(stats_mutex_);
     stats = stats_;
   }
-  stats.pool_backlog = coalescer_.PoolBacklog();
+  stats.pool_backlog = coalescer_.Pending();
   stats.cache = cache_.Stats();
   stats.front = front_.Stats();
   stats.disk = cache_.DiskStats();

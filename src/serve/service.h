@@ -5,12 +5,21 @@
 // noc/io design text, a standard-topology generator spec (src/gen), or
 // a campaign design source + seed (src/valid) — plus the removal
 // options to treat it with. The service materializes the design,
-// canonicalizes it (util/canonical: flow sort + io fixpoint, so flow
-// declaration order, comments and channel numbering never split the
-// cache), and serves the certificate + VC-insertion result through a
-// sharded LRU cache (serve/cert_cache) fronted by a single-flight
-// coalescer (serve/coalescer) running computations on the runner
-// thread pool.
+// canonicalizes it (util/canonical: the flow sort and link-major
+// channels the text round trip gives, built with no parse and rendered
+// once, so flow declaration order, comments and channel numbering never
+// split the cache), and serves the certificate + VC-insertion result
+// through a sharded LRU cache (serve/cert_cache) fronted by a
+// single-flight coalescer (serve/coalescer).
+//
+// A cold request runs on the thread that called Serve: it holds one
+// canonical design from canonicalize to payload, frees the materialized
+// one once the canonical one exists, and, as the coalescing leader,
+// moves it into the computation, which treats it in place. The service
+// owns no compute thread. Serve may be called from any number of
+// threads, and each admitted leader computes on its caller's thread:
+// max_pending and the token budget (serve/sched.h) bound the admitted
+// work, not a pool width. ServeBatch serves at ServiceConfig::threads.
 //
 // Determinism contract: the response *payload* (certificate JSON,
 // treated design text, VC counts) is a pure function of the canonical
@@ -197,6 +206,8 @@ struct ServiceStats {
   std::uint64_t coalesced = 0;
   std::uint64_t rejected = 0;
   std::uint64_t errors = 0;
+  /// Admitted computations not yet finished (RequestCoalescer::
+  /// Pending): leaders computing now, each on its caller's thread.
   std::size_t pool_backlog = 0;
   /// The authoritative certificate cache (memory tier; promotions and
   /// demotions count the tier-crossing traffic when a disk tier is
@@ -217,7 +228,10 @@ struct ServiceConfig {
   /// Bounds of the raw-request fingerprint memo (entries are small:
   /// request bytes + canonical key text).
   CacheConfig front_cache{16, 8192, 32ull << 20};
-  /// Compute pool threads; 0 = hardware concurrency.
+  /// ServeBatch's width: how many requests it serves at once, each
+  /// computing on its own thread when it leads; 0 = hardware
+  /// concurrency. The service keeps no pool of its own, so a caller that
+  /// calls Serve from more threads computes on all of them.
   std::size_t threads = 0;
   /// Admission bound on in-flight computations (see serve/coalescer.h).
   std::size_t max_pending = 1024;
@@ -256,11 +270,12 @@ struct ServiceConfig {
 class CertificationService {
  public:
   /// The certification computation: canonical design + request ->
-  /// cached value. Injectable so tests can gate, count or fail the
-  /// computation deterministically; production uses
-  /// ComputeCertification.
+  /// cached value. It runs on the leader's thread and owns the design
+  /// the service moves in, so it may treat it in place. Injectable so
+  /// tests can gate, count or fail the computation deterministically;
+  /// production uses ComputeCertification.
   using Certifier = std::function<CachedCertification(
-      const NocDesign& canonical_design, const CertRequest& request)>;
+      NocDesign canonical_design, const CertRequest& request)>;
 
   explicit CertificationService(ServiceConfig config = {},
                                 Certifier certifier = {});
@@ -269,8 +284,9 @@ class CertificationService {
   CertificationService& operator=(const CertificationService&) = delete;
 
   /// Serves one request, blocking until the response is ready (or
-  /// immediately for hits, rejections and malformed requests). Safe to
-  /// call from many threads.
+  /// immediately for hits, rejections and malformed requests). A cold
+  /// request computes on the calling thread. Safe to call from many
+  /// threads.
   CertResponse Serve(const CertRequest& request);
 
   /// Serves a design the caller already materialized (sessions hold
@@ -279,8 +295,8 @@ class CertificationService {
   /// cache, the coalescer and the admission bound with Serve: the
   /// response is bit-identical to Serve on any request naming the same
   /// canonical problem. The request's design-source fields are ignored.
-  CertResponse ServeDesign(const NocDesign& design,
-                           const CertRequest& request);
+  /// Takes \p design by value: a caller done with it moves it in.
+  CertResponse ServeDesign(NocDesign design, const CertRequest& request);
 
   /// Publishes a certification the caller computed itself: inserts
   /// \p value into the certificate cache under the key Serve computes
@@ -296,8 +312,8 @@ class CertificationService {
                         const CertRequest& request,
                         CachedCertification value);
 
-  /// Serves \p requests over \p client_threads caller-side threads
-  /// (0 = the compute pool width); responses come back indexed like the
+  /// Serves \p requests over \p client_threads threads (0 =
+  /// ServiceConfig::threads); responses come back indexed like the
   /// input. Deterministic payloads for any thread count.
   std::vector<CertResponse> ServeBatch(const std::vector<CertRequest>& requests,
                                        std::size_t client_threads = 0);
@@ -320,10 +336,11 @@ class CertificationService {
 
   CertResponse ServeInner(const CertRequest& request);
   /// The canonical-path tail shared by Serve and ServeDesign:
-  /// canonicalize, consult the cache, coalesce, compute. A non-empty
+  /// canonicalize, consult the cache, coalesce, compute. \p design is
+  /// dropped once its canonical form exists (after the text round-trip
+  /// check under RemovalOptions::paranoid_validation). A non-empty
   /// \p fingerprint publishes the front-memo mapping on success.
-  CertResponse ServeMaterialized(const NocDesign& design,
-                                 const CertRequest& request,
+  CertResponse ServeMaterialized(NocDesign design, const CertRequest& request,
                                  std::string fingerprint,
                                  std::uint64_t fingerprint_digest);
   /// Serve's exception-to-response boundary, shared with ServeDesign.
@@ -346,16 +363,17 @@ class CertificationService {
   ServiceStats stats_;
 };
 
-/// The production certification computation: copy the canonical design,
-/// optionally RemoveDeadlocks with the request's options, certify, and
-/// serialize certificate + treated design. Deterministic in its inputs,
+/// The production certification computation: take the canonical design
+/// (a caller that keeps its own passes a copy), optionally
+/// RemoveDeadlocks on it in place with the request's options, certify,
+/// and serialize certificate + treated design. Deterministic in its inputs,
 /// and byte-equal to RemoveDeadlocks + CertifyDeadlockFreedom +
 /// DesignText. It builds one CDG: the incremental engine treats on it
 /// (RemoveDeadlocksOnCdg) and certify reads it (CertifyFromCdg); the
 /// rebuild engine, or treat = false, certifies from one Build. Every
 /// positive certificate must pass CheckCertificate, or the computation
 /// throws.
-CachedCertification ComputeCertification(const NocDesign& canonical_design,
+CachedCertification ComputeCertification(NocDesign canonical_design,
                                          const CertRequest& request);
 
 /// Materializes the design a spec names (parse, generate, or campaign

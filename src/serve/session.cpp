@@ -233,13 +233,12 @@ SessionResponse SessionService::Open(const SessionRequest& request) {
 
   // Epoch-0 certification through the service: coalesces with
   // stateless clients of the same design, hits its cache, respects its
-  // admission bound. The computation itself runs (and is traced) under
-  // its canonical key on a pool thread; this span is the session's
-  // wait for it.
+  // admission bound. A leader computes here, on this thread, but traces
+  // the computation under its canonical key, not under this span.
   CertResponse treated;
   {
     obs::ScopedSpan span("open.certify");
-    treated = service_.ServeDesign(materialized, cert);
+    treated = service_.ServeDesign(std::move(materialized), cert);
   }
   if (treated.status != ServeStatus::kOk) {
     std::lock_guard<std::mutex> lock(mutex_);

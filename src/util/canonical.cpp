@@ -1,7 +1,10 @@
 #include "util/canonical.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
+#include <string_view>
+#include <unordered_set>
 #include <utility>
 
 #include "noc/io.h"
@@ -51,6 +54,57 @@ bool TiesWithPrevious(const NocDesign& design, std::size_t f) {
   Require(bandwidth_prev <= bandwidth_next, "TiedFlowRuns: flows ", f - 1,
           " and ", f, " are out of canonical order");
   return bandwidth_prev == bandwidth_next;
+}
+
+/// \p topology with its channels numbered link-major, as the parse of
+/// its text numbers them, and in \p renumbered each old channel id's new
+/// one. Removal appends VCs out of link order; when none is
+/// (CanonicalChannelOrder is the identity, as on an untreated design),
+/// the topology is copied as it is and \p renumbered stays empty.
+TopologyGraph LinkMajorTopology(const TopologyGraph& topology,
+                                std::vector<ChannelId>& renumbered) {
+  const std::vector<ChannelId> order = CanonicalChannelOrder(topology);
+  bool identity = true;
+  for (std::size_t k = 0; k < order.size() && identity; ++k) {
+    identity = order[k] == ChannelId(k);
+  }
+  if (identity) {
+    return topology;
+  }
+  TopologyGraph out;
+  for (std::size_t s = 0; s < topology.SwitchCount(); ++s) {
+    out.AddSwitch(topology.SwitchName(SwitchId(s)));
+  }
+  for (std::size_t l = 0; l < topology.LinkCount(); ++l) {
+    const Link& link = topology.LinkAt(LinkId(l));
+    const LinkId added = out.AddLink(link.src, link.dst);
+    for (std::size_t v = 1; v < topology.VcCount(LinkId(l)); ++v) {
+      out.AddVirtualChannel(added);
+    }
+  }
+  renumbered.resize(order.size());
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    renumbered[order[k].value()] = ChannelId(k);
+  }
+  return out;
+}
+
+/// Throws InvalidModelError unless each of the \p count names \p name_of
+/// gives is a text token (IsTextToken) and none repeats: a name the
+/// parse would split, cut at a '#' or reject as a duplicate.
+template <typename NameOf>
+void RequireTokenNames(const NocDesign& design, const char* what,
+                       std::size_t count, const NameOf& name_of) {
+  std::unordered_set<std::string_view> seen;
+  seen.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::string& name = name_of(i);
+    Require(IsTextToken(name), "CanonicalizeDesign: design \"", design.name,
+            "\" has ", what, " name \"", name,
+            "\", which the text cannot carry");
+    Require(seen.insert(name).second, "CanonicalizeDesign: design \"",
+            design.name, "\" has two ", what, "s named \"", name, "\"");
+  }
 }
 
 /// The flow ids of \p design in id order.
@@ -160,12 +214,49 @@ std::vector<ChannelId> CanonicalChannelOrder(const TopologyGraph& topology) {
 }
 
 CanonicalDesign CanonicalizeDesign(const NocDesign& design) {
+  const TopologyGraph& topology = design.topology;
+  const CommunicationGraph& traffic = design.traffic;
   CanonicalDesign out;
-  out.text = DesignText(design, CanonicalFlowOrder(design));
-  out.design = ReadDesign(out.text);
-  Require(DesignText(out.design) == out.text,
-          "CanonicalizeDesign: the text of design \"", design.name,
-          "\" does not survive its own parse");
+  NocDesign& canonical = out.design;
+  canonical.name = design.name.empty() ? "unnamed" : design.name;
+  Require(IsTextToken(canonical.name), "CanonicalizeDesign: design name \"",
+          design.name, "\" is not one token of the text");
+  RequireTokenNames(design, "switch", topology.SwitchCount(),
+                    [&](std::size_t s) -> const std::string& {
+                      return topology.SwitchName(SwitchId(s));
+                    });
+  RequireTokenNames(design, "core", traffic.CoreCount(),
+                    [&](std::size_t c) -> const std::string& {
+                      return traffic.CoreName(CoreId(c));
+                    });
+
+  std::vector<ChannelId> renumbered;
+  canonical.topology = LinkMajorTopology(topology, renumbered);
+  for (std::size_t c = 0; c < traffic.CoreCount(); ++c) {
+    canonical.traffic.AddCore(traffic.CoreName(CoreId(c)));
+    canonical.attachment.push_back(design.SwitchOf(CoreId(c)));
+  }
+  const std::vector<FlowId> order = CanonicalFlowOrder(design);
+  canonical.routes.Resize(order.size());
+  for (const FlowId from : order) {
+    const Flow& flow = traffic.FlowAt(from);
+    Require(std::isfinite(flow.bandwidth_mbps), "CanonicalizeDesign: flow ",
+            from.value(), " of design \"", design.name,
+            "\" has a bandwidth the text cannot carry");
+    const FlowId f = canonical.traffic.AddFlow(
+        flow.src, flow.dst, TextBandwidth(flow.bandwidth_mbps));
+    Route route = design.routes.RouteOf(from);
+    if (!renumbered.empty()) {
+      for (ChannelId& c : route) {
+        Require(topology.IsValidChannel(c), "CanonicalizeDesign: flow ",
+                from.value(), " routes over a channel the design lacks");
+        c = renumbered[c.value()];
+      }
+    }
+    canonical.routes.SetRoute(f, std::move(route));
+  }
+  canonical.Validate();
+  out.text = DesignText(canonical);
   return out;
 }
 

@@ -14,11 +14,12 @@
 //   * IoCanonicalize — the text round trip alone. Preserves flow order
 //     (and therefore round-robin arbitration order), which is what a
 //     simulation repro must keep. Hoisted from valid/shrink.
-//   * CanonicalizeDesign — the round trip plus a canonical flow sort.
-//     Certification (CDG acyclicity, the topological-order certificate)
-//     is a property of the route *set*, not the flow declaration order,
-//     so designs differing only in flow order are the same problem and
-//     must digest identically. This is the cache key form.
+//   * CanonicalizeDesign — what the round trip gives after a canonical
+//     flow sort, built in memory with no parse. Certification (CDG
+//     acyclicity, the topological-order certificate) is a property of
+//     the route *set*, not the flow declaration order, so designs
+//     differing only in flow order are the same problem and must digest
+//     identically. This is the cache key form.
 //
 // CanonicalDesignDigest hashes the canonical text together with the
 // semantically relevant removal options, so one primitive defines the
@@ -28,8 +29,13 @@
 // both are exported so a caller holding a live design can reach it
 // without the text round trip: CanonicalFlowOrder (the flow sort) and
 // CanonicalChannelOrder (the link-major channel numbering the parse
-// builds). A session publishes each epoch through them
-// (serve/session.h); CanonicalizeDesign stays the oracle.
+// builds). CanonicalizeDesign applies both and renders the text once; a
+// session publishes each epoch through them without building the design
+// (serve/session.h). The text round trip,
+// ReadDesign(DesignText(d, CanonicalFlowOrder(d))) re-rendering to the
+// text it read, is the oracle both are checked against: in
+// tests/test_canonical.cpp, in bench_removal's generate rows, and in
+// every served request under RemovalOptions::paranoid_validation.
 #pragma once
 
 #include <cstddef>
@@ -53,21 +59,28 @@ NocDesign IoCanonicalize(const NocDesign& design);
 bool IsIoStable(const NocDesign& design);
 
 /// A design in canonical form: flows sorted by (src, dst, bandwidth as
-/// the text stores it, route as link:vc pairs), then rendered and parsed
-/// back so channel numbering is the one any consumer of \p text
-/// reconstructs. The sort never changes the route set, so the
-/// certificate of \p design is the certificate of the original up to
-/// flow renaming.
+/// the text stores it, route as link:vc pairs), each bandwidth as the
+/// text stores it, and channels numbered link-major, so \p design is
+/// what any consumer of \p text reconstructs. The sort never changes the
+/// route set, so the certificate of \p design is the certificate of the
+/// original up to flow renaming.
 struct CanonicalDesign {
   NocDesign design;
   std::string text;
 };
 
-/// Canonicalizes \p design: one render in canonical flow order, one
-/// parse. Deterministic; idempotent (canonicalizing the result, or the
-/// parse of its text, returns identical text). Throws InvalidModelError
-/// if re-rendering the parse does not reproduce the text, as for a name
-/// with whitespace in it, which the text cannot carry.
+/// Canonicalizes \p design with no parse: the flows in CanonicalFlowOrder
+/// with their bandwidths as the text stores them (TextBandwidth), the
+/// channels renumbered link-major when removal appended VCs out of link
+/// order (else the topology as it is), then Validate and one render for
+/// \p text. An empty design name becomes "unnamed", as the text writes
+/// it. Equal, text and design, to the text round trip
+/// ReadDesign(DesignText(design, CanonicalFlowOrder(design))), which
+/// stays the oracle, and throws InvalidModelError where that round trip
+/// throws: on a design, switch or core name that is not one text token
+/// (IsTextToken), two switches or two cores of one name, or a bandwidth
+/// that is not finite. Deterministic; idempotent (canonicalizing the
+/// result, or the parse of its text, returns identical text).
 CanonicalDesign CanonicalizeDesign(const NocDesign& design);
 
 /// The flow ids of \p design in canonical order: ascending (src, dst,

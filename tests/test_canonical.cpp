@@ -1,12 +1,20 @@
 // util/canonical: canonical design rendering and content-addressed
 // digesting — the primitive the certification service keys its cache by
-// and the shrinker validates repros against.
+// and the shrinker validates repros against. CanonicalizeDesign builds
+// its design in memory; the differential tests at the end hold it to
+// the text round trip it replaced, on seeds and on seeded mutants.
 #include "util/canonical.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cfloat>
+#include <cstdint>
+#include <limits>
+#include <optional>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "deadlock/removal.h"
@@ -17,6 +25,7 @@
 #include "synth/synthesizer.h"
 #include "test_helpers.h"
 #include "util/error.h"
+#include "util/rng.h"
 
 namespace nocdr {
 namespace {
@@ -327,6 +336,231 @@ TEST(CanonicalTest, DigestSeparatesDesignsAndOptions) {
   rebuild.engine = RemovalEngine::kRebuild;
   EXPECT_EQ(CanonicalDesignDigest(a, options),
             CanonicalDesignDigest(a, rebuild));
+}
+
+// --------------------------------------------- differential: round trip
+
+/// The oracle: \p design rendered in canonical flow order and parsed
+/// back, with that text; nullopt where the round trip throws or its parse
+/// does not re-render to the text it read.
+std::optional<CanonicalDesign> RoundTrip(const NocDesign& design) {
+  try {
+    CanonicalDesign out;
+    out.text = DesignText(design, CanonicalFlowOrder(design));
+    out.design = ReadDesign(out.text);
+    if (DesignText(out.design) != out.text) {
+      return std::nullopt;
+    }
+    return out;
+  } catch (const std::exception&) {
+    return std::nullopt;
+  }
+}
+
+/// Asserts that CanonicalizeDesign(\p design) gives the round trip's text
+/// and design, bandwidth bits included, or throws InvalidModelError where
+/// the round trip throws. Returns whether the round trip succeeded.
+bool ExpectRoundTripOutcome(const NocDesign& design, const std::string& what) {
+  const std::optional<CanonicalDesign> oracle = RoundTrip(design);
+  if (!oracle) {
+    EXPECT_THROW((void)CanonicalizeDesign(design), InvalidModelError) << what;
+    return false;
+  }
+  CanonicalDesign canonical;
+  try {
+    canonical = CanonicalizeDesign(design);
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << what << ": threw " << e.what();
+    return true;
+  }
+  EXPECT_EQ(canonical.text, oracle->text) << what;
+  EXPECT_TRUE(canonical.design == oracle->design) << what;
+  const CommunicationGraph& traffic = canonical.design.traffic;
+  for (std::size_t f = 0; f < traffic.FlowCount(); ++f) {
+    EXPECT_EQ(
+        std::bit_cast<std::uint64_t>(traffic.FlowAt(FlowId(f)).bandwidth_mbps),
+        std::bit_cast<std::uint64_t>(
+            oracle->design.traffic.FlowAt(FlowId(f)).bandwidth_mbps))
+        << what << " flow " << f;
+  }
+  return true;
+}
+
+/// Whether CanonicalChannelOrder(\p topology) is the identity.
+bool IsLinkMajor(const TopologyGraph& topology) {
+  const std::vector<ChannelId> order = CanonicalChannelOrder(topology);
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    if (order[k] != ChannelId(k)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Every family, the paper example and two synthetic SoCs, each untreated
+/// and treated, plus tied flows and VCs appended out of link order.
+std::vector<NocDesign> CanonicalSeeds() {
+  std::vector<NocDesign> untreated;
+  untreated.push_back(MakePaperExample().design);
+  for (const gen::TopologyFamily family : gen::AllFamilies()) {
+    gen::GeneratorSpec spec;
+    spec.family = family;
+    spec.width = 4;
+    spec.height = 5;
+    spec.ring_nodes = 8;
+    spec.tree_arity = 2;
+    spec.tree_levels = 3;
+    spec.uniform_fanout = 3;
+    untreated.push_back(gen::GenerateStandardDesign(spec));
+  }
+  for (const std::uint64_t seed : {3ull, 9ull}) {
+    SyntheticSocSpec soc_spec;
+    soc_spec.cores = 36;
+    soc_spec.fanout = 4;
+    soc_spec.seed = seed;
+    const SocBenchmark soc = MakeSyntheticSoc(soc_spec);
+    untreated.push_back(SynthesizeDesign(soc.traffic, soc.name, 12));
+  }
+  untreated.push_back(WithTiedTwins(MakeRandomDesign(1)));
+  untreated.push_back(MakeRandomDesign(8));
+  std::vector<NocDesign> seeds;
+  for (const NocDesign& design : untreated) {
+    seeds.push_back(design);
+    NocDesign treated = design;
+    RemoveDeadlocks(treated);
+    seeds.push_back(std::move(treated));
+  }
+  NocDesign appended = MakeRandomDesign(15);
+  RemoveDeadlocks(appended);
+  appended.topology.AddVirtualChannel(LinkId(3));
+  appended.topology.AddVirtualChannel(LinkId(0));
+  appended.topology.AddVirtualChannel(LinkId(3));
+  seeds.push_back(std::move(appended));
+  return seeds;
+}
+
+/// What a mutant may change: the names and the bandwidths.
+struct Labels {
+  std::string name;
+  std::vector<std::string> switches;
+  std::vector<std::string> cores;
+  std::vector<double> bandwidths;
+};
+
+Labels LabelsOf(const NocDesign& design) {
+  Labels labels{design.name, {}, {}, {}};
+  for (std::size_t s = 0; s < design.topology.SwitchCount(); ++s) {
+    labels.switches.push_back(design.topology.SwitchName(SwitchId(s)));
+  }
+  for (std::size_t c = 0; c < design.traffic.CoreCount(); ++c) {
+    labels.cores.push_back(design.traffic.CoreName(CoreId(c)));
+  }
+  for (std::size_t f = 0; f < design.traffic.FlowCount(); ++f) {
+    labels.bandwidths.push_back(
+        design.traffic.FlowAt(FlowId(f)).bandwidth_mbps);
+  }
+  return labels;
+}
+
+/// \p design with \p labels, its channel ids kept: the channels are
+/// added again in id order, each VC where it was appended.
+NocDesign Relabeled(const NocDesign& design, const Labels& labels) {
+  NocDesign out;
+  out.name = labels.name;
+  for (const std::string& name : labels.switches) {
+    out.topology.AddSwitch(name);
+  }
+  for (std::size_t k = 0; k < design.topology.ChannelCount(); ++k) {
+    const Channel& channel = design.topology.ChannelAt(ChannelId(k));
+    if (channel.vc == 0) {
+      const Link& link = design.topology.LinkAt(channel.link);
+      out.topology.AddLink(link.src, link.dst);
+    } else {
+      out.topology.AddVirtualChannel(channel.link);
+    }
+  }
+  for (const std::string& name : labels.cores) {
+    out.traffic.AddCore(name);
+  }
+  for (std::size_t f = 0; f < design.traffic.FlowCount(); ++f) {
+    const Flow& flow = design.traffic.FlowAt(FlowId(f));
+    out.traffic.AddFlow(flow.src, flow.dst, labels.bandwidths[f]);
+  }
+  out.attachment = design.attachment;
+  out.routes = design.routes;
+  return out;
+}
+
+TEST(CanonicalTest, SeedsGiveTheRoundTripsTextAndDesign) {
+  std::size_t renumbered = 0;
+  for (const NocDesign& seed : CanonicalSeeds()) {
+    ASSERT_TRUE(Relabeled(seed, LabelsOf(seed)) == seed) << seed.name;
+    EXPECT_TRUE(ExpectRoundTripOutcome(seed, seed.name)) << seed.name;
+    renumbered += IsLinkMajor(seed.topology) ? 0 : 1;
+  }
+  // Treated designs whose VCs removal appended out of link order.
+  EXPECT_GE(renumbered, 6u);
+}
+
+TEST(CanonicalTest, MutantsGetTheRoundTripsOutcome) {
+  const char separators[] = {' ', '\t', '\r', '\n', '\v', '\f', '#'};
+  const double bandwidths[] = {std::numeric_limits<double>::infinity(),
+                               -0.0,
+                               5e-324,
+                               1e21,
+                               0.1234567,
+                               DBL_MAX};
+  Rng rng(20261019);
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+  for (const NocDesign& seed : CanonicalSeeds()) {
+    for (int trial = 0; trial < 60; ++trial) {
+      Labels labels = LabelsOf(seed);
+      std::string what = seed.name + " trial " + std::to_string(trial) + ":";
+      const std::uint64_t mutations = 1 + rng.NextBelow(2);
+      for (std::uint64_t m = 0; m < mutations; ++m) {
+        std::vector<std::string>& names =
+            rng.NextBool(0.5) ? labels.switches : labels.cores;
+        const std::size_t i = rng.NextBelow(names.size());
+        switch (rng.NextBelow(6)) {
+          case 0: {  // a separator or '#' in a switch or core name
+            const char c = separators[rng.NextBelow(std::size(separators))];
+            names[i].insert(rng.NextBelow(names[i].size() + 1), 1, c);
+            what += " separator in a name;";
+            break;
+          }
+          case 1:  // empty: the graph names it SW<n> or core<n>
+            names[i].clear();
+            what += " empty name;";
+            break;
+          case 2:
+            names[i] = names[rng.NextBelow(names.size())];
+            what += " duplicate name;";
+            break;
+          case 3:
+            labels.name.clear();
+            what += " empty design name;";
+            break;
+          case 4:
+            labels.name.insert(rng.NextBelow(labels.name.size() + 1), 1, ' ');
+            what += " design name with a space;";
+            break;
+          default: {
+            const std::size_t f = rng.NextBelow(labels.bandwidths.size());
+            labels.bandwidths[f] =
+                bandwidths[rng.NextBelow(std::size(bandwidths))];
+            what += " bandwidth;";
+            break;
+          }
+        }
+      }
+      const bool ok = ExpectRoundTripOutcome(Relabeled(seed, labels), what);
+      ++(ok ? accepted : rejected);
+    }
+  }
+  // Both outcomes are exercised, so agreement is not vacuous.
+  EXPECT_GT(accepted, 300u);
+  EXPECT_GT(rejected, 500u);
 }
 
 }  // namespace

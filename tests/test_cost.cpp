@@ -4,8 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "cdg/cdg.h"
+#include "cdg/cycle.h"
 #include "deadlock/breaker.h"
+#include "gen/generators.h"
+#include "soc/benchmarks.h"
+#include "synth/synthesizer.h"
 #include "test_helpers.h"
 #include "util/error.h"
 
@@ -232,6 +239,79 @@ TEST(CostTest, CombinedCountsTheUnionOfNonNestedDuplicates) {
   EXPECT_EQ(applied.rerouted_flows,
             (std::vector<FlowId>{FlowId(2u), FlowId(4u), FlowId(5u)}));
   d.Validate();
+}
+
+// FindDepToBreak keeps no per-flow rows, so hold it to the table on every
+// cycle a removal run picks: the regression corpus's benchmarks at its
+// three switch counts and two tori, each broken as RemoveDeadlocks breaks
+// it (smallest cycle first, the cheaper direction, forward on ties), with
+// one CycleIndex for the whole run and the cycle's flow union as its
+// candidates, while the table scans every flow.
+TEST(CostTest, FindDepToBreakIsTheTablesFirstMinimumOnEveryPickedCycle) {
+  std::vector<NocDesign> corpus;
+  for (const SocBenchmarkId id : AllBenchmarkIds()) {
+    const SocBenchmark benchmark = MakeBenchmark(id);
+    for (const std::size_t switches : {10u, 14u, 18u}) {
+      corpus.push_back(
+          SynthesizeDesign(benchmark.traffic, benchmark.name, switches));
+    }
+  }
+  for (const std::size_t side : {6u, 10u}) {
+    gen::GeneratorSpec torus;
+    torus.family = gen::TopologyFamily::kTorus2D;
+    torus.width = torus.height = side;
+    corpus.push_back(gen::GenerateStandardDesign(torus));
+  }
+
+  std::size_t cycles = 0;
+  for (NocDesign& design : corpus) {
+    CycleIndex index;
+    while (true) {
+      const ChannelDependencyGraph cdg = ChannelDependencyGraph::Build(design);
+      const std::optional<CdgCycle> cycle =
+          PickCycle(cdg, CyclePolicy::kSmallestFirst);
+      if (!cycle) {
+        break;
+      }
+      std::vector<FlowId> candidates;
+      for (std::size_t p = 0; p < cycle->size(); ++p) {
+        const auto edge =
+            cdg.FindEdge((*cycle)[p], (*cycle)[(p + 1) % cycle->size()]);
+        ASSERT_TRUE(edge.has_value());
+        const std::vector<FlowId>& flows = cdg.EdgeAt(*edge).flows;
+        candidates.insert(candidates.end(), flows.begin(), flows.end());
+      }
+      std::sort(candidates.begin(), candidates.end());
+      candidates.erase(std::unique(candidates.begin(), candidates.end()),
+                       candidates.end());
+
+      BreakCandidate picked[2];
+      for (const BreakDirection direction :
+           {BreakDirection::kForward, BreakDirection::kBackward}) {
+        const std::vector<std::size_t> combined =
+            ComputeCycleCostTable(design, *cycle, direction).combined;
+        BreakCandidate expected;
+        for (std::size_t p = 0; p < combined.size(); ++p) {
+          if (combined[p] != 0 && combined[p] < expected.cost) {
+            expected.cost = combined[p];
+            expected.edge_pos = p;
+          }
+        }
+        const BreakCandidate found =
+            FindDepToBreak(design, *cycle, direction, &candidates, &index);
+        EXPECT_EQ(found.cost, expected.cost) << design.name;
+        EXPECT_EQ(found.edge_pos, expected.edge_pos) << design.name;
+        EXPECT_EQ(found.direction, direction) << design.name;
+        picked[direction == BreakDirection::kForward ? 0 : 1] = found;
+      }
+      const BreakCandidate& chosen =
+          picked[0].cost <= picked[1].cost ? picked[0] : picked[1];
+      BreakCycle(design, *cycle, chosen.edge_pos, chosen.direction,
+                 DuplicationMode::kVirtualChannel, &candidates, &index);
+      ++cycles;
+    }
+  }
+  EXPECT_GE(cycles, 72u);
 }
 
 }  // namespace

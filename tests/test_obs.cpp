@@ -254,6 +254,28 @@ TEST(TraceTest, ScopedSpanWithoutCurrentTraceIsANoOp) {
   EXPECT_EQ(sink.TraceCount(), 0u);
 }
 
+TEST(TraceTest, DetachedScopeKeepsSpansOutOfTheEnclosingTrace) {
+  // A coalescing leader computes inside its request's trace context;
+  // the computation's spans go to its own trace, or nowhere.
+  TraceSink sink;
+  {
+    ScopedTrace request(&sink, "q0", "request");
+    {
+      DetachedScope detached;
+      ScopedSpan dropped("treat");
+      EXPECT_FALSE(dropped.active());
+      ScopedTrace compute(&sink, "k0", "compute");
+      ScopedSpan kept("certify");
+      EXPECT_TRUE(kept.active());
+    }
+    ScopedSpan after("serialize");
+    EXPECT_TRUE(after.active());
+  }
+  EXPECT_EQ(sink.TraceCount(), 2u);
+  // request + serialize, compute + certify.
+  EXPECT_EQ(sink.SpanCount(), 4u);
+}
+
 TEST(StageTimerTest, EmitsOneSpanPerTouchedStageWithBusyAndCalls) {
   TraceSink sink;
   {

@@ -159,23 +159,21 @@ TEST(CertCacheTest, RevalidateCountsHitsOnly) {
 
 TEST(CoalescerTest, ConcurrentDuplicatesShareExactlyOneComputation) {
   constexpr std::size_t kClients = 4;
-  RequestCoalescer coalescer(CoalescerConfig{2, 8});
+  RequestCoalescer coalescer(CoalescerConfig{8});
   std::atomic<std::size_t> submitted{0};
   std::atomic<std::size_t> computes{0};
 
-  // The computation refuses to finish until every client has submitted,
-  // so all of them are provably in flight together — none can be served
-  // by a cache or by a fresh leader after the fact.
+  // The leader computes inside its own Submit, and the computation
+  // refuses to finish until every other client has submitted, so all of
+  // them are provably in flight together — none can be served by a
+  // cache or by a fresh leader after the fact.
   const auto compute = [&]() -> CachedCertification {
     ++computes;
-    EXPECT_TRUE(SpinUntil([&] { return submitted.load() == kClients; }));
+    EXPECT_TRUE(SpinUntil([&] { return submitted.load() == kClients - 1; }));
     return MakeValue("shared");
   };
   const auto probe = []() -> std::optional<CachedCertification> {
     return std::nullopt;
-  };
-  const auto make_compute = [&]() -> RequestCoalescer::ComputeFn {
-    return compute;
   };
 
   std::vector<RequestCoalescer::Outcome> outcomes(kClients);
@@ -183,7 +181,7 @@ TEST(CoalescerTest, ConcurrentDuplicatesShareExactlyOneComputation) {
   clients.reserve(kClients);
   for (std::size_t i = 0; i < kClients; ++i) {
     clients.emplace_back([&, i] {
-      outcomes[i] = coalescer.Submit(99, "same-key", probe, make_compute);
+      outcomes[i] = coalescer.Submit(99, "same-key", probe, compute);
       ++submitted;
     });
   }
@@ -205,10 +203,10 @@ TEST(CoalescerTest, ConcurrentDuplicatesShareExactlyOneComputation) {
 
 TEST(CoalescerTest, ComputeExceptionReachesEveryWaiter) {
   constexpr std::size_t kClients = 3;
-  RequestCoalescer coalescer(CoalescerConfig{1, 8});
+  RequestCoalescer coalescer(CoalescerConfig{8});
   std::atomic<std::size_t> submitted{0};
   const auto compute = [&]() -> CachedCertification {
-    if (!SpinUntil([&] { return submitted.load() == kClients; })) {
+    if (!SpinUntil([&] { return submitted.load() == kClients - 1; })) {
       ADD_FAILURE() << "clients never all submitted";
     }
     throw AlgorithmLimitError("deliberate failure");
@@ -216,15 +214,12 @@ TEST(CoalescerTest, ComputeExceptionReachesEveryWaiter) {
   const auto probe = []() -> std::optional<CachedCertification> {
     return std::nullopt;
   };
-  const auto make_compute = [&]() -> RequestCoalescer::ComputeFn {
-    return compute;
-  };
 
   std::vector<RequestCoalescer::Outcome> outcomes(kClients);
   std::vector<std::thread> clients;
   for (std::size_t i = 0; i < kClients; ++i) {
     clients.emplace_back([&, i] {
-      outcomes[i] = coalescer.Submit(7, "poisoned", probe, make_compute);
+      outcomes[i] = coalescer.Submit(7, "poisoned", probe, compute);
       ++submitted;
     });
   }
@@ -234,10 +229,11 @@ TEST(CoalescerTest, ComputeExceptionReachesEveryWaiter) {
   for (const auto& outcome : outcomes) {
     EXPECT_THROW((void)outcome.future.get(), AlgorithmLimitError);
   }
+  EXPECT_EQ(coalescer.Pending(), 0u);
 }
 
 TEST(CoalescerTest, AdmissionBoundRejectsNovelWorkNotFollowers) {
-  RequestCoalescer coalescer(CoalescerConfig{1, 1});
+  RequestCoalescer coalescer(CoalescerConfig{1});
   std::atomic<bool> release{false};
   std::atomic<std::size_t> computes{0};
   const auto slow_compute = [&]() -> CachedCertification {
@@ -248,29 +244,61 @@ TEST(CoalescerTest, AdmissionBoundRejectsNovelWorkNotFollowers) {
   const auto probe = []() -> std::optional<CachedCertification> {
     return std::nullopt;
   };
-  const auto make_compute = [&]() -> RequestCoalescer::ComputeFn {
-    return slow_compute;
-  };
 
-  const auto leader = coalescer.Submit(1, "busy", probe, make_compute);
-  ASSERT_EQ(leader.kind, RequestCoalescer::Outcome::Kind::kLeader);
+  // The leader computes inside its Submit, on its own thread.
+  RequestCoalescer::Outcome leader;
+  std::thread leader_thread(
+      [&] { leader = coalescer.Submit(1, "busy", probe, slow_compute); });
+  ASSERT_TRUE(SpinUntil([&] { return computes.load() == 1; }));
 
   // A duplicate joins for free while a novel key is turned away.
-  const auto follower = coalescer.Submit(1, "busy", probe, make_compute);
+  const auto follower = coalescer.Submit(1, "busy", probe, slow_compute);
   EXPECT_EQ(follower.kind, RequestCoalescer::Outcome::Kind::kFollower);
-  const auto rejected = coalescer.Submit(2, "novel", probe, make_compute);
+  const auto rejected = coalescer.Submit(2, "novel", probe, slow_compute);
   EXPECT_EQ(rejected.kind, RequestCoalescer::Outcome::Kind::kRejected);
 
   release = true;
+  leader_thread.join();
+  ASSERT_EQ(leader.kind, RequestCoalescer::Outcome::Kind::kLeader);
   (void)leader.future.get();
   (void)follower.future.get();
-  ASSERT_TRUE(SpinUntil([&] { return coalescer.Pending() == 0; }));
+  // The leader's Submit retired its slot before returning.
+  EXPECT_EQ(coalescer.Pending(), 0u);
 
   // Capacity freed: the novel key is admitted now.
-  const auto retry = coalescer.Submit(2, "novel", probe, make_compute);
+  const auto retry = coalescer.Submit(2, "novel", probe, slow_compute);
   EXPECT_EQ(retry.kind, RequestCoalescer::Outcome::Kind::kLeader);
   (void)retry.future.get();
   EXPECT_EQ(computes.load(), 2u);
+}
+
+TEST(CoalescerTest, LeaderComputesOnItsCallersThread) {
+  RequestCoalescer coalescer;
+  std::optional<CachedCertification> cache;
+  std::thread::id computed_on;
+  const auto compute = [&]() -> CachedCertification {
+    computed_on = std::this_thread::get_id();
+    EXPECT_EQ(coalescer.Pending(), 1u);
+    cache = MakeValue("inline");
+    return *cache;
+  };
+  const auto probe = [&]() { return cache; };
+
+  const auto leader = coalescer.Submit(5, "inline", probe, compute);
+  ASSERT_EQ(leader.kind, RequestCoalescer::Outcome::Kind::kLeader);
+  EXPECT_EQ(computed_on, std::this_thread::get_id());
+  // Submit returned with the result in hand and the slot retired.
+  EXPECT_EQ(leader.future.wait_for(std::chrono::seconds(0)),
+            std::future_status::ready);
+  EXPECT_EQ(leader.future.get().certificate_json, "{\"tag\":\"inline\"}");
+  EXPECT_EQ(coalescer.Pending(), 0u);
+
+  // The computation published before the slot retired, so a repeat
+  // resolves from the probe and computes nothing.
+  computed_on = std::thread::id();
+  const auto repeat = coalescer.Submit(5, "inline", probe, compute);
+  EXPECT_EQ(repeat.kind, RequestCoalescer::Outcome::Kind::kResolved);
+  EXPECT_EQ(computed_on, std::thread::id());
 }
 
 // -------------------------------------------------------------- service

@@ -15,7 +15,8 @@
 //   ./nocdr_serve < examples/serve_session_requests.jsonl
 //
 // Flags:
-//   --threads N       compute-pool threads, 0 = hardware (default 0)
+//   --threads N       requests served at once, each cold one computing
+//                     on its own thread; 0 = hardware (default 0)
 //   --shards N        cache shards (default 16)
 //   --cache-entries N cache entry bound (default 4096)
 //   --cache-mb N      cache payload bound in MiB (default 64)
@@ -186,9 +187,8 @@ Options ParseOptions(int argc, char** argv) {
 
 int main(int argc, char** argv) {
   Options opts = ParseOptions(argc, argv);
-  // The sink must outlive the service: computation closures on pool
-  // threads finish traces into it until the service's destructor joins
-  // them.
+  // The sink must outlive the service: each computation finishes its
+  // trace into it, on the thread that served the request.
   std::unique_ptr<obs::TraceSink> trace_sink;
   if (!opts.trace_out.empty()) {
     trace_sink = std::make_unique<obs::TraceSink>(opts.trace_clock);
@@ -304,9 +304,9 @@ int main(int argc, char** argv) {
               << serve::MetricsTextFromJson(metrics_line, "nocdr_serve: ");
   }
   if (trace_sink != nullptr) {
-    // Computation traces finish on pool threads; the service is still
-    // alive here, but EOF means every batch was flushed and every
-    // response written, so all traces are in the sink.
+    // A computation's trace finishes before its response is written,
+    // and EOF means every batch was flushed and every response written,
+    // so all traces are in the sink.
     if (!trace_sink->WriteFile(opts.trace_out)) {
       std::cerr << "nocdr_serve: cannot write --trace-out " << opts.trace_out
                 << "\n";
