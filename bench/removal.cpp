@@ -125,16 +125,17 @@ struct TimedRun {
   RemovalReport report;
 };
 
-/// Best-of timing of RemoveDeadlocks on copies of \p base, the rebuild
-/// and the incremental engine in alternation (bench::BestOfMs, capped at
-/// 200 ms a side); returns {rebuild, incremental}.
+using RemovalLoop = RemovalReport (*)(NocDesign&, const RemovalOptions&);
+
+/// Best-of timing of the removal loops on copies of \p base,
+/// RemoveDeadlocksRebuild and RemoveDeadlocks in alternation
+/// (bench::BestOfMs, capped at 200 ms a side); returns {rebuild,
+/// incremental}.
 std::pair<TimedRun, TimedRun> TimeRemoval(const NocDesign& base) {
-  const auto timed = [&base](RemovalEngine engine, TimedRun& result) {
-    RemovalOptions options;
-    options.engine = engine;
+  const auto timed = [&base](RemovalLoop remove, TimedRun& result) {
     NocDesign design = base;  // copy outside the timed region
     const auto t0 = std::chrono::steady_clock::now();
-    RemovalReport report = RemoveDeadlocks(design, options);
+    RemovalReport report = remove(design, {});
     const double ms = MillisSince(t0);
     result.report = std::move(report);
     return ms;
@@ -142,8 +143,8 @@ std::pair<TimedRun, TimedRun> TimeRemoval(const NocDesign& base) {
   TimedRun rebuild;
   TimedRun incremental;
   std::tie(rebuild.best_ms, incremental.best_ms) = bench::BestOfMs(
-      200.0, [&] { return timed(RemovalEngine::kRebuild, rebuild); },
-      [&] { return timed(RemovalEngine::kIncremental, incremental); });
+      200.0, [&] { return timed(RemoveDeadlocksRebuild, rebuild); },
+      [&] { return timed(RemoveDeadlocks, incremental); });
   return {std::move(rebuild), std::move(incremental)};
 }
 
@@ -204,13 +205,13 @@ void SweepDeterminism(Ledger& ledger, const std::vector<Rung>& ladder,
                "===\n\n";
   std::vector<runner::SweepJob> jobs;
   for (const Rung& rung : ladder) {
-    for (const auto& [engine, label] :
-         {std::pair{RemovalEngine::kIncremental, "incremental"},
-          std::pair{RemovalEngine::kRebuild, "rebuild"}}) {
+    for (const auto& [method, label] :
+         {std::pair{runner::SweepMethod::kRemoval, "incremental"},
+          std::pair{runner::SweepMethod::kRemovalRebuild, "rebuild"}}) {
       runner::SweepJob& job = jobs.emplace_back();
       job.design = rung.name;
       job.variant = label;
-      job.options.engine = engine;
+      job.method = method;
       job.factory = [&design = rung.design](Rng&) { return design; };
     }
   }

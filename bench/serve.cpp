@@ -11,7 +11,7 @@
 //                      recovered is byte-identical to what the dead
 //                      appender meant to write: torn tails may be lost,
 //                      wrong bytes are a failure. Runs first, before any
-//                      thread pool exists (fork and threads do not mix).
+//                      worker thread exists (fork and threads do not mix).
 //   * serve_mix      — per traffic mix (repeat-heavy / uniform /
 //                      unique-heavy), served serially so hit / miss /
 //                      eviction counts are exact and machine-independent:
@@ -354,7 +354,7 @@ struct CrashOutcome {
 /// One kill -9 crash/recover round: fork an appender, kill it after a
 /// seeded delay mid-stream, reopen the directory (the dead child's
 /// LOCK must be taken over) and verify every recovered record of this
-/// round byte-for-byte. Must run before any thread pool exists in this
+/// round byte-for-byte. Must run before any worker thread exists in this
 /// process (fork + threads do not mix).
 void CrashRound(const std::string& dir, std::size_t round, Rng& rng,
                 CrashOutcome& outcome) {
@@ -781,7 +781,7 @@ int main(int argc, char** argv) {
   Ledger ledger("serve");
   const std::string dir = MakeTempDir();
 
-  // Forks, so it runs before any service (and its thread pool) exists.
+  // Forks, so it runs before any service or client thread exists.
   if (opts.crash_loop > 0) {
     CrashLoop(ledger, dir + "/crash", opts);
   }

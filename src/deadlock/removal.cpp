@@ -15,9 +15,9 @@ namespace {
 // Stage indices for the removal StageTimer: the four phases of every
 // removal iteration, aggregated across the whole loop into one span per
 // stage (and one "removal.<stage>_us" metrics histogram each). Both
-// engines use the same stage names so trace analysis does not care
-// which engine ran; "invalidate" is the full CDG rebuild in the rebuild
-// engine and the incremental ApplyBreak in the dirty-finder engine.
+// loops use the same stage names so trace analysis does not care which
+// one ran; "invalidate" is the full CDG rebuild in the reference and the
+// incremental ApplyBreak in RemoveDeadlocksOnCdg.
 constexpr std::size_t kStageCycleSearch = 0;  // PickCycle / DirtyCycleFinder
 constexpr std::size_t kStageScore = 1;        // candidate scoring (PickBreak)
 constexpr std::size_t kStageApply = 2;        // BreakCycle application
@@ -73,7 +73,7 @@ BreakCandidate PickBreak(const NocDesign& design, const CdgCycle& cycle,
   return fwd.cost <= bwd.cost ? fwd : bwd;
 }
 
-/// Applies the chosen break and records it; shared by both engines.
+/// Applies the chosen break and records it; shared by both loops.
 /// \p stages aggregates the scoring and application time (stage spans
 /// and "removal.*_us" histograms are emitted when it is destroyed), and
 /// \p index is the run's scoring and breaking scratch.
@@ -121,6 +121,8 @@ void ApplyAndRecord(NocDesign& design, const ChannelDependencyGraph& cdg,
   ++report.iterations;
 }
 
+}  // namespace
+
 RemovalReport RemoveDeadlocksRebuild(NocDesign& design,
                                      const RemovalOptions& options) {
   RemovalReport report;
@@ -147,8 +149,6 @@ RemovalReport RemoveDeadlocksRebuild(NocDesign& design,
   }
   return report;
 }
-
-}  // namespace
 
 RemovalReport RemoveDeadlocksOnCdg(NocDesign& design,
                                    ChannelDependencyGraph& cdg,
@@ -201,9 +201,6 @@ RemovalReport RemoveDeadlocksOnCdg(NocDesign& design,
 
 RemovalReport RemoveDeadlocks(NocDesign& design,
                               const RemovalOptions& options) {
-  if (options.engine == RemovalEngine::kRebuild) {
-    return RemoveDeadlocksRebuild(design, options);
-  }
   ChannelDependencyGraph cdg = ChannelDependencyGraph::Build(design);
   DirtyCycleFinder finder(cdg);
   return RemoveDeadlocksOnCdg(design, cdg, finder, options);

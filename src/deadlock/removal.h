@@ -7,16 +7,16 @@
 // when the CDG is acyclic, i.e. the design is provably deadlock-free for
 // wormhole flow control with static routing.
 //
-// Two engines drive the loop. The default incremental engine keeps one
-// CDG alive across iterations, mirrors each break into it
-// (ChannelDependencyGraph::ApplyBreak) and re-scans only dirty vertices
-// for the next cycle (cdg/incremental.h). The rebuild engine re-derives
-// the CDG from the design and scans every vertex each iteration — the
-// paper's literal formulation, kept as the reference baseline the
-// incremental engine is benchmarked and property-tested against. Both
-// make identical removal decisions (same steps, VC counts and final
-// designs); only the work counters (cycle_bfs_runs, scc_vertices,
-// cycle_checks) differ, as they exist to measure the incremental engine.
+// RemoveDeadlocks keeps one CDG alive across iterations, mirrors each
+// break into it (ChannelDependencyGraph::ApplyBreak) and re-scans only
+// dirty vertices for the next cycle (cdg/incremental.h).
+// RemoveDeadlocksRebuild is the paper's literal formulation: it
+// re-derives the CDG from the design and scans every vertex each
+// iteration. It is the reference the incremental loop is benchmarked and
+// property-tested against, called by name. Both make identical removal
+// decisions (same steps, VC counts and final designs); only the work
+// counters (cycle_bfs_runs, scc_vertices, cycle_checks) differ, as they
+// exist to measure the incremental loop.
 #pragma once
 
 #include <cstddef>
@@ -38,20 +38,10 @@ enum class DirectionPolicy {
   kBackwardOnly,
 };
 
-/// How the removal loop maintains the CDG and finds cycles.
-enum class RemovalEngine {
-  /// Mutate one CDG across breaks; dirty-vertex cycle search.
-  kIncremental,
-  /// Re-derive the CDG from the design and scan all vertices, every
-  /// iteration. Reference baseline; byte-identical results.
-  kRebuild,
-};
-
 /// Tuning knobs of the removal loop.
 struct RemovalOptions {
   CyclePolicy cycle_policy = CyclePolicy::kSmallestFirst;
   DirectionPolicy direction_policy = DirectionPolicy::kBoth;
-  RemovalEngine engine = RemovalEngine::kIncremental;
   /// Realize duplicates as extra VCs (default) or, for switch
   /// architectures without VC support, as parallel physical links.
   DuplicationMode duplication = DuplicationMode::kVirtualChannel;
@@ -60,7 +50,7 @@ struct RemovalOptions {
   /// AlgorithmLimitError instead of a hang.
   std::size_t max_iterations = 100000;
   /// Re-validate the whole design after every break, and (incremental
-  /// engine) check the mutated CDG against a from-scratch rebuild
+  /// loop) check the mutated CDG against a from-scratch rebuild
   /// (slow; for tests).
   bool paranoid_validation = false;
 };
@@ -84,37 +74,44 @@ struct RemovalReport {
   std::size_t vcs_added = 0;
   std::size_t flows_rerouted = 0;
   /// Vertices whose shortest cycle was recomputed by BFS across the whole
-  /// run (incremental engine only; 0 for the rebuild engine). The rebuild
-  /// engine's equivalent is roughly VertexCount() per iteration.
+  /// run (incremental loop only; RemoveDeadlocksRebuild leaves it 0, and
+  /// its equivalent is roughly VertexCount() per iteration).
   std::size_t cycle_bfs_runs = 0;
-  /// The incremental engine's other two cycle-search counters
-  /// (DirtyCycleFinder::Stats), over the run; 0 for the rebuild engine:
-  /// vertices whose SCC a pick recomputed, and cached cycles re-verified
-  /// edge by edge.
+  /// The incremental loop's other two cycle-search counters
+  /// (DirtyCycleFinder::Stats), over the run; 0 from
+  /// RemoveDeadlocksRebuild: vertices whose SCC a pick recomputed, and
+  /// cached cycles re-verified edge by edge.
   std::size_t scc_vertices = 0;
   std::size_t cycle_checks = 0;
   std::vector<RemovalStep> steps;
 };
 
-/// Runs Algorithm 1 on \p design in place. On return the design's CDG is
-/// acyclic and the design still satisfies Validate(). Throws
+/// Runs Algorithm 1 on \p design in place: one Build, one
+/// DirtyCycleFinder and RemoveDeadlocksOnCdg. On return the design's CDG
+/// is acyclic and the design still satisfies Validate(). Throws
 /// AlgorithmLimitError if options.max_iterations is exceeded.
 RemovalReport RemoveDeadlocks(NocDesign& design,
                               const RemovalOptions& options = {});
 
+/// The reference: Algorithm 1 as the paper states it, re-deriving the
+/// CDG from the design and scanning every vertex on every iteration.
+/// Same contract and same decisions as RemoveDeadlocks; its work
+/// counters stay 0.
+RemovalReport RemoveDeadlocksRebuild(NocDesign& design,
+                                     const RemovalOptions& options = {});
+
 class DirtyCycleFinder;
 
-/// The incremental-engine removal loop on a caller-maintained CDG and
+/// The incremental removal loop on a caller-maintained CDG and
 /// dirty-cycle finder instead of a freshly built pair. \p cdg must
 /// mirror design's routes exactly (and \p finder must serve \p cdg);
 /// every break is mirrored back via ApplyBreak, so on return the CDG is
 /// acyclic and still in sync with the design. This is the entry point
 /// the fault-reconfiguration pipeline (src/fault) uses to keep one CDG
 /// and one finder cache alive across fault bursts instead of paying a
-/// from-scratch Build per burst. options.engine is ignored — this *is*
-/// the incremental engine; the report's work counters (cycle_bfs_runs,
-/// scc_vertices, cycle_checks) count only this call, not the finder's
-/// lifetime total.
+/// from-scratch Build per burst. The report's work counters
+/// (cycle_bfs_runs, scc_vertices, cycle_checks) count only this call,
+/// not the finder's lifetime total.
 RemovalReport RemoveDeadlocksOnCdg(NocDesign& design,
                                    ChannelDependencyGraph& cdg,
                                    DirtyCycleFinder& finder,

@@ -159,9 +159,7 @@ bool ReconfigureCore(NocDesign& design, ChannelDependencyGraph* cdg,
               "ApplyFaultBurst: maintained CDG diverged from rebuild");
     }
   } else {
-    RemovalOptions rebuild = options.removal;
-    rebuild.engine = RemovalEngine::kRebuild;
-    report.removal = RemoveDeadlocks(design, rebuild);
+    report.removal = RemoveDeadlocksRebuild(design, options.removal);
   }
   if (options.removal.paranoid_validation) {
     design.Validate();

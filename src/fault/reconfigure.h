@@ -34,11 +34,12 @@
 // spans follow them as siblings.
 //
 // ApplyFaultBurstRebuild is the from-scratch reference: identical
-// re-route decisions, but the CDG is re-derived and removal runs the
-// rebuild engine. The two paths must produce bit-identical designs —
-// the fault-reconfig validation campaign (src/valid/fault_campaign)
-// checks that on every trial, and `bench_campaign --campaign fault`
-// measures the incremental path's speedup.
+// re-route decisions, but the CDG is re-derived and removal runs
+// RemoveDeadlocksRebuild. The two paths must produce bit-identical
+// designs — the fault-reconfig validation campaign
+// (src/valid/fault_campaign) checks that on every trial, and
+// `bench_campaign --campaign fault` measures the incremental path's
+// speedup.
 #pragma once
 
 #include <cstddef>
@@ -64,13 +65,12 @@ struct ReconfigureOptions {
   NextHopTable* table = nullptr;
   /// Congestion model of the rip-up fallback.
   RouteBuildOptions route_options;
-  /// Options of the post-fault removal re-run. `engine` is honored only
-  /// by the rebuild reference; the incremental path is, by construction,
-  /// the incremental engine. `removal.paranoid_validation` also checks
-  /// the whole burst: the mutated CDG against a from-scratch rebuild,
-  /// every table column the detours read against a copy of the table
-  /// patched in every column, and the design's Validate() (slow; tests
-  /// and paranoid sessions).
+  /// Options of the post-fault removal re-run; the incremental path runs
+  /// RemoveDeadlocksOnCdg, the reference RemoveDeadlocksRebuild.
+  /// `removal.paranoid_validation` also checks the whole burst: the
+  /// mutated CDG against a from-scratch rebuild, every table column the
+  /// detours read against a copy of the table patched in every column,
+  /// and the design's Validate() (slow; tests and paranoid sessions).
   RemovalOptions removal;
 };
 
@@ -121,8 +121,8 @@ ReconfigureReport ApplyFaultBurst(NocDesign& design,
 
 /// The from-scratch reference: identical affected-flow set, detours and
 /// rip-up re-routes, but no CDG is maintained — removal re-derives the
-/// graph from the design and runs the rebuild engine. Infeasible bursts
-/// behave exactly like ApplyFaultBurst's.
+/// graph from the design and runs RemoveDeadlocksRebuild. Infeasible
+/// bursts behave exactly like ApplyFaultBurst's.
 ReconfigureReport ApplyFaultBurstRebuild(
     NocDesign& design, FaultState& state, const FaultBurst& burst,
     const ReconfigureOptions& options = {});

@@ -29,8 +29,11 @@ SweepRow RunJob(const SweepJob& job, std::size_t job_index,
     row.initially_deadlock_free = IsDeadlockFree(design);
 
     t0 = std::chrono::steady_clock::now();
-    if (job.method == SweepMethod::kRemoval) {
-      const RemovalReport report = RemoveDeadlocks(design, job.options);
+    if (job.method != SweepMethod::kResourceOrdering) {
+      const RemovalReport report =
+          job.method == SweepMethod::kRemoval
+              ? RemoveDeadlocks(design, job.options)
+              : RemoveDeadlocksRebuild(design, job.options);
       row.iterations = report.iterations;
       row.vcs_added = report.vcs_added;
       row.flows_rerouted = report.flows_rerouted;

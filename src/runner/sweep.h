@@ -3,8 +3,8 @@
 // Every experiment harness in bench/ used to hand-roll the same loop:
 // synthesize a design, run a deadlock-handling method, collect VC counts
 // and wall-clock times. SweepRunner centralizes that as a job batch
-// executed over a thread pool: one job = one (design factory ×
-// RemovalOptions) point, one row = its outcome.
+// executed by ParallelMapIndexed: one job = one (design factory ×
+// RemovalOptions × method) point, one row = its outcome.
 //
 // Determinism contract: each job gets its own Rng seeded purely from
 // (base_seed, job index) — never from time, thread id or schedule — and
@@ -29,6 +29,7 @@ namespace nocdr::runner {
 /// Which deadlock-handling method a job runs.
 enum class SweepMethod {
   kRemoval,           // Algorithm 1 (RemoveDeadlocks, per job options)
+  kRemovalRebuild,    // Algorithm 1's reference (RemoveDeadlocksRebuild)
   kResourceOrdering,  // Dally/Towles distance classes (baseline)
 };
 
@@ -109,7 +110,7 @@ struct SweepConfig {
 /// public so tests and harnesses can reproduce single jobs).
 std::uint64_t JobSeed(std::uint64_t base_seed, std::size_t job_index);
 
-/// Executes job batches on an internal thread pool.
+/// Executes job batches on config().threads worker threads.
 class SweepRunner {
  public:
   explicit SweepRunner(SweepConfig config = {});

@@ -58,21 +58,6 @@ DirectionPolicy ParseDirection(const std::string& name) {
                           "\"");
 }
 
-std::string EngineName(RemovalEngine engine) {
-  return engine == RemovalEngine::kIncremental ? "incremental" : "rebuild";
-}
-
-RemovalEngine ParseEngine(const std::string& name) {
-  if (name == "incremental") {
-    return RemovalEngine::kIncremental;
-  }
-  if (name == "rebuild") {
-    return RemovalEngine::kRebuild;
-  }
-  throw InvalidModelError("ParseRequestLine: unknown engine \"" + name +
-                          "\"");
-}
-
 std::string DuplicationName(DuplicationMode mode) {
   return mode == DuplicationMode::kVirtualChannel ? "virtual_channel"
                                                   : "physical_link";
@@ -97,9 +82,6 @@ RemovalOptions ParseOptions(const JsonValue& json) {
   if (const JsonValue* value = json.Find("direction")) {
     options.direction_policy = ParseDirection(value->AsString());
   }
-  if (const JsonValue* value = json.Find("engine")) {
-    options.engine = ParseEngine(value->AsString());
-  }
   if (const JsonValue* value = json.Find("duplication")) {
     options.duplication = ParseDuplication(value->AsString());
   }
@@ -107,6 +89,16 @@ RemovalOptions ParseOptions(const JsonValue& json) {
     options.max_iterations = value->AsUint();
   }
   return options;
+}
+
+/// The "options" object ParseOptions reads back, every field explicit.
+std::string OptionsToJson(const RemovalOptions& options) {
+  JsonObject json;
+  json.Set("cycle_policy", CyclePolicyName(options.cycle_policy))
+      .Set("direction", DirectionName(options.direction_policy))
+      .Set("duplication", DuplicationName(options.duplication))
+      .Set("max_iterations", options.max_iterations);
+  return json.Dump();
 }
 
 gen::GeneratorSpec ParseGenerator(const JsonValue& json) {
@@ -409,13 +401,7 @@ std::string RequestToJsonLine(const CertRequest& request) {
     json.Set("id", request.id);
   }
   DesignSpecToJson(request, json);
-  JsonObject options;
-  options.Set("cycle_policy", CyclePolicyName(request.options.cycle_policy))
-      .Set("direction", DirectionName(request.options.direction_policy))
-      .Set("engine", EngineName(request.options.engine))
-      .Set("duplication", DuplicationName(request.options.duplication))
-      .Set("max_iterations", request.options.max_iterations);
-  json.SetRaw("options", options.Dump());
+  json.SetRaw("options", OptionsToJson(request.options));
   json.Set("treat", request.treat).Set("return_design", request.return_design);
   if (!request.priority_class.empty()) {
     json.Set("class", request.priority_class);
@@ -517,13 +503,7 @@ std::string SessionRequestToJsonLine(const SessionRequest& request) {
   }
   if (request.op == SessionOp::kOpen) {
     DesignSpecToJson(request.spec, json);
-    JsonObject options;
-    options.Set("cycle_policy", CyclePolicyName(request.options.cycle_policy))
-        .Set("direction", DirectionName(request.options.direction_policy))
-        .Set("engine", EngineName(request.options.engine))
-        .Set("duplication", DuplicationName(request.options.duplication))
-        .Set("max_iterations", request.options.max_iterations);
-    json.SetRaw("options", options.Dump());
+    json.SetRaw("options", OptionsToJson(request.options));
   } else {
     json.Set("session", request.session_id);
   }

@@ -14,9 +14,10 @@
 //
 //   "options": {"cycle_policy":"smallest_first|first_found|largest_first",
 //               "direction":"both|forward_only|backward_only",
-//               "engine":"incremental|rebuild",
 //               "duplication":"virtual_channel|physical_link",
 //               "max_iterations":N}
+//              (unknown keys are ignored, so a request that still sends
+//              the retired "engine" key is served as if it did not)
 //   "treat": true|false      (default true; false = certify as-is)
 //   "return_design": bool    (include the treated design text)
 //

@@ -250,27 +250,21 @@ NocDesign MaterializeDesign(const DesignSpec& spec,
 namespace {
 
 /// ComputeCertification's treat and certify steps on one CDG, which is
-/// freed before the payload is rendered: the incremental engine keeps the
-/// graph it treats in sync with the design, so certify reads it as it
-/// stands. Fills \p out's removal fields when the request treats.
+/// freed before the payload is rendered: removal keeps the graph it
+/// treats in sync with the design, so certify reads it as it stands.
+/// Fills \p out's removal fields when the request treats.
 DeadlockCertificate TreatAndCertify(NocDesign& design,
                                     const CertRequest& request,
                                     CachedCertification& out) {
   ChannelDependencyGraph cdg;
-  bool cdg_in_sync = false;
   if (request.treat) {
     // The removal StageTimer (deadlock/removal.cpp) nests its
     // cycle_search/score/apply/invalidate stage spans under this one.
     obs::ScopedSpan span("treat");
-    RemovalReport report;
-    if (request.options.engine == RemovalEngine::kIncremental) {
-      cdg = ChannelDependencyGraph::Build(design);
-      DirtyCycleFinder finder(cdg);
-      report = RemoveDeadlocksOnCdg(design, cdg, finder, request.options);
-      cdg_in_sync = true;
-    } else {
-      report = RemoveDeadlocks(design, request.options);
-    }
+    cdg = ChannelDependencyGraph::Build(design);
+    DirtyCycleFinder finder(cdg);
+    const RemovalReport report =
+        RemoveDeadlocksOnCdg(design, cdg, finder, request.options);
     out.initially_deadlock_free = report.initially_deadlock_free;
     out.iterations = report.iterations;
     out.vcs_added = report.vcs_added;
@@ -279,7 +273,7 @@ DeadlockCertificate TreatAndCertify(NocDesign& design,
     span.Attr("vcs_added", static_cast<std::uint64_t>(report.vcs_added));
   }
   obs::ScopedSpan span("certify");
-  if (!cdg_in_sync) {
+  if (!request.treat) {
     cdg = ChannelDependencyGraph::Build(design);
   }
   // With no channel order this is CertifyDeadlockFreedom's certificate

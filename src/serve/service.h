@@ -103,8 +103,7 @@ struct CertRequest : DesignSpec {
   /// Echoed verbatim in the response; empty is fine.
   std::string id;
 
-  /// Removal options applied when \p treat is true. engine is accepted
-  /// but does not split the cache (both engines are bit-identical).
+  /// Removal options applied when \p treat is true.
   RemovalOptions options;
   /// false: certify the design as-is (the certificate may be negative,
   /// carrying a CDG-cycle counterexample).
@@ -368,11 +367,10 @@ class CertificationService {
 /// RemoveDeadlocks on it in place with the request's options, certify,
 /// and serialize certificate + treated design. Deterministic in its inputs,
 /// and byte-equal to RemoveDeadlocks + CertifyDeadlockFreedom +
-/// DesignText. It builds one CDG: the incremental engine treats on it
-/// (RemoveDeadlocksOnCdg) and certify reads it (CertifyFromCdg); the
-/// rebuild engine, or treat = false, certifies from one Build. Every
-/// positive certificate must pass CheckCertificate, or the computation
-/// throws.
+/// DesignText. It builds one CDG: removal treats on it
+/// (RemoveDeadlocksOnCdg) unless treat = false, and certify reads it
+/// (CertifyFromCdg). Every positive certificate must pass
+/// CheckCertificate, or the computation throws.
 CachedCertification ComputeCertification(NocDesign canonical_design,
                                          const CertRequest& request);
 

@@ -128,10 +128,6 @@ std::vector<ChannelId> CanonicalChannelOrder(const TopologyGraph& topology);
 
 /// Mixes the semantically relevant removal options into \p h:
 /// cycle_policy, direction_policy, duplication and max_iterations.
-/// RemovalEngine is deliberately excluded — the incremental and rebuild
-/// engines produce bit-identical designs and certificates (the contract
-/// property-tested by test_cdg_incremental), so both may share one
-/// cache entry.
 void DigestRemovalOptions(std::uint64_t& h, const RemovalOptions& options);
 
 /// Content-addressed identity of one certification problem: FNV-1a over

@@ -255,18 +255,12 @@ TrialRow ClassifyTrial(const NocDesign& design, TrialArm arm,
     switch (arm) {
       case TrialArm::kUntreated:
         break;
-      case TrialArm::kRemovalIncremental: {
-        RemovalOptions options;
-        options.engine = RemovalEngine::kIncremental;
-        RemoveDeadlocks(treated, options);
+      case TrialArm::kRemovalIncremental:
+        RemoveDeadlocks(treated);
         break;
-      }
-      case TrialArm::kRemovalRebuild: {
-        RemovalOptions options;
-        options.engine = RemovalEngine::kRebuild;
-        RemoveDeadlocks(treated, options);
+      case TrialArm::kRemovalRebuild:
+        RemoveDeadlocksRebuild(treated);
         break;
-      }
       case TrialArm::kResourceOrdering:
         ApplyResourceOrdering(treated);
         break;

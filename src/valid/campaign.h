@@ -2,7 +2,7 @@
 //
 // The paper's core claim is that CDG cycle breaking yields deadlock-free
 // wormhole NoCs. This module validates that claim at scale by fanning
-// randomized end-to-end trials over the thread pool: synthesize a design
+// randomized end-to-end trials over worker threads: synthesize a design
 // (src/soc/synthetic + src/synth), run one treatment arm, certify the
 // result (src/deadlock/verify), then run the cycle-accurate simulator
 // and cross-check the four-way contract:
@@ -49,8 +49,8 @@ namespace nocdr::valid {
 /// Which treatment a trial applies before certification + simulation.
 enum class TrialArm {
   kUntreated,           // baseline: no treatment, certificate may be negative
-  kRemovalIncremental,  // RemoveDeadlocks, incremental CDG engine
-  kRemovalRebuild,      // RemoveDeadlocks, rebuild-per-iteration engine
+  kRemovalIncremental,  // RemoveDeadlocks, the incremental CDG loop
+  kRemovalRebuild,      // RemoveDeadlocksRebuild, the reference loop
   kResourceOrdering,    // Dally/Towles distance classes
   kUpDown,              // up*/down* turn prohibition (may be infeasible)
 };
@@ -170,7 +170,7 @@ struct CampaignResult {
 };
 
 /// The one campaign harness: runs \p trial on the TrialSpec of every
-/// trial index below scope.trials, over a private thread pool, stamps
+/// trial index below scope.trials, on ParallelMapIndexed's workers, stamps
 /// each row's trial_index and digests the rows. \p trial must not throw;
 /// it turns a failure into a mismatch row.
 template <typename Row, typename Trial>
@@ -377,7 +377,7 @@ struct CampaignConfig : CampaignScope {
   std::vector<SimEngine> engines;
 };
 
-/// Runs the whole campaign over an internal thread pool.
+/// Runs the whole campaign on config.threads worker threads.
 CampaignResult<TrialRow> RunCampaign(const CampaignConfig& config);
 
 }  // namespace nocdr::valid

@@ -189,7 +189,7 @@ struct FaultCampaignConfig : CampaignScope {
 FaultTrialRow RunFaultTrial(DesignSource source, std::uint64_t seed,
                             const FaultCampaignConfig& config);
 
-/// Runs the whole campaign over an internal thread pool.
+/// Runs the whole campaign on config.threads worker threads.
 CampaignResult<FaultTrialRow> RunFaultCampaign(
     const FaultCampaignConfig& config);
 

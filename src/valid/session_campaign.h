@@ -188,7 +188,7 @@ struct SessionCampaignConfig : CampaignScope {
 SessionTrialRow RunSessionTrial(DesignSource source, std::uint64_t seed,
                                 const SessionCampaignConfig& config);
 
-/// Runs the whole campaign over an internal thread pool.
+/// Runs the whole campaign on config.threads worker threads.
 CampaignResult<SessionTrialRow> RunSessionCampaign(
     const SessionCampaignConfig& config);
 

@@ -329,13 +329,6 @@ TEST(CanonicalTest, DigestSeparatesDesignsAndOptions) {
 
   EXPECT_NE(CanonicalDesignDigest(a, options, /*treat=*/true),
             CanonicalDesignDigest(a, options, /*treat=*/false));
-
-  // The engine choice is *not* part of identity: both engines produce
-  // bit-identical results, so they share cache entries.
-  RemovalOptions rebuild;
-  rebuild.engine = RemovalEngine::kRebuild;
-  EXPECT_EQ(CanonicalDesignDigest(a, options),
-            CanonicalDesignDigest(a, rebuild));
 }
 
 // --------------------------------------------- differential: round trip

@@ -502,17 +502,14 @@ TEST(CdgIncrementalTest, MirrorsRebuildUnderAblationPolicies) {
 }
 
 // ------------------------------------------------------------------------
-// End-to-end: both removal engines must produce identical reports and
-// identical final designs.
+// End-to-end: RemoveDeadlocks and the reference RemoveDeadlocksRebuild
+// must produce identical reports and identical final designs.
 
 void ExpectSameOutcome(const NocDesign& input) {
   NocDesign incremental_design = input;
   NocDesign rebuild_design = input;
-  RemovalOptions options;
-  options.engine = RemovalEngine::kIncremental;
-  const auto incremental = RemoveDeadlocks(incremental_design, options);
-  options.engine = RemovalEngine::kRebuild;
-  const auto rebuild = RemoveDeadlocks(rebuild_design, options);
+  const auto incremental = RemoveDeadlocks(incremental_design);
+  const auto rebuild = RemoveDeadlocksRebuild(rebuild_design);
 
   EXPECT_EQ(incremental.initially_deadlock_free,
             rebuild.initially_deadlock_free);
@@ -594,10 +591,8 @@ TEST(RemovalEngineEquivalenceTest, PhysicalLinkModeMatchesToo) {
   NocDesign c = input;
   RemovalOptions options;
   options.duplication = DuplicationMode::kPhysicalLink;
-  options.engine = RemovalEngine::kIncremental;
   const auto ra = RemoveDeadlocks(a, options);
-  options.engine = RemovalEngine::kRebuild;
-  const auto rc = RemoveDeadlocks(c, options);
+  const auto rc = RemoveDeadlocksRebuild(c, options);
   EXPECT_EQ(ra.vcs_added, rc.vcs_added);
   EXPECT_EQ(ra.iterations, rc.iterations);
   EXPECT_TRUE(IsDeadlockFree(a));

@@ -1,38 +1,47 @@
-// SweepRunner and ThreadPool: the determinism contract (N threads ==
-// 1 thread, byte-identical deterministic fields), per-job seeding, and
-// error capture.
+// ParallelMapIndexed and SweepRunner: the determinism contract (N
+// threads == 1 thread, byte-identical deterministic fields), per-job
+// seeding, and error capture.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <set>
 
 #include "gen/generators.h"
+#include "runner/parallel_map.h"
 #include "runner/sweep.h"
-#include "runner/thread_pool.h"
 #include "test_helpers.h"
 #include "util/error.h"
 
 namespace nocdr {
 namespace {
 
-TEST(ThreadPoolTest, ParallelForCoversEveryIndexOnce) {
-  runner::SweepConfig unused;  // silence unused-include pedantry
-  (void)unused;
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.ThreadCount(), 4u);
-  std::vector<std::atomic<int>> hits(1000);
-  pool.ParallelFor(hits.size(),
-                   [&](std::size_t i) { hits[i].fetch_add(1); });
-  for (std::size_t i = 0; i < hits.size(); ++i) {
-    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+TEST(ParallelMapIndexedTest, RunsEveryIndexOnceAtAnyThreadCount) {
+  for (const std::size_t threads : {1u, 3u, 8u}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    std::vector<std::atomic<int>> hits(1000);
+    const std::vector<std::size_t> rows =
+        runner::ParallelMapIndexed<std::size_t>(
+            hits.size(), threads, [&](std::size_t i) {
+              hits[i].fetch_add(1);
+              return i * i;
+            });
+    ASSERT_EQ(rows.size(), hits.size());
+    for (std::size_t i = 0; i < hits.size(); ++i) {
+      EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+      EXPECT_EQ(rows[i], i * i) << "index " << i;
+    }
   }
 }
 
-TEST(ThreadPoolTest, ZeroCountIsANoop) {
-  ThreadPool pool(2);
-  bool touched = false;
-  pool.ParallelFor(0, [&](std::size_t) { touched = true; });
-  EXPECT_FALSE(touched);
+TEST(ParallelMapIndexedTest, ZeroCountReturnsEmptyWithoutCallingFn) {
+  std::atomic<bool> called = false;
+  const std::vector<int> rows =
+      runner::ParallelMapIndexed<int>(0, 2, [&](std::size_t) {
+        called = true;
+        return 1;
+      });
+  EXPECT_TRUE(rows.empty());
+  EXPECT_FALSE(called.load());
 }
 
 TEST(JobSeedTest, DistinctAndStable) {
@@ -52,13 +61,13 @@ std::vector<runner::SweepJob> MakeJobs() {
                          {6, 3},
                          {8, 3},
                          {10, 4}}) {
-    for (const auto& [engine, label] :
-         {std::pair{RemovalEngine::kIncremental, "incremental"},
-          std::pair{RemovalEngine::kRebuild, "rebuild"}}) {
+    for (const auto& [method, label] :
+         {std::pair{runner::SweepMethod::kRemoval, "incremental"},
+          std::pair{runner::SweepMethod::kRemovalRebuild, "rebuild"}}) {
       runner::SweepJob job;
       job.design = "ring" + std::to_string(n) + "x" + std::to_string(span);
       job.variant = label;
-      job.options.engine = engine;
+      job.method = method;
       job.factory = [n = n, span = span](Rng&) {
         return gen::UnidirectionalRing(n, span);
       };

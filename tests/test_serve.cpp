@@ -608,10 +608,12 @@ TEST(ServiceTest, CachedAndRecomputedResponsesAreBitIdentical) {
   EXPECT_EQ(serve::ResponseDigest({hit}), reference);
 }
 
-// ComputeCertification builds one CDG per computation and, with the
-// incremental engine, certifies from the graph removal kept in sync. It
-// must equal the three-call reference byte for byte under both engines,
-// and untreated, where a cyclic design's certificate is a counterexample.
+// ComputeCertification builds one CDG per computation and certifies from
+// the graph removal kept in sync. It must equal the three-call reference
+// byte for byte, treated and untreated (where a cyclic design's
+// certificate is a counterexample). The reference treats with
+// RemoveDeadlocksRebuild, which shares no graph upkeep with the served
+// computation.
 TEST(ServiceTest, ComputeCertificationEqualsTheThreeCallReference) {
   gen::GeneratorSpec torus;
   torus.family = gen::TopologyFamily::kTorus2D;
@@ -623,40 +625,63 @@ TEST(ServiceTest, ComputeCertificationEqualsTheThreeCallReference) {
   for (const NocDesign& input : designs) {
     const NocDesign canonical = CanonicalizeDesign(input).design;
     for (const bool treat : {true, false}) {
-      for (const RemovalEngine engine :
-           {RemovalEngine::kIncremental, RemovalEngine::kRebuild}) {
-        SCOPED_TRACE(input.name + (treat ? " treated" : " untreated") +
-                     (engine == RemovalEngine::kRebuild ? ", rebuild" : ""));
-        CertRequest request;
-        request.treat = treat;
-        request.options.engine = engine;
-        const CachedCertification served =
-            serve::ComputeCertification(canonical, request);
+      SCOPED_TRACE(input.name + (treat ? " treated" : " untreated"));
+      CertRequest request;
+      request.treat = treat;
+      const CachedCertification served =
+          serve::ComputeCertification(canonical, request);
 
-        NocDesign treated = canonical;
-        RemovalReport report;
-        if (treat) {
-          report = RemoveDeadlocks(treated, request.options);
-        }
-        const DeadlockCertificate certificate =
-            CertifyDeadlockFreedom(treated);
-        EXPECT_EQ(served.certificate_json, CertificateToJson(certificate));
-        EXPECT_EQ(served.treated_design_text, DesignText(treated));
-        EXPECT_EQ(served.deadlock_free, certificate.deadlock_free);
-        EXPECT_EQ(served.iterations, report.iterations);
-        EXPECT_EQ(served.vcs_added, report.vcs_added);
-        EXPECT_EQ(served.flows_rerouted, report.flows_rerouted);
-        EXPECT_EQ(served.channels_before, canonical.topology.ChannelCount());
-        EXPECT_EQ(served.channels_after, treated.topology.ChannelCount());
-        if (!certificate.deadlock_free) {
-          EXPECT_FALSE(treat);
-          EXPECT_FALSE(certificate.counterexample.empty());
-          ++counterexamples;
-        }
+      NocDesign treated = canonical;
+      RemovalReport report;
+      if (treat) {
+        report = RemoveDeadlocksRebuild(treated, request.options);
+      }
+      const DeadlockCertificate certificate = CertifyDeadlockFreedom(treated);
+      EXPECT_EQ(served.certificate_json, CertificateToJson(certificate));
+      EXPECT_EQ(served.treated_design_text, DesignText(treated));
+      EXPECT_EQ(served.deadlock_free, certificate.deadlock_free);
+      EXPECT_EQ(served.iterations, report.iterations);
+      EXPECT_EQ(served.vcs_added, report.vcs_added);
+      EXPECT_EQ(served.flows_rerouted, report.flows_rerouted);
+      EXPECT_EQ(served.channels_before, canonical.topology.ChannelCount());
+      EXPECT_EQ(served.channels_after, treated.topology.ChannelCount());
+      if (!certificate.deadlock_free) {
+        EXPECT_FALSE(treat);
+        EXPECT_FALSE(certificate.counterexample.empty());
+        ++counterexamples;
       }
     }
   }
   EXPECT_GT(counterexamples, 0u) << "no untreated design was cyclic";
+}
+
+// The retired "engine" option is an unknown key now: a request that still
+// sends it, with any value, parses and is answered byte for byte as the
+// same request without it. Each request runs on a fresh service, so every
+// answer is computed.
+TEST(ServiceTest, RetiredEngineOptionIsIgnored) {
+  const std::string v2 = R"("protocol_version":2,"type":"certify",)";
+  const std::string problem =
+      R"("id":"e","generator":{"family":"torus","width":6,"height":6},)"
+      R"("return_design":true,"options":{"direction":"both")";
+  for (const auto& [head, engine] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"", "rebuild"}, {v2, "rebuild"}, {"", "warp"}}) {
+    const std::string plain = "{" + head + problem + "}}";
+    const std::string with_engine =
+        "{" + head + problem + R"(,"engine":")" + engine + R"("}})";
+    SCOPED_TRACE(with_engine);
+    const CertRequest request = serve::ParseRequestLine(with_engine);
+    EXPECT_EQ(serve::RequestToJsonLine(request),
+              serve::RequestToJsonLine(serve::ParseRequestLine(plain)));
+    const CertResponse response = CertificationService().Serve(request);
+    const CertResponse reference =
+        CertificationService().Serve(serve::ParseRequestLine(plain));
+    ASSERT_EQ(reference.status, ServeStatus::kOk);
+    EXPECT_GT(reference.vcs_added, 0u);
+    EXPECT_EQ(serve::ResponseDigest({response}),
+              serve::ResponseDigest({reference}));
+  }
 }
 
 // ------------------------------------------------------------- protocol
@@ -715,9 +740,10 @@ TEST(ProtocolTest, RejectsAmbiguousEmptyAndUnknown) {
                InvalidModelError);
   EXPECT_THROW((void)serve::ParseRequestLine(R"({"source":"nope","seed":1})"),
                InvalidModelError);
-  EXPECT_THROW((void)serve::ParseRequestLine(
-                   R"({"source":"mesh","seed":1,"options":{"engine":"warp"}})"),
-               InvalidModelError);
+  EXPECT_THROW(
+      (void)serve::ParseRequestLine(
+          R"({"source":"mesh","seed":1,"options":{"direction":"sideways"}})"),
+      InvalidModelError);
   EXPECT_THROW((void)serve::ParseRequestLine("not json"), InvalidModelError);
 }
 

@@ -27,7 +27,7 @@
 //
 // Exit code: 0 all examples valid, 1 any drift (each offender printed
 // with its file:line), 2 usage/IO error. Registered as the docs_drift
-// CTest test and run by the docs job in CI.
+// CTest test, so every CI job that runs ctest runs it.
 #include <fstream>
 #include <iostream>
 #include <sstream>
