@@ -80,15 +80,6 @@ Counter& MetricsRegistry::GetCounter(const std::string& name) {
   return *slot;
 }
 
-Gauge& MetricsRegistry::GetGauge(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto& slot = gauges_[name];
-  if (slot == nullptr) {
-    slot = std::make_unique<Gauge>();
-  }
-  return *slot;
-}
-
 Histogram& MetricsRegistry::GetHistogram(const std::string& name) {
   std::lock_guard<std::mutex> lock(mutex_);
   auto& slot = histograms_[name];
@@ -105,10 +96,6 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
   for (const auto& [name, counter] : counters_) {
     snapshot.counters.emplace_back(name, counter->Value());
   }
-  snapshot.gauges.reserve(gauges_.size());
-  for (const auto& [name, gauge] : gauges_) {
-    snapshot.gauges.emplace_back(name, gauge->Value());
-  }
   snapshot.histograms.reserve(histograms_.size());
   for (const auto& [name, histogram] : histograms_) {
     snapshot.histograms.emplace_back(name, histogram->Snapshot());
@@ -120,9 +107,6 @@ void MetricsRegistry::ResetAll() {
   std::lock_guard<std::mutex> lock(mutex_);
   for (const auto& [name, counter] : counters_) {
     counter->Reset();
-  }
-  for (const auto& [name, gauge] : gauges_) {
-    gauge->Reset();
   }
   for (const auto& [name, histogram] : histograms_) {
     histogram->Reset();
@@ -137,14 +121,6 @@ MetricsRegistry& Metrics() {
 JsonObject CountersToJson(const MetricsSnapshot& snapshot) {
   JsonObject json;
   for (const auto& [name, value] : snapshot.counters) {
-    json.Set(name, value);
-  }
-  return json;
-}
-
-JsonObject GaugesToJson(const MetricsSnapshot& snapshot) {
-  JsonObject json;
-  for (const auto& [name, value] : snapshot.gauges) {
     json.Set(name, value);
   }
   return json;

@@ -1,5 +1,4 @@
-// Process-wide metrics: counters, gauges and log-bucketed latency
-// histograms.
+// Process-wide metrics: counters and log-bucketed latency histograms.
 //
 // The serve/removal stack records aggregate timing and event counts
 // here; the v2 {"type":"metrics"} protocol request and the
@@ -66,26 +65,6 @@ class Counter {
   std::atomic<std::uint64_t> value_{0};
 };
 
-class Gauge {
- public:
-  void Set(std::int64_t value) {
-    value_.store(value, std::memory_order_relaxed);
-  }
-
-  void Add(std::int64_t delta) {
-    value_.fetch_add(delta, std::memory_order_relaxed);
-  }
-
-  [[nodiscard]] std::int64_t Value() const {
-    return value_.load(std::memory_order_relaxed);
-  }
-
-  void Reset() { value_.store(0, std::memory_order_relaxed); }
-
- private:
-  std::atomic<std::int64_t> value_{0};
-};
-
 inline constexpr std::size_t kHistogramBuckets = 64;
 
 /// A coherent copy of one histogram's buckets; plain integers, so
@@ -138,7 +117,6 @@ class Histogram {
 /// Name-sorted copies of every registered instrument.
 struct MetricsSnapshot {
   std::vector<std::pair<std::string, std::uint64_t>> counters;
-  std::vector<std::pair<std::string, std::int64_t>> gauges;
   std::vector<std::pair<std::string, HistogramSnapshot>> histograms;
 };
 
@@ -149,7 +127,6 @@ struct MetricsSnapshot {
 class MetricsRegistry {
  public:
   Counter& GetCounter(const std::string& name);
-  Gauge& GetGauge(const std::string& name);
   Histogram& GetHistogram(const std::string& name);
 
   [[nodiscard]] MetricsSnapshot Snapshot() const;
@@ -161,7 +138,6 @@ class MetricsRegistry {
  private:
   mutable std::mutex mutex_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
-  std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
 };
 
@@ -196,12 +172,10 @@ class ScopedHistogramTimer {
 /// JSON fragments of a snapshot — the shapes the v2 metrics response
 /// embeds (serve/protocol.cpp splices them verbatim):
 ///   counters:   {"name":value,...}
-///   gauges:     {"name":value,...}
 ///   histograms: {"name":{"count":N,"sum":S,"buckets":[[le,count],...]},...}
 /// where "le" is the bucket's inclusive upper bound and zero-count
 /// buckets are omitted.
 JsonObject CountersToJson(const MetricsSnapshot& snapshot);
-JsonObject GaugesToJson(const MetricsSnapshot& snapshot);
 JsonObject HistogramToJson(const HistogramSnapshot& snapshot);
 JsonObject HistogramsToJson(const MetricsSnapshot& snapshot);
 

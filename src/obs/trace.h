@@ -12,8 +12,7 @@
 //   * kLogical (default): every span event advances a per-trace tick
 //     counter. Two runs of the same seeded input produce *byte
 //     identical* trace files, at any client thread count — the
-//     property the CI trace-schema job and tests/test_serve_cli.cpp
-//     pin. Durations are event counts, not time; use metrics
+//     property tests/test_serve_cli.cpp pins. Durations are event counts, not time; use metrics
 //     histograms (obs/metrics.h) or wall mode for real latencies.
 //   * kWall: microseconds since the sink's construction. Real
 //     profiling numbers; structure still deterministic, bytes not.

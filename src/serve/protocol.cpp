@@ -759,7 +759,6 @@ std::string MetricsResponseToJsonLine(const MetricsRequest& request,
   json.Set("status", StatusName(ServeStatus::kOk))
       .SetRaw("provenance", BuildProvenanceJson().Dump())
       .SetRaw("counters", obs::CountersToJson(snapshot).Dump())
-      .SetRaw("gauges", obs::GaugesToJson(snapshot).Dump())
       .SetRaw("histograms", obs::HistogramsToJson(snapshot).Dump());
   return json.Dump();
 }
@@ -785,10 +784,6 @@ std::string MetricsTextFromJson(const std::string& response_line,
     for (const auto& [name, value] : json.At("counters").Members()) {
       text += prefix + "counter " + name + " = " +
               std::to_string(value.AsUint()) + "\n";
-    }
-    for (const auto& [name, value] : json.At("gauges").Members()) {
-      text += prefix + "gauge " + name + " = " +
-              std::to_string(value.AsInt()) + "\n";
     }
     for (const auto& [name, histogram] : json.At("histograms").Members()) {
       const std::uint64_t count = histogram.At("count").AsUint();

@@ -55,7 +55,7 @@
 //   {"protocol_version":2,"type":"stats","id":"c5"}
 //
 // "metrics" returns the process-wide metrics registry (obs/metrics.h)
-// — counters, gauges and log-bucketed latency histograms — plus the
+// — counters and log-bucketed latency histograms — plus the
 // build provenance (git sha, compiler, flags):
 //
 //   {"protocol_version":2,"type":"metrics","id":"c6"}
@@ -174,7 +174,7 @@ std::string StatsTextFromJson(const std::string& response_line,
 std::string MetricsRequestToJsonLine(const MetricsRequest& request);
 
 /// Renders the metrics response line: build provenance plus every
-/// registered counter, gauge and histogram
+/// registered counter and histogram
 /// ({"histograms":{"name":{"count":N,"sum":S,
 /// "buckets":[[le,count],...]},...}); "le" is the bucket's inclusive
 /// upper bound and zero-count buckets are omitted (obs/metrics.h).
@@ -182,7 +182,7 @@ std::string MetricsResponseToJsonLine(const MetricsRequest& request,
                                       const obs::MetricsSnapshot& snapshot);
 
 /// Renders the `nocdr_serve --stats` latency-histogram section from a
-/// metrics *response line* — counters, gauges and per-histogram
+/// metrics *response line* — counters and per-histogram
 /// count/sum/quantile-bound lines, derived from the JSON like
 /// StatsTextFromJson. Throws ProtocolError on a line that is not a
 /// metrics response.

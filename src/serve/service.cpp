@@ -161,10 +161,6 @@ std::uint64_t FingerprintDigest(const std::string& fingerprint) {
   return h;
 }
 
-ErrorInfo MakeError(ErrorCode code, std::string message) {
-  return ErrorInfo{code, std::move(message)};
-}
-
 /// Builds the persistent tier when the config names a directory; null
 /// keeps the service memory-only. Compaction (when requested) runs
 /// here, before the first request is served.
@@ -328,6 +324,19 @@ std::uint64_t CertificationService::NowUs() const {
           .count());
 }
 
+CertResponse CertificationService::Fail(const CertRequest& request,
+                                        CertResponse response, ErrorCode code,
+                                        std::string message) {
+  response.protocol_version = request.protocol_version;
+  response.id = request.id;
+  response.status = code == ErrorCode::kOverloaded ? ServeStatus::kOverloaded
+                                                   : ServeStatus::kError;
+  response.error = ErrorInfo{code, std::move(message)};
+  std::lock_guard<std::mutex> lock(stats_mutex_);
+  ++(code == ErrorCode::kOverloaded ? stats_.rejected : stats_.errors);
+  return response;
+}
+
 CertResponse CertificationService::Guarded(
     const CertRequest& request, const std::function<CertResponse()>& inner) {
   const auto t0 = std::chrono::steady_clock::now();
@@ -340,22 +349,10 @@ CertResponse CertificationService::Guarded(
   try {
     response = inner();
   } catch (const std::exception& e) {
-    response = CertResponse{};
-    response.protocol_version = request.protocol_version;
-    response.id = request.id;
-    response.status = ServeStatus::kError;
-    response.error = MakeError(ErrorCode::kInternal, e.what());
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.errors;
+    response = Fail(request, {}, ErrorCode::kInternal, e.what());
   } catch (...) {
-    response = CertResponse{};
-    response.protocol_version = request.protocol_version;
-    response.id = request.id;
-    response.status = ServeStatus::kError;
-    response.error =
-        MakeError(ErrorCode::kInternal, "unknown non-standard exception");
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.errors;
+    response = Fail(request, {}, ErrorCode::kInternal,
+                    "unknown non-standard exception");
   }
   response.service_ms = MillisSince(t0);
   return response;
@@ -412,26 +409,22 @@ CertResponse CertificationService::ServeInner(const CertRequest& request) {
   // straight to its canonical cache entry — no materialization, no
   // canonicalization. An FNV pass over the raw bytes plus two hash
   // lookups; this is what a warm hit costs.
-  std::string fingerprint;
-  std::uint64_t fingerprint_digest = 0;
-  if (config_.cache_enabled) {
-    fingerprint = FingerprintText(request);
-    fingerprint_digest = FingerprintDigest(fingerprint);
-    if (const auto target = front_.Lookup(fingerprint_digest, fingerprint)) {
-      // Revalidate, not Lookup: if the canonical entry was evicted, the
-      // full path below will count the one miss for this request.
-      if (const auto hit = cache_.Revalidate(target->canonical_digest,
-                                             target->canonical_key_text)) {
-        response.key = target->canonical_digest;
-        FillPayload(response, *hit, request);
-        response.cache_outcome = CacheOutcome::kHit;
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++stats_.hits;
-        return response;
-      }
-      // Canonical entry evicted since the memo was written; fall
-      // through to the full path (which re-publishes it).
+  std::string fingerprint = FingerprintText(request);
+  const std::uint64_t fingerprint_digest = FingerprintDigest(fingerprint);
+  if (const auto target = front_.Lookup(fingerprint_digest, fingerprint)) {
+    // Revalidate, not Lookup: if the canonical entry was evicted, the
+    // full path below will count the one miss for this request.
+    if (const auto hit = cache_.Revalidate(target->canonical_digest,
+                                           target->canonical_key_text)) {
+      response.key = target->canonical_digest;
+      FillPayload(response, *hit, request);
+      response.cache_outcome = CacheOutcome::kHit;
+      std::lock_guard<std::mutex> lock(stats_mutex_);
+      ++stats_.hits;
+      return response;
     }
+    // Canonical entry evicted since the memo was written; fall
+    // through to the full path (which re-publishes it).
   }
 
   NocDesign design;
@@ -439,11 +432,8 @@ CertResponse CertificationService::ServeInner(const CertRequest& request) {
     obs::ScopedHistogramTimer timer(Instruments().materialize_us);
     design = MaterializeDesign(request, config_.envelope);
   } catch (const std::exception& e) {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.errors;
-    response.status = ServeStatus::kError;
-    response.error = MakeError(ErrorCode::kInvalidRequest, e.what());
-    return response;
+    return Fail(request, std::move(response), ErrorCode::kInvalidRequest,
+                e.what());
   }
   return ServeMaterialized(std::move(design), request, std::move(fingerprint),
                            fingerprint_digest);
@@ -461,11 +451,8 @@ CertResponse CertificationService::ServeMaterialized(
     obs::ScopedHistogramTimer timer(Instruments().canonicalize_us);
     canonical = CanonicalizeDesign(design);
   } catch (const std::exception& e) {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.errors;
-    response.status = ServeStatus::kError;
-    response.error = MakeError(ErrorCode::kInvalidRequest, e.what());
-    return response;
+    return Fail(request, std::move(response), ErrorCode::kInvalidRequest,
+                e.what());
   }
   if (request.options.paranoid_validation) {
     // The text round trip CanonicalizeDesign replaced is its oracle:
@@ -482,25 +469,6 @@ CertResponse CertificationService::ServeMaterialized(
       CanonicalTextDigest(canonical.text, request.options, request.treat);
   const std::string key_text =
       CacheKeyText(std::move(canonical.text), request);
-
-  if (!config_.cache_enabled) {
-    // Recompute path: inline on the caller thread, no memoization, no
-    // coalescing. The bench's cold baseline.
-    try {
-      const CachedCertification value =
-          certifier_(std::move(canonical.design), request);
-      FillPayload(response, value, request);
-      response.cache_outcome = CacheOutcome::kComputed;
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++stats_.computations;
-    } catch (const std::exception& e) {
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++stats_.errors;
-      response.status = ServeStatus::kError;
-      response.error = MakeError(ErrorCode::kComputeFailed, e.what());
-    }
-    return response;
-  }
 
   // Remember how this exact request resolves, so its next repeat takes
   // the front fast path. ServeDesign requests have no fingerprint.
@@ -533,13 +501,8 @@ CertResponse CertificationService::ServeMaterialized(
   // said no, and both speak v1 and v2 unchanged.
   if (!admission_.TryAdmit(request.priority_class,
                            sched::EstimateCost(canonical.design), NowUs())) {
-    response.status = ServeStatus::kOverloaded;
-    response.error = MakeError(ErrorCode::kOverloaded,
-                               "admission budget exhausted; retry later");
-    response.cache_outcome = CacheOutcome::kNone;
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.rejected;
-    return response;
+    return Fail(request, std::move(response), ErrorCode::kOverloaded,
+                "admission budget exhausted; retry later");
   }
 
   // Slow path: re-probe + single-flight under the coalescer lock. A
@@ -581,15 +544,9 @@ CertResponse CertificationService::ServeMaterialized(
       ++stats_.hits;
       return response;
     }
-    case RequestCoalescer::Outcome::Kind::kRejected: {
-      response.status = ServeStatus::kOverloaded;
-      response.error = MakeError(ErrorCode::kOverloaded,
-                                 "admission bound full; retry later");
-      response.cache_outcome = CacheOutcome::kNone;
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++stats_.rejected;
-      return response;
-    }
+    case RequestCoalescer::Outcome::Kind::kRejected:
+      return Fail(request, std::move(response), ErrorCode::kOverloaded,
+                  "admission bound full; retry later");
     case RequestCoalescer::Outcome::Kind::kLeader:
     case RequestCoalescer::Outcome::Kind::kFollower: {
       const bool leader =
@@ -604,10 +561,8 @@ CertResponse CertificationService::ServeMaterialized(
         std::lock_guard<std::mutex> lock(stats_mutex_);
         ++(leader ? stats_.computations : stats_.coalesced);
       } catch (const std::exception& e) {
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++stats_.errors;
-        response.status = ServeStatus::kError;
-        response.error = MakeError(ErrorCode::kComputeFailed, e.what());
+        return Fail(request, std::move(response), ErrorCode::kComputeFailed,
+                    e.what());
       }
       return response;
     }
@@ -620,11 +575,9 @@ std::uint64_t CertificationService::Publish(const std::string& canonical_text,
                                             CachedCertification value) {
   const std::uint64_t key =
       CanonicalTextDigest(canonical_text, request.options, request.treat);
-  if (config_.cache_enabled) {
-    std::string key_text = CacheKeyText(canonical_text, request);
-    if (cache_.Revalidate(key, key_text) == nullptr) {
-      cache_.Insert(key, std::move(key_text), std::move(value));
-    }
+  std::string key_text = CacheKeyText(canonical_text, request);
+  if (cache_.Revalidate(key, key_text) == nullptr) {
+    cache_.Insert(key, std::move(key_text), std::move(value));
   }
   return key;
 }

@@ -222,6 +222,10 @@ struct ServiceStats {
   std::vector<sched::ClassCounters> admission_classes;
 };
 
+/// Every request takes the one path: the fingerprint memo, the
+/// certificate cache, admission and the coalescer. No setting bypasses
+/// them; what a first-time request costs is what it costs on a fresh
+/// service.
 struct ServiceConfig {
   CacheConfig cache;
   /// Bounds of the raw-request fingerprint memo (entries are small:
@@ -234,10 +238,6 @@ struct ServiceConfig {
   std::size_t threads = 0;
   /// Admission bound on in-flight computations (see serve/coalescer.h).
   std::size_t max_pending = 1024;
-  /// false: bypass the cache and coalescer entirely — every request
-  /// recomputes inline on the caller thread. The bench's recompute
-  /// baseline.
-  bool cache_enabled = true;
   /// Token-budget admission policy in front of the coalescer (see
   /// serve/sched.h). Disabled by default: only the in-flight bound
   /// (max_pending) rejects. Applies to cache misses — hits carry no
@@ -306,7 +306,7 @@ class CertificationService {
   /// for that canonical design; the cache's contract that a hit equals
   /// a recompute rests on it. A key the cache already holds is left as
   /// it is. Charges no admission and counts as no request (the cache's
-  /// insertions count it); a cache-disabled service keeps nothing.
+  /// insertions count it).
   std::uint64_t Publish(const std::string& canonical_text,
                         const CertRequest& request,
                         CachedCertification value);
@@ -345,6 +345,13 @@ class CertificationService {
   /// Serve's exception-to-response boundary, shared with ServeDesign.
   CertResponse Guarded(const CertRequest& request,
                        const std::function<CertResponse()>& inner);
+  /// The one failure exit: echoes \p request's protocol_version and id
+  /// into \p response, sets the error, derives the status from \p code
+  /// (kOverloaded for ErrorCode::kOverloaded, else kError) and counts
+  /// the outcome once, as rejected or errors. Every other field of
+  /// \p response (key, cache_outcome) is kept as the caller left it.
+  CertResponse Fail(const CertRequest& request, CertResponse response,
+                    ErrorCode code, std::string message);
 
   /// Microseconds since service construction — the live clock mapped
   /// onto the sched layer's explicit now_us interface.

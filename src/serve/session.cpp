@@ -103,15 +103,9 @@ SessionResponse SessionService::Handle(const SessionRequest& request) {
   try {
     response = HandleInner(request);
   } catch (const std::exception& e) {
-    response = SessionResponse{};
-    response.protocol_version = request.protocol_version;
-    response.op = request.op;
-    response.id = request.id;
-    response.session_id = request.session_id;
-    response.status = ServeStatus::kError;
-    response.error = ErrorInfo{ErrorCode::kInternal, e.what()};
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.errors;
+    SessionResponse blank;
+    blank.session_id = request.session_id;
+    response = Fail(request, std::move(blank), ErrorCode::kInternal, e.what());
   }
   response.service_ms = MillisSince(t0);
   if (trace.active()) {
@@ -140,6 +134,22 @@ SessionResponse SessionService::Handle(const SessionRequest& request) {
   return response;
 }
 
+SessionResponse SessionService::Fail(const SessionRequest& request,
+                                     SessionResponse response, ErrorCode code,
+                                     std::string message) {
+  response.protocol_version = request.protocol_version;
+  response.op = request.op;
+  response.id = request.id;
+  response.status = code == ErrorCode::kOverloaded ? ServeStatus::kOverloaded
+                                                   : ServeStatus::kError;
+  response.error = ErrorInfo{code, std::move(message)};
+  const bool open_rejected =
+      code == ErrorCode::kSessionLimit || code == ErrorCode::kOverloaded;
+  std::lock_guard<std::mutex> lock(mutex_);
+  ++(open_rejected ? stats_.open_rejected : stats_.errors);
+  return response;
+}
+
 SessionResponse SessionService::HandleInner(const SessionRequest& request) {
   if (request.op == SessionOp::kOpen) {
     return Open(request);
@@ -151,13 +161,8 @@ SessionResponse SessionService::HandleInner(const SessionRequest& request) {
   response.session_id = request.session_id;
   const std::shared_ptr<Session> session = Find(request.session_id);
   if (session == nullptr) {
-    response.status = ServeStatus::kError;
-    response.error =
-        ErrorInfo{ErrorCode::kUnknownSession,
-                  "no open session \"" + request.session_id + "\""};
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.errors;
-    return response;
+    return Fail(request, std::move(response), ErrorCode::kUnknownSession,
+                "no open session \"" + request.session_id + "\"");
   }
   switch (request.op) {
     case SessionOp::kBurst:
@@ -169,11 +174,8 @@ SessionResponse SessionService::HandleInner(const SessionRequest& request) {
     case SessionOp::kOpen:
       break;  // handled above
   }
-  response.status = ServeStatus::kError;
-  response.error = ErrorInfo{ErrorCode::kInternal, "unhandled session op"};
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++stats_.errors;
-  return response;
+  return Fail(request, std::move(response), ErrorCode::kInternal,
+              "unhandled session op");
 }
 
 SessionResponse SessionService::Open(const SessionRequest& request) {
@@ -183,19 +185,20 @@ SessionResponse SessionService::Open(const SessionRequest& request) {
   response.id = request.id;
 
   // Reserve an admission slot before the (expensive) certification so a
-  // concurrent open burst cannot overshoot max_sessions.
+  // concurrent open burst cannot overshoot max_sessions. The check
+  // decides under mutex_; Fail takes it again to count.
+  bool at_limit = false;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (sessions_.size() + opening_ >= config_.max_sessions) {
-      ++stats_.open_rejected;
-      response.status = ServeStatus::kError;
-      response.error = ErrorInfo{
-          ErrorCode::kSessionLimit,
-          "session limit (" + std::to_string(config_.max_sessions) +
-              ") reached; close a session first"};
-      return response;
+    at_limit = sessions_.size() + opening_ >= config_.max_sessions;
+    if (!at_limit) {
+      ++opening_;
     }
-    ++opening_;
+  }
+  if (at_limit) {
+    return Fail(request, std::move(response), ErrorCode::kSessionLimit,
+                "session limit (" + std::to_string(config_.max_sessions) +
+                    ") reached; close a session first");
   }
   // The slot goes back on every way out, exceptions included, unless
   // the open succeeded and handed it to the session it inserted.
@@ -224,11 +227,8 @@ SessionResponse SessionService::Open(const SessionRequest& request) {
     materialized = MaterializeDesign(request.spec, service_.config().envelope,
                                      &table);
   } catch (const std::exception& e) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.errors;
-    response.status = ServeStatus::kError;
-    response.error = ErrorInfo{ErrorCode::kInvalidRequest, e.what()};
-    return response;
+    return Fail(request, std::move(response), ErrorCode::kInvalidRequest,
+                e.what());
   }
 
   // Epoch-0 certification through the service: coalesces with
@@ -241,15 +241,8 @@ SessionResponse SessionService::Open(const SessionRequest& request) {
     treated = service_.ServeDesign(std::move(materialized), cert);
   }
   if (treated.status != ServeStatus::kOk) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (treated.status == ServeStatus::kOverloaded) {
-      ++stats_.open_rejected;
-    } else {
-      ++stats_.errors;
-    }
-    response.status = treated.status;
-    response.error = treated.error;
-    return response;
+    return Fail(request, std::move(response), treated.error.code,
+                std::move(treated.error.message));
   }
 
   // Epoch 0 is the treated design in canonical form: parsed once (the
@@ -305,11 +298,7 @@ SessionResponse SessionService::Burst(const SessionRequest& request,
   response.session_id = session.id;
 
   const auto fail = [&](ErrorCode code, std::string message) {
-    response.status = ServeStatus::kError;
-    response.error = ErrorInfo{code, std::move(message)};
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.errors;
-    return response;
+    return Fail(request, std::move(response), code, std::move(message));
   };
   // A failure past the first mutation leaves the session unusable.
   const auto fail_closed = [&](std::string message) {
@@ -489,12 +478,8 @@ SessionResponse SessionService::Snapshot(const SessionRequest& request,
 
   std::lock_guard<std::mutex> session_lock(session.mutex);
   if (session.closed) {
-    response.status = ServeStatus::kError;
-    response.error = ErrorInfo{ErrorCode::kUnknownSession,
-                               "session \"" + session.id + "\" is closed"};
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.errors;
-    return response;
+    return Fail(request, std::move(response), ErrorCode::kUnknownSession,
+                "session \"" + session.id + "\" is closed");
   }
   response.status = ServeStatus::kOk;
   response.epoch = session.epoch;
@@ -523,12 +508,8 @@ SessionResponse SessionService::Close(const SessionRequest& request,
 
   std::lock_guard<std::mutex> session_lock(session.mutex);
   if (session.closed) {
-    response.status = ServeStatus::kError;
-    response.error = ErrorInfo{ErrorCode::kUnknownSession,
-                               "session \"" + session.id + "\" is closed"};
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.errors;
-    return response;
+    return Fail(request, std::move(response), ErrorCode::kUnknownSession,
+                "session \"" + session.id + "\" is closed");
   }
   session.closed = true;
   response.status = ServeStatus::kOk;

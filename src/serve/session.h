@@ -205,6 +205,15 @@ class SessionService {
  private:
   struct Session;
 
+  /// The one failure exit: echoes \p request's protocol_version, op and
+  /// id into \p response, sets the error, derives the status from
+  /// \p code (kOverloaded for ErrorCode::kOverloaded, else kError) and
+  /// counts the outcome once: open_rejected for kSessionLimit and
+  /// kOverloaded (both refuse an open), errors otherwise. Every other
+  /// field of \p response (session_id, epoch) is kept as the caller
+  /// left it. Takes mutex_, so the caller must not hold it.
+  SessionResponse Fail(const SessionRequest& request, SessionResponse response,
+                       ErrorCode code, std::string message);
   SessionResponse HandleInner(const SessionRequest& request);
   SessionResponse Open(const SessionRequest& request);
   SessionResponse Burst(const SessionRequest& request, Session& session);

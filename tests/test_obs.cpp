@@ -147,7 +147,6 @@ TEST(MetricsRegistryTest, SnapshotIsNameSortedAndResetKeepsReferences) {
   MetricsRegistry registry;
   Counter& counter = registry.GetCounter("b.count");
   registry.GetCounter("a.count");
-  registry.GetGauge("depth").Set(-3);
   registry.GetHistogram("lat_us").Record(5);
   counter.Add(2);
   EXPECT_EQ(&counter, &registry.GetCounter("b.count"));
@@ -157,8 +156,6 @@ TEST(MetricsRegistryTest, SnapshotIsNameSortedAndResetKeepsReferences) {
   EXPECT_EQ(snapshot.counters[0].first, "a.count");
   EXPECT_EQ(snapshot.counters[1].first, "b.count");
   EXPECT_EQ(snapshot.counters[1].second, 2u);
-  ASSERT_EQ(snapshot.gauges.size(), 1u);
-  EXPECT_EQ(snapshot.gauges[0].second, -3);
   ASSERT_EQ(snapshot.histograms.size(), 1u);
   EXPECT_EQ(snapshot.histograms[0].second.count, 1u);
 
@@ -189,8 +186,8 @@ std::string Render(const TraceSink& sink) {
 
 TEST(TraceTest, SameSpansSameBytesRegardlessOfFinishOrder) {
   // The sink sorts by trace id at write time, so the bytes are a pure
-  // function of the *set* of finished traces — the property the CI
-  // trace-schema job pins across client thread counts.
+  // function of the *set* of finished traces — the property
+  // tests/test_serve_cli.cpp pins across client thread counts.
   TraceSink forward;
   BuildTrace(forward, "q0");
   BuildTrace(forward, "q1");
@@ -372,7 +369,6 @@ TEST(MetricsProtocolTest, RequestRoundTripsThroughParseMessageLine) {
 TEST(MetricsProtocolTest, ResponseCarriesRegistrySnapshotAndProvenance) {
   MetricsRegistry registry;
   registry.GetCounter("hits").Add(7);
-  registry.GetGauge("depth").Set(-2);
   Histogram& histogram = registry.GetHistogram("req_us");
   histogram.Record(0);
   histogram.Record(5);
@@ -389,7 +385,7 @@ TEST(MetricsProtocolTest, ResponseCarriesRegistrySnapshotAndProvenance) {
   EXPECT_EQ(json.At("provenance").kind(), JsonValue::Kind::kObject);
   EXPECT_FALSE(json.At("provenance").At("git_sha").AsString().empty());
   EXPECT_EQ(json.At("counters").At("hits").AsUint(), 7u);
-  EXPECT_EQ(json.At("gauges").At("depth").AsInt(), -2);
+  EXPECT_EQ(json.Find("gauges"), nullptr);
   const JsonValue& req_us = json.At("histograms").At("req_us");
   EXPECT_EQ(req_us.At("count").AsUint(), 3u);
   EXPECT_EQ(req_us.At("sum").AsUint(), 10u);

@@ -2,6 +2,7 @@
 // certification service's determinism / backpressure contracts.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <optional>
@@ -588,14 +589,155 @@ TEST(ServiceTest, NegativeVcCountIsAPromptInvalidRequest) {
       << response.error.message;
 }
 
+/// The five outcomes ServiceStats splits its requests into.
+constexpr std::array<std::uint64_t serve::ServiceStats::*, 5> kOutcomes = {
+    &serve::ServiceStats::hits, &serve::ServiceStats::computations,
+    &serve::ServiceStats::coalesced, &serve::ServiceStats::rejected,
+    &serve::ServiceStats::errors};
+
+// Every way a request ends moves exactly one outcome counter, so
+// requests == hits + computations + coalesced + rejected + errors after
+// each response. The failures keep what their exit writes: a compute
+// failure its key, the exception boundary nothing but the echo, an
+// admission rejection no cache outcome.
+TEST(ServiceTest, EveryOutcomeMovesExactlyOneCounter) {
+  enum class Certify { kCompute, kThrowModelError, kThrowNonStandard };
+  Certify certify = Certify::kCompute;
+  ServiceConfig config;
+  // No refill: the budget admits three misses, then rejects.
+  config.admission.enabled = true;
+  config.admission.tokens_per_sec = 0.0;
+  config.admission.burst = 3.0;
+  CertificationService service(
+      config, [&](const NocDesign& canonical, const CertRequest& request) {
+        if (certify == Certify::kThrowModelError) {
+          throw InvalidModelError("injected model error");
+        }
+        if (certify == Certify::kThrowNonStandard) {
+          throw 7;
+        }
+        return serve::ComputeCertification(canonical, request);
+      });
+
+  serve::ServiceStats before = service.Stats();
+  const auto moved_only = [&](std::uint64_t serve::ServiceStats::*moved) {
+    const serve::ServiceStats after = service.Stats();
+    EXPECT_EQ(after.requests, before.requests + 1);
+    std::uint64_t outcomes = 0;
+    for (const auto counter : kOutcomes) {
+      EXPECT_EQ(after.*counter, before.*counter + (counter == moved ? 1 : 0));
+      outcomes += after.*counter;
+    }
+    EXPECT_EQ(after.requests, outcomes);
+    before = after;
+  };
+
+  const CertRequest ring = TextRequest("ring", UnidirectionalRing(6, 2));
+  const CertResponse computed = service.Serve(ring);
+  ASSERT_EQ(computed.status, ServeStatus::kOk);
+  EXPECT_EQ(computed.cache_outcome, CacheOutcome::kComputed);
+  moved_only(&serve::ServiceStats::computations);
+
+  const CertResponse hit = service.Serve(ring);
+  ASSERT_EQ(hit.status, ServeStatus::kOk);
+  EXPECT_EQ(hit.cache_outcome, CacheOutcome::kHit);
+  moved_only(&serve::ServiceStats::hits);
+
+  CertRequest garbage;
+  garbage.id = "garbage";
+  garbage.kind = RequestKind::kDesignText;
+  garbage.design_text = "this is not a design";
+  const CertResponse unparsed = service.Serve(garbage);
+  EXPECT_EQ(unparsed.status, ServeStatus::kError);
+  EXPECT_EQ(unparsed.error.code, serve::ErrorCode::kInvalidRequest);
+  EXPECT_EQ(unparsed.id, "garbage");
+  moved_only(&serve::ServiceStats::errors);
+
+  // A switch name with a space has no text form, so the design cannot
+  // canonicalize; only an in-memory design can carry one.
+  NocDesign spaced;
+  spaced.name = "spaced";
+  const SwitchId a = spaced.topology.AddSwitch("switch a");
+  const SwitchId b = spaced.topology.AddSwitch("b");
+  const LinkId ab = spaced.topology.AddLink(a, b);
+  spaced.attachment = {a, b};
+  const FlowId flow = spaced.traffic.AddFlow(
+      spaced.traffic.AddCore("src"), spaced.traffic.AddCore("dst"), 10.0);
+  spaced.routes.Resize(1);
+  spaced.routes.SetRoute(flow, {*spaced.topology.FindChannel(ab, 0)});
+  CertRequest in_memory;
+  in_memory.id = "spaced";
+  const CertResponse uncanonical =
+      service.ServeDesign(std::move(spaced), in_memory);
+  EXPECT_EQ(uncanonical.status, ServeStatus::kError);
+  EXPECT_EQ(uncanonical.error.code, serve::ErrorCode::kInvalidRequest);
+  EXPECT_NE(uncanonical.error.message.find("switch a"), std::string::npos)
+      << uncanonical.error.message;
+  EXPECT_EQ(uncanonical.id, "spaced");
+  moved_only(&serve::ServiceStats::errors);
+
+  certify = Certify::kThrowModelError;
+  const CertResponse failed =
+      service.Serve(TextRequest("model", UnidirectionalRing(7, 2)));
+  EXPECT_EQ(failed.status, ServeStatus::kError);
+  EXPECT_EQ(failed.error.code, serve::ErrorCode::kComputeFailed);
+  EXPECT_EQ(failed.error.message, "injected model error");
+  EXPECT_NE(failed.key, 0u);
+  EXPECT_EQ(failed.cache_outcome, CacheOutcome::kNone);
+  moved_only(&serve::ServiceStats::errors);
+
+  certify = Certify::kThrowNonStandard;
+  const CertResponse internal =
+      service.Serve(TextRequest("odd", UnidirectionalRing(8, 2)));
+  EXPECT_EQ(internal.status, ServeStatus::kError);
+  EXPECT_EQ(internal.error.code, serve::ErrorCode::kInternal);
+  EXPECT_EQ(internal.error.message, "unknown non-standard exception");
+  EXPECT_EQ(internal.id, "odd");
+  EXPECT_EQ(internal.key, 0u);
+  moved_only(&serve::ServiceStats::errors);
+
+  // The three misses above spent the budget.
+  certify = Certify::kCompute;
+  const CertResponse rejected =
+      service.Serve(TextRequest("late", UnidirectionalRing(9, 2)));
+  EXPECT_EQ(rejected.status, ServeStatus::kOverloaded);
+  EXPECT_EQ(rejected.error.code, serve::ErrorCode::kOverloaded);
+  EXPECT_NE(rejected.key, 0u);
+  EXPECT_EQ(rejected.cache_outcome, CacheOutcome::kNone);
+  moved_only(&serve::ServiceStats::rejected);
+  EXPECT_EQ(service.Stats().pool_backlog, 0u);
+}
+
+// max_iterations caps the breaks removal may make, so a cap of 0 serves
+// only designs that need none: the torus needs breaks and is answered
+// compute_failed; the mesh's dimension-order routes are deadlock-free.
+TEST(ServiceTest, ZeroMaxIterationsServesOnlyDesignsThatNeedNoBreak) {
+  CertificationService service;
+  const CertResponse torus = service.Serve(serve::ParseRequestLine(
+      R"({"id":"t","generator":{"family":"torus","width":6,"height":6},)"
+      R"("options":{"max_iterations":0}})"));
+  EXPECT_EQ(torus.status, ServeStatus::kError);
+  EXPECT_EQ(torus.error.code, serve::ErrorCode::kComputeFailed);
+  EXPECT_EQ(torus.error.message,
+            "RemoveDeadlocks: iteration cap exceeded (0)");
+
+  const CertResponse mesh = service.Serve(serve::ParseRequestLine(
+      R"({"id":"m","generator":{"family":"mesh","width":4,"height":4},)"
+      R"("options":{"max_iterations":0}})"));
+  ASSERT_EQ(mesh.status, ServeStatus::kOk) << mesh.error.message;
+  EXPECT_EQ(mesh.iterations, 0u);
+  EXPECT_TRUE(mesh.deadlock_free);
+}
+
+// Each recomputed response comes from a fresh service, which is what a
+// first-time request costs; the warm service then computes once and hits.
 TEST(ServiceTest, CachedAndRecomputedResponsesAreBitIdentical) {
   const CertRequest request = TextRequest("x", MakeRandomDesign(9));
 
-  ServiceConfig cold_config;
-  cold_config.cache_enabled = false;
-  CertificationService cold(cold_config);
-  const CertResponse recomputed_a = cold.Serve(request);
-  const CertResponse recomputed_b = cold.Serve(request);
+  const CertResponse recomputed_a = CertificationService().Serve(request);
+  const CertResponse recomputed_b = CertificationService().Serve(request);
+  EXPECT_EQ(recomputed_a.cache_outcome, CacheOutcome::kComputed);
+  EXPECT_EQ(recomputed_b.cache_outcome, CacheOutcome::kComputed);
 
   CertificationService warm;
   const CertResponse computed = warm.Serve(request);

@@ -2,7 +2,7 @@
 // codes (documented in docs/OPERATIONS.md), --version provenance, and
 // the byte-determinism contract of --trace-out (same seeded request
 // stream -> identical trace files at any thread count, validated by
-// nocdr_trace --check).
+// nocdr_trace --check and profiled by --top).
 //
 // The binaries are located through the NOCDR_BIN_DIR compile
 // definition (CMake sets it to the build directory); if they have not
@@ -10,11 +10,13 @@
 // stay green.
 #include <sys/wait.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -86,6 +88,29 @@ std::string RequestStream() {
     stream.push_back('\n');
   }
   return stream;
+}
+
+/// The seeded request campaign: 75 source+seed requests cycling the
+/// five design sources at seeds 0-14, then a v2 session open and close
+/// and a metrics probe.
+std::string CampaignStream() {
+  const char* const sources[] = {"ring", "mesh", "torus", "fat_tree",
+                                 "synthesized"};
+  std::string stream;
+  for (int i = 0; i < 75; ++i) {
+    stream += "{\"id\":\"t" + std::to_string(i) + "\",\"source\":\"" +
+              sources[i % 5] + "\",\"seed\":" + std::to_string(i / 5) +
+              "}\n";
+  }
+  return stream +
+         R"({"protocol_version":2,"type":"session_open","id":"c0",)"
+         R"("source":"mesh","seed":9})"
+         "\n"
+         R"({"protocol_version":2,"type":"session_close","id":"c1",)"
+         R"("session":"s1"})"
+         "\n"
+         R"({"protocol_version":2,"type":"metrics","id":"m0"})"
+         "\n";
 }
 
 /// A v2 session open and one fault burst on it (the first two lines of
@@ -182,29 +207,60 @@ TEST_F(ServeCliTest, VersionPrintsProvenanceAndExitsZero) {
 }
 
 TEST_F(ServeCliTest, TraceBytesIdenticalAcrossThreadCountsAndRuns) {
-  const std::string requests = Path("requests.jsonl");
-  WriteFile(requests, RequestStream());
-  const auto run = [&](const std::string& trace, const std::string& threads) {
-    return RunShell(ServeBinary() + " --threads " + threads +
-                    " --trace-out " + trace + " < " + requests + " > " +
-                    Path("out.jsonl") + " 2> " + Path("err.txt"));
+  // Every run of a stream must write its first run's trace bytes: the
+  // small mixed stream at 1 thread and twice at 3, the seeded campaign
+  // at 1 and 4.
+  const auto trace_bytes = [&](const std::string& name,
+                               const std::string& stream,
+                               const std::vector<std::string>& threads) {
+    WriteFile(Path(name + ".jsonl"), stream);
+    std::string first;
+    for (std::size_t i = 0; i < threads.size(); ++i) {
+      const std::string trace = Path(name + "_" + std::to_string(i) + ".jsonl");
+      EXPECT_EQ(RunShell(ServeBinary() + " --threads " + threads[i] +
+                         " --trace-out " + trace + " < " +
+                         Path(name + ".jsonl") + " > " + Path("out.jsonl") +
+                         " 2> " + Path("err.txt")),
+                0);
+      const std::string bytes = ReadFile(trace);
+      if (i == 0) {
+        first = bytes;
+      } else {
+        EXPECT_EQ(bytes, first) << name << " at " << threads[i] << " threads";
+      }
+    }
+    return first;
   };
-  ASSERT_EQ(run(Path("t1.jsonl"), "1"), 0);
-  ASSERT_EQ(run(Path("t3.jsonl"), "3"), 0);
-  ASSERT_EQ(run(Path("t3b.jsonl"), "3"), 0);
-  const std::string bytes = ReadFile(Path("t1.jsonl"));
+  const std::string bytes =
+      trace_bytes("mixed", RequestStream(), {"1", "3", "3"});
   ASSERT_FALSE(bytes.empty());
-  EXPECT_EQ(bytes, ReadFile(Path("t3.jsonl")));
-  EXPECT_EQ(bytes, ReadFile(Path("t3b.jsonl")));
+  ASSERT_FALSE(trace_bytes("campaign", CampaignStream(), {"1", "4"}).empty());
 
   if (!fs::exists(TraceBinary())) {
     GTEST_SKIP() << "nocdr_trace not built at " << TraceBinary();
   }
-  // The analyzer validates the whole file (exit 0) and rejects a
-  // corrupted span line (exit 1).
-  EXPECT_EQ(RunShell(TraceBinary() + " --in " + Path("t1.jsonl") +
+  // The analyzer validates each whole file (exit 0) and rejects a
+  // corrupted span line (exit 1). The campaign's traces are its 75
+  // requests, their 75 computations and the two session messages.
+  EXPECT_EQ(RunShell(TraceBinary() + " --in " + Path("mixed_0.jsonl") +
                      " --check > " + Path("check.txt")),
             0);
+  EXPECT_EQ(RunShell(TraceBinary() + " --in " + Path("campaign_0.jsonl") +
+                     " --check > " + Path("check.txt")),
+            0);
+  const std::string check = ReadFile(Path("check.txt"));
+  EXPECT_NE(check.find("152 traces, 494 spans"), std::string::npos) << check;
+  ASSERT_EQ(RunShell(TraceBinary() + " --in " + Path("campaign_0.jsonl") +
+                     " --top 5 > " + Path("top.txt")),
+            0);
+  // The report ends with the critical-path table: a header, five rows.
+  const std::string top = ReadFile(Path("top.txt"));
+  const std::size_t paths = top.find("critical path of the slowest traces");
+  ASSERT_NE(paths, std::string::npos) << top;
+  EXPECT_EQ(std::count(top.begin() + static_cast<std::ptrdiff_t>(paths),
+                       top.end(), '\n'),
+            6)
+      << top;
   WriteFile(Path("corrupt.jsonl"),
             bytes + "{\"trace\":\"zz\",\"span\":0,\"parent\":-1,"
                     "\"name\":\"r\",\"start\":9,\"end\":3}\n");

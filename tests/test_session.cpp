@@ -337,61 +337,119 @@ TEST(SessionServiceTest, OpenBurstSnapshotCloseLifecycle) {
   EXPECT_EQ(stats.bursts_applied, 2u);
 }
 
+// Every failure moves exactly one of errors and open_rejected: the
+// lifecycle and burst violations count as errors, the refused opens
+// (session limit, overloaded compute budget) as open_rejected.
 TEST(SessionServiceTest, LifecycleViolationsAreStructuredErrors) {
-  Stack stack;
-  const SessionResponse ghost =
-      stack.sessions.Handle(SnapshotOf("s404"));
+  // One session at a time, and a budget that admits the first open's
+  // computation and never refills.
+  ServiceConfig service_config = Stack::MakeConfig();
+  service_config.admission.enabled = true;
+  service_config.admission.tokens_per_sec = 0.0;
+  service_config.admission.burst = 1.0;
+  CertificationService service(service_config);
+  SessionServiceConfig session_config;
+  session_config.max_sessions = 1;
+  SessionService sessions(service, session_config);
+
+  using Stats = serve::SessionServiceStats;
+  Stats before = sessions.Stats();
+  const auto counted = [&](const SessionResponse& response,
+                           std::uint64_t Stats::*moved) {
+    const Stats after = sessions.Stats();
+    for (const auto counter : {&Stats::errors, &Stats::open_rejected}) {
+      EXPECT_EQ(after.*counter, before.*counter + (counter == moved ? 1 : 0))
+          << response.error.message;
+    }
+    before = after;
+  };
+  const auto error = &Stats::errors;
+  const auto open_rejected = &Stats::open_rejected;
+
+  const SessionResponse ghost = sessions.Handle(SnapshotOf("s404"));
   EXPECT_EQ(ghost.status, ServeStatus::kError);
   EXPECT_EQ(ghost.error.code, ErrorCode::kUnknownSession);
+  EXPECT_EQ(ghost.session_id, "s404");
+  counted(ghost, error);
 
   const SessionResponse open =
-      stack.sessions.Handle(OpenText(UnidirectionalRing(8, 2)));
+      sessions.Handle(OpenText(UnidirectionalRing(8, 2)));
   ASSERT_EQ(open.status, ServeStatus::kOk) << open.error.message;
+  counted(open, nullptr);
   const NocDesign design = Reparse(open.design_text);
 
   // Empty burst.
   const SessionResponse empty =
-      stack.sessions.Handle(BurstOn(open.session_id, {}, 0));
+      sessions.Handle(BurstOn(open.session_id, {}, 0));
   EXPECT_EQ(empty.status, ServeStatus::kError);
   EXPECT_EQ(empty.error.code, ErrorCode::kInvalidRequest);
+  EXPECT_EQ(empty.session_id, open.session_id);
+  counted(empty, error);
 
-  // Unknown switch names resolve to nothing; the burst is rejected
-  // atomically before any state changes.
+  // Unknown switch and link names resolve to nothing; the burst is
+  // rejected atomically before any state changes.
   SessionEventSpec bogus;
   bogus.kind = fault::FaultKind::kSwitch;
   bogus.switch_name = "no_such_switch";
   const SessionResponse unresolved =
-      stack.sessions.Handle(BurstOn(open.session_id, {bogus}, 0));
+      sessions.Handle(BurstOn(open.session_id, {bogus}, 0));
   EXPECT_EQ(unresolved.status, ServeStatus::kError);
   EXPECT_EQ(unresolved.error.code, ErrorCode::kInvalidRequest);
+  counted(unresolved, error);
+  SessionEventSpec no_link = LinkEvent(design, LinkId(0));
+  no_link.dst = no_link.src;
+  const SessionResponse unlinked =
+      sessions.Handle(BurstOn(open.session_id, {no_link}, 0));
+  EXPECT_EQ(unlinked.status, ServeStatus::kError);
+  EXPECT_EQ(unlinked.error.code, ErrorCode::kInvalidRequest);
+  EXPECT_EQ(unlinked.error.message,
+            "no link \"" + no_link.src + "\" -> \"" + no_link.src + "\"");
+  counted(unlinked, error);
 
   // Stale optimistic-concurrency epoch; the error echoes the actual
   // epoch so clients can resync.
-  const SessionResponse stale = stack.sessions.Handle(
+  const SessionResponse stale = sessions.Handle(
       BurstOn(open.session_id, {LinkEvent(design, LinkId(0))}, 7));
   EXPECT_EQ(stale.status, ServeStatus::kError);
   EXPECT_EQ(stale.error.code, ErrorCode::kStaleEpoch);
   EXPECT_EQ(stale.epoch, 0u);
+  counted(stale, error);
 
   // The session is unharmed by any of the above.
-  const SessionResponse snapshot =
-      stack.sessions.Handle(SnapshotOf(open.session_id));
+  const SessionResponse snapshot = sessions.Handle(SnapshotOf(open.session_id));
   ASSERT_EQ(snapshot.status, ServeStatus::kOk);
   EXPECT_EQ(snapshot.epoch, 0u);
   EXPECT_EQ(snapshot.failed_links, 0u);
+  counted(snapshot, nullptr);
+
+  // The one session slot is taken.
+  const SessionResponse limited =
+      sessions.Handle(OpenText(UnidirectionalRing(8, 2)));
+  EXPECT_EQ(limited.status, ServeStatus::kError);
+  EXPECT_EQ(limited.error.code, ErrorCode::kSessionLimit);
+  EXPECT_TRUE(limited.session_id.empty());
+  counted(limited, open_rejected);
 
   // Close, then everything on the dead session is unknown_session.
-  EXPECT_EQ(stack.sessions.Handle(CloseOf(open.session_id)).status,
-            ServeStatus::kOk);
-  EXPECT_EQ(stack.sessions.Handle(CloseOf(open.session_id)).error.code,
-            ErrorCode::kUnknownSession);
-  EXPECT_EQ(stack.sessions.Handle(SnapshotOf(open.session_id)).error.code,
-            ErrorCode::kUnknownSession);
-  EXPECT_EQ(stack.sessions
-                .Handle(BurstOn(open.session_id,
-                                {LinkEvent(design, LinkId(0))}, 0))
-                .error.code,
-            ErrorCode::kUnknownSession);
+  const SessionResponse closed = sessions.Handle(CloseOf(open.session_id));
+  EXPECT_EQ(closed.status, ServeStatus::kOk);
+  counted(closed, nullptr);
+  for (const SessionRequest& late :
+       {CloseOf(open.session_id), SnapshotOf(open.session_id),
+        BurstOn(open.session_id, {LinkEvent(design, LinkId(0))}, 0)}) {
+    const SessionResponse dead = sessions.Handle(late);
+    EXPECT_EQ(dead.error.code, ErrorCode::kUnknownSession);
+    counted(dead, error);
+  }
+
+  // A slot is free again, but the compute budget is spent: a design
+  // the cache does not hold is refused as overloaded.
+  const SessionResponse overloaded =
+      sessions.Handle(OpenText(UnidirectionalRing(6, 2)));
+  EXPECT_EQ(overloaded.status, ServeStatus::kOverloaded);
+  EXPECT_EQ(overloaded.error.code, ErrorCode::kOverloaded);
+  counted(overloaded, open_rejected);
+  EXPECT_EQ(sessions.Stats().live_sessions, 0u);
 }
 
 TEST(SessionServiceTest, SessionLimitBoundsOpensUntilAClose) {
