@@ -118,7 +118,18 @@ void ApplyAndRecord(NocDesign& design, const ChannelDependencyGraph& cdg,
   report.steps.push_back(step);
   report.vcs_added += step.vcs_added;
   report.flows_rerouted += step.flows_rerouted;
+  report.rerouted_flows.insert(report.rerouted_flows.end(),
+                               applied_out.rerouted_flows.begin(),
+                               applied_out.rerouted_flows.end());
   ++report.iterations;
+}
+
+/// Leaves the report's re-routed flows ascending and each once; called
+/// when a loop ends.
+void SortReroutedFlows(RemovalReport& report) {
+  std::vector<FlowId>& flows = report.rerouted_flows;
+  std::sort(flows.begin(), flows.end());
+  flows.erase(std::unique(flows.begin(), flows.end()), flows.end());
 }
 
 }  // namespace
@@ -147,6 +158,7 @@ RemovalReport RemoveDeadlocksRebuild(NocDesign& design,
     StageTimer::Section section(stages, kStageCycleSearch);
     cycle = PickCycle(cdg, options.cycle_policy);
   }
+  SortReroutedFlows(report);
   return report;
 }
 
@@ -189,6 +201,7 @@ RemovalReport RemoveDeadlocksOnCdg(NocDesign& design,
     }
     cycle = pick();
   }
+  SortReroutedFlows(report);
   const DirtyCycleFinder::Stats& after = finder.stats();
   report.cycle_bfs_runs = after.bfs_runs - before.bfs_runs;
   report.scc_vertices = after.scc_vertices - before.scc_vertices;

@@ -72,7 +72,11 @@ struct RemovalReport {
   bool initially_deadlock_free = false;
   std::size_t iterations = 0;
   std::size_t vcs_added = 0;
+  /// Re-routes over the run, one per flow a break re-routed (a flow
+  /// re-routed by two breaks counts twice).
   std::size_t flows_rerouted = 0;
+  /// The flows whose route the run changed, ascending by id, each once.
+  std::vector<FlowId> rerouted_flows;
   /// Vertices whose shortest cycle was recomputed by BFS across the whole
   /// run (incremental loop only; RemoveDeadlocksRebuild leaves it 0, and
   /// its equivalent is roughly VertexCount() per iteration).

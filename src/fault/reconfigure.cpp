@@ -1,6 +1,7 @@
 #include "fault/reconfigure.h"
 
 #include <algorithm>
+#include <iterator>
 #include <optional>
 #include <unordered_map>
 
@@ -168,6 +169,15 @@ bool ReconfigureCore(NocDesign& design, ChannelDependencyGraph* cdg,
 }
 
 }  // namespace
+
+std::vector<FlowId> ReconfigureReport::ReroutedFlows() const {
+  std::vector<FlowId> flows;
+  flows.reserve(affected_flows.size() + removal.rerouted_flows.size());
+  std::set_union(affected_flows.begin(), affected_flows.end(),
+                 removal.rerouted_flows.begin(), removal.rerouted_flows.end(),
+                 std::back_inserter(flows));
+  return flows;
+}
 
 std::vector<FlowId> AffectedFlows(const NocDesign& design,
                                   const FaultState& state) {

@@ -96,6 +96,10 @@ struct ReconfigureReport {
   [[nodiscard]] bool infeasible() const {
     return !disconnected_flows.empty();
   }
+
+  /// The flows whose route the burst changed, ascending by id: the
+  /// affected flows and the flows the removal re-run re-routed.
+  [[nodiscard]] std::vector<FlowId> ReroutedFlows() const;
 };
 
 /// Flows of \p design whose current route traverses a failed link or

@@ -133,6 +133,135 @@ char* RenderBandwidth(double bandwidth_mbps, char (&out)[32]) {
       .ptr;
 }
 
+// The writers of the text's lines, shared by DesignText and
+// UpdateDesignText so that both format every byte with one piece of code.
+// They are forced inline: called once per line, out of line they slow
+// DesignText, which a cold request runs twice (canonicalize, serialize).
+
+[[gnu::always_inline]] inline void AppendLinkLine(std::string& out,
+                                                  const TopologyGraph& topo,
+                                                  LinkId l) {
+  const Link& link = topo.LinkAt(l);
+  out += "link ";
+  out += topo.SwitchName(link.src);
+  out += ' ';
+  out += topo.SwitchName(link.dst);
+  const std::size_t vcs = topo.VcCount(l);
+  if (vcs != 1) {
+    out += ' ';
+    AppendUint(out, vcs);
+  }
+  out += '\n';
+}
+
+[[gnu::always_inline]] inline void AppendFlowLine(
+    std::string& out, const CommunicationGraph& traffic, FlowId f) {
+  const Flow& flow = traffic.FlowAt(f);
+  out += "flow ";
+  out += traffic.CoreName(flow.src);
+  out += ' ';
+  out += traffic.CoreName(flow.dst);
+  out += ' ';
+  char bandwidth[32];
+  out.append(bandwidth, RenderBandwidth(flow.bandwidth_mbps, bandwidth));
+  out += '\n';
+}
+
+/// Route line \p index, carrying flow \p f's route.
+[[gnu::always_inline]] inline void AppendRouteLine(std::string& out,
+                                                   const NocDesign& design,
+                                                   std::size_t index,
+                                                   FlowId f) {
+  out += "route ";
+  AppendUint(out, index);
+  for (ChannelId c : design.routes.RouteOf(f)) {
+    const Channel& ch = design.topology.ChannelAt(c);
+    out += ' ';
+    AppendUint(out, ch.link.value());
+    out += ':';
+    AppendUint(out, ch.vc);
+  }
+  out += '\n';
+}
+
+/// Flow i of \p order; an empty order is id order.
+FlowId FlowAt(std::span<const FlowId> order, std::size_t i) {
+  return order.empty() ? FlowId(i) : order[i];
+}
+
+/// The next version of a text, spliced from the old one: old byte ranges
+/// replaced, in text order, by lines rendered into a side buffer, then
+/// assembled into one exact allocation.
+class TextSplice {
+ public:
+  explicit TextSplice(std::string_view old_text) : old_(old_text) {}
+
+  /// Where old byte \p pos lands in the new text. \p pos must not lie
+  /// before the end of the last range replaced.
+  [[nodiscard]] std::size_t Moved(std::size_t pos) const {
+    return static_cast<std::size_t>(static_cast<std::ptrdiff_t>(pos) +
+                                    delta_);
+  }
+
+  /// Replaces old bytes [begin, end) (empty to insert) with what
+  /// \p render appends to the string it is given.
+  template <typename Render>
+  void Replace(std::size_t begin, std::size_t end, const Render& render) {
+    const std::size_t from = rendered_.size();
+    render(rendered_);
+    edits_.push_back(Edit{begin, end, from, rendered_.size()});
+    delta_ += static_cast<std::ptrdiff_t>(rendered_.size() - from) -
+              static_cast<std::ptrdiff_t>(end - begin);
+  }
+
+  /// Moves the start offsets of one section's lines [0, n) to the new
+  /// text (line k spans old offsets[k] to offsets[k + 1]), re-rendering
+  /// line k through render(out, k) where replace(k). offsets[n] keeps
+  /// its old value. Returns the lines rendered.
+  template <typename ReplaceLine, typename RenderLine>
+  std::size_t Lines(std::vector<std::size_t>& offsets, std::size_t n,
+                    const ReplaceLine& replace, const RenderLine& render) {
+    std::size_t rendered = 0;
+    for (std::size_t k = 0; k < n; ++k) {
+      const std::size_t begin = offsets[k];
+      offsets[k] = Moved(begin);
+      if (replace(k)) {
+        Replace(begin, offsets[k + 1],
+                [&](std::string& out) { render(out, k); });
+        ++rendered;
+      }
+    }
+    return rendered;
+  }
+
+  [[nodiscard]] std::string Assemble() const {
+    std::string out;
+    out.reserve(Moved(old_.size()));
+    std::size_t copied = 0;
+    for (const Edit& edit : edits_) {
+      out.append(old_.substr(copied, edit.old_begin - copied));
+      out.append(std::string_view(rendered_).substr(
+          edit.new_begin, edit.new_end - edit.new_begin));
+      copied = edit.old_end;
+    }
+    out.append(old_.substr(copied));
+    return out;
+  }
+
+ private:
+  struct Edit {
+    std::size_t old_begin = 0;
+    std::size_t old_end = 0;
+    std::size_t new_begin = 0;  // into rendered_
+    std::size_t new_end = 0;
+  };
+
+  std::string_view old_;
+  std::string rendered_;
+  std::vector<Edit> edits_;
+  std::ptrdiff_t delta_ = 0;  // new size minus old size so far
+};
+
 }  // namespace
 
 double TextBandwidth(double bandwidth_mbps) {
@@ -149,15 +278,30 @@ bool IsTextToken(std::string_view name) {
 }
 
 std::string DesignText(const NocDesign& design,
-                       std::span<const FlowId> flow_order) {
+                       std::span<const FlowId> flow_order,
+                       DesignTextLines* lines) {
   const TopologyGraph& topo = design.topology;
   const CommunicationGraph& traffic = design.traffic;
   Require(flow_order.empty() || flow_order.size() == traffic.FlowCount(),
           "DesignText: the flow order does not list every flow");
-  const auto flow_at = [&](std::size_t i) {
-    return flow_order.empty() ? FlowId(i) : flow_order[i];
-  };
   std::string out;
+  // Records, when asked to, that a line of one section starts here.
+  const auto mark = [&](std::vector<std::size_t> DesignTextLines::*offsets) {
+    if (lines != nullptr) {
+      (lines->*offsets).push_back(out.size());
+    }
+  };
+  if (lines != nullptr) {
+    *lines = DesignTextLines();
+    lines->order.assign(flow_order.begin(), flow_order.end());
+    lines->channels = topo.ChannelCount();
+    lines->links.reserve(topo.LinkCount() + 1);
+    lines->flows.reserve(traffic.FlowCount() + 1);
+    lines->routes.reserve(traffic.FlowCount() + 1);
+    lines->link_lines_rendered = topo.LinkCount();
+    lines->flow_lines_rendered = traffic.FlowCount();
+    lines->route_lines_rendered = traffic.FlowCount();
+  }
   out += "noc ";
   out += design.name.empty() ? std::string_view("unnamed")
                              : std::string_view(design.name);
@@ -168,18 +312,10 @@ std::string DesignText(const NocDesign& design,
     out += '\n';
   }
   for (std::size_t l = 0; l < topo.LinkCount(); ++l) {
-    const Link& link = topo.LinkAt(LinkId(l));
-    out += "link ";
-    out += topo.SwitchName(link.src);
-    out += ' ';
-    out += topo.SwitchName(link.dst);
-    const std::size_t vcs = topo.VcCount(LinkId(l));
-    if (vcs != 1) {
-      out += ' ';
-      AppendUint(out, vcs);
-    }
-    out += '\n';
+    mark(&DesignTextLines::links);
+    AppendLinkLine(out, topo, LinkId(l));
   }
+  mark(&DesignTextLines::links);
   for (std::size_t c = 0; c < traffic.CoreCount(); ++c) {
     out += "core ";
     out += traffic.CoreName(CoreId(c));
@@ -188,29 +324,87 @@ std::string DesignText(const NocDesign& design,
     out += '\n';
   }
   for (std::size_t f = 0; f < traffic.FlowCount(); ++f) {
-    const Flow& flow = traffic.FlowAt(flow_at(f));
-    out += "flow ";
-    out += traffic.CoreName(flow.src);
-    out += ' ';
-    out += traffic.CoreName(flow.dst);
-    out += ' ';
-    char bandwidth[32];
-    out.append(bandwidth, RenderBandwidth(flow.bandwidth_mbps, bandwidth));
-    out += '\n';
+    mark(&DesignTextLines::flows);
+    AppendFlowLine(out, traffic, FlowAt(flow_order, f));
   }
+  mark(&DesignTextLines::flows);
   for (std::size_t f = 0; f < traffic.FlowCount(); ++f) {
-    out += "route ";
-    AppendUint(out, f);
-    for (ChannelId c : design.routes.RouteOf(flow_at(f))) {
-      const Channel& ch = topo.ChannelAt(c);
-      out += ' ';
-      AppendUint(out, ch.link.value());
-      out += ':';
-      AppendUint(out, ch.vc);
-    }
-    out += '\n';
+    mark(&DesignTextLines::routes);
+    AppendRouteLine(out, design, f, FlowAt(flow_order, f));
   }
+  mark(&DesignTextLines::routes);
   return out;
+}
+
+std::string UpdateDesignText(std::string_view text, DesignTextLines& lines,
+                             const NocDesign& design,
+                             std::vector<FlowId> flow_order,
+                             std::span<const FlowId> rerouted) {
+  const TopologyGraph& topo = design.topology;
+  const std::size_t flows = design.traffic.FlowCount();
+  Require(!lines.links.empty() && lines.links.size() <= topo.LinkCount() + 1 &&
+              lines.channels <= topo.ChannelCount() &&
+              lines.flows.size() == flows + 1 &&
+              lines.routes.size() == flows + 1 &&
+              lines.routes.back() == text.size() &&
+              (lines.order.empty() || lines.order.size() == flows) &&
+              (flow_order.empty() || flow_order.size() == flows),
+          "UpdateDesignText: the lines do not index this design's text");
+  // Channels are only ever appended, so the links that gained one since
+  // the text was written are those of the channels past lines.channels.
+  const std::size_t links_before = lines.links.size() - 1;
+  std::vector<char> link_grew(links_before, 0);
+  for (std::size_t c = lines.channels; c < topo.ChannelCount(); ++c) {
+    const LinkId link = topo.ChannelAt(ChannelId(c)).link;
+    if (link.value() < links_before) {
+      link_grew[link.value()] = 1;
+    }
+  }
+  std::vector<char> flow_rerouted(flows, 0);
+  for (const FlowId f : rerouted) {
+    Require(f.value() < flows, "UpdateDesignText: re-routed flow ",
+            f.value(), " out of range");
+    flow_rerouted[f.value()] = 1;
+  }
+  const auto moved = [&](std::size_t i) {
+    return FlowAt(lines.order, i) != FlowAt(flow_order, i);
+  };
+
+  TextSplice splice(text);
+  const std::size_t links_end = lines.links.back();
+  lines.link_lines_rendered = splice.Lines(
+      lines.links, links_before,
+      [&](std::size_t l) { return link_grew[l] != 0; },
+      [&](std::string& out, std::size_t l) {
+        AppendLinkLine(out, topo, LinkId(l));
+      });
+  // Links added since (physical-link duplication) follow the old ones.
+  lines.links.resize(topo.LinkCount() + 1);
+  for (std::size_t l = links_before; l < topo.LinkCount(); ++l) {
+    lines.links[l] = splice.Moved(links_end);
+    splice.Replace(links_end, links_end, [&](std::string& out) {
+      AppendLinkLine(out, topo, LinkId(l));
+    });
+    ++lines.link_lines_rendered;
+  }
+  lines.links.back() = splice.Moved(links_end);
+  lines.flow_lines_rendered = splice.Lines(
+      lines.flows, flows, moved, [&](std::string& out, std::size_t i) {
+        AppendFlowLine(out, design.traffic, FlowAt(flow_order, i));
+      });
+  lines.flows.back() = splice.Moved(lines.flows.back());
+  lines.route_lines_rendered = splice.Lines(
+      lines.routes, flows,
+      [&](std::size_t i) {
+        return moved(i) || flow_rerouted[FlowAt(flow_order, i).value()] != 0;
+      },
+      [&](std::string& out, std::size_t i) {
+        AppendRouteLine(out, design, i, FlowAt(flow_order, i));
+      });
+  lines.routes.back() = splice.Moved(lines.routes.back());
+  lines.order = std::move(flow_order);
+  lines.channels = topo.ChannelCount();
+  return splice.Assemble();
 }
 
 void WriteDesign(std::ostream& os, const NocDesign& design) {

@@ -28,11 +28,13 @@
 // default-formatted std::ostream does (printf "%g": 6 significant digits).
 #pragma once
 
+#include <cstddef>
 #include <iosfwd>
 #include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "noc/design.h"
 
@@ -44,13 +46,53 @@ class DesignParseError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+/// An index of a design text, to rewrite it after the design changes:
+/// what the text was written from, and the byte offset where each line
+/// such a change can alter starts. Those are the link lines (a link
+/// gains a VC), the flow lines (another flow takes the position) and the
+/// route lines (a re-route). Each offset vector holds one entry more
+/// than it has lines: where the last line ends. Filled by DesignText,
+/// advanced by UpdateDesignText.
+struct DesignTextLines {
+  /// The flow order the text was written in; empty means id order.
+  std::vector<FlowId> order;
+  /// TopologyGraph::ChannelCount() when the text was written.
+  std::size_t channels = 0;
+  std::vector<std::size_t> links;   // LinkCount() + 1
+  std::vector<std::size_t> flows;   // FlowCount() + 1
+  std::vector<std::size_t> routes;  // FlowCount() + 1; back() = text size
+
+  /// The lines the last write rendered (all of them for DesignText).
+  std::size_t link_lines_rendered = 0;
+  std::size_t flow_lines_rendered = 0;
+  std::size_t route_lines_rendered = 0;
+};
+
 /// \p design in the text format above (stable, diff-friendly). A
 /// non-empty \p flow_order, a permutation of the flow ids, writes the
 /// flows in that order: flow line i and route line i are those of
 /// flow_order[i], so the text is that of the design with its flows
 /// permuted (util/canonical.h's CanonicalFlowOrder is the caller).
+/// \p lines, when set, receives where the text's lines start.
 std::string DesignText(const NocDesign& design,
-                       std::span<const FlowId> flow_order = {});
+                       std::span<const FlowId> flow_order = {},
+                       DesignTextLines* lines = nullptr);
+
+/// DesignText(\p design, \p flow_order), written from an earlier text of
+/// the same design by re-rendering only the lines that changed. \p text
+/// and \p lines come from DesignText (or this function) on an earlier
+/// state of \p design. Since then, \p design may only have appended
+/// channels (VCs, or links under physical-link duplication) and
+/// re-routed the flows in \p rerouted; its names, cores and flows are
+/// as they were. A link line is rendered when its link gained a
+/// channel (or is new), a flow line when another flow sits at its
+/// position, and a route line when another flow sits there or its flow
+/// was re-routed. Every other byte is copied from \p text into one
+/// exact allocation. \p lines then describes the returned text.
+std::string UpdateDesignText(std::string_view text, DesignTextLines& lines,
+                             const NocDesign& design,
+                             std::vector<FlowId> flow_order,
+                             std::span<const FlowId> rerouted);
 
 /// \p bandwidth_mbps as the text stores it: DesignText's rendering (6
 /// significant digits) read back as ReadDesign reads it. Bandwidths that

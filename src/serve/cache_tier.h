@@ -12,7 +12,8 @@
 //     its miss on the fast path).
 //   * Insert(digest, key_text, value) — publish or replace; the tier
 //     may decline (capacity, read-only disk mount) but must never
-//     corrupt what it already serves.
+//     corrupt what it already serves. The memory tiers return the
+//     shared value they built, so a publisher can hold it.
 //   * Stats() — monotonic counters plus an occupancy snapshot.
 //   * Clear() — drop every entry (counters stay; they are lifetime
 //     totals).

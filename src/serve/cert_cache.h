@@ -88,7 +88,10 @@ class ShardedLruCache {
 
   /// Inserts (or replaces) the entry for (\p digest, \p key_text), then
   /// evicts LRU-last entries until the shard is back under both bounds.
-  void Insert(std::uint64_t digest, std::string key_text, Value value) {
+  /// Returns the shared value built from \p value, which stays valid
+  /// after an eviction, and also when the entry is too big to cache.
+  std::shared_ptr<const Value> Insert(std::uint64_t digest,
+                                      std::string key_text, Value value) {
     Shard& shard = ShardFor(digest);
     const std::size_t bytes =
         value.PayloadBytes() + key_text.size() + kEntryOverheadBytes;
@@ -96,10 +99,9 @@ class ShardedLruCache {
     std::lock_guard<std::mutex> lock(shard.mutex);
     if (bytes > max_bytes_per_shard_) {
       ++shard.oversize_rejections;
-      return;
+      return shared;
     }
-    shard.lru.push_front(
-        Entry{digest, std::move(key_text), std::move(shared), bytes});
+    shard.lru.push_front(Entry{digest, std::move(key_text), shared, bytes});
     // Same digest resident: replace (identical key text means a racing
     // duplicate publish; different text is a digest collision and the
     // newcomer wins — either way the old payload goes).
@@ -117,6 +119,7 @@ class ShardedLruCache {
       shard.lru.pop_back();
       ++shard.evictions;
     }
+    return shared;
   }
 
   /// Counters summed over all shards plus current occupancy.

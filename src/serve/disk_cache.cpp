@@ -503,8 +503,8 @@ std::optional<DiskCache::RecordLoc> DiskCache::AppendLocked(
   return loc;
 }
 
-void DiskCache::Insert(std::uint64_t digest, std::string key_text,
-                       CachedCertification value) {
+void DiskCache::Insert(std::uint64_t digest, const std::string& key_text,
+                       const CachedCertification& value) {
   if (read_only_) {
     return;  // another live process owns the appender lock
   }
@@ -728,8 +728,8 @@ std::shared_ptr<const CachedCertification> TieredCertCache::Revalidate(
   return hit;
 }
 
-void TieredCertCache::Insert(std::uint64_t digest, std::string key_text,
-                             CachedCertification value) {
+std::shared_ptr<const CachedCertification> TieredCertCache::Insert(
+    std::uint64_t digest, std::string key_text, CachedCertification value) {
   if (disk_ != nullptr && !disk_->read_only()) {
     // Write through (demote) first, then publish to memory: a crash
     // between the two loses only the fast copy, never the durable one.
@@ -739,7 +739,7 @@ void TieredCertCache::Insert(std::uint64_t digest, std::string key_text,
       ++demotions_;
     }
   }
-  memory_.Insert(digest, std::move(key_text), std::move(value));
+  return memory_.Insert(digest, std::move(key_text), std::move(value));
 }
 
 CacheStats TieredCertCache::Stats() const {

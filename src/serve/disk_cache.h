@@ -106,8 +106,8 @@ class DiskCache {
   /// Appends a record and points the index at it. No-op (beyond the
   /// oversize counter) in read-only mode or when the record alone
   /// exceeds max_bytes.
-  void Insert(std::uint64_t digest, std::string key_text,
-              CachedCertification value);
+  void Insert(std::uint64_t digest, const std::string& key_text,
+              const CachedCertification& value);
 
   [[nodiscard]] CacheStats Stats() const;
 
@@ -222,8 +222,10 @@ class TieredCertCache {
       std::uint64_t digest, const std::string& key_text);
   std::shared_ptr<const CachedCertification> Revalidate(
       std::uint64_t digest, const std::string& key_text);
-  void Insert(std::uint64_t digest, std::string key_text,
-              CachedCertification value);
+  /// Writes through to disk, then inserts into memory; returns the
+  /// memory tier's shared value (ShardedLruCache::Insert).
+  std::shared_ptr<const CachedCertification> Insert(
+      std::uint64_t digest, std::string key_text, CachedCertification value);
 
   /// Memory-tier stats plus the composite's promotion/demotion
   /// counters. Deliberately *not* a merge with disk counters: the

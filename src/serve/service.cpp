@@ -3,6 +3,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <string_view>
 #include <utility>
 
 #include "cdg/cdg.h"
@@ -100,12 +101,16 @@ std::string OptionsKeySuffix(const CertRequest& request) {
 }
 
 /// Full collision-proof cache key: the canonical design text plus an
-/// encoding of every option the digest covers. Two keys are the same
-/// certification problem iff their texts compare equal, so a 64-bit
-/// digest collision can only ever degrade to a miss.
-std::string CacheKeyText(std::string canonical_text,
+/// encoding of every option the digest covers, in one exact allocation.
+/// Two keys are the same certification problem iff their texts compare
+/// equal, so a 64-bit digest collision can only ever degrade to a miss.
+std::string CacheKeyText(std::string_view canonical_text,
                          const CertRequest& request) {
-  return std::move(canonical_text) + OptionsKeySuffix(request);
+  const std::string suffix = OptionsKeySuffix(request);
+  std::string key_text;
+  key_text.reserve(canonical_text.size() + suffix.size());
+  key_text.append(canonical_text).append(suffix);
+  return key_text;
 }
 
 /// Renders the exact bit pattern of \p value — injective, unlike any
@@ -467,8 +472,9 @@ CertResponse CertificationService::ServeMaterialized(
   design = NocDesign();
   response.key =
       CanonicalTextDigest(canonical.text, request.options, request.treat);
+  // The canonical text is needed no further than the key text.
   const std::string key_text =
-      CacheKeyText(std::move(canonical.text), request);
+      CacheKeyText(std::exchange(canonical.text, {}), request);
 
   // Remember how this exact request resolves, so its next repeat takes
   // the front fast path. ServeDesign requests have no fingerprint.
@@ -570,16 +576,22 @@ CertResponse CertificationService::ServeMaterialized(
   return response;
 }
 
-std::uint64_t CertificationService::Publish(const std::string& canonical_text,
-                                            const CertRequest& request,
-                                            CachedCertification value) {
-  const std::uint64_t key =
+CertificationService::Published CertificationService::Publish(
+    const CertRequest& request, CachedCertification&& value) {
+  Require(!request.treat || value.initially_deadlock_free,
+          "Publish: treatment changed the value's design, so its text is "
+          "not the canonical text of the problem");
+  const std::string& canonical_text = value.treated_design_text;
+  Published published;
+  published.key =
       CanonicalTextDigest(canonical_text, request.options, request.treat);
   std::string key_text = CacheKeyText(canonical_text, request);
-  if (cache_.Revalidate(key, key_text) == nullptr) {
-    cache_.Insert(key, std::move(key_text), std::move(value));
+  published.entry = cache_.Revalidate(published.key, key_text);
+  if (published.entry == nullptr) {
+    published.entry =
+        cache_.Insert(published.key, std::move(key_text), std::move(value));
   }
-  return key;
+  return published;
 }
 
 std::vector<CertResponse> CertificationService::ServeBatch(

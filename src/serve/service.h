@@ -57,6 +57,7 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -297,19 +298,27 @@ class CertificationService {
   /// Takes \p design by value: a caller done with it moves it in.
   CertResponse ServeDesign(NocDesign design, const CertRequest& request);
 
-  /// Publishes a certification the caller computed itself: inserts
+  /// A published certification: its key and the cache's entry for it.
+  struct Published {
+    std::uint64_t key = 0;
+    std::shared_ptr<const CachedCertification> entry;
+  };
+
+  /// Publishes a certification the caller computed itself, for a
+  /// canonical design that treatment leaves as it is (an acyclic one, or
+  /// any with treat off; throws otherwise): \p value's
+  /// treated_design_text is that design's CanonicalizeDesign text. Moves
   /// \p value into the certificate cache under the key Serve computes
-  /// for \p canonical_text (a CanonicalizeDesign text) and \p request's
-  /// options and treat flag, and returns that key. Sessions publish
-  /// every epoch this way from their live state (serve/session.h).
-  /// The caller vouches that \p value is what the certifier computes
-  /// for that canonical design; the cache's contract that a hit equals
-  /// a recompute rests on it. A key the cache already holds is left as
-  /// it is. Charges no admission and counts as no request (the cache's
-  /// insertions count it).
-  std::uint64_t Publish(const std::string& canonical_text,
-                        const CertRequest& request,
-                        CachedCertification value);
+  /// for that text and \p request's options and treat flag, and returns
+  /// the key with the entry, which stays valid after an eviction.
+  /// Sessions publish every epoch this way from their live state
+  /// (serve/session.h). The caller vouches that \p value is what the
+  /// certifier computes for that canonical design; the cache's contract
+  /// that a hit equals a recompute rests on it. A key the cache already
+  /// holds is left as it is, and its resident entry is returned. Charges
+  /// no admission and counts as no request (the cache's insertions count
+  /// it).
+  Published Publish(const CertRequest& request, CachedCertification&& value);
 
   /// Serves \p requests over \p client_threads threads (0 =
   /// ServiceConfig::threads); responses come back indexed like the

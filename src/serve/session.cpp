@@ -33,14 +33,31 @@ class ScopeExit {
   F on_exit_;
 };
 
+/// Puts on \p span what a publish rendered (DesignTextLines' counts and
+/// the text's size), deterministic for a given message stream.
+void TracePublish(obs::ScopedSpan& span, const DesignTextLines& lines,
+                  const std::string& text) {
+  if (!span.active()) {
+    return;
+  }
+  span.Attr("link_lines",
+            static_cast<std::uint64_t>(lines.link_lines_rendered));
+  span.Attr("flow_lines",
+            static_cast<std::uint64_t>(lines.flow_lines_rendered));
+  span.Attr("route_lines",
+            static_cast<std::uint64_t>(lines.route_lines_rendered));
+  span.Attr("text_bytes", static_cast<std::uint64_t>(text.size()));
+}
+
 }  // namespace
 
 /// Everything a session keeps alive between messages: the design, the
 /// channel dependency graph mirroring its routes, the dirty-cycle
-/// finder's cache, the accumulated failure masks and the (possibly
-/// patched) next-hop table. Operations serialize on \p mutex; the
-/// object lives in a shared_ptr so a concurrent close can never free it
-/// under a burst.
+/// finder's cache, the accumulated failure masks, the (possibly
+/// patched) next-hop table, and the epoch's published entry with the
+/// index of its text. Operations serialize on \p mutex; the object
+/// lives in a shared_ptr so a concurrent close can never free it under
+/// a burst.
 struct SessionService::Session {
   Session(NocDesign live, NextHopTable next_hops,
           RemovalOptions removal_options)
@@ -75,10 +92,13 @@ struct SessionService::Session {
   std::uint64_t epoch = 0;
   std::size_t bursts_applied = 0;
 
-  // The current epoch's published certification coordinates.
+  // The current epoch's publication: its key, the cache entry (shared
+  // with the cache, never copied) holding its certificate and canonical
+  // text, and where that text's link, flow and route lines start, so
+  // the next publish re-renders only what a burst changed.
   std::uint64_t key = 0;
-  bool deadlock_free = false;
-  std::string certificate_json;
+  std::shared_ptr<const CachedCertification> published;
+  DesignTextLines text_lines;
 };
 
 SessionService::SessionService(CertificationService& service,
@@ -251,14 +271,15 @@ SessionResponse SessionService::Open(const SessionRequest& request) {
   // text reconstructs. Publishing it seeds the epoch-0 cache entry the
   // session's snapshot text resolves to.
   std::shared_ptr<Session> session;
-  std::string epoch0_text;
   {
     obs::ScopedSpan span("open.publish");
     const NocDesign parsed = ReadDesign(treated.treated_design_text);
     session = std::make_shared<Session>(
         PermuteFlows(parsed, CanonicalFlowOrder(parsed)), std::move(table),
         request.options);
-    epoch0_text = PublishEpoch(*session);
+    PublishEpoch(*session);
+    TracePublish(span, session->text_lines,
+                 session->published->treated_design_text);
   }
 
   {
@@ -280,10 +301,10 @@ SessionResponse SessionService::Open(const SessionRequest& request) {
   response.flows_rerouted = treated.flows_rerouted;
   response.channels = session->design.topology.ChannelCount();
   response.key = session->key;
-  response.deadlock_free = session->deadlock_free;
-  response.certificate_json = session->certificate_json;
+  response.deadlock_free = session->published->deadlock_free;
+  response.certificate_json = session->published->certificate_json;
   if (request.return_design) {
-    response.design_text = std::move(epoch0_text);
+    response.design_text = session->published->treated_design_text;
   }
   response.cache_outcome = treated.cache_outcome;
   return response;
@@ -385,8 +406,8 @@ SessionResponse SessionService::Burst(const SessionRequest& request,
     response.epoch = session.epoch;
     response.channels = session.design.topology.ChannelCount();
     response.key = session.key;
-    response.deadlock_free = session.deadlock_free;
-    response.certificate_json = session.certificate_json;
+    response.deadlock_free = session.published->deadlock_free;
+    response.certificate_json = session.published->certificate_json;
     std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.bursts_infeasible;
     ++stats_.epochs_served;
@@ -401,7 +422,9 @@ SessionResponse SessionService::Burst(const SessionRequest& request,
   // Requires it acyclic, before the epoch's certificate is served.
   try {
     obs::ScopedSpan span("burst.publish");
-    PublishEpoch(session);
+    PublishEpoch(session, report.ReroutedFlows());
+    TracePublish(span, session.text_lines,
+                 session.published->treated_design_text);
   } catch (const std::exception& e) {
     return fail_closed(std::string("post-burst certification failed: ") +
                        e.what());
@@ -416,8 +439,8 @@ SessionResponse SessionService::Burst(const SessionRequest& request,
   response.flows_rerouted = report.removal.flows_rerouted;
   response.channels = session.design.topology.ChannelCount();
   response.key = session.key;
-  response.deadlock_free = session.deadlock_free;
-  response.certificate_json = session.certificate_json;
+  response.deadlock_free = session.published->deadlock_free;
+  response.certificate_json = session.published->certificate_json;
   if (request.return_design) {
     response.design_text = DesignText(session.design);
   }
@@ -429,7 +452,8 @@ SessionResponse SessionService::Burst(const SessionRequest& request,
   return response;
 }
 
-std::string SessionService::PublishEpoch(Session& session) {
+void SessionService::PublishEpoch(Session& session,
+                                  std::span<const FlowId> rerouted) {
   const NocDesign& design = session.design;
   CertRequest cert;
   cert.options = session.options;
@@ -438,13 +462,19 @@ std::string SessionService::PublishEpoch(Session& session) {
   // What ComputeCertification writes for the epoch's canonical design,
   // derived from the live state: that design is already acyclic, so
   // treatment is a no-op, and its CDG is the live one renumbered
-  // link-major.
+  // link-major. Its text is the last epoch's with the lines this burst
+  // changed re-rendered; the open renders it whole.
   CachedCertification value;
   const DeadlockCertificate certificate = CertifyFromCdg(
       design, session.cdg, CanonicalChannelOrder(design.topology));
   value.certificate_json = CertificateToJson(certificate);
+  std::vector<FlowId> order = CanonicalFlowOrder(design, session.tied_runs);
   value.treated_design_text =
-      DesignText(design, CanonicalFlowOrder(design, session.tied_runs));
+      session.published == nullptr
+          ? DesignText(design, order, &session.text_lines)
+          : UpdateDesignText(session.published->treated_design_text,
+                             session.text_lines, design, std::move(order),
+                             rerouted);
   value.deadlock_free = certificate.deadlock_free;
   value.initially_deadlock_free = certificate.deadlock_free;
   value.channels_before = design.topology.ChannelCount();
@@ -461,11 +491,12 @@ std::string SessionService::PublishEpoch(Session& session) {
   }
 
   // With a persistent tier (ServiceConfig::cache_dir) the insert writes
-  // through, so a restarted server serves the latest epoch warm.
-  session.key = service_.Publish(value.treated_design_text, cert, value);
-  session.deadlock_free = value.deadlock_free;
-  session.certificate_json = value.certificate_json;
-  return std::move(value.treated_design_text);
+  // through, so a restarted server serves the latest epoch warm. When
+  // the key is resident already, its entry holds the same text.
+  CertificationService::Published published =
+      service_.Publish(cert, std::move(value));
+  session.key = published.key;
+  session.published = std::move(published.entry);
 }
 
 SessionResponse SessionService::Snapshot(const SessionRequest& request,
@@ -485,8 +516,8 @@ SessionResponse SessionService::Snapshot(const SessionRequest& request,
   response.epoch = session.epoch;
   response.channels = session.design.topology.ChannelCount();
   response.key = session.key;
-  response.deadlock_free = session.deadlock_free;
-  response.certificate_json = session.certificate_json;
+  response.deadlock_free = session.published->deadlock_free;
+  response.certificate_json = session.published->certificate_json;
   response.design_text = DesignText(session.design);
   response.failed_links = session.state.FailedLinkCount();
   response.failed_switches = session.state.FailedSwitchCount();

@@ -22,24 +22,43 @@
 // later epoch's design is different content, so it lands on a different
 // key and a session can never be answered with a stale certificate.
 // The published entry is built from the session's live state, with no
-// text round trip, no removal and no CDG rebuild: the canonical flow
-// order renders the key's text once (DesignText). The session's flows
+// text round trip, no removal and no CDG rebuild. The session's flows
 // are in canonical order from the open on and bursts change only
-// routes, so that order re-sorts only the runs of flows tied on (src,
-// dst, bandwidth), by route, and renders no bandwidth. One Kahn pass
-// over the live CDG in the canonical channel order (CertifyFromCdg)
-// gives the certificate the canonical design would get. So the entry
-// is bit-identical to what a stateless client re-shipping the epoch's
-// design text computes, which is the service's invariant for every
-// cached payload. Epoch 0 publishes through the same function, on the
-// treated design parsed once and put in canonical flow order. Three
-// oracles hold the published bytes to the from-scratch path
-// (CanonicalizeDesign + ComputeCertification): RemovalOptions::
-// paranoid_validation recomputes every publish and Requires equality;
-// the differential session campaign (src/valid/session_campaign) holds
-// a streamed session and a cold stateless replay to byte-identical
-// responses; and perfbench's traced fault_session Breakdown checks
-// every burst's certificate against ComputeCertification.
+// routes, so the canonical flow order re-sorts only the runs of flows
+// tied on (src, dst, bandwidth), by route, and renders no bandwidth.
+// One Kahn pass over the live CDG in the canonical channel order
+// (CertifyFromCdg) gives the certificate the canonical design would
+// get. So the entry is bit-identical to what a stateless client
+// re-shipping the epoch's design text computes, which is the service's
+// invariant for every cached payload. Epoch 0 publishes through the
+// same function, on the treated design parsed once and put in canonical
+// flow order.
+//
+// What a session keeps between epochs to publish the next one: the
+// cache entry it published last (CertificationService::Publish hands
+// it back; the session holds that shared entry, not a copy, so it
+// outlives an eviction) and a DesignTextLines index of that entry's
+// canonical text: the flow order it was written in, the channel count
+// then, and where each link, flow and route line starts. Epoch 0 renders
+// the whole text (DesignText). A burst writes the next text with
+// UpdateDesignText: it re-renders the link lines of links that gained a
+// VC, and the flow and route lines at canonical positions where the
+// flow was re-routed (ReconfigureReport::ReroutedFlows: the affected
+// flows and those removal re-routed) or a different flow now sits (a
+// tied run re-sorted); every other byte is copied from the last text.
+// The cache key stays FNV-1a over the whole text. The open.publish and
+// burst.publish spans carry what a publish rendered: link_lines,
+// flow_lines, route_lines and text_bytes.
+//
+// Three oracles hold the published bytes to the from-scratch path
+// (CanonicalizeDesign + ComputeCertification, whose text is
+// DesignText(design, CanonicalFlowOrder(design, tied runs)) of the live
+// design): RemovalOptions::paranoid_validation recomputes every publish
+// and Requires equality; the differential session campaign
+// (src/valid/session_campaign) holds a streamed session and a cold
+// stateless replay to byte-identical responses; and perfbench's traced
+// fault_session Breakdown checks every burst's certificate against
+// ComputeCertification.
 //
 // Concurrency and lifecycle: opens are admission-bounded
 // (max_sessions); the epoch-0 certification runs through the service's
@@ -54,6 +73,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -221,13 +241,15 @@ class SessionService {
   SessionResponse Close(const SessionRequest& request, Session& session);
   std::shared_ptr<Session> Find(const std::string& session_id);
   /// Certifies the session's current design from its live CDG in the
-  /// canonical channel order, publishes the epoch's cache entry
-  /// (CertificationService::Publish) and refreshes the session's
-  /// key/certificate fields; returns the epoch's canonical design text.
-  /// Throws if the live CDG has a cycle, or (paranoid_validation) if the
-  /// from-scratch path disagrees. Runs under the session's mutex, or
-  /// before the session is visible.
-  std::string PublishEpoch(Session& session);
+  /// canonical channel order, renders the epoch's canonical text (whole
+  /// at the open; after a burst, the last text with the lines of the
+  /// \p rerouted flows and of the links that gained VCs re-rendered),
+  /// publishes the epoch's cache entry (CertificationService::Publish)
+  /// and keeps that entry and its key as the session's. Throws if the
+  /// live CDG has a cycle, or (paranoid_validation) if the from-scratch
+  /// path disagrees; the session is then unusable. Runs under the
+  /// session's mutex, or before the session is visible.
+  void PublishEpoch(Session& session, std::span<const FlowId> rerouted = {});
 
   CertificationService& service_;
   SessionServiceConfig config_;

@@ -1,8 +1,13 @@
 #include "util/build_info.h"
 
-// CMake defines these for this translation unit only
-// (set_source_files_properties in CMakeLists.txt). The fallbacks keep
-// the file compiling under any other build driver.
+// The build writes NOCDR_GIT_SHA into this header on every build
+// (cmake/BuildStamp.cmake), and CMake defines the other three for this
+// translation unit only (set_source_files_properties in
+// CMakeLists.txt). The fallbacks keep the file compiling under any
+// other build driver.
+#if __has_include("nocdr_build_stamp.h")
+#include "nocdr_build_stamp.h"
+#endif
 #ifndef NOCDR_GIT_SHA
 #define NOCDR_GIT_SHA "unknown"
 #endif

@@ -3,12 +3,12 @@
 // Every durable artifact the repo emits — BENCH_*.json baselines, v2
 // stats/metrics responses, `nocdr_serve --version` — carries the same
 // four fields, stamped once here so the answers cannot drift between
-// surfaces. The values are burned in at compile time via definitions
-// CMake scopes to build_info.cpp (see CMakeLists.txt): the git sha is
-// read at *configure* time, so an incremental rebuild after new
-// commits can lag until the next configure — acceptable for
-// provenance, which only needs to identify the build, not the
-// worktree.
+// surfaces. The values are burned in at compile time: the git sha is
+// read at *build* time, on every build, with "-dirty" when a tracked
+// file differs from HEAD (cmake/BuildStamp.cmake writes it into a
+// header only build_info.cpp includes, and only when it changed); the
+// compiler identity, flags and build type are definitions CMake scopes
+// to build_info.cpp at configure time (see CMakeLists.txt).
 #pragma once
 
 #include <string>
@@ -18,7 +18,9 @@
 namespace nocdr {
 
 struct BuildInfo {
-  std::string git_sha;    // short sha, or "unknown" outside a checkout
+  /// Short sha, with "-dirty" when a tracked file differed from HEAD, or
+  /// "unknown" outside a checkout.
+  std::string git_sha;
   std::string compiler;   // e.g. "GNU 12.2.0"
   std::string compiler_flags;
   std::string build_type;  // e.g. "Release"; empty when unset

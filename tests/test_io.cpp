@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -80,6 +81,87 @@ TEST_P(IoRoundTripSweep, RandomDesignsSurviveRoundTrip) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IoRoundTripSweep,
                          ::testing::Range<std::uint64_t>(1, 11));
+
+/// \p lines equals \p fresh, a DesignText index of the same text.
+void ExpectSameLines(const DesignTextLines& lines,
+                     const DesignTextLines& fresh) {
+  EXPECT_EQ(lines.order, fresh.order);
+  EXPECT_EQ(lines.channels, fresh.channels);
+  EXPECT_EQ(lines.links, fresh.links);
+  EXPECT_EQ(lines.flows, fresh.flows);
+  EXPECT_EQ(lines.routes, fresh.routes);
+}
+
+/// The links of \p design that own a channel numbered \p channels_before
+/// or higher.
+std::size_t LinksWithChannelsFrom(const NocDesign& design,
+                                  std::size_t channels_before) {
+  std::vector<bool> grew(design.topology.LinkCount(), false);
+  for (std::size_t c = channels_before; c < design.topology.ChannelCount();
+       ++c) {
+    grew[design.topology.ChannelAt(ChannelId(c)).link.value()] = true;
+  }
+  return static_cast<std::size_t>(std::count(grew.begin(), grew.end(), true));
+}
+
+TEST(IoTest, UpdateDesignTextEqualsAFreshRender) {
+  // Removal appends VCs (or, duplicating physical links, whole links)
+  // and re-routes flows. The updated text must be a fresh render byte
+  // for byte, with a fresh render's line index, having rendered only
+  // the lines of the links that grew and of the re-routed flows.
+  std::size_t vcs_added = 0;
+  for (const DuplicationMode mode :
+       {DuplicationMode::kVirtualChannel, DuplicationMode::kPhysicalLink}) {
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+      NocDesign design = testing::MakeRandomDesign(seed, 10, 14, 40);
+      DesignTextLines lines;
+      const std::string before = DesignText(design, {}, &lines);
+      RemovalOptions options;
+      options.duplication = mode;
+      const std::size_t channels_before = design.topology.ChannelCount();
+      const RemovalReport report = RemoveDeadlocks(design, options);
+      vcs_added += report.vcs_added;
+      ASSERT_TRUE(std::is_sorted(report.rerouted_flows.begin(),
+                                 report.rerouted_flows.end()));
+      const std::string after = UpdateDesignText(before, lines, design, {},
+                                                 report.rerouted_flows);
+      DesignTextLines fresh;
+      EXPECT_EQ(after, DesignText(design, {}, &fresh)) << "seed " << seed;
+      ExpectSameLines(lines, fresh);
+      EXPECT_EQ(lines.link_lines_rendered,
+                LinksWithChannelsFrom(design, channels_before));
+      EXPECT_EQ(lines.flow_lines_rendered, 0u);
+      EXPECT_EQ(lines.route_lines_rendered, report.rerouted_flows.size());
+    }
+  }
+  EXPECT_GT(vcs_added, 0u);
+}
+
+TEST(IoTest, UpdateDesignTextRendersTheLinesOfMovedFlows) {
+  // A flow order that swaps two positions moves their flow and route
+  // lines, and nothing else, when no route changed.
+  const NocDesign design = testing::MakeRandomDesign(3, 8, 10, 12);
+  DesignTextLines lines;
+  const std::string before = DesignText(design, {}, &lines);
+  std::vector<FlowId> order;
+  for (std::size_t f = 0; f < design.traffic.FlowCount(); ++f) {
+    order.emplace_back(f);
+  }
+  std::swap(order[4], order[7]);
+  const std::string after = UpdateDesignText(before, lines, design, order, {});
+  DesignTextLines fresh;
+  EXPECT_EQ(after, DesignText(design, order, &fresh));
+  ExpectSameLines(lines, fresh);
+  EXPECT_EQ(lines.link_lines_rendered, 0u);
+  EXPECT_EQ(lines.flow_lines_rendered, 2u);
+  EXPECT_EQ(lines.route_lines_rendered, 2u);
+  // The index of another design's text is refused.
+  DesignTextLines other;
+  const std::string other_text =
+      DesignText(testing::MakeRandomDesign(4, 8, 10, 20), {}, &other);
+  EXPECT_THROW(UpdateDesignText(other_text, other, design, {}, {}),
+               InvalidModelError);
+}
 
 TEST(IoTest, RoundTripSynthesizedBenchmark) {
   const auto b = MakeBenchmark(SocBenchmarkId::kD26Media);

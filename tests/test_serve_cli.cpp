@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -293,6 +294,40 @@ TEST_F(ServeCliTest, SessionTracePinsItsSpanTree) {
             "q1 4 1 fault.reroute\n"
             "q1 5 1 cycle_search\n"
             "q1 6 0 burst.publish\n");
+}
+
+TEST_F(ServeCliTest, SessionTracePinsPublishWork) {
+  // What each publish rendered, from the same logical-clock run. The
+  // open renders the whole canonical text of the torus 4x4: 64 link
+  // lines and 48 flow and route lines. The burst re-routes 3 flows and
+  // adds no VC, so it re-renders their 3 route lines and copies the
+  // rest; one more hop makes the text one byte longer.
+  WriteFile(Path("session.jsonl"), SessionStream());
+  ASSERT_EQ(RunShell(ServeBinary() + " --trace-out " + Path("t.jsonl") +
+                     " < " + Path("session.jsonl") + " > " +
+                     Path("out.jsonl") + " 2> " + Path("err.txt")),
+            0);
+  std::map<std::string, std::map<std::string, std::uint64_t>> publish;
+  std::istringstream in(ReadFile(Path("t.jsonl")));
+  for (std::string line; std::getline(in, line);) {
+    if (!obs::IsTraceHeaderLine(line)) {
+      const obs::ParsedSpan span = obs::ParseSpanLine(line);
+      if (span.name.ends_with(".publish")) {
+        publish[span.name] = span.uint_attrs;
+      }
+    }
+  }
+  using Attrs = std::map<std::string, std::uint64_t>;
+  EXPECT_EQ(publish["open.publish"],
+            (Attrs{{"flow_lines", 48},
+                   {"link_lines", 64},
+                   {"route_lines", 48},
+                   {"text_bytes", 3214}}));
+  EXPECT_EQ(publish["burst.publish"],
+            (Attrs{{"flow_lines", 0},
+                   {"link_lines", 0},
+                   {"route_lines", 3},
+                   {"text_bytes", 3215}}));
 }
 
 TEST_F(ServeCliTest, TraceSampleTracesEveryNthRequest) {

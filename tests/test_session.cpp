@@ -20,6 +20,8 @@
 #include "serve/protocol.h"
 #include "serve/service.h"
 #include "serve/session.h"
+#include "soc/synthetic.h"
+#include "synth/synthesizer.h"
 #include "test_helpers.h"
 #include "util/canonical.h"
 #include "util/error.h"
@@ -598,6 +600,230 @@ TEST(SessionServiceTest, TiedFlowsPublishInCanonicalOrderEveryEpoch) {
   }
   EXPECT_GE(bursts, 10u);
   EXPECT_GT(affected, 0u);
+}
+
+// ---------------------------------------------------------------------
+// Incremental publish. Each epoch's canonical text is the last one with
+// only the lines its burst changed re-rendered; with paranoid_validation
+// off, these checks alone hold it to the from-scratch path.
+// ---------------------------------------------------------------------
+
+using BurstPlan = std::vector<std::vector<SessionEventSpec>>;
+
+/// A guarded fault plan of \p bursts bursts drawn from \p design with
+/// \p seed, named as a protocol client names it.
+BurstPlan DrawNamedPlan(const NocDesign& design, std::uint64_t seed,
+                        std::size_t bursts) {
+  fault::FaultPlanOptions options;
+  options.bursts = bursts;
+  options.disconnect_tolerance = 0.0;
+  BurstPlan plan;
+  for (const fault::FaultBurst& burst :
+       fault::DrawFaultPlan(design, seed, options).bursts) {
+    std::vector<SessionEventSpec> events;
+    std::size_t dropped = 0;
+    valid::NameBurst(design, burst, events, dropped);
+    if (!events.empty()) {
+      plan.push_back(std::move(events));
+    }
+  }
+  return plan;
+}
+
+/// Kills the switch the first core attaches to: that core's flows cannot
+/// re-route, so the burst is infeasible.
+std::vector<SessionEventSpec> KillFirstCoreSwitch(const NocDesign& design) {
+  SessionEventSpec kill;
+  kill.kind = fault::FaultKind::kSwitch;
+  kill.switch_name = design.topology.SwitchName(design.attachment.front());
+  return {kill};
+}
+
+/// The epoch \p reply names, checked against a stateless client: its key
+/// is CanonicalDesignDigest of the snapshot's design, and a stateless
+/// certify of the snapshot text hits the cache with the session's
+/// certificate byte for byte.
+void ExpectEpochServable(CertificationService& service,
+                         SessionService& sessions,
+                         const SessionResponse& reply,
+                         const RemovalOptions& options) {
+  const SessionResponse snapshot =
+      sessions.Handle(SnapshotOf(reply.session_id));
+  ASSERT_EQ(snapshot.status, ServeStatus::kOk) << snapshot.error.message;
+  ASSERT_EQ(snapshot.epoch, reply.epoch);
+  EXPECT_EQ(reply.key,
+            CanonicalDesignDigest(Reparse(snapshot.design_text), options))
+      << "epoch " << reply.epoch;
+  CertRequest stateless;
+  stateless.kind = RequestKind::kDesignText;
+  stateless.design_text = snapshot.design_text;
+  stateless.options = options;
+  const CertResponse served = service.Serve(stateless);
+  ASSERT_EQ(served.status, ServeStatus::kOk) << served.error.message;
+  EXPECT_EQ(served.cache_outcome, CacheOutcome::kHit)
+      << "epoch " << reply.epoch;
+  EXPECT_EQ(served.key, reply.key);
+  EXPECT_EQ(served.certificate_json, reply.certificate_json);
+}
+
+/// What one checked session did.
+struct CheckedSession {
+  std::vector<SessionResponse> responses;  // the open, then each burst
+  std::size_t epochs = 0;
+  std::size_t infeasible = 0;
+  std::size_t vcs_added = 0;
+  std::size_t table_detours = 0;
+  std::size_t ripup_reroutes = 0;
+};
+
+/// Opens \p open on a fresh service, with paranoid_validation set to
+/// \p paranoid, and applies \p plan, checking every epoch with
+/// ExpectEpochServable. An infeasible burst must publish nothing.
+void RunCheckedSession(SessionRequest open, const BurstPlan& plan,
+                       bool paranoid, CheckedSession& run) {
+  Stack stack;
+  open.options.paranoid_validation = paranoid;
+  const SessionResponse opened = stack.sessions.Handle(open);
+  ASSERT_EQ(opened.status, ServeStatus::kOk) << opened.error.message;
+  run.responses.push_back(opened);
+  ExpectEpochServable(stack.service, stack.sessions, opened, open.options);
+  std::uint64_t key = opened.key;
+  for (const std::vector<SessionEventSpec>& events : plan) {
+    const std::uint64_t insertions = stack.service.Stats().cache.insertions;
+    const SessionResponse reply = stack.sessions.Handle(
+        BurstOn(opened.session_id, events, run.epochs));
+    ASSERT_EQ(reply.status, ServeStatus::kOk)
+        << "epoch " << run.epochs << ": " << reply.error.message;
+    run.responses.push_back(reply);
+    if (!reply.feasible) {
+      ++run.infeasible;
+      EXPECT_EQ(reply.epoch, run.epochs);
+      EXPECT_EQ(reply.key, key);
+      EXPECT_EQ(stack.service.Stats().cache.insertions, insertions);
+      continue;
+    }
+    ASSERT_EQ(reply.epoch, run.epochs + 1);
+    run.epochs = reply.epoch;
+    run.vcs_added += reply.vcs_added;
+    run.table_detours += reply.table_detours;
+    run.ripup_reroutes += reply.ripup_reroutes;
+    key = reply.key;
+    ExpectEpochServable(stack.service, stack.sessions, reply, open.options);
+  }
+}
+
+/// Runs \p open through \p plan with paranoid_validation off and on:
+/// every epoch must check, and the two runs answer alike.
+CheckedSession RunBothWays(const SessionRequest& open, const BurstPlan& plan) {
+  CheckedSession off;
+  RunCheckedSession(open, plan, /*paranoid=*/false, off);
+  CheckedSession on;
+  RunCheckedSession(open, plan, /*paranoid=*/true, on);
+  EXPECT_EQ(serve::SessionResponseDigest(off.responses),
+            serve::SessionResponseDigest(on.responses));
+  return off;
+}
+
+TEST(SessionPublishTest, TorusEpochsMatchTheStatelessPath) {
+  // Table detours, and removal re-runs that add VCs: link lines change.
+  gen::GeneratorSpec spec;
+  spec.family = gen::TopologyFamily::kTorus2D;
+  spec.width = 8;
+  spec.height = 8;
+  spec.seed = 3;
+  SessionRequest open;
+  open.op = SessionOp::kOpen;
+  open.spec.kind = RequestKind::kGeneratorSpec;
+  open.spec.generator = spec;
+  const NocDesign design = gen::GenerateStandardDesign(spec);
+  CheckedSession total;
+  for (const std::uint64_t seed : {1ull, 2ull}) {
+    BurstPlan plan = DrawNamedPlan(design, seed, 5);
+    ASSERT_GE(plan.size(), 2u);
+    plan.insert(plan.begin() + 1, KillFirstCoreSwitch(design));
+    const CheckedSession run = RunBothWays(open, plan);
+    if (HasFatalFailure()) {
+      return;
+    }
+    total.epochs += run.epochs;
+    total.infeasible += run.infeasible;
+    total.vcs_added += run.vcs_added;
+    total.table_detours += run.table_detours;
+  }
+  EXPECT_EQ(total.infeasible, 2u);
+  EXPECT_GE(total.epochs, 8u);
+  EXPECT_GT(total.table_detours, 0u);
+  EXPECT_GT(total.vcs_added, 0u);
+}
+
+TEST(SessionPublishTest, SyntheticSocEpochsMatchTheStatelessPath) {
+  // A design sent as text has no next-hop table: every affected flow
+  // is ripped up and re-routed.
+  CheckedSession total;
+  for (const std::uint64_t seed : {1ull, 2ull}) {
+    SyntheticSocSpec soc_spec;
+    soc_spec.cores = 24;
+    soc_spec.seed = seed;
+    const SocBenchmark soc = MakeSyntheticSoc(soc_spec);
+    const NocDesign design = SynthesizeDesign(soc.traffic, soc.name, 8);
+    BurstPlan plan = DrawNamedPlan(design, seed, 3);
+    ASSERT_GE(plan.size(), 2u);
+    plan.insert(plan.begin() + 1, KillFirstCoreSwitch(design));
+    const CheckedSession run = RunBothWays(OpenText(design), plan);
+    if (HasFatalFailure()) {
+      return;
+    }
+    total.epochs += run.epochs;
+    total.infeasible += run.infeasible;
+    total.ripup_reroutes += run.ripup_reroutes;
+  }
+  EXPECT_EQ(total.infeasible, 2u);
+  EXPECT_GE(total.epochs, 4u);
+  EXPECT_GT(total.ripup_reroutes, 0u);
+}
+
+TEST(SessionPublishTest, TiedRunReSortsAcrossEpochs) {
+  // Two flows tied on (src, dst, bandwidth), on two of three disjoint
+  // paths from A to D. Failing the second flow's path re-routes it onto
+  // the free one, whose links sort first, so the tied run re-sorts.
+  // Failing the first flow's path later puts both on that path: they
+  // tie on route too and sort back into id order. Their bandwidths, 0
+  // and -0, tie as the text stores them but render differently, so each
+  // re-sort moves flow lines as well as route lines.
+  const NocDesign design = ReadDesign(
+      "noc tied\n"
+      "switch A\nswitch B\nswitch C\nswitch D\nswitch E\n"
+      "link A B\nlink B D\nlink A C\nlink C D\nlink A E\nlink E D\n"
+      "core a A\ncore d D\n"
+      "flow a d 0\nflow a d -0\n"
+      "route 0 2:0 3:0\nroute 1 4:0 5:0\n");
+  const auto link = [](const char* src, const char* dst) {
+    SessionEventSpec event;
+    event.src = src;
+    event.dst = dst;
+    return std::vector<SessionEventSpec>{event};
+  };
+  const BurstPlan plan = {link("A", "E"), KillFirstCoreSwitch(design),
+                          link("C", "D")};
+  const CheckedSession run = RunBothWays(OpenText(design), plan);
+  if (HasFatalFailure()) {
+    return;
+  }
+  ASSERT_EQ(run.epochs, 2u);
+  EXPECT_EQ(run.infeasible, 1u);
+
+  // The first burst re-sorted the run: the epoch's canonical order puts
+  // the re-routed flow first.
+  Stack stack;
+  const SessionResponse open = stack.sessions.Handle(OpenText(design));
+  ASSERT_EQ(open.status, ServeStatus::kOk) << open.error.message;
+  ASSERT_EQ(stack.sessions.Handle(BurstOn(open.session_id, plan[0], 0))
+                .status,
+            ServeStatus::kOk);
+  const NocDesign epoch1 =
+      Reparse(stack.sessions.Handle(SnapshotOf(open.session_id)).design_text);
+  EXPECT_EQ(CanonicalFlowOrder(epoch1),
+            (std::vector<FlowId>{FlowId(1u), FlowId(0u)}));
 }
 
 TEST(SessionServiceTest, PublishesEveryEpochWhateverAdmissionSays) {

@@ -32,6 +32,13 @@ build, not a measurement, and is skipped on both sides of the diff.
 
 Per-metric overrides: --tolerance metric=R (repeatable; R is a relative
 tolerance in either direction, e.g. --tolerance avg_packet_latency=0.5).
+An override takes precedence over the metric's class, so it also gates
+a wall-clock metric while --time-tolerance is off: with R = 1.0 the
+window is [0, 2 * baseline], a one-sided limit at twice the baseline
+(the CI gate sets it on bench_serve's warm_ms and restart_ms, what a
+cache hit costs); an R below 1.0 would fail a faster run too. An
+override that names no metric of the baselines is a usage error, so a
+typo cannot leave a gate silently unarmed.
 
 Rows are keyed by their string-valued fields (section, design, arm,
 family, ...), which the benches emit deterministically. A campaign's
@@ -339,6 +346,20 @@ def main(argv):
     baselines = sorted(args.baseline_dir.glob("BENCH_*.json"))
     if not baselines:
         print(f"no BENCH_*.json baselines under {args.baseline_dir}")
+        return 2
+    metrics = {
+        metric
+        for path in baselines
+        for row in load_rows(path)
+        for metric, value in row.items()
+        if not isinstance(value, str)
+    }
+    unknown = sorted(set(args.overrides) - metrics)
+    if unknown:
+        print(
+            "--tolerance names no metric of the baselines: "
+            + ", ".join(unknown)
+        )
         return 2
 
     comparison = Comparison(args)

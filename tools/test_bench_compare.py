@@ -319,6 +319,38 @@ class ToleranceClasses(GateHarness):
         self.assertEqual(self.run_gate(), 1)  # 40% > default 25%
         self.assertEqual(self.run_gate(["--tolerance", "latency=0.5"]), 0)
 
+    def test_override_limits_a_wall_clock_metric_at_twice_its_baseline(self):
+        # The CI gate on what a cache hit costs: --tolerance warm_ms=1.0
+        # arms one wall-clock metric while --time-tolerance is off.
+        def write(warm_ms, cold_ms=100.0):
+            write_rows(
+                self.baseline_dir / "BENCH_a.json",
+                [self.row(warm_ms=10.0, cold_ms=100.0)],
+            )
+            write_rows(
+                self.fresh_dir / "BENCH_a.json",
+                [self.row(warm_ms=warm_ms, cold_ms=cold_ms)],
+            )
+
+        limit = ["--tolerance", "warm_ms=1.0"]
+        write(warm_ms=21.0)
+        self.assertEqual(self.run_gate(), 0)  # wall clock off by default
+        self.assertEqual(self.run_gate(limit), 1)  # 21 > 10 * 2
+        write(warm_ms=19.0)
+        self.assertEqual(self.run_gate(limit), 0)
+        write(warm_ms=0.5)
+        self.assertEqual(self.run_gate(limit), 0)  # getting faster passes
+        write(warm_ms=10.0, cold_ms=900.0)
+        self.assertEqual(self.run_gate(limit), 0)  # only warm_ms is gated
+
+    def test_override_naming_no_metric_is_a_usage_error(self):
+        write_rows(self.baseline_dir / "BENCH_a.json", [self.row(warm_ms=1.0)])
+        write_rows(self.fresh_dir / "BENCH_a.json", [self.row(warm_ms=1.0)])
+        self.assertEqual(self.run_gate(["--tolerance", "wram_ms=1.0"]), 2)
+        # A row's string fields identify it; they are not metrics.
+        self.assertEqual(self.run_gate(["--tolerance", "design=1.0"]), 2)
+        self.assertEqual(self.run_gate(["--tolerance", "warm_ms=1.0"]), 0)
+
 
 if __name__ == "__main__":
     unittest.main(verbosity=2)
